@@ -80,21 +80,23 @@ def _default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_model_flags(p: argparse.ArgumentParser, *, mode: bool = True) -> None:
     p.add_argument("-v", "--training-size", type=int, default=100, metavar="V",
                    help="rolling window length (default: 100)")
     p.add_argument("--bandwidth", type=_bandwidth_spec, default=BandwidthRule.WINDOW_STD,
                    metavar="SPEC",
                    help="kernel bandwidth in days, or 'window-std' / 'mean-spacing' "
                         "(default: window-std)")
-    p.add_argument("--mode", type=Mode, choices=list(Mode), default=Mode.RECURSIVE,
-                   help="window update: feed predictions back (recursive) or use "
-                        "observations (teacher-forced); default: recursive")
+    if mode:
+        p.add_argument("--mode", type=Mode, choices=list(Mode), default=Mode.RECURSIVE,
+                       help="window update: feed predictions back (recursive) or use "
+                            "observations (teacher-forced); default: recursive")
     p.add_argument("--basis", type=Basis, choices=list(Basis), default=Basis.RAW,
                    help="work on raw values or mean-centered anomalies "
                         "(outputs are always reported in raw units)")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed recorded in reports; all randomness flows from it")
+                   help="seed written to compare's report.json; nothing in the "
+                        "program is random")
 
 
 def build_parser() -> _Parser:
@@ -126,9 +128,9 @@ def build_parser() -> _Parser:
     p_predict.set_defaults(func=cmd_predict)
 
     p_sweep = sub.add_parser("sweep", help="accuracy criteria per training size "
-                                           "(CSV, one station)")
+                                           "and update mode (CSV, one station)")
     p_sweep.add_argument("paths", nargs="+", type=Path)
-    _add_common_model_flags(p_sweep)
+    _add_common_model_flags(p_sweep, mode=False)
     p_sweep.add_argument("--v-min", type=int, default=1)
     p_sweep.add_argument("--v-max", type=int, required=True)
     p_sweep.add_argument("--v-step", type=int, default=1)
@@ -202,36 +204,23 @@ def cmd_inspect(args) -> int:
 
 
 def _predict_rows(station, config, threshold, max_training, offsets):
-    if threshold is not None:
-        cfg = GrnnConfig(
+    adaptive = threshold is not None
+    forecast = forecast_series
+    if adaptive:
+        config = GrnnConfig(
             training_size=config.training_size,
             bandwidth=config.bandwidth,
             threshold_m=threshold,
             max_training_size=max_training,
             mode=Mode.TEACHER_FORCED,
         )
-        for comp, off in zip(station.components, offsets):
-            res = adaptive_forecast_series(comp, cfg)
-            for i in range(len(res)):
-                yhat = float(res.predicted_m[i]) + off
-                y = float(res.observed_m[i]) + off
-                yield {
-                    "station": station.station_id,
-                    "epoch_mjd": float(res.epochs_mjd[i]),
-                    "component": res.component,
-                    "predicted_m": yhat,
-                    "observed_m": y,
-                    "abs_error_m": abs(y - yhat),
-                    "training_size_used": int(res.training_size_used[i]),
-                    "threshold_met": bool(res.threshold_met[i]),
-                }
-        return
+        forecast = adaptive_forecast_series
     for comp, off in zip(station.components, offsets):
-        res = forecast_series(comp, config)
+        res = forecast(comp, config)
         for i in range(len(res)):
             yhat = float(res.predicted_m[i]) + off
             y = float(res.observed_m[i]) + off
-            yield {
+            row = {
                 "station": station.station_id,
                 "epoch_mjd": float(res.epochs_mjd[i]),
                 "component": res.component,
@@ -239,6 +228,10 @@ def _predict_rows(station, config, threshold, max_training, offsets):
                 "observed_m": y,
                 "abs_error_m": abs(y - yhat),
             }
+            if adaptive:
+                row["training_size_used"] = int(res.training_size_used[i])
+                row["threshold_met"] = bool(res.threshold_met[i])
+            yield row
 
 
 def cmd_predict(args) -> int:

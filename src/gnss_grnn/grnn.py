@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BandwidthTooSmallError, DataError
 from .metrics import PredictionPairs
@@ -35,6 +36,10 @@ _SINGLETON_BANDWIDTH = 1.0
 
 #: Cached weight patterns per forecast walk before the cache is reset.
 _CACHE_MAX = 1024
+
+#: Window elements gathered per batch by the adaptive search; bounds its
+#: working memory to a few arrays of this many float64 values.
+_ADAPTIVE_BLOCK_ELEMENTS = 2**14
 
 
 class Mode(str, Enum):
@@ -185,12 +190,43 @@ def _resolve_from_distances(distances: np.ndarray, bandwidth: float | BandwidthR
     return float(distances[0] - distances[-1]) / (distances.size - 1)
 
 
+def _row_bandwidths(distances: np.ndarray, bandwidth: float | BandwidthRule) -> np.ndarray:
+    """:func:`_resolve_from_distances` applied to each row of ``distances``."""
+    rows, v = distances.shape
+    if isinstance(bandwidth, (int, float)):
+        return np.full(rows, float(bandwidth))
+    if v < 2:
+        spacing = np.full(rows, _SINGLETON_BANDWIDTH)
+    else:
+        spacing = (distances[:, 0] - distances[:, -1]) / (v - 1)
+    if BandwidthRule(bandwidth) is BandwidthRule.MEAN_SPACING:
+        return spacing
+    h = np.std(distances, axis=1)
+    return np.where(h > 0.0, h, spacing)
+
+
 def resolve_bandwidth(
     bandwidth: float | BandwidthRule, target_epoch: float, window_epochs: np.ndarray
 ) -> float:
     """Resolve a bandwidth spec to days for one target epoch and window."""
     window_epochs = np.asarray(window_epochs, dtype=np.float64)
     return _resolve_from_distances(target_epoch - window_epochs, bandwidth)
+
+
+def _underflow_error(h: float, nearest_days: float) -> BandwidthTooSmallError:
+    return BandwidthTooSmallError(
+        f"bandwidth too small: every kernel value underflowed (h={float(h)!r}, "
+        f"nearest distance {float(nearest_days)!r} days)"
+    )
+
+
+def _at_target(
+    exc: BandwidthTooSmallError, series: ComponentSeries, epoch: float
+) -> BandwidthTooSmallError:
+    """``exc`` with the component and target epoch it occurred at."""
+    return BandwidthTooSmallError(
+        f"{exc} predicting component {series.component.value} at MJD {float(epoch)!r}"
+    )
 
 
 def _weights_from_distances(
@@ -200,10 +236,7 @@ def _weights_from_distances(
     kernels = gaussian_kernel(distances / h)
     total = kernels.sum()
     if total == 0.0:
-        raise BandwidthTooSmallError(
-            f"bandwidth too small: every kernel value underflowed (h={h!r}, "
-            f"nearest distance {distances.min()!r} days)"
-        )
+        raise _underflow_error(h, distances.min())
     weights = kernels / total
     assert abs(float(weights.sum()) - 1.0) < 1e-12
     return h, weights
@@ -345,7 +378,10 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
         if cached is None:
             if len(cache) >= _CACHE_MAX:
                 cache.clear()
-            cached = _weights_from_distances(distances, config.bandwidth)
+            try:
+                cached = _weights_from_distances(distances, config.bandwidth)
+            except BandwidthTooSmallError as exc:
+                raise _at_target(exc, series, epochs[k]) from None
             cache[key] = cached
         yhat = _convex_combination(cached[1], buffer[k - v:k])
         predicted[k - v] = yhat
@@ -412,7 +448,10 @@ def adaptive_predict(
     best: AdaptiveResult | None = None
     while True:
         distances = target_epoch - epochs[start_index - v:start_index]
-        _, weights = _weights_from_distances(distances, config.bandwidth)
+        try:
+            _, weights = _weights_from_distances(distances, config.bandwidth)
+        except BandwidthTooSmallError as exc:
+            raise _at_target(exc, series, target_epoch) from None
         yhat = _convex_combination(weights, values[start_index - v:start_index])
         error = truth - yhat
         attempt = AdaptiveResult(yhat, v, error, abs(error) < config.threshold_m)
@@ -446,19 +485,84 @@ class AdaptiveForecastResult:
 def adaptive_forecast_series(
     series: ComponentSeries, config: GrnnConfig
 ) -> AdaptiveForecastResult:
-    """Run :func:`adaptive_predict` at every index after the seed window."""
-    v = config.training_size
+    """Run :func:`adaptive_predict` at every index after the seed window.
+
+    Batched over targets: the outer loop walks the candidate sizes, and
+    each size forecasts every still-open target at once, in blocks of at
+    most ``_ADAPTIVE_BLOCK_ELEMENTS`` window elements, which bounds the
+    working memory whatever the series length. A target closes at the
+    first size that passes the threshold, or once the next size exceeds
+    its cap. The arithmetic per target is that of :func:`adaptive_predict`,
+    so every index gets bit for bit its forecast, size and flag, and an
+    underflow is reported for the same target the loop would stop at.
+    """
+    v0 = config.training_size
     n = series.count
-    if n <= v:
-        raise DataError(f"nothing to predict: {n} samples with training_size {v}")
-    results = [adaptive_predict(series, k, config) for k in range(v, n)]
+    if n <= v0:
+        raise DataError(f"nothing to predict: {n} samples with training_size {v0}")
+    if config.threshold_m is None:
+        raise DataError("adaptive prediction requires a threshold")
+    epochs = series.epochs_mjd
+    values = series.values_m
+    targets = np.arange(v0, n)
+    caps = targets
+    if config.max_training_size is not None:
+        caps = np.minimum(caps, config.max_training_size)
+    predicted = np.empty(targets.size, dtype=np.float64)
+    used = np.empty(targets.size, dtype=np.int64)
+    met = np.zeros(targets.size, dtype=bool)
+    best_abs = np.empty(targets.size, dtype=np.float64)
+    # target position -> (h, nearest distance) at the first size it underflowed
+    underflows: dict[int, tuple[float, float]] = {}
+    open_pos = np.arange(targets.size)
+    v = v0
+    while open_pos.size:
+        epoch_windows = sliding_window_view(epochs, v)
+        value_windows = sliding_window_view(values, v)
+        rows = max(1, _ADAPTIVE_BLOCK_ELEMENTS // v)
+        still_open = []
+        for start in range(0, open_pos.size, rows):
+            pos = open_pos[start:start + rows]
+            k = targets[pos]
+            distances = epochs[k][:, None] - epoch_windows[k - v]
+            h = _row_bandwidths(distances, config.bandwidth)
+            kernels = gaussian_kernel(distances / h[:, None])
+            total = kernels.sum(axis=1)
+            ok = total != 0.0
+            if not ok.all():
+                nearest = distances[~ok].min(axis=1)
+                for p, hp, d in zip(pos[~ok].tolist(), h[~ok].tolist(), nearest.tolist()):
+                    underflows[p] = (hp, d)
+                pos, k, kernels, total = pos[ok], k[ok], kernels[ok], total[ok]
+            weights = kernels / total[:, None]
+            assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
+            windows = value_windows[k - v]
+            base = windows[:, 0]
+            # a stacked (1, v) @ (v, 1) matmul runs the same dot as the 1-d loop
+            deviations = (windows - base[:, None])[:, :, None]
+            yhat = base + np.matmul(weights[:, None, :], deviations)[:, 0, 0]
+            abs_err = np.abs(values[k] - yhat)
+            passed = abs_err < config.threshold_m
+            # v0 is every target's first try; later sizes must be strictly
+            # better, so the earliest size wins ties (a pass is always better)
+            better = abs_err < best_abs[pos] if v > v0 else np.ones(pos.size, dtype=bool)
+            predicted[pos[better]] = yhat[better]
+            used[pos[better]] = v
+            best_abs[pos[better]] = abs_err[better]
+            met[pos] = passed
+            still_open.append(pos[~passed & (v + config.growth_step <= caps[pos])])
+        open_pos = np.concatenate(still_open)
+        v += config.growth_step
+    if underflows:
+        p = min(underflows)
+        raise _at_target(_underflow_error(*underflows[p]), series, epochs[targets[p]])
     return AdaptiveForecastResult(
         component=str(series.component.value),
-        epochs_mjd=series.epochs_mjd[v:],
-        predicted_m=np.array([r.predicted_m for r in results]),
-        observed_m=series.values_m[v:],
-        training_size_used=np.array([r.training_size_used for r in results], dtype=np.int64),
-        threshold_met=np.array([r.threshold_met for r in results], dtype=bool),
+        epochs_mjd=epochs[v0:],
+        predicted_m=predicted,
+        observed_m=values[v0:],
+        training_size_used=used,
+        threshold_met=met,
     )
 
 

@@ -121,8 +121,17 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", path, "--v-max", "6", "--v-min", "2",
                        "--v-step", "2", "--output", out) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as stream:
+            rows = list(csv.DictReader(stream))
         assert {r["v"] for r in rows} == {"2", "4", "6"}
+
+    def test_mode_flag_is_a_usage_error(self, station_file, capsys):
+        # sweep always runs both update modes, so it must not accept --mode
+        path = station_file(length=60)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", path, "--v-max", "2", "--mode", "recursive")
+        assert exc.value.code == 1
+        assert "--mode" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -135,7 +144,8 @@ class TestCompare:
         assert doc["schema_version"] == 1
         assert len(doc["stations"]) == 3
         assert doc["comparison"]["time_ratio"] is None
-        table = list(csv.DictReader((out_dir / "stations.csv").open()))
+        with (out_dir / "stations.csv").open() as stream:
+            table = list(csv.DictReader(stream))
         assert len(table) == 18
         out = capsys.readouterr().out
         assert "sMAPE" in out and "wrote" in out

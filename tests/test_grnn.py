@@ -253,6 +253,114 @@ class TestAdaptivePredict:
         assert walk.training_size_used.min() >= 4
 
 
+def loop_reference(series, cfg):
+    """The per-target loop the batched adaptive walk replaces."""
+    return [adaptive_predict(series, k, cfg) for k in range(cfg.training_size, series.count)]
+
+
+def _axis(kind):
+    rng = np.random.default_rng(5)
+    daily = 55000.0 + np.arange(160.0)
+    if kind == "daily":
+        return daily
+    if kind == "two-gap":
+        return np.concatenate([daily[:60], daily[67:110], daily[130:]])
+    return daily + rng.uniform(-0.01, 0.01, daily.size)  # jittered
+
+
+class TestAdaptiveForecastSeries:
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered"])
+    @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
+                                           BandwidthRule.MEAN_SPACING, 2.5])
+    @pytest.mark.parametrize("cap", [None, 40])
+    @pytest.mark.parametrize("growth_step", [1, 3])
+    @pytest.mark.parametrize("training_size", [1, 20])
+    def test_matches_per_target_loop(self, axis, bandwidth, cap, growth_step,
+                                     training_size):
+        epochs = _axis(axis)
+        rng = np.random.default_rng(11)
+        # anomaly-sized values: a coordinate-sized offset would round away
+        # last-bit differences of the dot product
+        values = np.cumsum(rng.normal(0.0, 1e-3, epochs.size))
+        s = comp_series(epochs, values, Component.Z)
+        cfg = GrnnConfig(training_size=training_size, bandwidth=bandwidth,
+                         threshold_m=4e-4, max_training_size=cap,
+                         growth_step=growth_step, mode=Mode.TEACHER_FORCED)
+        walk = adaptive_forecast_series(s, cfg)
+        loop = loop_reference(s, cfg)
+        assert np.array_equal(walk.predicted_m, [r.predicted_m for r in loop])
+        assert np.array_equal(walk.training_size_used, [r.training_size_used for r in loop])
+        assert np.array_equal(walk.threshold_met, [r.threshold_met for r in loop])
+        assert walk.training_size_used.dtype == np.int64
+        assert walk.threshold_met.dtype == bool
+        # both outcomes occur, so the test exercises passing and exhausted targets
+        assert walk.threshold_met.any() and not walk.threshold_met.all()
+        np.testing.assert_array_equal(walk.epochs_mjd, epochs[training_size:])
+        np.testing.assert_array_equal(walk.observed_m, values[training_size:])
+
+    def test_underflow_names_the_target_the_loop_stops_at(self):
+        # a dense block, then spacings doubling up to target A; B lies far after A
+        dense = 50000.0 + 0.01 * np.arange(100)
+        geometric = dense[-1] + 0.02 * np.cumsum(2.0 ** np.arange(12))
+        epochs = np.concatenate([dense, geometric, [geometric[-1] + 1e4]])
+        a = epochs.size - 2
+        values = np.zeros(epochs.size)
+        values[a] = 1.0  # every other target passes at once
+        s = comp_series(epochs, values)
+        cfg = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
+                         threshold_m=0.5)
+        # B underflows at the first size; A only once its window reaches the
+        # dense block, so the loop stops at A
+        with pytest.raises(BandwidthTooSmallError) as loop_exc:
+            loop_reference(s, cfg)
+        assert f"at MJD {float(epochs[a])!r}" in str(loop_exc.value)
+        first_size_only = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
+                                     threshold_m=0.5, max_training_size=2)
+        assert not adaptive_predict(s, a, first_size_only).threshold_met
+        with pytest.raises(BandwidthTooSmallError):
+            adaptive_predict(s, a + 1, first_size_only)
+        with pytest.raises(BandwidthTooSmallError) as walk_exc:
+            adaptive_forecast_series(s, cfg)
+        assert str(walk_exc.value) == str(loop_exc.value)
+
+    def test_threshold_required(self):
+        s = comp_series(np.arange(10.0) + 1.0, np.zeros(10))
+        with pytest.raises(DataError, match="requires a threshold"):
+            adaptive_forecast_series(s, GrnnConfig(training_size=3))
+
+    def test_nothing_to_predict(self):
+        s = comp_series(np.arange(3.0) + 1.0, np.zeros(3))
+        with pytest.raises(DataError, match="nothing to predict"):
+            adaptive_forecast_series(s, GrnnConfig(training_size=3, threshold_m=1.0))
+
+
+class TestUnderflowMessage:
+    # a 46-day gap: the first epoch after it lies 47 days past the window
+    EPOCHS = np.concatenate([55000.0 + np.arange(20.0), 55066.0 + np.arange(10.0)])
+
+    def expected(self):
+        return ("bandwidth too small: every kernel value underflowed (h=1.0, "
+                "nearest distance 47.0 days) predicting component Y at MJD 55066.0")
+
+    def series(self):
+        return comp_series(self.EPOCHS, np.linspace(0.0, 1.0, self.EPOCHS.size), Component.Y)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_forecast_series(self, mode):
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0, mode=mode)
+        with pytest.raises(BandwidthTooSmallError) as exc:
+            forecast_series(self.series(), cfg)
+        assert str(exc.value) == self.expected()
+
+    def test_adaptive_paths(self):
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-3)
+        with pytest.raises(BandwidthTooSmallError) as loop_exc:
+            adaptive_predict(self.series(), 20, cfg)
+        with pytest.raises(BandwidthTooSmallError) as walk_exc:
+            adaptive_forecast_series(self.series(), cfg)
+        assert str(loop_exc.value) == str(walk_exc.value) == self.expected()
+
+
 class TestForecastSeries:
     def test_prediction_count(self):
         s = comp_series(np.arange(10.0) + 1.0, np.random.default_rng(0).normal(size=10))
