@@ -28,11 +28,11 @@ from .grnn import (
 )
 from .harness import (
     compare_methods,
-    comparison_report_dict,
     evaluate_stations,
     run_sweep,
     time_methods,
     write_reports_csv,
+    write_reports_json,
     write_sweep_csv,
 )
 from .series import StationSeries, amplitude, detect_gaps, mean_center, parse_series
@@ -94,9 +94,6 @@ def _add_common_model_flags(p: argparse.ArgumentParser, *, mode: bool = True) ->
     p.add_argument("--basis", type=Basis, choices=list(Basis), default=Basis.RAW,
                    help="work on raw values or mean-centered anomalies "
                         "(outputs are always reported in raw units)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed written to compare's report.json; nothing in the "
-                        "program is random")
 
 
 def build_parser() -> _Parser:
@@ -149,6 +146,9 @@ def build_parser() -> _Parser:
                            default=ThetaFit.ROLLING,
                            help="refit the slope per origin, or once on the first window")
     p_compare.add_argument("--gap-factor", type=float, default=1.5)
+    p_compare.add_argument("--seed", type=int, default=0,
+                           help="seed written to report.json; nothing in the "
+                                "program is random")
     p_compare.add_argument("--time", action="store_true",
                            help="also time both methods (adds nondeterministic "
                                 "wall-clock numbers to the report)")
@@ -306,8 +306,8 @@ def cmd_compare(args) -> int:
     args.output_dir.mkdir(parents=True, exist_ok=True)
     json_path = args.output_dir / "report.json"
     csv_path = args.output_dir / "stations.csv"
-    doc_seed_note = {"seed": args.seed, "basis": args.basis.value}
-    _write_compare_json(reports, comparison, doc_seed_note, json_path)
+    write_reports_json(reports, comparison, json_path,
+                       run={"seed": args.seed, "basis": args.basis.value})
     write_reports_csv(reports, csv_path)
 
     for comp, agg in comparison.aggregated.items():
@@ -321,20 +321,6 @@ def cmd_compare(args) -> int:
         print(f"time ratio (kernel/theta): {comparison.time_ratio:.3f}")
     print(f"wrote {json_path} and {csv_path}")
     return 0
-
-
-def _write_compare_json(reports, comparison, run_info, path: Path) -> None:
-    from .harness import SCHEMA_VERSION, station_report_dict
-
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "run": run_info,
-        "stations": [station_report_dict(r) for r in reports],
-        "comparison": comparison_report_dict(comparison),
-    }
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        json.dump(doc, stream, indent=2, allow_nan=False)
-        stream.write("\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -34,12 +34,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: Bandwidth fallback for a length-1 window, days (one nominal daily step).
 _SINGLETON_BANDWIDTH = 1.0
 
-#: Cached weight patterns per forecast walk before the cache is reset.
-_CACHE_MAX = 1024
-
-#: Window elements gathered per batch by the adaptive search; bounds its
+#: Window elements gathered per block by the batched walks; bounds their
 #: working memory to a few arrays of this many float64 values.
-_ADAPTIVE_BLOCK_ELEMENTS = 2**14
+_BLOCK_ELEMENTS = 2**14
 
 
 class Mode(str, Enum):
@@ -253,6 +250,37 @@ def _convex_combination(weights: np.ndarray, values: np.ndarray) -> float:
     return float(base + weights @ (values - base))
 
 
+def _convex_combinations(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """:func:`_convex_combination` of each weight row with its value window.
+
+    A stacked ``(1, v) @ (v, 1)`` matmul runs the same dot as the 1-d
+    product, so every row gets the single-target bits.
+    """
+    base = windows[:, 0]
+    deviations = (windows - base[:, None])[:, :, None]
+    return base + np.matmul(weights[:, None, :], deviations)[:, 0, 0]
+
+
+def _block_kernels(
+    epochs: np.ndarray,
+    epoch_windows: np.ndarray,
+    k: np.ndarray,
+    bandwidth: float | BandwidthRule,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Distances, bandwidths, kernel values and row sums for targets ``k``.
+
+    ``epoch_windows`` is ``sliding_window_view(epochs, v)``. Row ``j``
+    holds the distances from ``epochs[k[j]]`` to the ``v`` epochs before
+    it and runs the arithmetic of :func:`_weights_from_distances` up to
+    the normalization, so each row has the single-target bits.
+    """
+    v = epoch_windows.shape[1]
+    distances = epochs[k][:, None] - epoch_windows[k - v]
+    h = _row_bandwidths(distances, bandwidth)
+    kernels = gaussian_kernel(distances / h[:, None])
+    return distances, h, kernels, kernels.sum(axis=1)
+
+
 def compute_weights(target_epoch: float, window_epochs: np.ndarray, h: float) -> np.ndarray:
     """Normalized kernel weights of each window entry for one target epoch.
 
@@ -355,9 +383,15 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
 
     Epochs inside gaps are never fabricated; the first prediction after a
     hole simply reaches forward from the pre-gap window, so its kernel
-    distances are larger than usual. Identical distance patterns recur at
-    every regular step, so the weight vectors are cached per pattern;
-    this changes nothing about the result, only the speed.
+    distances are larger than usual. The weights depend on the epochs
+    alone, so they are computed for blocks of targets at once, at most
+    ``_BLOCK_ELEMENTS`` window elements per block, which bounds the
+    working memory whatever the series length. Teacher-forced forecasts
+    are made a block at a time too; recursive ones step through the
+    block, since each feeds the next. The arithmetic per target is that
+    of :func:`predict_one`, so every forecast matches the stepping walk
+    bit for bit, and an underflow is reported for the first target in
+    walk order that underflows.
     """
     v = config.training_size
     n = series.count
@@ -366,27 +400,29 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
     epochs = series.epochs_mjd
     observed = series.values_m
     recursive = config.mode is Mode.RECURSIVE
-    # in recursive mode predictions overwrite this working copy as they
-    # are produced, becoming training data for the following steps
+    epoch_windows = sliding_window_view(epochs, v)
+    value_windows = sliding_window_view(observed, v)
+    # forecasts overwrite this working copy as they are produced; in
+    # recursive mode they become training data for the following steps
     buffer = observed.copy()
-    predicted = np.empty(n - v, dtype=np.float64)
-    cache: dict[bytes, tuple[float, np.ndarray]] = {}
-    for k in range(v, n):
-        distances = epochs[k] - epochs[k - v:k]
-        key = distances.tobytes()
-        cached = cache.get(key)
-        if cached is None:
-            if len(cache) >= _CACHE_MAX:
-                cache.clear()
-            try:
-                cached = _weights_from_distances(distances, config.bandwidth)
-            except BandwidthTooSmallError as exc:
-                raise _at_target(exc, series, epochs[k]) from None
-            cache[key] = cached
-        yhat = _convex_combination(cached[1], buffer[k - v:k])
-        predicted[k - v] = yhat
+    rows = max(1, _BLOCK_ELEMENTS // v)
+    for start in range(v, n, rows):
+        stop = min(start + rows, n)
+        k = np.arange(start, stop)
+        distances, h, kernels, total = _block_kernels(epochs, epoch_windows, k,
+                                                      config.bandwidth)
+        # raise before dividing: a zero row sum would only warn
+        ok = total != 0.0
+        if not ok.all():
+            j = int(np.flatnonzero(~ok)[0])
+            raise _at_target(_underflow_error(h[j], distances[j].min()), series, epochs[k[j]])
+        weights = kernels / total[:, None]
+        assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
         if recursive:
-            buffer[k] = yhat
+            for row, kj in zip(weights, range(start, stop)):
+                buffer[kj] = _convex_combination(row, buffer[kj - v:kj])
+        else:
+            buffer[start:stop] = _convex_combinations(weights, value_windows[k - v])
     if recursive:
         n_window_predicted = np.minimum(np.arange(n - v, dtype=np.int64), v)
     else:
@@ -396,7 +432,7 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
         mode=config.mode,
         training_size=v,
         epochs_mjd=epochs[v:],
-        predicted_m=predicted,
+        predicted_m=buffer[v:],
         observed_m=observed[v:],
         n_window_predicted=n_window_predicted,
     )
@@ -489,7 +525,7 @@ def adaptive_forecast_series(
 
     Batched over targets: the outer loop walks the candidate sizes, and
     each size forecasts every still-open target at once, in blocks of at
-    most ``_ADAPTIVE_BLOCK_ELEMENTS`` window elements, which bounds the
+    most ``_BLOCK_ELEMENTS`` window elements, which bounds the
     working memory whatever the series length. A target closes at the
     first size that passes the threshold, or once the next size exceeds
     its cap. The arithmetic per target is that of :func:`adaptive_predict`,
@@ -519,15 +555,13 @@ def adaptive_forecast_series(
     while open_pos.size:
         epoch_windows = sliding_window_view(epochs, v)
         value_windows = sliding_window_view(values, v)
-        rows = max(1, _ADAPTIVE_BLOCK_ELEMENTS // v)
+        rows = max(1, _BLOCK_ELEMENTS // v)
         still_open = []
         for start in range(0, open_pos.size, rows):
             pos = open_pos[start:start + rows]
             k = targets[pos]
-            distances = epochs[k][:, None] - epoch_windows[k - v]
-            h = _row_bandwidths(distances, config.bandwidth)
-            kernels = gaussian_kernel(distances / h[:, None])
-            total = kernels.sum(axis=1)
+            distances, h, kernels, total = _block_kernels(epochs, epoch_windows, k,
+                                                          config.bandwidth)
             ok = total != 0.0
             if not ok.all():
                 nearest = distances[~ok].min(axis=1)
@@ -536,11 +570,7 @@ def adaptive_forecast_series(
                 pos, k, kernels, total = pos[ok], k[ok], kernels[ok], total[ok]
             weights = kernels / total[:, None]
             assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
-            windows = value_windows[k - v]
-            base = windows[:, 0]
-            # a stacked (1, v) @ (v, 1) matmul runs the same dot as the 1-d loop
-            deviations = (windows - base[:, None])[:, :, None]
-            yhat = base + np.matmul(weights[:, None, :], deviations)[:, 0, 0]
+            yhat = _convex_combinations(weights, value_windows[k - v])
             abs_err = np.abs(values[k] - yhat)
             passed = abs_err < config.threshold_m
             # v0 is every target's first try; later sizes must be strictly
@@ -563,37 +593,4 @@ def adaptive_forecast_series(
         observed_m=values[v0:],
         training_size_used=used,
         threshold_met=met,
-    )
-
-
-def manual_walk(series: ComponentSeries, config: GrnnConfig) -> ForecastResult:
-    """Reference walk built from the public stepping API.
-
-    Produces the same forecasts as :func:`forecast_series` one
-    :func:`predict_one`/:func:`advance` call at a time. Quadratically
-    slower on long series; exists for verification and as a usage
-    example of the stepping primitives.
-    """
-    v = config.training_size
-    n = series.count
-    if n <= v:
-        raise DataError(f"nothing to predict: {n} samples with training_size {v}")
-    state = GrnnState.from_series(series, v)
-    epochs = series.epochs_mjd
-    observed = series.values_m
-    predicted = np.empty(n - v, dtype=np.float64)
-    n_window_predicted = np.empty(n - v, dtype=np.int64)
-    for k in range(v, n):
-        yhat, _ = predict_one(state, float(epochs[k]), config)
-        predicted[k - v] = yhat
-        n_window_predicted[k - v] = sum(o is Origin.PREDICTED for o in state.origins)
-        state = advance(state, float(epochs[k]), yhat, float(observed[k]), config=config)
-    return ForecastResult(
-        component=str(series.component.value),
-        mode=config.mode,
-        training_size=v,
-        epochs_mjd=epochs[v:],
-        predicted_m=predicted,
-        observed_m=observed[v:],
-        n_window_predicted=n_window_predicted,
     )

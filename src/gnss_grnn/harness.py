@@ -636,14 +636,19 @@ def write_reports_json(
     reports: Sequence[StationReport],
     comparison: ComparisonReport | None,
     dest: str | Path | IO[str],
+    *,
+    run: dict | None = None,
 ) -> None:
     """Write the full-fidelity JSON document (schema-versioned).
 
-    Floats serialize in shortest round-trip form; given identical inputs
-    the output is byte-identical run to run.
+    ``run``, when given, is written as the ``"run"`` block right after the
+    schema version. Floats serialize in shortest round-trip form; given
+    identical inputs the output is byte-identical run to run.
     """
-    doc = {
-        "schema_version": SCHEMA_VERSION,
+    doc = {"schema_version": SCHEMA_VERSION}
+    if run is not None:
+        doc["run"] = run
+    doc |= {
         "stations": [station_report_dict(r) for r in reports],
         "comparison": comparison_report_dict(comparison) if comparison else None,
     }

@@ -47,12 +47,6 @@ class SeriesState(str, Enum):
     DISCONTINUOUS = "discontinuous"
 
 
-class SeriesFormat(str, Enum):
-    """Supported on-disk formats."""
-
-    CSV = "csv"
-
-
 def decimal_year_to_mjd(year: float) -> float:
     """Convert a decimal year to MJD days (365.25-day years)."""
     return MJD_AT_2000 + (year - 2000.0) * DAYS_PER_YEAR
@@ -270,7 +264,6 @@ def _decode_lines(source: str | Path | IO[bytes] | IO[str]) -> tuple[str, Iterab
 
 def parse_series(
     source: str | Path | IO[bytes] | IO[str],
-    fmt: SeriesFormat = SeriesFormat.CSV,
     *,
     station_id: str | None = None,
     country: str | None = None,
@@ -288,8 +281,6 @@ def parse_series(
         ParseError: malformed header or row (reports the 1-based line
             number), duplicate epochs, or fewer than 3 data rows.
     """
-    if SeriesFormat(fmt) is not SeriesFormat.CSV:
-        raise ParseError(f"unsupported format {fmt!r}")
     name, lines = _decode_lines(source)
     if station_id is None:
         station_id = Path(name).stem or "station"

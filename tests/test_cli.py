@@ -63,6 +63,14 @@ class TestPredict:
         assert run_cli("predict", path, "-v", "150") == 2
         assert "nothing to predict" in capsys.readouterr().err
 
+    def test_seed_flag_is_a_usage_error(self, station_file, capsys):
+        # only compare writes the seed; predict must not take it and ignore it
+        path = station_file(length=60)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("predict", path, "-v", "5", "--seed", "7")
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_modes_differ(self, station_file, capsys):
         path = station_file(length=200)
         run_cli("predict", path, "-v", "10", "--mode", "recursive")
@@ -132,6 +140,14 @@ class TestSweep:
             run_cli("sweep", path, "--v-max", "2", "--mode", "recursive")
         assert exc.value.code == 1
         assert "--mode" in capsys.readouterr().err
+
+    def test_seed_flag_is_a_usage_error(self, station_file, capsys):
+        # only compare writes the seed; sweep must not take it and ignore it
+        path = station_file(length=60)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", path, "--v-max", "2", "--seed", "7")
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -1,5 +1,7 @@
 """Kernel forecaster: weights, predictions, window updates, walks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from gnss_grnn import (
     Component,
     ComponentSeries,
     DataError,
+    ForecastResult,
     GrnnConfig,
     GrnnState,
     Mode,
@@ -19,12 +22,14 @@ from gnss_grnn import (
     adaptive_predict,
     advance,
     compute_weights,
+    decimal_year_to_mjd,
     forecast_series,
     gaussian_kernel,
-    manual_walk,
+    mjd_to_decimal_year,
     predict_one,
     resolve_bandwidth,
 )
+from gnss_grnn.grnn import _BLOCK_ELEMENTS
 
 from oracles import nw_predict_mp, nw_weights_mp, window_std_mp
 
@@ -258,13 +263,50 @@ def loop_reference(series, cfg):
     return [adaptive_predict(series, k, cfg) for k in range(cfg.training_size, series.count)]
 
 
-def _axis(kind):
+def manual_walk(series, cfg):
+    """The forecast walk built from the public stepping API.
+
+    Produces the forecasts of :func:`forecast_series` one
+    :func:`predict_one`/:func:`advance` call at a time; quadratically
+    slower on long series.
+    """
+    v = cfg.training_size
+    n = series.count
+    if n <= v:
+        raise DataError(f"nothing to predict: {n} samples with training_size {v}")
+    state = GrnnState.from_series(series, v)
+    epochs = series.epochs_mjd
+    observed = series.values_m
+    predicted = np.empty(n - v, dtype=np.float64)
+    n_window_predicted = np.empty(n - v, dtype=np.int64)
+    for k in range(v, n):
+        yhat, _ = predict_one(state, float(epochs[k]), cfg)
+        predicted[k - v] = yhat
+        n_window_predicted[k - v] = sum(o is Origin.PREDICTED for o in state.origins)
+        state = advance(state, float(epochs[k]), yhat, float(observed[k]), config=cfg)
+    return ForecastResult(
+        component=str(series.component.value),
+        mode=cfg.mode,
+        training_size=v,
+        epochs_mjd=epochs[v:],
+        predicted_m=predicted,
+        observed_m=observed[v:],
+        n_window_predicted=n_window_predicted,
+    )
+
+
+def _axis(kind, length=160):
     rng = np.random.default_rng(5)
-    daily = 55000.0 + np.arange(160.0)
+    daily = 55000.0 + np.arange(float(length))
     if kind == "daily":
         return daily
     if kind == "two-gap":
         return np.concatenate([daily[:60], daily[67:110], daily[130:]])
+    if kind == "decimal-year":
+        # stored as 4-decimal years, as many public series ship
+        return decimal_year_to_mjd(np.round(mjd_to_decimal_year(daily), 4))
+    if kind == "irregular":
+        return np.cumsum(rng.uniform(0.5, 3.0, length)) + 1.0
     return daily + rng.uniform(-0.01, 0.01, daily.size)  # jittered
 
 
@@ -352,6 +394,24 @@ class TestUnderflowMessage:
             forecast_series(self.series(), cfg)
         assert str(exc.value) == self.expected()
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_forecast_series_stops_at_first_target_beyond_first_block(self, mode):
+        # 60- and 130-day gaps: the targets after them (indices 400 and 410)
+        # both underflow at h=1 and share a block that is not the first
+        epochs = np.concatenate([55000.0 + np.arange(400.0), 55460.0 + np.arange(10.0),
+                                 55600.0 + np.arange(100.0)])
+        rows = _BLOCK_ELEMENTS // 100
+        assert 0 < (400 - 100) // rows == (410 - 100) // rows
+        s = comp_series(epochs, np.linspace(0.0, 1.0, epochs.size), Component.Y)
+        cfg = GrnnConfig(training_size=100, bandwidth=1.0, mode=mode)
+        with pytest.raises(BandwidthTooSmallError) as step_exc:
+            manual_walk(s, cfg)
+        with pytest.raises(BandwidthTooSmallError) as walk_exc:
+            forecast_series(s, cfg)
+        assert str(walk_exc.value) == (
+            f"{step_exc.value} predicting component Y at MJD 55460.0")
+        assert "nearest distance 61.0 days" in str(walk_exc.value)
+
     def test_adaptive_paths(self):
         cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-3)
         with pytest.raises(BandwidthTooSmallError) as loop_exc:
@@ -401,8 +461,7 @@ class TestForecastSeries:
                 cfg = GrnnConfig(training_size=7, bandwidth=bw, mode=mode)
                 fast = forecast_series(s, cfg)
                 slow = manual_walk(s, cfg)
-                np.testing.assert_allclose(fast.predicted_m, slow.predicted_m,
-                                           rtol=1e-12, atol=0)
+                assert np.array_equal(fast.predicted_m, slow.predicted_m)
                 np.testing.assert_array_equal(fast.epochs_mjd, slow.epochs_mjd)
                 np.testing.assert_array_equal(fast.n_window_predicted,
                                               slow.n_window_predicted)
@@ -432,16 +491,24 @@ class TestForecastSeries:
         errors = np.abs(res.errors_m())[:10]
         assert np.all(np.diff(errors) >= -1e-12)
 
-    def test_weight_cache_survives_many_patterns(self):
-        # highly irregular spacing defeats the pattern cache; results must not change
+    @pytest.mark.parametrize("axis", ["irregular", "daily", "two-gap", "jittered",
+                                      "decimal-year"])
+    def test_blocked_walk_matches_stepping_walk(self, axis):
+        epochs = _axis(axis, length=640)
+        # v=100 spans more than three weight blocks; v=1 is the smallest window
+        assert epochs.size - 100 > 3 * (_BLOCK_ELEMENTS // 100)
         rng = np.random.default_rng(9)
-        epochs = np.cumsum(rng.uniform(0.5, 3.0, size=200)) + 1.0
-        values = rng.normal(size=200)
+        # anomaly-sized values: a coordinate-sized offset would round away
+        # last-bit differences of the dot product
+        values = np.cumsum(rng.normal(0.0, 1e-3, epochs.size))
         s = comp_series(epochs, values)
-        cfg = GrnnConfig(training_size=6, bandwidth=BandwidthRule.WINDOW_STD,
-                         mode=Mode.TEACHER_FORCED)
-        np.testing.assert_allclose(forecast_series(s, cfg).predicted_m,
-                                   manual_walk(s, cfg).predicted_m, rtol=1e-12)
+        for v, bw, mode in itertools.product(
+                (1, 100), (BandwidthRule.WINDOW_STD, BandwidthRule.MEAN_SPACING, 2.0), Mode):
+            cfg = GrnnConfig(training_size=v, bandwidth=bw, mode=mode)
+            fast = forecast_series(s, cfg)
+            slow = manual_walk(s, cfg)
+            assert np.array_equal(fast.predicted_m, slow.predicted_m)
+            assert np.array_equal(fast.n_window_predicted, slow.n_window_predicted)
 
     def test_seed_state_helper(self):
         s = comp_series(np.arange(10.0) + 1.0, np.arange(10.0))

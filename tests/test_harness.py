@@ -313,6 +313,18 @@ class TestWriters:
         assert station["settings"]["grnn"]["training_size"] == 10
         assert doc["comparison"]["time_ratio"] is None
 
+    def test_json_run_block_follows_schema_version(self):
+        report = self._station_report()
+        comparison = compare_methods([report])
+        plain, with_run = io.StringIO(), io.StringIO()
+        write_reports_json([report], comparison, plain)
+        write_reports_json([report], comparison, with_run, run={"seed": 7, "basis": "raw"})
+        assert list(json.loads(plain.getvalue())) == ["schema_version", "stations",
+                                                      "comparison"]
+        doc = json.loads(with_run.getvalue())
+        assert list(doc) == ["schema_version", "run", "stations", "comparison"]
+        assert doc["run"] == {"seed": 7, "basis": "raw"}
+
     def test_json_round_trip_precision(self):
         report = self._station_report()
         buf = io.StringIO()
