@@ -47,7 +47,24 @@ class Basis(str, Enum):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract says 1."""
+    """argparse exits with 2 on usage errors; the contract says 1.
+
+    ``requires`` maps an option's destination to the destination of the
+    option it needs: giving the first without the second would be
+    silently ignored, so it is a usage error instead.
+    """
+
+    def __init__(self, *args, requires: dict[str, str] | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requires = requires or {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for dest, needed in self.requires.items():
+            other = getattr(namespace, needed)
+            if getattr(namespace, dest) is not None and (other is None or other is False):
+                self.error(f"--{dest.replace('_', '-')} requires --{needed}")
+        return namespace, extras
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -67,6 +84,16 @@ def _bandwidth_spec(text: str):
             ) from None
     if not value > 0:
         raise argparse.ArgumentTypeError("bandwidth must be positive")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
     return value
 
 
@@ -111,14 +138,16 @@ def build_parser() -> _Parser:
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_predict = sub.add_parser("predict", help="one-step forecasts for every epoch "
-                                               "after the seed window")
+                                               "after the seed window",
+                               requires={"max_training_size": "threshold"})
     p_predict.add_argument("paths", nargs="+", type=Path)
     _add_common_model_flags(p_predict)
     p_predict.add_argument("--threshold", type=float, default=None, metavar="T",
                            help="grow the window until |error| < T (meters); uses "
                                 "observed windows, so --mode is ignored")
     p_predict.add_argument("--max-training-size", type=int, default=None,
-                           help="cap for threshold-driven window growth")
+                           help="cap for threshold-driven window growth "
+                                "(requires --threshold)")
     p_predict.add_argument("--output", type=Path, default=None,
                            help="write here instead of stdout")
     p_predict.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -137,7 +166,8 @@ def build_parser() -> _Parser:
 
     p_compare = sub.add_parser("compare",
                                help="backtest kernel and Theta methods per station "
-                                    "and report accuracy ratios")
+                                    "and report accuracy ratios",
+                               requires={"reps": "time"})
     p_compare.add_argument("paths", nargs="+", type=Path)
     _add_common_model_flags(p_compare)
     p_compare.add_argument("--theta-window", type=int, default=None,
@@ -152,10 +182,11 @@ def build_parser() -> _Parser:
     p_compare.add_argument("--time", action="store_true",
                            help="also time both methods (adds nondeterministic "
                                 "wall-clock numbers to the report)")
-    p_compare.add_argument("--reps", type=int, default=3,
-                           help="timing repetitions (median is reported)")
-    p_compare.add_argument("--jobs", type=int, default=None,
-                           help="worker processes across stations "
+    p_compare.add_argument("--reps", type=int, default=None,
+                           help="timing repetitions, median reported "
+                                "(requires --time; default: 3)")
+    p_compare.add_argument("--jobs", type=_positive_int, default=None,
+                           help="worker processes across stations, at least 1 "
                                 "(default: GNSS_GRNN_JOBS or all processors)")
     p_compare.add_argument("--output-dir", type=Path, default=Path("."),
                            help="where report.json and stations.csv go")
@@ -300,7 +331,8 @@ def cmd_compare(args) -> int:
     timing = None
     if args.time:
         timing = time_methods(stations, config, args.theta_window,
-                              theta_fit=args.theta_fit, repetitions=args.reps)
+                              theta_fit=args.theta_fit,
+                              repetitions=3 if args.reps is None else args.reps)
     comparison = compare_methods(reports, timing)
 
     args.output_dir.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -359,6 +358,9 @@ def evaluate_stations(
     ]
     if jobs <= 1 or len(stations) <= 1:
         return [_evaluate_one(w) for w in work]
+    # imported here: loading the pool machinery slows every serial start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(stations))) as pool:
         return list(pool.map(_evaluate_one, work))
 
@@ -382,12 +384,16 @@ class MethodTiming:
 
     Samples cover the backtest walks only: the workload arrives parsed
     and nothing is serialized inside the timed spans (see ``phases``).
+    ``workload_predictions`` counts one kernel walk's forecasts and
+    ``theta_predictions`` one Theta walk's; they differ when the Theta
+    window differs from the kernel's training size.
     """
 
     grnn_seconds: tuple[float, ...]
     theta_seconds: tuple[float, ...]
     phases: tuple[PhaseSpan, ...]
     workload_predictions: int
+    theta_predictions: int
 
     @property
     def grnn_median(self) -> float:
@@ -423,6 +429,7 @@ def time_methods(
         theta_window = grnn_config.training_size
     components = [c for s in stations for c in s.components]
     workload = sum(c.count - grnn_config.training_size for c in components)
+    theta_workload = sum(c.count - theta_window for c in components)
 
     def run_grnn() -> None:
         for comp in components:
@@ -447,6 +454,7 @@ def time_methods(
         theta_seconds=tuple(samples["theta"]),
         phases=tuple(phases),
         workload_predictions=workload,
+        theta_predictions=theta_workload,
     )
 
 
@@ -620,6 +628,7 @@ def comparison_report_dict(comparison: ComparisonReport) -> dict:
             "grnn_median_s": comparison.timing.grnn_median,
             "theta_median_s": comparison.timing.theta_median,
             "workload_predictions": comparison.timing.workload_predictions,
+            "theta_predictions": comparison.timing.theta_predictions,
         }
     else:
         doc["timing"] = None

@@ -12,11 +12,11 @@ read-only) and safe to share across workers.
 from __future__ import annotations
 
 import csv
-import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -250,16 +250,36 @@ def mean_center(series: StationSeries) -> tuple[StationSeries, tuple[float, floa
     return centered, offsets
 
 
-def _decode_lines(source: str | Path | IO[bytes] | IO[str]) -> tuple[str, Iterable[str]]:
-    """Yield text lines from a path, text stream or byte stream."""
+def _decode_lines(source: str | Path | IO[bytes] | IO[str]) -> tuple[str, list[str]]:
+    """Return the source name and the UTF-8 text lines of a path or stream."""
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        return path.name, path.read_text(encoding="utf-8").splitlines()
-    raw = source.read()
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    name = getattr(source, "name", "<stream>")
-    return str(name), raw.splitlines()
+        name, read = Path(source).name, Path(source).read_bytes
+    else:
+        name, read = str(getattr(source, "name", "<stream>")), source.read
+    try:
+        raw = read()
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode, so their lines can be counted
+        line = len((exc.object[:exc.start].decode("utf-8") + "_").splitlines())
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte offset {exc.start}",
+                         source=name, line=line) from None
+    return name, text.splitlines()
+
+
+def _header_is_year_based(fields: list[str], name: str, lineno: int) -> bool:
+    """Check the header row; True when epochs are decimal years."""
+    fields = [f.strip() for f in fields]
+    header = tuple(f.lower() for f in fields)
+    if header == _HEADER_MJD:
+        return False
+    if header == _HEADER_YEAR:
+        return True
+    raise ParseError(
+        f"unrecognized header {fields!r}; expected "
+        f"{','.join(_HEADER_MJD)} or {','.join(_HEADER_YEAR)}",
+        source=name, line=lineno,
+    )
 
 
 def parse_series(
@@ -272,63 +292,64 @@ def parse_series(
     """Parse one station file into a validated :class:`StationSeries`.
 
     The CSV schema is ``epoch_mjd,x_m,y_m,z_m`` (or ``epoch_year,...``,
-    detected by the header's first column name). Blank lines and lines
-    starting with ``#`` are skipped. Rows are sorted by epoch; exact
-    duplicate epochs are rejected rather than averaged, since silently
-    merging rows would corrupt any backtest run on the result.
+    detected by the header's first column name). The source must be
+    UTF-8. Blank lines and lines starting with ``#`` are skipped, and
+    whitespace around a line or a field is ignored. A line that contains
+    a double quote is read by the :mod:`csv` module (Excel dialect); any
+    other line is split on commas, which reads it identically. Rows are
+    sorted by epoch; exact duplicate epochs are rejected rather
+    than averaged, since silently merging rows would corrupt any
+    backtest run on the result.
 
     Raises:
-        ParseError: malformed header or row (reports the 1-based line
-            number), duplicate epochs, or fewer than 3 data rows.
+        ParseError: input that is not UTF-8, a malformed header or row
+            (both report the 1-based line number, as counted by
+            :meth:`str.splitlines`), duplicate epochs, or fewer than 3
+            data rows.
     """
     name, lines = _decode_lines(source)
     if station_id is None:
         station_id = Path(name).stem or "station"
 
-    header: tuple[str, ...] | None = None
-    year_based = False
+    isfinite = math.isfinite
+    year_based: bool | None = None  # None until the header is read
     rows: list[tuple[float, float, float, float]] = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
-        if not text or text.startswith("#"):
+        if not text or text[0] == "#":
             continue
-        fields = next(csv.reader(io.StringIO(text)))
-        fields = [f.strip() for f in fields]
-        if header is None:
-            header = tuple(f.lower() for f in fields)
-            if header == _HEADER_MJD:
-                year_based = False
-            elif header == _HEADER_YEAR:
-                year_based = True
-            else:
-                raise ParseError(
-                    f"unrecognized header {fields!r}; expected "
-                    f"{','.join(_HEADER_MJD)} or {','.join(_HEADER_YEAR)}",
-                    source=name, line=lineno,
-                )
+        fields = next(csv.reader((text,))) if '"' in text else text.split(",")
+        if year_based is None:
+            year_based = _header_is_year_based(fields, name, lineno)
             continue
         if len(fields) != 4:
             raise ParseError(
                 f"expected 4 columns, found {len(fields)}", source=name, line=lineno
             )
         try:
-            numbers = tuple(float(f) for f in fields)
-        except ValueError as exc:
-            raise ParseError(str(exc), source=name, line=lineno) from None
-        if not all(np.isfinite(numbers)):
+            epoch, x, y, z = map(float, fields)
+        except ValueError:
+            # float() skips surrounding whitespace except "\x1f", which
+            # str.strip() removes; retry stripped for the value or the message
+            try:
+                epoch, x, y, z = [float(f.strip()) for f in fields]
+            except ValueError as exc:
+                raise ParseError(str(exc), source=name, line=lineno) from None
+        if not (isfinite(epoch) and isfinite(x) and isfinite(y) and isfinite(z)):
             raise ParseError("non-finite value", source=name, line=lineno)
-        epoch = decimal_year_to_mjd(numbers[0]) if year_based else numbers[0]
+        if year_based:
+            epoch = decimal_year_to_mjd(epoch)
         if epoch <= 0:
             raise ParseError("epoch must map to a positive MJD", source=name, line=lineno)
-        rows.append((epoch, numbers[1], numbers[2], numbers[3]))
+        rows.append((epoch, x, y, z))
 
-    if header is None:
+    if year_based is None:
         raise ParseError("empty file", source=name)
     if len(rows) < 3:
         raise ParseError(f"series too short: {len(rows)} rows, need at least 3", source=name)
 
-    rows.sort(key=lambda r: r[0])
-    data = np.asarray(rows, dtype=np.float64)
+    data = np.array(rows, dtype=np.float64)
+    data = data[np.argsort(data[:, 0])]
     epochs = data[:, 0]
     if np.any(np.diff(epochs) <= 0):
         dup = epochs[np.flatnonzero(np.diff(epochs) <= 0)[0]]

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gnss_grnn
 from gnss_grnn import (
     SyntheticKind,
     SyntheticParams,
@@ -49,6 +54,13 @@ class TestInspect:
         assert run_cli("inspect", path) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\xff\n")
+        assert run_cli("inspect", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gnss-grnn: data error: latin.csv: line 2: not UTF-8 text")
+
 
 class TestPredict:
     def test_constant_has_zero_errors(self, station_file, capsys):
@@ -70,6 +82,15 @@ class TestPredict:
             run_cli("predict", path, "-v", "5", "--seed", "7")
         assert exc.value.code == 1
         assert "--seed" in capsys.readouterr().err
+
+    def test_max_training_size_without_threshold_is_a_usage_error(self, station_file,
+                                                                  capsys):
+        # the cap only bounds threshold-driven growth; alone it would do nothing
+        path = station_file(length=60)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("predict", path, "-v", "5", "--max-training-size", "20")
+        assert exc.value.code == 1
+        assert "--max-training-size requires --threshold" in capsys.readouterr().err
 
     def test_modes_differ(self, station_file, capsys):
         path = station_file(length=200)
@@ -203,6 +224,22 @@ class TestCompare:
         settings = doc["stations"][0]["settings"]["theta"]
         assert settings == {"window": 20, "fit": "global"}
 
+    def test_reps_without_time_is_a_usage_error(self, station_file, tmp_path, capsys):
+        path = station_file(length=60)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", path, "-v", "5", "--reps", "5", "--jobs", "1",
+                    "--output-dir", tmp_path)
+        assert exc.value.code == 1
+        assert "--reps requires --time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, station_file, tmp_path, capsys, jobs):
+        path = station_file(length=60)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", path, "-v", "5", "--jobs", jobs, "--output-dir", tmp_path)
+        assert exc.value.code == 1
+        assert "argument --jobs: must be at least 1" in capsys.readouterr().err
+
     def test_malformed_station_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("epoch_mjd,x_m,y_m,z_m\n55000,a,b,c\n")
@@ -227,6 +264,19 @@ class TestUsageErrors:
 
     def test_missing_file_is_data_error(self, capsys):
         assert run_cli("inspect", "no-such-file.csv") == 2
+
+
+def test_import_does_not_load_process_pool():
+    # the pool machinery is imported only when compare runs with --jobs > 1
+    src = str(Path(gnss_grnn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import gnss_grnn.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_default_jobs_env(monkeypatch):

@@ -285,6 +285,22 @@ class TestTiming:
         assert {p.method for p in timing.phases} == {"grnn", "theta"}
         assert len(timing.phases) == 6
         assert all(p.seconds > 0 for p in timing.phases)
+        assert timing.theta_predictions == timing.workload_predictions
+
+    def test_theta_window_sets_theta_count(self):
+        stations = [generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 200, 1,
+                                       SyntheticParams(noise_std_m=1e-3))]
+        timing = time_methods(stations, GrnnConfig(training_size=20), theta_window=50,
+                              repetitions=3)
+        assert timing.workload_predictions == 3 * 180
+        assert timing.theta_predictions == 3 * 150
+        report = evaluate_station(stations[0], GrnnConfig(training_size=20), 50)
+        buf = io.StringIO()
+        write_reports_json([report], compare_methods([report], timing), buf)
+        doc = json.loads(buf.getvalue())
+        assert doc["schema_version"] == 1
+        block = doc["comparison"]["timing"]
+        assert (block["workload_predictions"], block["theta_predictions"]) == (540, 450)
 
     def test_rep_floor(self):
         with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 """Ingestion, gap detection, anomalies and amplitudes."""
 
+import csv
 import io
 
 import numpy as np
@@ -123,6 +124,178 @@ class TestParse:
             np.testing.assert_array_equal(
                 again.component(comp).values_m, station.component(comp).values_m
             )
+
+
+def reference_parse(source_text, name="<stream>"):
+    """The per-line parser ``parse_series`` replaced, kept as its reference.
+
+    Every line goes through its own ``csv.reader`` and every field is
+    stripped before conversion. Returns the sorted ``(n, 4)`` array of
+    MJD epochs and X/Y/Z values, or raises the ``ParseError`` that
+    ``parse_series`` must raise for the same text.
+    """
+    header = None
+    year_based = False
+    rows = []
+    for lineno, line in enumerate(source_text.splitlines(), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = next(csv.reader(io.StringIO(text)))
+        fields = [f.strip() for f in fields]
+        if header is None:
+            header = tuple(f.lower() for f in fields)
+            if header == ("epoch_mjd", "x_m", "y_m", "z_m"):
+                year_based = False
+            elif header == ("epoch_year", "x_m", "y_m", "z_m"):
+                year_based = True
+            else:
+                raise ParseError(
+                    f"unrecognized header {fields!r}; expected "
+                    "epoch_mjd,x_m,y_m,z_m or epoch_year,x_m,y_m,z_m",
+                    source=name, line=lineno,
+                )
+            continue
+        if len(fields) != 4:
+            raise ParseError(f"expected 4 columns, found {len(fields)}",
+                             source=name, line=lineno)
+        try:
+            numbers = tuple(float(f) for f in fields)
+        except ValueError as exc:
+            raise ParseError(str(exc), source=name, line=lineno) from None
+        if not all(np.isfinite(numbers)):
+            raise ParseError("non-finite value", source=name, line=lineno)
+        epoch = decimal_year_to_mjd(numbers[0]) if year_based else numbers[0]
+        if epoch <= 0:
+            raise ParseError("epoch must map to a positive MJD", source=name, line=lineno)
+        rows.append((epoch, numbers[1], numbers[2], numbers[3]))
+    if header is None:
+        raise ParseError("empty file", source=name)
+    if len(rows) < 3:
+        raise ParseError(f"series too short: {len(rows)} rows, need at least 3", source=name)
+    rows.sort(key=lambda r: r[0])
+    data = np.asarray(rows, dtype=np.float64)
+    epochs = data[:, 0]
+    if np.any(np.diff(epochs) <= 0):
+        dup = epochs[np.flatnonzero(np.diff(epochs) <= 0)[0]]
+        raise ParseError(f"duplicate epoch {dup!r}", source=name)
+    return data
+
+
+def parse_outcome(parse, text):
+    """``("ok", array)`` or ``("error", message, line)`` for one parse."""
+    try:
+        result = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    if isinstance(result, StationSeries):
+        result = np.column_stack([result.epochs_mjd,
+                                  *(c.values_m for c in result.components)])
+    return ("ok", result)
+
+
+def assert_same_as_reference(text):
+    got = parse_outcome(lambda t: parse_series(io.StringIO(t)), text)
+    want = parse_outcome(reference_parse, text)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ok":
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1:] == want[1:]
+    return got
+
+
+_MJD_ROWS = "55002,3.25,-1.5,0.125\n55000,1.0,2.0,3.0\n55001,1.5,2.5,3.5\n"
+_PARSE_CASES = {
+    "mjd": "epoch_mjd,x_m,y_m,z_m\n" + _MJD_ROWS,
+    "year": "epoch_year,x_m,y_m,z_m\n2009.4606,1,2,3\n2009.4634,1,2,3\n2009.4661,1,2,3\n",
+    "comments_and_blanks": "# station ABCD\n\n  \nepoch_mjd,x_m,y_m,z_m\n# mid\n"
+                           + _MJD_ROWS + "\n\n",
+    "crlf": ("EPOCH_MJD,x_m,y_m,z_m\n" + _MJD_ROWS).replace("\n", "\r\n"),
+    "bare_cr": ("epoch_mjd,x_m,y_m,z_m\n" + _MJD_ROWS).replace("\n", "\r"),
+    "spaces_around_fields": " epoch_mjd , X_m ,y_m,\tz_m \n 55000 , 1 ,\t2,3 \n"
+                            "55001,1 , 2,3\n55002,1,2, 3\n",
+    "unit_separator_in_field": "epoch_mjd,x_m,y_m,z_m\n55000,1\x1f,2,3\n55001,1,2,3\n"
+                               "55002,1,2,3\n",
+    "quoted_fields": '"epoch_mjd","x_m",y_m,z_m\n"55000",1,"2",3\n55001,"1.5",2,3\n'
+                     '55002,1,2,"3"\n',
+    "quoted_comma_in_header": '"epoch_mjd,x_m",y_m,z_m\n55000,1,2,3\n',
+    "unbalanced_quote": 'epoch_mjd,x_m,y_m,z_m\n55000,1,2,"3\n55001,1,2,3\n55002,1,2,3\n',
+    "unbalanced_quote_hides_comma": 'epoch_mjd,x_m,y_m,z_m\n55000,1,"2,3\n',
+    "unsorted_rows": "epoch_mjd,x_m,y_m,z_m\n55005,5,5,5\n55001,1,1,1\n55003,3,3,3\n"
+                     "55002,2,2,2\n",
+    "wrong_column_count": "epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\n55001,1,2\n",
+    "extra_trailing_comma": "epoch_mjd,x_m,y_m,z_m\n55000,1,2,3,\n",
+    "bad_float": "epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\n\n55001, oops ,2,3\n",
+    "empty_field": "epoch_mjd,x_m,y_m,z_m\n55000,1,,3\n",
+    "nan": "epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\n55001,nan,2,3\n55002,1,2,3\n",
+    "inf": "epoch_mjd,x_m,y_m,z_m\n55000,1,2,-inf\n55001,1,2,3\n55002,1,2,3\n",
+    "overflow_to_inf": "epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\n55001,1e999,2,3\n",
+    "zero_epoch": "epoch_mjd,x_m,y_m,z_m\n0,1,2,3\n55001,1,2,3\n55002,1,2,3\n",
+    "negative_year_epoch": "epoch_year,x_m,y_m,z_m\n1800,1,2,3\n",
+    "duplicate_epoch": "epoch_mjd,x_m,y_m,z_m\n55001,1,2,3\n55000,1,2,3\n55001,4,5,6\n",
+    "too_few_rows": "epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\n# 55001,1,2,3\n55002,1,2,3\n",
+    "empty_file": "",
+    "comments_only": "# nothing\n\n",
+    "bad_header": "time,x,y,z\n1,2,3,4\n",
+    "header_only": "epoch_mjd,x_m,y_m,z_m\n",
+}
+
+
+class TestParseMatchesReference:
+    @pytest.mark.parametrize("case", sorted(_PARSE_CASES))
+    def test_case(self, case):
+        assert_same_as_reference(_PARSE_CASES[case])
+
+    def test_cases_cover_each_error(self):
+        errors = {
+            case: parse_outcome(reference_parse, text)
+            for case, text in _PARSE_CASES.items()
+        }
+        messages = " ".join(e[1] for e in errors.values() if e[0] == "error")
+        for fragment in ("expected 4 columns", "could not convert", "non-finite",
+                         "positive MJD", "duplicate epoch", "too short", "empty file",
+                         "unrecognized header"):
+            assert fragment in messages
+        assert errors["unsorted_rows"][0] == "ok"
+        assert errors["unbalanced_quote"][0] == "ok"
+
+    @given(st.lists(
+        st.lists(st.sampled_from(["55000", "55001.5", " 55002 ", "2001.25", "-3", "0",
+                                  "1e999", "nan", "x", "", '"7"', '"8', "\t9", "1\x1f",
+                                  "#"]),
+                 min_size=1, max_size=5),
+        max_size=8,
+    ), st.sampled_from(["epoch_mjd,x_m,y_m,z_m", "epoch_year,x_m,y_m,z_m", "t,x,y,z"]),
+       st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_files(self, rows, header, newline):
+        text = newline.join([header] + [",".join(fields) for fields in rows])
+        assert_same_as_reference(text)
+
+
+class TestDecoding:
+    BAD = b"epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\n5500\xff,1,2,3\n"
+
+    def test_path_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ABCD.csv"
+        path.write_bytes(self.BAD)
+        with pytest.raises(ParseError) as exc:
+            parse_series(path)
+        assert exc.value.line == 3
+        assert str(exc.value) == ("ABCD.csv: line 3: not UTF-8 text: "
+                                  "invalid start byte at byte offset 38")
+
+    def test_byte_stream(self):
+        stream = io.BytesIO(self.BAD)
+        stream.name = "stream.csv"
+        with pytest.raises(ParseError, match="^stream.csv: line 3: not UTF-8"):
+            parse_series(stream)
+
+    def test_text_stream_over_bad_bytes(self):
+        stream = io.TextIOWrapper(io.BytesIO(self.BAD), encoding="utf-8")
+        with pytest.raises(ParseError, match="^<stream>: line 3: not UTF-8"):
+            parse_series(stream)
 
 
 class TestValidation:
