@@ -15,7 +15,7 @@ import os
 import sys
 from enum import Enum
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 from . import __version__
 from .errors import DataError, NumericError
@@ -35,7 +35,7 @@ from .harness import (
     write_reports_json,
     write_sweep_csv,
 )
-from .series import StationSeries, amplitude, detect_gaps, mean_center, parse_series
+from .series import StationSeries, amplitude, detect_gaps, mean_center, open_text, parse_series
 from .theta import ThetaFit
 
 
@@ -98,13 +98,20 @@ def _positive_int(text: str) -> int:
 
 
 def _default_jobs() -> int:
+    """Workers for ``compare`` without ``--jobs``: ``GNSS_GRNN_JOBS`` when
+    set and not blank, else every processor.
+
+    Raises:
+        argparse.ArgumentTypeError: the variable is not an integer of at
+            least 1.
+    """
     env = os.environ.get("GNSS_GRNN_JOBS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env.strip():
+        return os.cpu_count() or 1
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"GNSS_GRNN_JOBS: {exc}") from None
 
 
 def _add_common_model_flags(p: argparse.ArgumentParser, *, mode: bool = True) -> None:
@@ -210,12 +217,6 @@ def _apply_basis(stations, basis):
     return centered, offsets
 
 
-def _open_out(path: Path | None) -> tuple[IO[str], bool]:
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def cmd_inspect(args) -> int:
     for station in _load_stations(args.paths):
         gaps = detect_gaps(station, args.gap_factor)
@@ -276,8 +277,7 @@ def cmd_predict(args) -> int:
         for row in _predict_rows(station, config, args.threshold,
                                  args.max_training_size, offs)
     ]
-    stream, own = _open_out(args.output)
-    try:
+    with open_text(args.output or sys.stdout) as stream:
         if args.format == "json":
             json.dump(rows, stream, indent=2, allow_nan=False)
             stream.write("\n")
@@ -288,9 +288,6 @@ def cmd_predict(args) -> int:
             for row in rows:
                 writer.writerow([repr(x) if isinstance(x, float) else x
                                  for x in row.values()])
-    finally:
-        if own:
-            stream.close()
     return 0
 
 
@@ -308,21 +305,16 @@ def cmd_sweep(args) -> int:
         config,
         value_offsets=offsets,
     )
-    stream, own = _open_out(args.output)
-    try:
-        write_sweep_csv(result, stream)
-    finally:
-        if own:
-            stream.close()
+    write_sweep_csv(result, args.output or sys.stdout)
     return 0
 
 
 def cmd_compare(args) -> int:
+    jobs = args.jobs if args.jobs is not None else _default_jobs()
     stations = _load_stations(args.paths)
     stations, offsets = _apply_basis(stations, args.basis)
     config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth,
                         mode=args.mode)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     reports = evaluate_stations(
         stations, config, args.theta_window,
         theta_fit=args.theta_fit, gap_factor=args.gap_factor,
@@ -356,9 +348,12 @@ def cmd_compare(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     except DataError as exc:
         print(f"gnss-grnn: data error: {exc}", file=sys.stderr)
         return 2

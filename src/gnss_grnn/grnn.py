@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -261,24 +262,37 @@ def _convex_combinations(weights: np.ndarray, windows: np.ndarray) -> np.ndarray
     return base + np.matmul(weights[:, None, :], deviations)[:, 0, 0]
 
 
-def _block_kernels(
-    epochs: np.ndarray,
-    epoch_windows: np.ndarray,
-    k: np.ndarray,
-    bandwidth: float | BandwidthRule,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distances, bandwidths, kernel values and row sums for targets ``k``.
+def _weight_blocks(
+    epochs: np.ndarray, targets: np.ndarray, v: int, bandwidth: float | BandwidthRule
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, float, float]]]]:
+    """Normalized kernel weights for ``targets``, a block at a time.
 
-    ``epoch_windows`` is ``sliding_window_view(epochs, v)``. Row ``j``
-    holds the distances from ``epochs[k[j]]`` to the ``v`` epochs before
-    it and runs the arithmetic of :func:`_weights_from_distances` up to
-    the normalization, so each row has the single-target bits.
+    Row ``j`` of a block weighs the ``v`` epochs before
+    ``epochs[targets[j]]`` with the arithmetic of
+    :func:`_weights_from_distances`, so each row has the single-target
+    bits. A block holds at most ``_BLOCK_ELEMENTS`` window elements,
+    which bounds the working memory whatever the number of targets.
+    Yields ``(rows, weights, underflows)`` per block: the indices into
+    ``targets`` whose kernels kept a nonzero sum, their weight rows, and
+    ``(row, h, nearest distance)`` for each row that underflowed.
     """
-    v = epoch_windows.shape[1]
-    distances = epochs[k][:, None] - epoch_windows[k - v]
-    h = _row_bandwidths(distances, bandwidth)
-    kernels = gaussian_kernel(distances / h[:, None])
-    return distances, h, kernels, kernels.sum(axis=1)
+    epoch_windows = sliding_window_view(epochs, v)
+    size = max(1, _BLOCK_ELEMENTS // v)
+    for start in range(0, targets.size, size):
+        k = targets[start:start + size]
+        distances = epochs[k][:, None] - epoch_windows[k - v]
+        h = _row_bandwidths(distances, bandwidth)
+        kernels = gaussian_kernel(distances / h[:, None])
+        total = kernels.sum(axis=1)
+        # drop underflowed rows before dividing: a zero row sum would only warn
+        ok = total != 0.0
+        underflows = [(start + j, float(h[j]), float(distances[j].min()))
+                      for j in np.flatnonzero(~ok).tolist()]
+        if underflows:
+            kernels, total = kernels[ok], total[ok]
+        weights = kernels / total[:, None]
+        assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
+        yield start + np.flatnonzero(ok), weights, underflows
 
 
 def compute_weights(target_epoch: float, window_epochs: np.ndarray, h: float) -> np.ndarray:
@@ -384,14 +398,12 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
     Epochs inside gaps are never fabricated; the first prediction after a
     hole simply reaches forward from the pre-gap window, so its kernel
     distances are larger than usual. The weights depend on the epochs
-    alone, so they are computed for blocks of targets at once, at most
-    ``_BLOCK_ELEMENTS`` window elements per block, which bounds the
-    working memory whatever the series length. Teacher-forced forecasts
-    are made a block at a time too; recursive ones step through the
-    block, since each feeds the next. The arithmetic per target is that
-    of :func:`predict_one`, so every forecast matches the stepping walk
-    bit for bit, and an underflow is reported for the first target in
-    walk order that underflows.
+    alone, so they come from :func:`_weight_blocks` a block of targets at
+    a time. Teacher-forced forecasts are made a block at a time too;
+    recursive ones step through the block, since each feeds the next.
+    The arithmetic per target is that of :func:`predict_one`, so every
+    forecast matches the stepping walk bit for bit, and an underflow is
+    reported for the first target in walk order that underflows.
     """
     v = config.training_size
     n = series.count
@@ -400,29 +412,21 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
     epochs = series.epochs_mjd
     observed = series.values_m
     recursive = config.mode is Mode.RECURSIVE
-    epoch_windows = sliding_window_view(epochs, v)
+    # row j of a block is target v + j, whose observed window is row j here
     value_windows = sliding_window_view(observed, v)
     # forecasts overwrite this working copy as they are produced; in
     # recursive mode they become training data for the following steps
     buffer = observed.copy()
-    rows = max(1, _BLOCK_ELEMENTS // v)
-    for start in range(v, n, rows):
-        stop = min(start + rows, n)
-        k = np.arange(start, stop)
-        distances, h, kernels, total = _block_kernels(epochs, epoch_windows, k,
-                                                      config.bandwidth)
-        # raise before dividing: a zero row sum would only warn
-        ok = total != 0.0
-        if not ok.all():
-            j = int(np.flatnonzero(~ok)[0])
-            raise _at_target(_underflow_error(h[j], distances[j].min()), series, epochs[k[j]])
-        weights = kernels / total[:, None]
-        assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
+    for rows, weights, underflows in _weight_blocks(epochs, np.arange(v, n), v,
+                                                    config.bandwidth):
+        if underflows:
+            j, h, nearest = underflows[0]
+            raise _at_target(_underflow_error(h, nearest), series, epochs[v + j])
         if recursive:
-            for row, kj in zip(weights, range(start, stop)):
-                buffer[kj] = _convex_combination(row, buffer[kj - v:kj])
+            for row, k in zip(weights, (rows + v).tolist()):
+                buffer[k] = _convex_combination(row, buffer[k - v:k])
         else:
-            buffer[start:stop] = _convex_combinations(weights, value_windows[k - v])
+            buffer[rows + v] = _convex_combinations(weights, value_windows[rows])
     if recursive:
         n_window_predicted = np.minimum(np.arange(n - v, dtype=np.int64), v)
     else:
@@ -524,13 +528,13 @@ def adaptive_forecast_series(
     """Run :func:`adaptive_predict` at every index after the seed window.
 
     Batched over targets: the outer loop walks the candidate sizes, and
-    each size forecasts every still-open target at once, in blocks of at
-    most ``_BLOCK_ELEMENTS`` window elements, which bounds the
-    working memory whatever the series length. A target closes at the
-    first size that passes the threshold, or once the next size exceeds
-    its cap. The arithmetic per target is that of :func:`adaptive_predict`,
-    so every index gets bit for bit its forecast, size and flag, and an
-    underflow is reported for the same target the loop would stop at.
+    each size forecasts every still-open target at once, with weights
+    from one pass of :func:`_weight_blocks` over those targets. A target
+    closes at the first size that passes the threshold, at the size that
+    underflows, or once the next size exceeds its cap. The arithmetic per
+    target is that of :func:`adaptive_predict`, so every index gets bit
+    for bit its forecast, size and flag, and an underflow is reported for
+    the same target the loop would stop at.
     """
     v0 = config.training_size
     n = series.count
@@ -553,23 +557,14 @@ def adaptive_forecast_series(
     open_pos = np.arange(targets.size)
     v = v0
     while open_pos.size:
-        epoch_windows = sliding_window_view(epochs, v)
         value_windows = sliding_window_view(values, v)
-        rows = max(1, _BLOCK_ELEMENTS // v)
         still_open = []
-        for start in range(0, open_pos.size, rows):
-            pos = open_pos[start:start + rows]
+        for rows, weights, underflowed in _weight_blocks(epochs, targets[open_pos], v,
+                                                         config.bandwidth):
+            for j, h, nearest in underflowed:
+                underflows[int(open_pos[j])] = (h, nearest)
+            pos = open_pos[rows]
             k = targets[pos]
-            distances, h, kernels, total = _block_kernels(epochs, epoch_windows, k,
-                                                          config.bandwidth)
-            ok = total != 0.0
-            if not ok.all():
-                nearest = distances[~ok].min(axis=1)
-                for p, hp, d in zip(pos[~ok].tolist(), h[~ok].tolist(), nearest.tolist()):
-                    underflows[p] = (hp, d)
-                pos, k, kernels, total = pos[ok], k[ok], kernels[ok], total[ok]
-            weights = kernels / total[:, None]
-            assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
             yhat = _convex_combinations(weights, value_windows[k - v])
             abs_err = np.abs(values[k] - yhat)
             passed = abs_err < config.threshold_m

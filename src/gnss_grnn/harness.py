@@ -31,6 +31,7 @@ from .series import (
     StationSeries,
     detect_gaps,
     mjd_to_decimal_year,
+    open_text,
 )
 from .theta import ThetaFit, theta_backtest
 
@@ -370,20 +371,11 @@ def evaluate_stations(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PhaseSpan:
-    """One timed phase; only prediction phases are ever timed."""
-
-    method: str
-    repetition: int
-    seconds: float
-
-
-@dataclass(frozen=True)
 class MethodTiming:
     """Wall-clock samples of both methods on one identical workload.
 
     Samples cover the backtest walks only: the workload arrives parsed
-    and nothing is serialized inside the timed spans (see ``phases``).
+    and nothing is serialized inside the timed spans.
     ``workload_predictions`` counts one kernel walk's forecasts and
     ``theta_predictions`` one Theta walk's; they differ when the Theta
     window differs from the kernel's training size.
@@ -391,7 +383,6 @@ class MethodTiming:
 
     grnn_seconds: tuple[float, ...]
     theta_seconds: tuple[float, ...]
-    phases: tuple[PhaseSpan, ...]
     workload_predictions: int
     theta_predictions: int
 
@@ -439,20 +430,16 @@ def time_methods(
         for comp in components:
             theta_backtest(comp, theta_window, fit=theta_fit)
 
-    phases: list[PhaseSpan] = []
     samples: dict[str, list[float]] = {"grnn": [], "theta": []}
     for method, runner in (("grnn", run_grnn), ("theta", run_theta)):
         runner()  # warmup
-        for rep in range(repetitions):
+        for _ in range(repetitions):
             t0 = time.perf_counter()
             runner()
-            dt = time.perf_counter() - t0
-            samples[method].append(dt)
-            phases.append(PhaseSpan(method=method, repetition=rep, seconds=dt))
+            samples[method].append(time.perf_counter() - t0)
     return MethodTiming(
         grnn_seconds=tuple(samples["grnn"]),
         theta_seconds=tuple(samples["theta"]),
-        phases=tuple(phases),
         workload_predictions=workload,
         theta_predictions=theta_workload,
     )
@@ -635,12 +622,6 @@ def comparison_report_dict(comparison: ComparisonReport) -> dict:
     return doc
 
 
-def _open_text(dest: str | Path | IO[str]):
-    if isinstance(dest, (str, Path)):
-        return open(dest, "w", encoding="utf-8", newline=""), True
-    return dest, False
-
-
 def write_reports_json(
     reports: Sequence[StationReport],
     comparison: ComparisonReport | None,
@@ -661,13 +642,9 @@ def write_reports_json(
         "stations": [station_report_dict(r) for r in reports],
         "comparison": comparison_report_dict(comparison) if comparison else None,
     }
-    stream, own = _open_text(dest)
-    try:
+    with open_text(dest) as stream:
         json.dump(doc, stream, indent=2, allow_nan=False)
         stream.write("\n")
-    finally:
-        if own:
-            stream.close()
 
 
 def _fmt_m(x: float) -> str:
@@ -681,8 +658,7 @@ def _fmt_smape(x: float) -> str:
 
 def write_reports_csv(reports: Sequence[StationReport], dest: str | Path | IO[str]) -> None:
     """One summary row per station/component/method (lossy 6-decimal floats)."""
-    stream, own = _open_text(dest)
-    try:
+    with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(
             ["station", "span", "state", "component", "method",
@@ -696,15 +672,11 @@ def write_reports_csv(reports: Sequence[StationReport], dest: str | Path | IO[st
                         r.station_id, r.span_label, r.state.value, comp, method,
                         _fmt_smape(m.smape_percent), _fmt_m(m.std_m), _fmt_m(m.mabs_m),
                     ])
-    finally:
-        if own:
-            stream.close()
 
 
 def write_sweep_csv(result: SweepResult, dest: str | Path | IO[str]) -> None:
     """Sweep rows as plot-ready CSV: v, component, mode, then the criteria."""
-    stream, own = _open_text(dest)
-    try:
+    with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["v", "component", "mode", "smape_percent", "std_m", "mabs_m", "n"])
         for row in result.rows:
@@ -712,6 +684,3 @@ def write_sweep_csv(result: SweepResult, dest: str | Path | IO[str]) -> None:
                 row.training_size, row.component, row.mode.value,
                 _fmt_smape(row.smape_percent), _fmt_m(row.std_m), _fmt_m(row.mabs_m), row.n,
             ])
-    finally:
-        if own:
-            stream.close()

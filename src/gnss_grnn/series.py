@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -302,10 +303,10 @@ def parse_series(
     backtest run on the result.
 
     Raises:
-        ParseError: input that is not UTF-8, a malformed header or row
-            (both report the 1-based line number, as counted by
-            :meth:`str.splitlines`), duplicate epochs, or fewer than 3
-            data rows.
+        ParseError: input that is not UTF-8, a malformed header or row,
+            a duplicate epoch (these report the 1-based line number, as
+            counted by :meth:`str.splitlines`; a duplicate names the
+            later line and the earlier one), or fewer than 3 data rows.
     """
     name, lines = _decode_lines(source)
     if station_id is None:
@@ -314,6 +315,7 @@ def parse_series(
     isfinite = math.isfinite
     year_based: bool | None = None  # None until the header is read
     rows: list[tuple[float, float, float, float]] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text[0] == "#":
@@ -342,6 +344,7 @@ def parse_series(
         if epoch <= 0:
             raise ParseError("epoch must map to a positive MJD", source=name, line=lineno)
         rows.append((epoch, x, y, z))
+        linenos.append(lineno)
 
     if year_based is None:
         raise ParseError("empty file", source=name)
@@ -349,11 +352,17 @@ def parse_series(
         raise ParseError(f"series too short: {len(rows)} rows, need at least 3", source=name)
 
     data = np.array(rows, dtype=np.float64)
-    data = data[np.argsort(data[:, 0])]
+    # stable, so rows sharing an epoch keep their file order
+    order = np.argsort(data[:, 0], kind="stable")
+    data = data[order]
     epochs = data[:, 0]
-    if np.any(np.diff(epochs) <= 0):
-        dup = epochs[np.flatnonzero(np.diff(epochs) <= 0)[0]]
-        raise ParseError(f"duplicate epoch {dup!r}", source=name)
+    repeats = np.flatnonzero(np.diff(epochs) <= 0)
+    if repeats.size:
+        i = int(repeats[0])
+        raise ParseError(
+            f"duplicate epoch {float(epochs[i])!r} (also on line {linenos[order[i]]})",
+            source=name, line=linenos[order[i + 1]],
+        )
 
     components = tuple(
         ComponentSeries(comp, epochs, data[:, i + 1])
@@ -367,21 +376,31 @@ def parse_series(
     )
 
 
+@contextmanager
+def open_text(dest: str | Path | IO[str]) -> Iterator[IO[str]]:
+    """Yield a text stream to write ``dest``.
+
+    A path is opened as UTF-8 with ``newline=""`` (writers choose their
+    own line endings) and closed on exit; a stream is used as is and
+    left open for its owner.
+    """
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as stream:
+            yield stream
+    else:
+        yield dest
+
+
 def write_series_csv(series: StationSeries, dest: str | Path | IO[str]) -> None:
     """Write ``series`` in the canonical MJD CSV schema.
 
     Floats are written in shortest round-trip form, so parsing the output
     reproduces every epoch and value bit for bit.
     """
-    own = isinstance(dest, (str, Path))
-    stream: IO[str] = open(dest, "w", encoding="utf-8", newline="") if own else dest  # type: ignore[arg-type]
-    try:
+    with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_HEADER_MJD)
         x, y, z = (c.values_m for c in series.components)
         for i, epoch in enumerate(series.epochs_mjd):
             writer.writerow([repr(float(epoch)), repr(float(x[i])),
                              repr(float(y[i])), repr(float(z[i]))])
-    finally:
-        if own:
-            stream.close()

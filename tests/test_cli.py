@@ -1,5 +1,6 @@
 """End-to-end CLI behavior, including the exit-code contract."""
 
+import argparse
 import csv
 import io
 import json
@@ -283,6 +284,27 @@ def test_default_jobs_env(monkeypatch):
     monkeypatch.setenv("GNSS_GRNN_JOBS", "3")
     assert _default_jobs() == 3
     monkeypatch.setenv("GNSS_GRNN_JOBS", "not-a-number")
-    assert _default_jobs() >= 1
+    with pytest.raises(argparse.ArgumentTypeError, match="GNSS_GRNN_JOBS"):
+        _default_jobs()
+    monkeypatch.setenv("GNSS_GRNN_JOBS", " ")
+    assert _default_jobs() == (os.cpu_count() or 1)
     monkeypatch.delenv("GNSS_GRNN_JOBS")
-    assert _default_jobs() >= 1
+    assert _default_jobs() == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("env, message", [
+    ("0", "GNSS_GRNN_JOBS: must be at least 1"),
+    ("-3", "GNSS_GRNN_JOBS: must be at least 1"),
+    ("abc", "GNSS_GRNN_JOBS: invalid int value: 'abc'"),
+])
+def test_bad_jobs_env_is_a_usage_error(station_file, tmp_path, capsys, monkeypatch,
+                                       env, message):
+    monkeypatch.setenv("GNSS_GRNN_JOBS", env)
+    path = station_file(length=60)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("compare", path, "-v", "5", "--output-dir", tmp_path)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    # an explicit --jobs wins, so the variable is not read
+    assert run_cli("compare", path, "-v", "5", "--jobs", "1", "--output-dir", tmp_path) == 0

@@ -319,7 +319,21 @@ class TestAdaptiveForecastSeries:
     @pytest.mark.parametrize("training_size", [1, 20])
     def test_matches_per_target_loop(self, axis, bandwidth, cap, growth_step,
                                      training_size):
-        epochs = _axis(axis)
+        self.check_against_loop(_axis(axis), training_size, bandwidth, cap, growth_step)
+
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered"])
+    @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
+                                           BandwidthRule.MEAN_SPACING, 2.5])
+    @pytest.mark.parametrize("growth_step", [1, 3])
+    def test_matches_per_target_loop_across_blocks(self, axis, bandwidth, growth_step):
+        # at v=100 the targets span four blocks of _BLOCK_ELEMENTS // 100 rows;
+        # the cap keeps the per-target loop fast
+        epochs = _axis(axis, length=640)
+        assert epochs.size - 100 > 3 * (_BLOCK_ELEMENTS // 100)
+        self.check_against_loop(epochs, 100, bandwidth, 140, growth_step)
+
+    @staticmethod
+    def check_against_loop(epochs, training_size, bandwidth, cap, growth_step):
         rng = np.random.default_rng(11)
         # anomaly-sized values: a coordinate-sized offset would round away
         # last-bit differences of the dot product

@@ -281,10 +281,7 @@ class TestTiming:
         assert len(timing.theta_seconds) == 3
         assert timing.workload_predictions == 3 * 180
         assert timing.time_ratio > 0
-        # only prediction phases are ever timed
-        assert {p.method for p in timing.phases} == {"grnn", "theta"}
-        assert len(timing.phases) == 6
-        assert all(p.seconds > 0 for p in timing.phases)
+        assert all(t > 0 for t in timing.grnn_seconds + timing.theta_seconds)
         assert timing.theta_predictions == timing.workload_predictions
 
     def test_theta_window_sets_theta_count(self):

@@ -82,8 +82,10 @@ class TestParse:
 
     def test_duplicate_epoch_rejected(self):
         text = CSV_MIN + "55001,9,9,9\n"
-        with pytest.raises(ParseError, match="duplicate epoch"):
+        with pytest.raises(ParseError) as exc:
             parse_series(io.StringIO(text))
+        assert exc.value.line == 5
+        assert str(exc.value) == "<stream>: line 5: duplicate epoch 55001.0 (also on line 3)"
 
     def test_rows_sorted_by_epoch(self):
         text = "epoch_mjd,x_m,y_m,z_m\n55002,3,3,3\n55000,1,1,1\n55001,2,2,2\n"
@@ -168,18 +170,17 @@ def reference_parse(source_text, name="<stream>"):
         epoch = decimal_year_to_mjd(numbers[0]) if year_based else numbers[0]
         if epoch <= 0:
             raise ParseError("epoch must map to a positive MJD", source=name, line=lineno)
-        rows.append((epoch, numbers[1], numbers[2], numbers[3]))
+        rows.append((epoch, numbers[1], numbers[2], numbers[3], lineno))
     if header is None:
         raise ParseError("empty file", source=name)
     if len(rows) < 3:
         raise ParseError(f"series too short: {len(rows)} rows, need at least 3", source=name)
     rows.sort(key=lambda r: r[0])
-    data = np.asarray(rows, dtype=np.float64)
-    epochs = data[:, 0]
-    if np.any(np.diff(epochs) <= 0):
-        dup = epochs[np.flatnonzero(np.diff(epochs) <= 0)[0]]
-        raise ParseError(f"duplicate epoch {dup!r}", source=name)
-    return data
+    for earlier, later in zip(rows, rows[1:]):
+        if later[0] <= earlier[0]:
+            raise ParseError(f"duplicate epoch {later[0]!r} (also on line {earlier[4]})",
+                             source=name, line=later[4])
+    return np.asarray([r[:4] for r in rows], dtype=np.float64)
 
 
 def parse_outcome(parse, text):
