@@ -27,6 +27,7 @@ from .grnn import (
     forecast_series,
 )
 from .harness import (
+    at_station,
     compare_methods,
     evaluate_stations,
     run_sweep,
@@ -51,24 +52,40 @@ class _Parser(argparse.ArgumentParser):
 
     ``requires`` maps an option's destination to the destination of the
     option it needs: giving the first without the second would be
-    silently ignored, so it is a usage error instead.
+    silently ignored, so it is a usage error instead. ``excludes`` maps
+    an option's destination to ``(dest, value)`` of an enum option it
+    refuses that value of: giving both is a usage error. That option
+    must default to ``None``, so an explicit value can be told from
+    none; ``value`` becomes its default once the check has passed.
     """
 
-    def __init__(self, *args, requires: dict[str, str] | None = None, **kwargs):
+    def __init__(self, *args, requires: dict[str, str] | None = None,
+                 excludes: dict[str, tuple[str, Enum]] | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.requires = requires or {}
+        self.excludes = excludes or {}
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         for dest, needed in self.requires.items():
             other = getattr(namespace, needed)
             if getattr(namespace, dest) is not None and (other is None or other is False):
-                self.error(f"--{dest.replace('_', '-')} requires --{needed}")
+                self.error(f"{_flag(dest)} requires {_flag(needed)}")
+        for dest, (other, value) in self.excludes.items():
+            if getattr(namespace, other) is None:
+                setattr(namespace, other, value)
+            elif getattr(namespace, dest) is not None and getattr(namespace, other) is value:
+                self.error(f"{_flag(other)} {value.value} cannot be combined with "
+                           f"{_flag(dest)}")
         return namespace, extras
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _bandwidth_spec(text: str):
@@ -146,19 +163,22 @@ def build_parser() -> _Parser:
 
     p_predict = sub.add_parser("predict", help="one-step forecasts for every epoch "
                                                "after the seed window",
-                               requires={"max_training_size": "threshold"})
+                               requires={"max_training_size": "threshold"},
+                               excludes={"threshold": ("mode", Mode.RECURSIVE)})
     p_predict.add_argument("paths", nargs="+", type=Path)
     _add_common_model_flags(p_predict)
     p_predict.add_argument("--threshold", type=float, default=None, metavar="T",
-                           help="grow the window until |error| < T (meters); uses "
-                                "observed windows, so --mode is ignored")
+                           help="grow the window until |error| < T (meters); the "
+                                "search forecasts from observed windows, so it "
+                                "runs teacher-forced and refuses --mode recursive")
     p_predict.add_argument("--max-training-size", type=int, default=None,
                            help="cap for threshold-driven window growth "
                                 "(requires --threshold)")
     p_predict.add_argument("--output", type=Path, default=None,
                            help="write here instead of stdout")
     p_predict.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_predict.set_defaults(func=cmd_predict)
+    # recursive is filled in after parsing, see excludes
+    p_predict.set_defaults(func=cmd_predict, mode=None)
 
     p_sweep = sub.add_parser("sweep", help="accuracy criteria per training size "
                                            "and update mode (CSV, one station)")
@@ -248,7 +268,8 @@ def _predict_rows(station, config, threshold, max_training, offsets):
         )
         forecast = adaptive_forecast_series
     for comp, off in zip(station.components, offsets):
-        res = forecast(comp, config)
+        with at_station(station.station_id):
+            res = forecast(comp, config)
         for i in range(len(res)):
             yhat = float(res.predicted_m[i]) + off
             y = float(res.observed_m[i]) + off

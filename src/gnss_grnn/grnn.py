@@ -245,7 +245,11 @@ def _convex_combination(weights: np.ndarray, values: np.ndarray) -> float:
 
     Algebraically identical because the weights sum to 1, but exact on a
     constant window and far better conditioned when values are large
-    coordinates with sub-meter variation.
+    coordinates with sub-meter variation. This is the scalar reference
+    behind :func:`predict_one` and :func:`adaptive_predict`; the walks
+    repeat its arithmetic in bulk (:func:`_convex_combinations`) or step
+    by step (:func:`forecast_series`). Once those two scalar paths leave
+    the package, it can move to the tests as their reference.
     """
     base = values[0]
     return float(base + weights @ (values - base))
@@ -401,7 +405,11 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
     alone, so they come from :func:`_weight_blocks` a block of targets at
     a time. Teacher-forced forecasts are made a block at a time too;
     recursive ones step through the block, since each feeds the next.
-    The arithmetic per target is that of :func:`predict_one`, so every
+    Each recursive step subtracts the window's first value into one
+    deviation buffer reused for the whole walk and takes ``ndarray.dot``
+    of the weight row with it: the operations, in the order, of
+    :func:`_convex_combination`, without its per-step temporaries. The
+    arithmetic per target is that of :func:`predict_one`, so every
     forecast matches the stepping walk bit for bit, and an underflow is
     reported for the first target in walk order that underflows.
     """
@@ -417,14 +425,18 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
     # forecasts overwrite this working copy as they are produced; in
     # recursive mode they become training data for the following steps
     buffer = observed.copy()
+    deviations = np.empty(v, dtype=np.float64)
     for rows, weights, underflows in _weight_blocks(epochs, np.arange(v, n), v,
                                                     config.bandwidth):
         if underflows:
             j, h, nearest = underflows[0]
             raise _at_target(_underflow_error(h, nearest), series, epochs[v + j])
         if recursive:
+            # _convex_combination inlined: same operations, no temporaries
             for row, k in zip(weights, (rows + v).tolist()):
-                buffer[k] = _convex_combination(row, buffer[k - v:k])
+                base = buffer[k - v]
+                np.subtract(buffer[k - v:k], base, out=deviations)
+                buffer[k] = base + row.dot(deviations)
         else:
             buffer[rows + v] = _convex_combinations(weights, value_windows[rows])
     if recursive:

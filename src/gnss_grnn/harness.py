@@ -13,14 +13,15 @@ import json
 import math
 import statistics
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import BandwidthTooSmallError, DataError
 from .grnn import BandwidthRule, ForecastResult, GrnnConfig, Mode, forecast_series
 from .metrics import MetricsReport, PredictionPairs, compute_report
 from .series import (
@@ -174,6 +175,20 @@ def _scored_pairs(result: ForecastResult, offset: float) -> PredictionPairs:
     )
 
 
+@contextmanager
+def at_station(station_id: str) -> Iterator[None]:
+    """Re-raise a kernel underflow with the station it occurred in.
+
+    The message gains a ``station <id>: `` prefix; the class is kept, so
+    the failure still maps to the numeric-failure exit code, also when it
+    crosses a worker process.
+    """
+    try:
+        yield
+    except BandwidthTooSmallError as exc:
+        raise BandwidthTooSmallError(f"station {station_id}: {exc}") from None
+
+
 def run_sweep(
     series: StationSeries,
     v_values: Iterable[int],
@@ -207,7 +222,8 @@ def run_sweep(
     for v in sizes:
         for comp, offset in zip(series.components, offsets):
             for mode in modes:
-                result = forecast_series(comp, replace(config, training_size=v, mode=mode))
+                with at_station(series.station_id):
+                    result = forecast_series(comp, replace(config, training_size=v, mode=mode))
                 report = compute_report(_scored_pairs(result, offset))
                 rows.append(SweepRow(
                     training_size=v,
@@ -297,16 +313,18 @@ def evaluate_station(
             "series too short for evaluation: need at least 2 shared predictions"
         )
     keep = series.count - start
+    # first: a bad gap factor is rejected before any backtest runs
+    gaps: GapReport = detect_gaps(series, gap_factor)
     grnn_metrics: dict[str, MetricsReport] = {}
     theta_metrics: dict[str, MetricsReport] = {}
     for comp, offset in zip(series.components, offsets):
-        g = _align_tail(forecast_series(comp, grnn_config), keep)
+        with at_station(series.station_id):
+            g = _align_tail(forecast_series(comp, grnn_config), keep)
         t = _align_tail(theta_backtest(comp, theta_window, fit=theta_fit), keep)
         if not np.array_equal(g.epochs_mjd, t.epochs_mjd):
             raise RuntimeError("methods were about to be scored on different epochs")
         grnn_metrics[g.component] = compute_report(_scored_pairs(g, offset))
         theta_metrics[t.component] = compute_report(_scored_pairs(t, offset))
-    gaps: GapReport = detect_gaps(series, gap_factor)
     return StationReport(
         station_id=series.station_id,
         country=series.country,

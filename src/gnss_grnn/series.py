@@ -193,8 +193,10 @@ def detect_gaps(series: StationSeries, gap_factor: float = 1.5) -> GapReport:
     of 1.5 flags one missing day in a daily series while tolerating
     sub-day jitter. Only epochs matter; values are never consulted.
     """
-    if gap_factor < 1:
-        raise DataError("gap_factor must be >= 1")
+    # NaN compares false with everything and +inf exceeds every spacing:
+    # either would report any series as continuous
+    if not (math.isfinite(gap_factor) and gap_factor >= 1):
+        raise DataError(f"gap_factor must be a finite number >= 1, got {gap_factor!r}")
     epochs = series.epochs_mjd
     interval = series.nominal_interval_days
     deltas = np.diff(epochs)

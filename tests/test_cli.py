@@ -49,6 +49,16 @@ class TestInspect:
         assert run_cli("inspect", path) == 0
         assert "state: discontinuous, 1 gap" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+    def test_non_finite_gap_factor_is_data_error(self, station_file, capsys, factor):
+        # NaN and +inf would report the gapped series as continuous
+        path = station_file(name="gappy", kind=SyntheticKind.GAPPED_TREND, length=400)
+        assert run_cli("inspect", path, f"--gap-factor={factor}") == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("gnss-grnn: data error: gap_factor must be a finite "
+                                f"number >= 1, got {factor}\n")
+        assert "state" not in captured.out
+
     def test_empty_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -100,6 +110,28 @@ class TestPredict:
         run_cli("predict", path, "-v", "10", "--mode", "teacher-forced")
         tf = capsys.readouterr().out
         assert rec != tf
+        run_cli("predict", path, "-v", "10")
+        assert capsys.readouterr().out == rec  # recursive is the default
+
+    def test_threshold_refuses_explicit_recursive_mode(self, station_file, capsys):
+        # the window search is teacher-forced; an explicit recursive would be ignored
+        path = station_file(length=80)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("predict", path, "-v", "5", "--threshold", "0.01",
+                    "--mode", "recursive")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gnss-grnn predict ")
+        assert err.endswith("gnss-grnn predict: error: --mode recursive cannot be "
+                            "combined with --threshold\n")
+
+    def test_threshold_accepts_teacher_forced_mode(self, station_file, capsys):
+        path = station_file(length=80)
+        assert run_cli("predict", path, "-v", "5", "--threshold", "0.01") == 0
+        default = capsys.readouterr().out
+        assert run_cli("predict", path, "-v", "5", "--threshold", "0.01",
+                       "--mode", "teacher-forced") == 0
+        assert capsys.readouterr().out == default
 
     def test_threshold_adds_adaptive_columns(self, station_file, capsys):
         path = station_file(length=80)
@@ -121,6 +153,17 @@ class TestPredict:
         path = station_file(length=60)
         assert run_cli("predict", path, "-v", "5", "--bandwidth", "1e-9") == 3
         assert "bandwidth too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", [(), ("--threshold", "0.01")])
+    def test_underflow_names_the_station(self, station_file, capsys, threshold):
+        good = station_file(name="good", length=120)
+        gappy = station_file(name="gappy", kind=SyntheticKind.GAPPED_TREND, length=120)
+        assert run_cli("predict", good, gappy, "-v", "20", "--bandwidth", "0.3",
+                       *threshold) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gnss-grnn: numeric failure: station gappy: "
+                              "bandwidth too small: ")
+        assert "predicting component X at MJD " in err
 
     def test_basis_anomaly_matches_raw(self, station_file, capsys):
         path = station_file(length=120)
@@ -154,6 +197,14 @@ class TestSweep:
         with out.open() as stream:
             rows = list(csv.DictReader(stream))
         assert {r["v"] for r in rows} == {"2", "4", "6"}
+
+    def test_underflow_names_the_station(self, station_file, capsys):
+        path = station_file(name="gappy", kind=SyntheticKind.GAPPED_TREND, length=120)
+        assert run_cli("sweep", path, "--v-max", "2", "--bandwidth", "0.3") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gnss-grnn: numeric failure: station gappy: "
+                              "bandwidth too small: ")
+        assert "predicting component X at MJD " in err
 
     def test_mode_flag_is_a_usage_error(self, station_file, capsys):
         # sweep always runs both update modes, so it must not accept --mode
@@ -240,6 +291,30 @@ class TestCompare:
             run_cli("compare", path, "-v", "5", "--jobs", jobs, "--output-dir", tmp_path)
         assert exc.value.code == 1
         assert "argument --jobs: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_underflow_names_the_station(self, station_file, tmp_path, capsys, jobs):
+        good = station_file(name="good", length=120)
+        gappy = station_file(name="gappy", kind=SyntheticKind.GAPPED_TREND, length=120)
+        out_dir = tmp_path / "out"
+        assert run_cli("compare", good, gappy, "-v", "20", "--bandwidth", "0.3",
+                       "--jobs", jobs, "--output-dir", out_dir) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gnss-grnn: numeric failure: station gappy: "
+                              "bandwidth too small: ")
+        assert "predicting component X at MJD " in err
+        assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    def test_non_finite_gap_factor_is_data_error(self, station_file, tmp_path, capsys,
+                                                 factor):
+        path = station_file(name="gappy", kind=SyntheticKind.GAPPED_TREND, length=120)
+        out_dir = tmp_path / "out"
+        assert run_cli("compare", path, "-v", "20", f"--gap-factor={factor}",
+                       "--jobs", "1", "--output-dir", out_dir) == 2
+        assert capsys.readouterr().err == ("gnss-grnn: data error: gap_factor must be a "
+                                           f"finite number >= 1, got {factor}\n")
+        assert not (out_dir / "report.json").exists()
 
     def test_malformed_station_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -295,6 +295,14 @@ def manual_walk(series, cfg):
     )
 
 
+def assert_same_walk(series, cfg):
+    """:func:`forecast_series` gives the bits of :func:`manual_walk`."""
+    slow = manual_walk(series, cfg)
+    fast = forecast_series(series, cfg)
+    assert np.array_equal(fast.predicted_m, slow.predicted_m)
+    assert np.array_equal(fast.n_window_predicted, slow.n_window_predicted)
+
+
 def _axis(kind, length=160):
     rng = np.random.default_rng(5)
     daily = 55000.0 + np.arange(float(length))
@@ -518,11 +526,33 @@ class TestForecastSeries:
         s = comp_series(epochs, values)
         for v, bw, mode in itertools.product(
                 (1, 100), (BandwidthRule.WINDOW_STD, BandwidthRule.MEAN_SPACING, 2.0), Mode):
-            cfg = GrnnConfig(training_size=v, bandwidth=bw, mode=mode)
-            fast = forecast_series(s, cfg)
-            slow = manual_walk(s, cfg)
-            assert np.array_equal(fast.predicted_m, slow.predicted_m)
-            assert np.array_equal(fast.n_window_predicted, slow.n_window_predicted)
+            assert_same_walk(s, GrnnConfig(training_size=v, bandwidth=bw, mode=mode))
+
+    @pytest.mark.parametrize("offset", [0.0, 4e6], ids=["anomaly", "coordinate"])
+    @pytest.mark.parametrize("v", [1, 2, 7, 100, 300])
+    def test_recursive_step_matches_stepping_walk(self, v, offset):
+        # the step's arithmetic depends on v and the value magnitude, not on
+        # the axis; coordinate-sized values catch a step that skips the shift
+        # to the window's first value
+        epochs = _axis("irregular", length=640)
+        values = offset + np.cumsum(np.random.default_rng(9).normal(0.0, 1e-3, epochs.size))
+        assert_same_walk(comp_series(epochs, values), GrnnConfig(training_size=v))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_walk_matches_stepping_walk_on_random_axes(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=60))
+        v = data.draw(st.integers(min_value=1, max_value=min(10, n - 1)))
+        # spacings this even keep every nearest kernel value from underflowing
+        spacings = data.draw(st.lists(st.floats(min_value=0.25, max_value=4.0),
+                                      min_size=n, max_size=n))
+        values = data.draw(st.lists(st.floats(min_value=-1e7, max_value=1e7),
+                                    min_size=n, max_size=n))
+        bw = data.draw(st.sampled_from([BandwidthRule.WINDOW_STD,
+                                        BandwidthRule.MEAN_SPACING, 2.0]))
+        mode = data.draw(st.sampled_from(list(Mode)))
+        cfg = GrnnConfig(training_size=v, bandwidth=bw, mode=mode)
+        assert_same_walk(comp_series(55000.0 + np.cumsum(spacings), values), cfg)
 
     def test_seed_state_helper(self):
         s = comp_series(np.arange(10.0) + 1.0, np.arange(10.0))

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -354,6 +355,18 @@ class TestDetectGaps:
     def test_bad_factor(self):
         with pytest.raises(DataError):
             detect_gaps(make_station([1.0, 2.0, 3.0]), 0.5)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_factor_names_the_value(self, factor):
+        # NaN passes a plain `< 1` check and +inf hides every gap
+        s = make_station([55000.0, 55001.0, 55005.0])
+        with pytest.raises(DataError, match=f"^gap_factor must be a finite number >= 1, "
+                                            f"got {factor!r}$"):
+            detect_gaps(s, factor)
+
+    def test_factor_one_is_accepted(self):
+        s = make_station([55000.0, 55001.0, 55002.5])
+        assert detect_gaps(s, 1.0).state is SeriesState.DISCONTINUOUS
 
 
 class TestAnomalyAndAmplitude:
