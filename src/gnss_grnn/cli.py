@@ -15,7 +15,7 @@ import os
 import sys
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .errors import DataError, NumericError
@@ -57,13 +57,18 @@ class _Parser(argparse.ArgumentParser):
     refuses that value of: giving both is a usage error. That option
     must default to ``None``, so an explicit value can be told from
     none; ``value`` becomes its default once the check has passed.
+    ``fallbacks`` maps the destination of an option that defaults to
+    ``None`` to a function giving its value when the option is absent;
+    an ``argparse.ArgumentTypeError`` from it is a usage error.
     """
 
     def __init__(self, *args, requires: dict[str, str] | None = None,
-                 excludes: dict[str, tuple[str, Enum]] | None = None, **kwargs):
+                 excludes: dict[str, tuple[str, Enum]] | None = None,
+                 fallbacks: dict[str, Callable[[], object]] | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self.requires = requires or {}
         self.excludes = excludes or {}
+        self.fallbacks = fallbacks or {}
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -77,6 +82,12 @@ class _Parser(argparse.ArgumentParser):
             elif getattr(namespace, dest) is not None and getattr(namespace, other) is value:
                 self.error(f"{_flag(other)} {value.value} cannot be combined with "
                            f"{_flag(dest)}")
+        for dest, fallback in self.fallbacks.items():
+            if getattr(namespace, dest) is None:
+                try:
+                    setattr(namespace, dest, fallback())
+                except argparse.ArgumentTypeError as exc:
+                    self.error(str(exc))
         return namespace, extras
 
     def error(self, message: str):
@@ -139,10 +150,12 @@ def _add_common_model_flags(p: argparse.ArgumentParser, *, mode: bool = True) ->
                    help="kernel bandwidth in days, or 'window-std' / 'mean-spacing' "
                         "(default: window-std)")
     if mode:
-        p.add_argument("--mode", type=Mode, choices=list(Mode), default=Mode.RECURSIVE,
+        p.add_argument("--mode", type=Mode, choices=[m.value for m in Mode],
+                       default=Mode.RECURSIVE,
                        help="window update: feed predictions back (recursive) or use "
                             "observations (teacher-forced); default: recursive")
-    p.add_argument("--basis", type=Basis, choices=list(Basis), default=Basis.RAW,
+    p.add_argument("--basis", type=Basis, choices=[b.value for b in Basis],
+                   default=Basis.RAW,
                    help="work on raw values or mean-centered anomalies "
                         "(outputs are always reported in raw units)")
 
@@ -194,12 +207,14 @@ def build_parser() -> _Parser:
     p_compare = sub.add_parser("compare",
                                help="backtest kernel and Theta methods per station "
                                     "and report accuracy ratios",
-                               requires={"reps": "time"})
+                               requires={"reps": "time"},
+                               fallbacks={"jobs": _default_jobs})
     p_compare.add_argument("paths", nargs="+", type=Path)
     _add_common_model_flags(p_compare)
     p_compare.add_argument("--theta-window", type=int, default=None,
                            help="Theta training window (default: same as -v)")
-    p_compare.add_argument("--theta-fit", type=ThetaFit, choices=list(ThetaFit),
+    p_compare.add_argument("--theta-fit", type=ThetaFit,
+                           choices=[f.value for f in ThetaFit],
                            default=ThetaFit.ROLLING,
                            help="refit the slope per origin, or once on the first window")
     p_compare.add_argument("--gap-factor", type=float, default=1.5)
@@ -331,7 +346,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     stations = _load_stations(args.paths)
     stations, offsets = _apply_basis(stations, args.basis)
     config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth,
@@ -339,7 +353,7 @@ def cmd_compare(args) -> int:
     reports = evaluate_stations(
         stations, config, args.theta_window,
         theta_fit=args.theta_fit, gap_factor=args.gap_factor,
-        jobs=jobs, value_offsets=offsets,
+        jobs=args.jobs, value_offsets=offsets,
     )
     timing = None
     if args.time:
@@ -373,8 +387,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
     except DataError as exc:
         print(f"gnss-grnn: data error: {exc}", file=sys.stderr)
         return 2

@@ -60,13 +60,6 @@ class BandwidthRule(str, Enum):
     MEAN_SPACING = "mean-spacing"
 
 
-class Origin(str, Enum):
-    """Provenance of a training-window entry."""
-
-    OBSERVED = "observed"
-    PREDICTED = "predicted"
-
-
 @dataclass(frozen=True)
 class GrnnConfig:
     """Forecaster settings.
@@ -75,8 +68,9 @@ class GrnnConfig:
         training_size: window length ``v`` (most recent values used).
         bandwidth: fixed bandwidth in days, or a :class:`BandwidthRule`.
         threshold_m: acceptance threshold on the absolute prediction
-            error; required by the adaptive loop, ignored elsewhere.
-        max_training_size: cap on window growth in the adaptive loop;
+            error; required by :func:`adaptive_forecast_series`, ignored
+            elsewhere.
+        max_training_size: cap on window growth in the adaptive search;
             ``None`` means only the available history caps it.
         mode: window-update policy.
         growth_step: window increment per adaptive retry.
@@ -107,54 +101,6 @@ class GrnnConfig:
         object.__setattr__(self, "mode", Mode(self.mode))
 
 
-@dataclass(frozen=True)
-class GrnnState:
-    """The rolling training window: a value type, never mutated in place."""
-
-    epochs_mjd: np.ndarray
-    values_m: np.ndarray
-    origins: tuple[Origin, ...]
-
-    def __post_init__(self) -> None:
-        epochs = np.asarray(self.epochs_mjd, dtype=np.float64)
-        values = np.asarray(self.values_m, dtype=np.float64)
-        if epochs.ndim != 1 or epochs.shape != values.shape:
-            raise DataError("window epochs and values must be 1-d and equally long")
-        if epochs.size < 1:
-            raise DataError("window must not be empty")
-        if len(self.origins) != epochs.size:
-            raise DataError("one origin flag per window entry required")
-        if epochs.size > 1 and not np.all(np.diff(epochs) > 0):
-            raise DataError("window epochs must be strictly increasing")
-        epochs.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "epochs_mjd", epochs)
-        object.__setattr__(self, "values_m", values)
-        object.__setattr__(self, "origins", tuple(Origin(o) for o in self.origins))
-
-    @classmethod
-    def from_series(cls, series: ComponentSeries, training_size: int) -> GrnnState:
-        """Seed a window with the first ``training_size`` observed values."""
-        if training_size < 1:
-            raise DataError("training_size must be >= 1")
-        if series.count < training_size:
-            raise DataError(
-                f"insufficient history: {series.count} samples, window needs {training_size}"
-            )
-        return cls(
-            epochs_mjd=series.epochs_mjd[:training_size],
-            values_m=series.values_m[:training_size],
-            origins=(Origin.OBSERVED,) * training_size,
-        )
-
-    @property
-    def size(self) -> int:
-        return int(self.epochs_mjd.size)
-
-    def __len__(self) -> int:
-        return self.size
-
-
 def gaussian_kernel(a):
     """Gaussian kernel ``exp(-a^2 / 2) / sqrt(2 pi)``.
 
@@ -168,28 +114,13 @@ def gaussian_kernel(a):
     return float(out) if out.ndim == 0 else out
 
 
-def _resolve_from_distances(distances: np.ndarray, bandwidth: float | BandwidthRule) -> float:
-    """Bandwidth in days for one prediction, given target-to-window distances.
-
-    Both rules are shift-invariant functions of the window epochs, so they
-    can be evaluated on the distances directly.
-    """
-    if isinstance(bandwidth, (int, float)):
-        return float(bandwidth)
-    rule = BandwidthRule(bandwidth)
-    if rule is BandwidthRule.WINDOW_STD:
-        h = float(np.std(distances))
-        if h > 0.0:
-            return h
-        rule = BandwidthRule.MEAN_SPACING
-    if distances.size < 2:
-        return _SINGLETON_BANDWIDTH
-    # mean spacing of v strictly increasing epochs = (last - first) / (v - 1)
-    return float(distances[0] - distances[-1]) / (distances.size - 1)
-
-
 def _row_bandwidths(distances: np.ndarray, bandwidth: float | BandwidthRule) -> np.ndarray:
-    """:func:`_resolve_from_distances` applied to each row of ``distances``."""
+    """Bandwidth in days per row of target-to-window ``distances``.
+
+    Both rules are shift-invariant functions of the window epochs, so
+    they are evaluated on the distances directly. A window-std of zero
+    falls back to the mean spacing, ``(first - last distance) / (v - 1)``.
+    """
     rows, v = distances.shape
     if isinstance(bandwidth, (int, float)):
         return np.full(rows, float(bandwidth))
@@ -201,14 +132,6 @@ def _row_bandwidths(distances: np.ndarray, bandwidth: float | BandwidthRule) -> 
         return spacing
     h = np.std(distances, axis=1)
     return np.where(h > 0.0, h, spacing)
-
-
-def resolve_bandwidth(
-    bandwidth: float | BandwidthRule, target_epoch: float, window_epochs: np.ndarray
-) -> float:
-    """Resolve a bandwidth spec to days for one target epoch and window."""
-    window_epochs = np.asarray(window_epochs, dtype=np.float64)
-    return _resolve_from_distances(target_epoch - window_epochs, bandwidth)
 
 
 def _underflow_error(h: float, nearest_days: float) -> BandwidthTooSmallError:
@@ -227,39 +150,14 @@ def _at_target(
     )
 
 
-def _weights_from_distances(
-    distances: np.ndarray, bandwidth: float | BandwidthRule
-) -> tuple[float, np.ndarray]:
-    h = _resolve_from_distances(distances, bandwidth)
-    kernels = gaussian_kernel(distances / h)
-    total = kernels.sum()
-    if total == 0.0:
-        raise _underflow_error(h, distances.min())
-    weights = kernels / total
-    assert abs(float(weights.sum()) - 1.0) < 1e-12
-    return h, weights
-
-
-def _convex_combination(weights: np.ndarray, values: np.ndarray) -> float:
-    """``weights @ values`` evaluated about the first value.
+def _convex_combinations(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """``weights @ window`` per row, evaluated about the window's first value.
 
     Algebraically identical because the weights sum to 1, but exact on a
     constant window and far better conditioned when values are large
-    coordinates with sub-meter variation. This is the scalar reference
-    behind :func:`predict_one` and :func:`adaptive_predict`; the walks
-    repeat its arithmetic in bulk (:func:`_convex_combinations`) or step
-    by step (:func:`forecast_series`). Once those two scalar paths leave
-    the package, it can move to the tests as their reference.
-    """
-    base = values[0]
-    return float(base + weights @ (values - base))
-
-
-def _convex_combinations(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """:func:`_convex_combination` of each weight row with its value window.
-
-    A stacked ``(1, v) @ (v, 1)`` matmul runs the same dot as the 1-d
-    product, so every row gets the single-target bits.
+    coordinates with sub-meter variation. A stacked ``(1, v) @ (v, 1)``
+    matmul runs the same dot as the 1-d product, so every row gets the
+    bits of the single-target forecast in ``tests/scalar_reference.py``.
     """
     base = windows[:, 0]
     deviations = (windows - base[:, None])[:, :, None]
@@ -272,9 +170,9 @@ def _weight_blocks(
     """Normalized kernel weights for ``targets``, a block at a time.
 
     Row ``j`` of a block weighs the ``v`` epochs before
-    ``epochs[targets[j]]`` with the arithmetic of
-    :func:`_weights_from_distances`, so each row has the single-target
-    bits. A block holds at most ``_BLOCK_ELEMENTS`` window elements,
+    ``epochs[targets[j]]``: row bandwidth, Gaussian kernels, one
+    normalizing sum. Each row has the bits of the single-target weights
+    in ``tests/scalar_reference.py``. A block holds at most ``_BLOCK_ELEMENTS`` window elements,
     which bounds the working memory whatever the number of targets.
     Yields ``(rows, weights, underflows)`` per block: the indices into
     ``targets`` whose kernels kept a nonzero sum, their weight rows, and
@@ -297,74 +195,6 @@ def _weight_blocks(
         weights = kernels / total[:, None]
         assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
         yield start + np.flatnonzero(ok), weights, underflows
-
-
-def compute_weights(target_epoch: float, window_epochs: np.ndarray, h: float) -> np.ndarray:
-    """Normalized kernel weights of each window entry for one target epoch.
-
-    Weights are non-negative, sum to 1 and decay monotonically with the
-    epoch distance ``|target - epoch|`` in days.
-
-    Raises:
-        BandwidthTooSmallError: all kernel values underflowed to zero;
-            a silent uniform fallback would hide a misconfigured ``h``.
-    """
-    window_epochs = np.asarray(window_epochs, dtype=np.float64)
-    if not h > 0:
-        raise DataError("bandwidth must be positive")
-    if window_epochs.size and not target_epoch > window_epochs[-1]:
-        raise DataError("target epoch must lie strictly after the window")
-    _, weights = _weights_from_distances(target_epoch - window_epochs, float(h))
-    return weights
-
-
-def predict_one(
-    state: GrnnState, target_epoch: float, config: GrnnConfig
-) -> tuple[float, np.ndarray]:
-    """Predict the value at ``target_epoch`` from the current window.
-
-    Returns the prediction and the weight vector used. The prediction is
-    a convex combination of the window values, hence bounded by their
-    minimum and maximum.
-    """
-    if not target_epoch > state.epochs_mjd[-1]:
-        raise DataError("target epoch must lie strictly after the window")
-    distances = target_epoch - state.epochs_mjd
-    _, weights = _weights_from_distances(distances, config.bandwidth)
-    return _convex_combination(weights, state.values_m), weights
-
-
-def advance(
-    state: GrnnState,
-    epoch: float,
-    predicted: float,
-    observed: float | None = None,
-    *,
-    config: GrnnConfig,
-    at_gap: bool = False,
-) -> GrnnState:
-    """Slide the window one step: drop the oldest entry, append the newest.
-
-    In recursive mode the appended value is the prediction. In
-    teacher-forced mode it is ``observed`` when given; stepping across an
-    epoch with no observation requires ``at_gap=True``, otherwise the
-    missing truth is a contract violation.
-    """
-    if not epoch > state.epochs_mjd[-1]:
-        raise DataError("new epoch must lie strictly after the window")
-    if config.mode is Mode.TEACHER_FORCED and observed is not None:
-        value, origin = float(observed), Origin.OBSERVED
-    else:
-        if config.mode is Mode.TEACHER_FORCED and not at_gap:
-            raise DataError(
-                "teacher-forced update needs the observed value at a non-gap epoch"
-            )
-        value, origin = float(predicted), Origin.PREDICTED
-    return GrnnState(
-        epochs_mjd=np.append(state.epochs_mjd[1:], epoch),
-        values_m=np.append(state.values_m[1:], value),
-        origins=state.origins[1:] + (origin,),
-    )
 
 
 @dataclass(frozen=True)
@@ -408,9 +238,9 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
     Each recursive step subtracts the window's first value into one
     deviation buffer reused for the whole walk and takes ``ndarray.dot``
     of the weight row with it: the operations, in the order, of
-    :func:`_convex_combination`, without its per-step temporaries. The
-    arithmetic per target is that of :func:`predict_one`, so every
-    forecast matches the stepping walk bit for bit, and an underflow is
+    :func:`_convex_combinations` for one row, without its temporaries.
+    Every forecast matches the stepping walk in
+    ``tests/scalar_reference.py`` bit for bit, and an underflow is
     reported for the first target in walk order that underflows.
     """
     v = config.training_size
@@ -432,7 +262,7 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
             j, h, nearest = underflows[0]
             raise _at_target(_underflow_error(h, nearest), series, epochs[v + j])
         if recursive:
-            # _convex_combination inlined: same operations, no temporaries
+            # one row of _convex_combinations: same operations, no temporaries
             for row, k in zip(weights, (rows + v).tolist()):
                 base = buffer[k - v]
                 np.subtract(buffer[k - v:k], base, out=deviations)
@@ -452,68 +282,6 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
         observed_m=observed[v:],
         n_window_predicted=n_window_predicted,
     )
-
-
-@dataclass(frozen=True)
-class AdaptiveResult:
-    """Outcome of one adaptive prediction.
-
-    ``threshold_met`` is False when every admissible window size failed
-    the error threshold; the attempt with the smallest absolute error is
-    returned in that case.
-    """
-
-    predicted_m: float
-    training_size_used: int
-    error_m: float
-    threshold_met: bool
-
-
-def adaptive_predict(
-    series: ComponentSeries, start_index: int, config: GrnnConfig
-) -> AdaptiveResult:
-    """Predict the value at ``start_index`` growing the window on demand.
-
-    Starting from ``config.training_size``, predicts from the most recent
-    observed values before the target, compares the absolute error
-    against the threshold, and enlarges the window by ``growth_step``
-    until the error passes or no larger window fits the available
-    history (or ``max_training_size``). Needs the truth at the target,
-    so this is a backtest-time procedure only.
-    """
-    if config.threshold_m is None:
-        raise DataError("adaptive prediction requires a threshold")
-    v = config.training_size
-    if start_index < v:
-        raise DataError(
-            f"insufficient history: index {start_index} with training_size {v}"
-        )
-    if start_index >= series.count:
-        raise DataError("start_index beyond the series")
-    cap = start_index
-    if config.max_training_size is not None:
-        cap = min(cap, config.max_training_size)
-    epochs = series.epochs_mjd
-    values = series.values_m
-    target_epoch = float(epochs[start_index])
-    truth = float(values[start_index])
-    best: AdaptiveResult | None = None
-    while True:
-        distances = target_epoch - epochs[start_index - v:start_index]
-        try:
-            _, weights = _weights_from_distances(distances, config.bandwidth)
-        except BandwidthTooSmallError as exc:
-            raise _at_target(exc, series, target_epoch) from None
-        yhat = _convex_combination(weights, values[start_index - v:start_index])
-        error = truth - yhat
-        attempt = AdaptiveResult(yhat, v, error, abs(error) < config.threshold_m)
-        if attempt.threshold_met:
-            return attempt
-        if best is None or abs(error) < abs(best.error_m):
-            best = attempt
-        if v + config.growth_step > cap:
-            return best
-        v += config.growth_step
 
 
 @dataclass(frozen=True)
@@ -537,16 +305,23 @@ class AdaptiveForecastResult:
 def adaptive_forecast_series(
     series: ComponentSeries, config: GrnnConfig
 ) -> AdaptiveForecastResult:
-    """Run :func:`adaptive_predict` at every index after the seed window.
+    """Forecast every index after the seed window, growing its window on demand.
+
+    Each target starts from ``config.training_size`` observed values
+    before it, compares the absolute error against the threshold, and
+    enlarges the window by ``growth_step`` until the error passes or no
+    larger window fits the available history (or ``max_training_size``);
+    the attempt with the smallest error stands when none passes. Needs
+    the truth at the target, so this is a backtest-time procedure only.
 
     Batched over targets: the outer loop walks the candidate sizes, and
     each size forecasts every still-open target at once, with weights
     from one pass of :func:`_weight_blocks` over those targets. A target
     closes at the first size that passes the threshold, at the size that
-    underflows, or once the next size exceeds its cap. The arithmetic per
-    target is that of :func:`adaptive_predict`, so every index gets bit
-    for bit its forecast, size and flag, and an underflow is reported for
-    the same target the loop would stop at.
+    underflows, or once the next size exceeds its cap. Every index gets
+    bit for bit the forecast, size and flag of the per-target loop in
+    ``tests/scalar_reference.py``, and an underflow is reported for the
+    same target that loop stops at.
     """
     v0 = config.training_size
     n = series.count

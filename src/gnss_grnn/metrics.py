@@ -78,20 +78,6 @@ def smape(pairs: PredictionPairs) -> float:
     return float(100.0 * terms.mean())
 
 
-def smape_as_printed(pairs: PredictionPairs, anchor: int = -1) -> float:
-    """Audit variant of sMAPE: one fixed denominator, no mean.
-
-    Sums ``|y_i - yhat_i|`` over all pairs and divides the lot by the
-    anchor pair's ``|y| + |yhat|`` (default: the last pair), then scales
-    to percent. Kept only so the headline number can be audited against
-    the single-denominator reading; not used anywhere else.
-    """
-    denom = float(abs(pairs.observed_m[anchor]) + abs(pairs.predicted_m[anchor]))
-    if denom == 0.0:
-        raise UndefinedMetricError("undefined sMAPE anchor: |y| + |yhat| is zero")
-    return float(100.0 * np.abs(pairs.residuals_m).sum() / denom)
-
-
 def std_of_errors(pairs: PredictionPairs) -> float:
     """Sample standard deviation of the residuals (N - 1 divisor), meters."""
     if pairs.n < 2:

@@ -214,18 +214,6 @@ def detect_gaps(series: StationSeries, gap_factor: float = 1.5) -> GapReport:
     return GapReport(gaps=gaps, state=state, largest_gap_days=largest)
 
 
-def compute_anomaly(series: ComponentSeries) -> ComponentSeries:
-    """Return ``series`` with values replaced by their departure from the mean."""
-    if series.count < 1:
-        raise DataError("anomaly needs at least one sample")
-    values = series.values_m
-    return ComponentSeries(
-        component=series.component,
-        epochs_mjd=series.epochs_mjd,
-        values_m=values - values.mean(),
-    )
-
-
 def amplitude(series: ComponentSeries) -> float:
     """Peak-to-peak amplitude of the component, meters (max - min)."""
     if series.count < 1:

@@ -23,17 +23,15 @@ from gnss_grnn import (
     Component,
     ComponentSeries,
     GrnnConfig,
-    GrnnState,
     Mode,
-    Origin,
     PredictionPairs,
     SyntheticKind,
     SyntheticParams,
     evaluate_station,
     fit_theta_model,
+    forecast_series,
     generate_synthetic,
     mean_abs_error,
-    predict_one,
     run_sweep,
     smape,
     std_of_errors,
@@ -43,6 +41,7 @@ from gnss_grnn import (
     write_series_csv,
 )
 from gnss_grnn.cli import main as cli_main
+from gnss_grnn.grnn import _convex_combinations, _weight_blocks
 
 from oracles import nw_predict_mp, theta_forecast_fraction, theta_slope_fraction
 
@@ -63,9 +62,12 @@ def test_p1_weight_normalization_and_convexity():
         target = float(epochs[-1] + rng.uniform(0.5, 3.0))
         max_distance = target - float(epochs[0])
         h = float(rng.uniform(max_distance / 35.0, max_distance * 10.0))
-        state = GrnnState(epochs, values, (Origin.OBSERVED,) * size)
-        yhat, weights = predict_one(state, target, GrnnConfig(training_size=size,
-                                                              bandwidth=h))
+        # one target after the window, through the arithmetic the walks run
+        ((rows, weights, _),) = _weight_blocks(np.append(epochs, target), np.array([size]),
+                                               size, h)
+        assert rows.tolist() == [0]
+        yhat = _convex_combinations(weights, values[None, :])[0]
+        weights = weights[0]
         assert abs(float(weights.sum()) - 1.0) < 1e-12
         assert np.all(weights >= 0.0)
         tol = 32 * np.finfo(float).eps * max(1.0, float(np.abs(values).max()))
@@ -99,18 +101,16 @@ def test_p2_oracle_equivalence():
     for size, patterns in spacing_patterns.items():
         for spacing in patterns:
             epochs = np.concatenate([[1.0], 1.0 + np.cumsum(spacing)])
-            state_cache = {}
-            for name, maker in value_patterns.items():
+            for maker in value_patterns.values():
                 values = maker(size)
                 for h in (0.7, 1.0, 5.0, 200.0):
                     for ahead in (0.8, 1.0, 2.5):
                         target = float(epochs[-1] + ahead)
-                        key = name
-                        if key not in state_cache:
-                            state_cache[key] = GrnnState(
-                                epochs, values, (Origin.OBSERVED,) * size)
-                        yhat, _ = predict_one(state_cache[key], target,
-                                              GrnnConfig(training_size=size, bandwidth=h))
+                        # a one-target walk: the window, then the target
+                        s = ComponentSeries(Component.X, np.append(epochs, target),
+                                            np.append(values, 0.0))
+                        walk = forecast_series(s, GrnnConfig(training_size=size, bandwidth=h))
+                        yhat = walk.predicted_m[0]
                         ref = nw_predict_mp(epochs, values, target, h)
                         assert yhat == pytest.approx(ref, rel=1e-10, abs=1e-12)
                         cases += 1

@@ -379,7 +379,25 @@ def test_bad_jobs_env_is_a_usage_error(station_file, tmp_path, capsys, monkeypat
     with pytest.raises(SystemExit) as exc:
         run_cli("compare", path, "-v", "5", "--output-dir", tmp_path)
     assert exc.value.code == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage line is the subcommand's, not the root parser's
+    assert err.startswith("usage: gnss-grnn compare [-h]")
+    assert err.endswith(f"gnss-grnn compare: error: {message}\n")
     assert not (tmp_path / "report.json").exists()
     # an explicit --jobs wins, so the variable is not read
     assert run_cli("compare", path, "-v", "5", "--jobs", "1", "--output-dir", tmp_path) == 0
+
+
+@pytest.mark.parametrize("command, choices", [
+    ("predict", ["{recursive,teacher-forced}", "{raw,anomaly}"]),
+    ("compare", ["{recursive,teacher-forced}", "{raw,anomaly}", "{rolling,global}"]),
+])
+def test_help_lists_the_values_enum_flags_accept(capsys, command, choices):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for listed in choices:
+        assert listed in out
+    for enum_name in ("Mode.", "Basis.", "ThetaFit."):
+        assert enum_name not in out

@@ -1,4 +1,4 @@
-"""Kernel forecaster: weights, predictions, window updates, walks."""
+"""Kernel forecaster: weights, bandwidths, one-target forecasts, walks."""
 
 import itertools
 
@@ -13,34 +13,48 @@ from gnss_grnn import (
     Component,
     ComponentSeries,
     DataError,
-    ForecastResult,
     GrnnConfig,
-    GrnnState,
     Mode,
-    Origin,
     adaptive_forecast_series,
-    adaptive_predict,
-    advance,
-    compute_weights,
     decimal_year_to_mjd,
     forecast_series,
     gaussian_kernel,
     mjd_to_decimal_year,
-    predict_one,
-    resolve_bandwidth,
 )
-from gnss_grnn.grnn import _BLOCK_ELEMENTS
+from gnss_grnn.grnn import _BLOCK_ELEMENTS, _row_bandwidths, _weight_blocks
 
 from oracles import nw_predict_mp, nw_weights_mp, window_std_mp
+from scalar_reference import adaptive_predict, predict, stepping_walk
 
 
 def comp_series(epochs, values, component=Component.X):
     return ComponentSeries(component, np.asarray(epochs, float), np.asarray(values, float))
 
 
-def state_of(epochs, values):
-    return GrnnState(np.asarray(epochs, float), np.asarray(values, float),
-                     (Origin.OBSERVED,) * len(epochs))
+def one_target_blocks(epochs, target, bandwidth):
+    """The single ``(rows, weights, underflows)`` block of one target after
+    the window ``epochs``."""
+    axis = np.append(np.asarray(epochs, float), target)
+    v = axis.size - 1
+    (block,) = _weight_blocks(axis, np.array([v]), v, bandwidth)
+    return block
+
+
+def weights_at(epochs, target, bandwidth):
+    rows, weights, underflows = one_target_blocks(epochs, target, bandwidth)
+    assert rows.tolist() == [0] and not underflows
+    return weights[0]
+
+
+def predict_at(epochs, values, target, bandwidth):
+    """The one-target ``forecast_series`` from the window ``epochs``/``values``."""
+    s = comp_series(np.append(epochs, target), np.append(values, 0.0))
+    cfg = GrnnConfig(training_size=len(values), bandwidth=bandwidth)
+    return float(forecast_series(s, cfg).predicted_m[0])
+
+
+def row_bandwidth(epochs, target, bandwidth):
+    return float(_row_bandwidths((target - np.asarray(epochs, float))[None, :], bandwidth)[0])
 
 
 class TestGaussianKernel:
@@ -61,80 +75,73 @@ class TestGaussianKernel:
         assert gaussian_kernel(a) > 0.0
 
 
-class TestComputeWeights:
+class TestWeightBlocks:
     def test_two_entry_hand_value(self):
-        w = compute_weights(3.0, [1.0, 2.0], 1.0)
+        w = weights_at([1.0, 2.0], 3.0, 1.0)
         np.testing.assert_allclose(w, [0.18242552380635634, 0.81757447619364366], rtol=1e-14)
 
     def test_huge_bandwidth_is_uniform(self):
-        w = compute_weights(3.0, [1.0, 2.0], 1e9)
+        w = weights_at([1.0, 2.0], 3.0, 1e9)
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-6)
 
     def test_single_entry(self):
-        np.testing.assert_array_equal(compute_weights(5.0, [1.0], 2.0), [1.0])
+        np.testing.assert_array_equal(weights_at([1.0], 5.0, 2.0), [1.0])
 
-    def test_underflow_is_an_error(self):
-        with pytest.raises(BandwidthTooSmallError):
-            compute_weights(100.0, [0.0], 0.5)
-
-    def test_target_must_follow_window(self):
-        with pytest.raises(DataError):
-            compute_weights(2.0, [1.0, 2.0], 1.0)
+    def test_underflow_is_reported_not_weighted(self):
+        rows, weights, underflows = one_target_blocks([0.0], 100.0, 0.5)
+        assert rows.size == 0 and weights.shape == (0, 1)
+        assert underflows == [(0, 0.5, 100.0)]
 
     def test_decay_with_distance(self):
-        w = compute_weights(10.0, np.arange(0.0, 10.0), 3.0)
+        w = weights_at(np.arange(0.0, 10.0), 10.0, 3.0)
         assert np.all(np.diff(w) > 0)  # older entries are farther, weigh less
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_high_precision_reference(self):
         epochs = [0.0, 1.0, 3.5, 4.0, 7.25]
-        w = compute_weights(9.0, epochs, 2.2)
+        w = weights_at(epochs, 9.0, 2.2)
         ref = [float(x) for x in nw_weights_mp(epochs, 9.0, 2.2)]
         np.testing.assert_allclose(w, ref, rtol=1e-13)
 
 
-class TestResolveBandwidth:
+class TestRowBandwidths:
     def test_fixed(self):
-        assert resolve_bandwidth(2.5, 10.0, np.array([1.0, 2.0])) == 2.5
+        assert row_bandwidth(np.array([1.0, 2.0]), 10.0, 2.5) == 2.5
 
     def test_window_std_matches_epoch_std(self):
         epochs = np.array([55000.0, 55001.0, 55003.0, 55004.5])
-        h = resolve_bandwidth(BandwidthRule.WINDOW_STD, 55010.0, epochs)
+        h = row_bandwidth(epochs, 55010.0, BandwidthRule.WINDOW_STD)
         assert h == pytest.approx(window_std_mp(epochs), rel=1e-12)
 
     def test_mean_spacing(self):
         epochs = np.array([55000.0, 55001.0, 55005.0])
-        h = resolve_bandwidth(BandwidthRule.MEAN_SPACING, 55010.0, epochs)
+        h = row_bandwidth(epochs, 55010.0, BandwidthRule.MEAN_SPACING)
         assert h == pytest.approx(2.5, rel=1e-15)
 
     def test_singleton_fallback(self):
-        assert resolve_bandwidth(BandwidthRule.WINDOW_STD, 5.0, np.array([1.0])) == 1.0
-        assert resolve_bandwidth(BandwidthRule.MEAN_SPACING, 5.0, np.array([1.0])) == 1.0
+        assert row_bandwidth(np.array([1.0]), 5.0, BandwidthRule.WINDOW_STD) == 1.0
+        assert row_bandwidth(np.array([1.0]), 5.0, BandwidthRule.MEAN_SPACING) == 1.0
 
 
-class TestPredictOne:
+class TestOneTargetForecast:
     def test_constant_window_any_bandwidth(self):
-        s = state_of([1.0, 2.0, 3.0], [4.2, 4.2, 4.2])
         for h in (0.5, 1.0, 100.0):
-            yhat, _ = predict_one(s, 4.0, GrnnConfig(training_size=3, bandwidth=h))
+            yhat = predict_at([1.0, 2.0, 3.0], [4.2, 4.2, 4.2], 4.0, h)
             assert yhat == pytest.approx(4.2, rel=1e-15)
 
     def test_two_point_hand_value(self):
-        s = state_of([1.0, 2.0], [10.0, 20.0])
-        yhat, w = predict_one(s, 3.0, GrnnConfig(training_size=2, bandwidth=1.0))
+        yhat = predict_at([1.0, 2.0], [10.0, 20.0], 3.0, 1.0)
         assert yhat == pytest.approx(18.175744761936437, rel=1e-12)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert weights_at([1.0, 2.0], 3.0, 1.0).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_by_window(self):
-        s = state_of([1.0, 2.0], [0.0, 100.0])
         for h in (0.3, 1.0, 42.0, 1e6):
-            yhat, _ = predict_one(s, 3.0, GrnnConfig(training_size=2, bandwidth=h))
+            yhat = predict_at([1.0, 2.0], [0.0, 100.0], 3.0, h)
             assert 0.0 <= yhat <= 100.0
 
     def test_huge_bandwidth_tends_to_mean(self):
         values = [3.0, -1.0, 7.0, 2.5]
-        s = state_of([1.0, 2.0, 3.0, 4.0], values)
-        yhat, _ = predict_one(s, 5.0, GrnnConfig(training_size=4, bandwidth=1e9))
+        yhat = predict_at([1.0, 2.0, 3.0, 4.0], values, 5.0, 1e9)
         assert yhat == pytest.approx(np.mean(values), rel=1e-6)
 
     @given(
@@ -146,75 +153,97 @@ class TestPredictOne:
     )
     @settings(max_examples=150, deadline=None)
     def test_shift_and_scale_behavior(self, spacings, values, shift, scale, h):
-        epochs = np.concatenate([[0.0], np.cumsum(spacings)])
+        # series epochs must be positive MJDs; kernel distances are shift-free
+        epochs = np.concatenate([[1.0], 1.0 + np.cumsum(spacings)])
         values = np.asarray(values[: len(epochs)])
         target = float(epochs[-1]) + 1.0
-        cfg = GrnnConfig(training_size=len(epochs), bandwidth=h)
-        base, w = predict_one(state_of(epochs, values), target, cfg)
+        base = predict_at(epochs, values, target, h)
+        w = weights_at(epochs, target, h)
         assert np.min(values) - 1e-9 <= base <= np.max(values) + 1e-9
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        shifted, _ = predict_one(state_of(epochs, values + shift), target, cfg)
+        shifted = predict_at(epochs, values + shift, target, h)
         assert shifted == pytest.approx(base + shift, rel=1e-9, abs=1e-9)
-        scaled, _ = predict_one(state_of(epochs, values * scale), target, cfg)
+        scaled = predict_at(epochs, values * scale, target, h)
         assert scaled == pytest.approx(base * scale, rel=1e-9, abs=1e-9)
 
 
-class TestAdvance:
+class TestWindowUpdate:
+    """How one step of :func:`forecast_series` feeds the next window."""
+
+    EPOCHS = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    VALUES = np.array([10.0, 11.0, 12.0, 12.5, 13.0])
+
+    def walk(self, mode, v=3):
+        cfg = GrnnConfig(training_size=v, bandwidth=1.0, mode=mode)
+        return forecast_series(comp_series(self.EPOCHS, self.VALUES), cfg)
+
     def test_recursive_appends_prediction(self):
-        s = state_of([1.0, 2.0, 3.0], [10.0, 11.0, 12.0])
-        cfg = GrnnConfig(training_size=3, mode=Mode.RECURSIVE)
-        out = advance(s, 4.0, 99.0, observed=12.5, config=cfg)
-        np.testing.assert_array_equal(out.epochs_mjd, [2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(out.values_m, [11.0, 12.0, 99.0])
-        assert out.origins == (Origin.OBSERVED, Origin.OBSERVED, Origin.PREDICTED)
+        res = self.walk(Mode.RECURSIVE)
+        # epoch 5 is predicted from {11, 12, forecast at epoch 4}
+        window = np.array([11.0, 12.0, res.predicted_m[0]])
+        assert res.predicted_m[1] == predict(5.0 - self.EPOCHS[1:4], window, 1.0)[0]
+        assert res.predicted_m[1] != predict(5.0 - self.EPOCHS[1:4], self.VALUES[1:4], 1.0)[0]
+        np.testing.assert_array_equal(res.n_window_predicted, [0, 1])
 
     def test_teacher_forced_appends_observation(self):
-        s = state_of([1.0, 2.0], [10.0, 11.0])
-        cfg = GrnnConfig(training_size=2, mode=Mode.TEACHER_FORCED)
-        out = advance(s, 3.0, 99.0, observed=11.5, config=cfg)
-        np.testing.assert_array_equal(out.values_m, [11.0, 11.5])
-        assert out.origins[-1] is Origin.OBSERVED
+        res = self.walk(Mode.TEACHER_FORCED)
+        # epoch 5 is predicted from {11, 12, 12.5}: the truth, not the forecast
+        assert res.predicted_m[1] == predict(5.0 - self.EPOCHS[1:4], self.VALUES[1:4], 1.0)[0]
+        np.testing.assert_array_equal(res.observed_m, [12.5, 13.0])
+        np.testing.assert_array_equal(res.n_window_predicted, [0, 0])
 
-    def test_teacher_forced_missing_truth_raises(self):
-        s = state_of([1.0, 2.0], [10.0, 11.0])
-        cfg = GrnnConfig(training_size=2, mode=Mode.TEACHER_FORCED)
-        with pytest.raises(DataError):
-            advance(s, 3.0, 99.0, config=cfg)
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_gap_epochs_are_never_forecast(self, mode):
+        epochs = np.array([1.0, 2.0, 3.0, 7.0, 8.0, 9.0])
+        cfg = GrnnConfig(training_size=2, bandwidth=2.0, mode=mode)
+        res = forecast_series(comp_series(epochs, 0.5 * epochs), cfg)
+        np.testing.assert_array_equal(res.epochs_mjd, [3.0, 7.0, 8.0, 9.0])
 
-    def test_teacher_forced_gap_falls_back_to_prediction(self):
-        s = state_of([1.0, 2.0], [10.0, 11.0])
-        cfg = GrnnConfig(training_size=2, mode=Mode.TEACHER_FORCED)
-        out = advance(s, 3.0, 99.0, config=cfg, at_gap=True)
-        assert out.values_m[-1] == 99.0
-        assert out.origins[-1] is Origin.PREDICTED
+    def test_length_one_window_recursive(self):
+        res = self.walk(Mode.RECURSIVE, v=1)
+        # a single weight of 1 repeats the seed value along the whole walk
+        np.testing.assert_array_equal(res.predicted_m, np.full(4, 10.0))
+        np.testing.assert_array_equal(res.n_window_predicted, [0, 1, 1, 1])
 
-    def test_length_one_window(self):
-        s = state_of([5.0], [1.0])
-        out = advance(s, 6.0, 2.0, config=GrnnConfig(training_size=1))
-        assert len(out) == 1
-        np.testing.assert_array_equal(out.values_m, [2.0])
+    def test_length_one_window_teacher_forced(self):
+        res = self.walk(Mode.TEACHER_FORCED, v=1)
+        np.testing.assert_array_equal(res.predicted_m, self.VALUES[:-1])
 
-    def test_epoch_must_advance(self):
-        s = state_of([1.0, 2.0], [0.0, 0.0])
-        with pytest.raises(DataError):
-            advance(s, 2.0, 1.0, config=GrnnConfig(training_size=2))
+    def test_window_seeded_with_first_observations(self):
+        for mode in Mode:
+            res = self.walk(mode)
+            assert res.predicted_m[0] == predict(4.0 - self.EPOCHS[:3], self.VALUES[:3], 1.0)[0]
 
 
-class TestAdaptivePredict:
+@pytest.mark.parametrize("kwargs, message", [
+    ({"training_size": 0}, "training_size must be >= 1"),
+    ({"max_training_size": 99}, "max_training_size must be >= training_size"),
+    ({"bandwidth": 0.0}, "fixed bandwidth must be positive and finite"),
+    ({"bandwidth": float("nan")}, "fixed bandwidth must be positive and finite"),
+    ({"threshold_m": 0.0}, "threshold_m must be positive"),
+    ({"threshold_m": -1.0}, "threshold_m must be positive"),
+    ({"growth_step": 0}, "growth_step must be >= 1"),
+])
+def test_config_rejects(kwargs, message):
+    with pytest.raises(DataError, match=message):
+        GrnnConfig(**{"training_size": 100, **kwargs})
+
+class TestAdaptiveAtOneTarget:
     def test_constant_accepts_first_size(self):
         s = comp_series(np.arange(20.0) + 1.0, np.full(20, 7.0))
-        cfg = GrnnConfig(training_size=3, threshold_m=0.1)
-        res = adaptive_predict(s, 10, cfg)
-        assert res.threshold_met
-        assert res.training_size_used == 3
-        assert res.error_m == 0.0
+        walk = adaptive_forecast_series(s, GrnnConfig(training_size=3, threshold_m=0.1))
+        i = 10 - 3
+        assert walk.threshold_met[i]
+        assert walk.training_size_used[i] == 3
+        assert walk.observed_m[i] - walk.predicted_m[i] == 0.0
 
     def test_linear_with_tight_threshold_exhausts(self):
         epochs = np.arange(30.0) + 1.0
         s = comp_series(epochs, epochs.copy())
         cfg = GrnnConfig(training_size=2, bandwidth=1.0, threshold_m=1e-9)
-        res = adaptive_predict(s, 20, cfg)
-        assert not res.threshold_met
+        walk = adaptive_forecast_series(s, cfg)
+        i = 20 - 2
+        assert not walk.threshold_met[i]
         # reference loop over the same admissible sizes, keeping the best
         best = None
         for v in range(2, 21):
@@ -223,32 +252,31 @@ class TestAdaptivePredict:
             err = float(epochs[20]) - ref
             if best is None or abs(err) < abs(best[1]):
                 best = (v, err, ref)
-        assert res.training_size_used == best[0]
-        assert res.predicted_m == pytest.approx(best[2], rel=1e-12)
+        assert walk.training_size_used[i] == best[0]
+        assert walk.predicted_m[i] == pytest.approx(best[2], rel=1e-12)
 
     def test_huge_threshold_accepts_immediately(self):
         s = comp_series(np.arange(30.0) + 1.0, np.arange(30.0) ** 1.5)
-        cfg = GrnnConfig(training_size=4, threshold_m=1e12)
-        res = adaptive_predict(s, 10, cfg)
-        assert res.threshold_met and res.training_size_used == 4
+        walk = adaptive_forecast_series(s, GrnnConfig(training_size=4, threshold_m=1e12))
+        i = 10 - 4
+        assert walk.threshold_met[i] and walk.training_size_used[i] == 4
 
     def test_growth_respects_cap(self):
         s = comp_series(np.arange(30.0) + 1.0, np.arange(30.0))
         cfg = GrnnConfig(training_size=2, bandwidth=1.0, threshold_m=1e-12,
                          max_training_size=5)
-        res = adaptive_predict(s, 20, cfg)
-        assert res.training_size_used <= 5
+        walk = adaptive_forecast_series(s, cfg)
+        assert walk.training_size_used[20 - 2] <= 5
 
     def test_insufficient_history(self):
-        s = comp_series(np.arange(10.0) + 1.0, np.zeros(10))
-        cfg = GrnnConfig(training_size=5, threshold_m=1.0)
-        with pytest.raises(DataError, match="insufficient history"):
-            adaptive_predict(s, 4, cfg)
-
-    def test_threshold_required(self):
-        s = comp_series(np.arange(10.0) + 1.0, np.zeros(10))
-        with pytest.raises(DataError, match="threshold"):
-            adaptive_predict(s, 5, GrnnConfig(training_size=3))
+        # no threshold is met, so each target grows its window as far as the
+        # history before it allows: index k has exactly k values behind it
+        s = comp_series(np.arange(10.0) + 1.0, np.arange(10.0) ** 2)
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-12)
+        walk = adaptive_forecast_series(s, cfg)
+        assert not walk.threshold_met.any()
+        assert walk.training_size_used[0] == 5
+        assert np.all(walk.training_size_used <= np.arange(5, 10))
 
     def test_walk_shape(self):
         s = comp_series(np.arange(15.0) + 1.0, np.sin(np.arange(15.0)))
@@ -259,48 +287,18 @@ class TestAdaptivePredict:
 
 
 def loop_reference(series, cfg):
-    """The per-target loop the batched adaptive walk replaces."""
-    return [adaptive_predict(series, k, cfg) for k in range(cfg.training_size, series.count)]
-
-
-def manual_walk(series, cfg):
-    """The forecast walk built from the public stepping API.
-
-    Produces the forecasts of :func:`forecast_series` one
-    :func:`predict_one`/:func:`advance` call at a time; quadratically
-    slower on long series.
-    """
-    v = cfg.training_size
-    n = series.count
-    if n <= v:
-        raise DataError(f"nothing to predict: {n} samples with training_size {v}")
-    state = GrnnState.from_series(series, v)
-    epochs = series.epochs_mjd
-    observed = series.values_m
-    predicted = np.empty(n - v, dtype=np.float64)
-    n_window_predicted = np.empty(n - v, dtype=np.int64)
-    for k in range(v, n):
-        yhat, _ = predict_one(state, float(epochs[k]), cfg)
-        predicted[k - v] = yhat
-        n_window_predicted[k - v] = sum(o is Origin.PREDICTED for o in state.origins)
-        state = advance(state, float(epochs[k]), yhat, float(observed[k]), config=cfg)
-    return ForecastResult(
-        component=str(series.component.value),
-        mode=cfg.mode,
-        training_size=v,
-        epochs_mjd=epochs[v:],
-        predicted_m=predicted,
-        observed_m=observed[v:],
-        n_window_predicted=n_window_predicted,
-    )
+    """The per-target loop the batched adaptive walk replaces: its
+    forecasts, window sizes and threshold flags."""
+    outcomes = [adaptive_predict(series, k, cfg) for k in range(cfg.training_size, series.count)]
+    return [list(column) for column in zip(*outcomes)]
 
 
 def assert_same_walk(series, cfg):
-    """:func:`forecast_series` gives the bits of :func:`manual_walk`."""
-    slow = manual_walk(series, cfg)
+    """:func:`forecast_series` gives the bits of the stepping walk."""
+    predicted, n_window_predicted = stepping_walk(series, cfg)
     fast = forecast_series(series, cfg)
-    assert np.array_equal(fast.predicted_m, slow.predicted_m)
-    assert np.array_equal(fast.n_window_predicted, slow.n_window_predicted)
+    assert np.array_equal(fast.predicted_m, predicted)
+    assert np.array_equal(fast.n_window_predicted, n_window_predicted)
 
 
 def _axis(kind, length=160):
@@ -351,10 +349,10 @@ class TestAdaptiveForecastSeries:
                          threshold_m=4e-4, max_training_size=cap,
                          growth_step=growth_step, mode=Mode.TEACHER_FORCED)
         walk = adaptive_forecast_series(s, cfg)
-        loop = loop_reference(s, cfg)
-        assert np.array_equal(walk.predicted_m, [r.predicted_m for r in loop])
-        assert np.array_equal(walk.training_size_used, [r.training_size_used for r in loop])
-        assert np.array_equal(walk.threshold_met, [r.threshold_met for r in loop])
+        predicted, used, met = loop_reference(s, cfg)
+        assert np.array_equal(walk.predicted_m, predicted)
+        assert np.array_equal(walk.training_size_used, used)
+        assert np.array_equal(walk.threshold_met, met)
         assert walk.training_size_used.dtype == np.int64
         assert walk.threshold_met.dtype == bool
         # both outcomes occur, so the test exercises passing and exhausted targets
@@ -380,7 +378,8 @@ class TestAdaptiveForecastSeries:
         assert f"at MJD {float(epochs[a])!r}" in str(loop_exc.value)
         first_size_only = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
                                      threshold_m=0.5, max_training_size=2)
-        assert not adaptive_predict(s, a, first_size_only).threshold_met
+        _, _, met = adaptive_predict(s, a, first_size_only)
+        assert not met
         with pytest.raises(BandwidthTooSmallError):
             adaptive_predict(s, a + 1, first_size_only)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
@@ -427,7 +426,7 @@ class TestUnderflowMessage:
         s = comp_series(epochs, np.linspace(0.0, 1.0, epochs.size), Component.Y)
         cfg = GrnnConfig(training_size=100, bandwidth=1.0, mode=mode)
         with pytest.raises(BandwidthTooSmallError) as step_exc:
-            manual_walk(s, cfg)
+            stepping_walk(s, cfg)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
             forecast_series(s, cfg)
         assert str(walk_exc.value) == (
@@ -482,11 +481,10 @@ class TestForecastSeries:
             for bw in (BandwidthRule.WINDOW_STD, BandwidthRule.MEAN_SPACING, 2.0):
                 cfg = GrnnConfig(training_size=7, bandwidth=bw, mode=mode)
                 fast = forecast_series(s, cfg)
-                slow = manual_walk(s, cfg)
-                assert np.array_equal(fast.predicted_m, slow.predicted_m)
-                np.testing.assert_array_equal(fast.epochs_mjd, slow.epochs_mjd)
-                np.testing.assert_array_equal(fast.n_window_predicted,
-                                              slow.n_window_predicted)
+                predicted, n_window_predicted = stepping_walk(s, cfg)
+                assert np.array_equal(fast.predicted_m, predicted)
+                np.testing.assert_array_equal(fast.epochs_mjd, epochs[7:])
+                np.testing.assert_array_equal(fast.n_window_predicted, n_window_predicted)
 
     def test_gap_walk_uses_pre_gap_window(self):
         # 12 daily epochs with a 3-day hole after the 6th
@@ -498,11 +496,11 @@ class TestForecastSeries:
         assert len(res) == 8
         # the prediction at epoch 10 must come from the pre-gap window {3..6}
         i = int(np.flatnonzero(res.epochs_mjd == 10.0)[0])
-        w = compute_weights(10.0, epochs[2:6], 2.0)
+        w = weights_at(epochs[2:6], 10.0, 2.0)
         assert res.predicted_m[i] == pytest.approx(float(w @ values[2:6]), rel=1e-14)
         # step-by-step: the window holding epochs {5,6,10,11} predicts epoch 12
         j = int(np.flatnonzero(res.epochs_mjd == 12.0)[0])
-        w2 = compute_weights(12.0, epochs[4:8], 2.0)
+        w2 = weights_at(epochs[4:8], 12.0, 2.0)
         assert res.predicted_m[j] == pytest.approx(float(w2 @ values[4:8]), rel=1e-14)
 
     def test_recursive_error_accumulates_on_ramp(self):
@@ -553,11 +551,3 @@ class TestForecastSeries:
         mode = data.draw(st.sampled_from(list(Mode)))
         cfg = GrnnConfig(training_size=v, bandwidth=bw, mode=mode)
         assert_same_walk(comp_series(55000.0 + np.cumsum(spacings), values), cfg)
-
-    def test_seed_state_helper(self):
-        s = comp_series(np.arange(10.0) + 1.0, np.arange(10.0))
-        st8 = GrnnState.from_series(s, 4)
-        assert len(st8) == 4
-        assert st8.origins == (Origin.OBSERVED,) * 4
-        with pytest.raises(DataError):
-            GrnnState.from_series(s, 11)

@@ -14,7 +14,6 @@ from gnss_grnn import (
     compute_report,
     mean_abs_error,
     smape,
-    smape_as_printed,
     std_of_errors,
 )
 
@@ -43,12 +42,6 @@ class TestSmape:
 
     def test_bounded_by_100(self):
         assert smape(pairs([-5.0], [5.0])) == pytest.approx(100.0)
-
-    def test_as_printed_variant(self):
-        p = pairs([1.0, 0.5], [1.0, 1.0])
-        # sum of absolute errors over the last pair's denominator
-        assert smape_as_printed(p) == pytest.approx(100.0 * 0.5 / 1.5, rel=1e-14)
-        assert smape_as_printed(p, anchor=0) == pytest.approx(100.0 * 0.5 / 2.0, rel=1e-14)
 
     @given(
         scale=st.floats(min_value=1e-6, max_value=1e6),

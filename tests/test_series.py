@@ -17,7 +17,6 @@ from gnss_grnn import (
     SeriesState,
     StationSeries,
     amplitude,
-    compute_anomaly,
     decimal_year_to_mjd,
     detect_gaps,
     mean_center,
@@ -369,20 +368,26 @@ class TestDetectGaps:
         assert detect_gaps(s, 1.0).state is SeriesState.DISCONTINUOUS
 
 
+def anomaly(station, component):
+    """One component of the mean-centered station."""
+    centered, _ = mean_center(station)
+    return centered.component(component)
+
+
 class TestAnomalyAndAmplitude:
     def test_constant_series(self):
-        c = ComponentSeries(Component.X, [1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
-        np.testing.assert_array_equal(compute_anomaly(c).values_m, [0.0, 0.0, 0.0])
-        assert amplitude(c) == 0.0
+        s = make_station([1.0, 2.0, 3.0], x=[5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(anomaly(s, "X").values_m, [0.0, 0.0, 0.0])
+        assert amplitude(s.component("X")) == 0.0
 
     def test_hand_values(self):
-        c = ComponentSeries(Component.Y, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(compute_anomaly(c).values_m, [-1.0, 0.0, 1.0], atol=1e-15)
+        s = make_station([1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0])
+        np.testing.assert_allclose(anomaly(s, "Y").values_m, [-1.0, 0.0, 1.0], atol=1e-15)
 
     def test_single_point(self):
-        c = ComponentSeries(Component.Z, [7.0], [7.3])
-        assert compute_anomaly(c).values_m[0] == 0.0
-        assert amplitude(c) == 0.0
+        s = make_station([7.0], z=[7.3])
+        assert anomaly(s, "Z").values_m[0] == 0.0
+        assert amplitude(s.component("Z")) == 0.0
 
     def test_amplitude_hand_value(self):
         c = ComponentSeries(Component.X, [1.0, 2.0, 3.0], [0.10, -0.10, 0.05])
@@ -393,9 +398,9 @@ class TestAnomalyAndAmplitude:
                     min_size=1, max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_anomaly_mean_near_zero_and_amplitude_preserved(self, values):
-        epochs = np.arange(1.0, len(values) + 1.0)
-        c = ComponentSeries(Component.X, epochs, values)
-        anom = compute_anomaly(c)
+        s = make_station(np.arange(1.0, len(values) + 1.0), x=values)
+        c = s.component("X")
+        anom = anomaly(s, "X")
         scale = max(1.0, abs(float(np.mean(values))))
         assert abs(float(anom.values_m.mean())) < 1e-9 * scale
         assert amplitude(anom) >= 0.0
