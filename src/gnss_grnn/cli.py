@@ -142,22 +142,26 @@ def _default_jobs() -> int:
         raise argparse.ArgumentTypeError(f"GNSS_GRNN_JOBS: {exc}") from None
 
 
-def _add_common_model_flags(p: argparse.ArgumentParser, *, mode: bool = True) -> None:
-    p.add_argument("-v", "--training-size", type=int, default=100, metavar="V",
-                   help="rolling window length (default: 100)")
+def _add_common_model_flags(p: argparse.ArgumentParser, *, walk: bool = True) -> None:
+    """Register the model flags; ``walk=False`` leaves out ``-v`` and ``--mode``,
+    which fix the one walk a command runs (``sweep`` varies both itself)."""
+    if walk:
+        p.add_argument("-v", "--training-size", type=int, default=100, metavar="V",
+                       help="rolling window length (default: 100)")
     p.add_argument("--bandwidth", type=_bandwidth_spec, default=BandwidthRule.WINDOW_STD,
                    metavar="SPEC",
                    help="kernel bandwidth in days, or 'window-std' / 'mean-spacing' "
                         "(default: window-std)")
-    if mode:
+    if walk:
         p.add_argument("--mode", type=Mode, choices=[m.value for m in Mode],
                        default=Mode.RECURSIVE,
                        help="window update: feed predictions back (recursive) or use "
                             "observations (teacher-forced); default: recursive")
     p.add_argument("--basis", type=Basis, choices=[b.value for b in Basis],
                    default=Basis.RAW,
-                   help="work on raw values or mean-centered anomalies "
-                        "(outputs are always reported in raw units)")
+                   help="work on raw values or mean-centered anomalies; each "
+                        "component's mean is added back before scoring and "
+                        "printing, so outputs are always in raw units")
 
 
 def build_parser() -> _Parser:
@@ -196,7 +200,7 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="accuracy criteria per training size "
                                            "and update mode (CSV, one station)")
     p_sweep.add_argument("paths", nargs="+", type=Path)
-    _add_common_model_flags(p_sweep, mode=False)
+    _add_common_model_flags(p_sweep, walk=False)
     p_sweep.add_argument("--v-min", type=int, default=1)
     p_sweep.add_argument("--v-max", type=int, required=True)
     p_sweep.add_argument("--v-step", type=int, default=1)
@@ -236,20 +240,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_stations(paths: Sequence[Path]) -> list[StationSeries]:
-    return [parse_series(p) for p in paths]
-
-
-def _apply_basis(stations, basis):
-    """Center values when asked; keep offsets to restore raw units later."""
-    if basis is Basis.RAW:
-        return stations, [(0.0, 0.0, 0.0) for _ in stations]
-    centered, offsets = [], []
-    for s in stations:
-        c, off = mean_center(s)
-        centered.append(c)
-        offsets.append(off)
-    return centered, offsets
+def _load_stations(paths: Sequence[Path], basis: Basis = Basis.RAW) -> list[StationSeries]:
+    stations = [parse_series(p) for p in paths]
+    if basis is Basis.ANOMALY:
+        return [mean_center(s) for s in stations]
+    return stations
 
 
 def cmd_inspect(args) -> int:
@@ -270,7 +265,7 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _predict_rows(station, config, threshold, max_training, offsets):
+def _predict_rows(station, config, threshold, max_training):
     adaptive = threshold is not None
     forecast = forecast_series
     if adaptive:
@@ -282,12 +277,12 @@ def _predict_rows(station, config, threshold, max_training, offsets):
             mode=Mode.TEACHER_FORCED,
         )
         forecast = adaptive_forecast_series
-    for comp, off in zip(station.components, offsets):
+    for comp in station.components:
         with at_station(station.station_id):
             res = forecast(comp, config)
         for i in range(len(res)):
-            yhat = float(res.predicted_m[i]) + off
-            y = float(res.observed_m[i]) + off
+            yhat = float(res.predicted_m[i]) + comp.offset_m
+            y = float(res.observed_m[i]) + comp.offset_m
             row = {
                 "station": station.station_id,
                 "epoch_mjd": float(res.epochs_mjd[i]),
@@ -303,15 +298,13 @@ def _predict_rows(station, config, threshold, max_training, offsets):
 
 
 def cmd_predict(args) -> int:
-    stations = _load_stations(args.paths)
-    stations, offsets = _apply_basis(stations, args.basis)
+    stations = _load_stations(args.paths, args.basis)
     config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth,
                         mode=args.mode)
     rows = [
         row
-        for station, offs in zip(stations, offsets)
-        for row in _predict_rows(station, config, args.threshold,
-                                 args.max_training_size, offs)
+        for station in stations
+        for row in _predict_rows(station, config, args.threshold, args.max_training_size)
     ]
     with open_text(args.output or sys.stdout) as stream:
         if args.format == "json":
@@ -332,28 +325,20 @@ def cmd_sweep(args) -> int:
         raise DataError("sweep handles one station at a time")
     if args.v_min < 1 or args.v_max < args.v_min or args.v_step < 1:
         raise DataError("invalid training-size range")
-    station = _load_stations(args.paths)[0]
-    (station,), (offsets,) = _apply_basis([station], args.basis)
+    (station,) = _load_stations(args.paths, args.basis)
     config = GrnnConfig(training_size=args.v_min, bandwidth=args.bandwidth)
-    result = run_sweep(
-        station,
-        range(args.v_min, args.v_max + 1, args.v_step),
-        config,
-        value_offsets=offsets,
-    )
+    result = run_sweep(station, range(args.v_min, args.v_max + 1, args.v_step), config)
     write_sweep_csv(result, args.output or sys.stdout)
     return 0
 
 
 def cmd_compare(args) -> int:
-    stations = _load_stations(args.paths)
-    stations, offsets = _apply_basis(stations, args.basis)
+    stations = _load_stations(args.paths, args.basis)
     config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth,
                         mode=args.mode)
     reports = evaluate_stations(
         stations, config, args.theta_window,
-        theta_fit=args.theta_fit, gap_factor=args.gap_factor,
-        jobs=args.jobs, value_offsets=offsets,
+        theta_fit=args.theta_fit, gap_factor=args.gap_factor, jobs=args.jobs,
     )
     timing = None
     if args.time:

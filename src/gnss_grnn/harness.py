@@ -16,6 +16,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -166,7 +167,7 @@ class SweepResult:
 
 
 def _scored_pairs(result: ForecastResult, offset: float) -> PredictionPairs:
-    """Pairs for scoring, shifted back by ``offset`` when values were centered."""
+    """Pairs for scoring, shifted back by the component's ``offset_m``."""
     if offset == 0.0:
         return result.pairs()
     return PredictionPairs(
@@ -194,20 +195,17 @@ def run_sweep(
     v_values: Iterable[int],
     config: GrnnConfig | None = None,
     modes: Sequence[Mode] = (Mode.RECURSIVE, Mode.TEACHER_FORCED),
-    *,
-    value_offsets: tuple[float, float, float] | None = None,
 ) -> SweepResult:
     """Backtest each training size in ``v_values`` for every component.
 
     Whether the window update should feed predictions back or stick to
     observations is not obvious a priori, so the sweep runs the modes in
     ``modes`` and reports each. Every (v, mode) pair recomputes its walk
-    from scratch; nothing is reused across rows. ``value_offsets`` are
-    added back to predictions and truths before scoring, for callers
-    that pre-centered the component values.
+    from scratch; nothing is reused across rows. Each component's
+    ``offset_m`` is added back to predictions and truths before scoring,
+    so a mean-centered series scores as its raw positions.
     """
     config = config or GrnnConfig()
-    offsets = value_offsets or (0.0, 0.0, 0.0)
     sizes = sorted(set(int(v) for v in v_values))
     if not sizes:
         raise DataError("empty training-size range")
@@ -220,11 +218,11 @@ def run_sweep(
         raise DataError("refused: largest training size leaves fewer than 2 predictions")
     rows = []
     for v in sizes:
-        for comp, offset in zip(series.components, offsets):
+        for comp in series.components:
             for mode in modes:
                 with at_station(series.station_id):
                     result = forecast_series(comp, replace(config, training_size=v, mode=mode))
-                report = compute_report(_scored_pairs(result, offset))
+                report = compute_report(_scored_pairs(result, comp.offset_m))
                 rows.append(SweepRow(
                     training_size=v,
                     component=str(comp.component.value),
@@ -293,18 +291,17 @@ def evaluate_station(
     *,
     theta_fit: ThetaFit = ThetaFit.ROLLING,
     gap_factor: float = 1.5,
-    value_offsets: tuple[float, float, float] | None = None,
 ) -> StationReport:
     """Backtest both methods on one station and score them identically.
 
     The Theta window defaults to the kernel method's training size. When
     the two differ, both prediction lists are trimmed to the epochs both
     methods predicted, and that equality is checked before any criterion
-    is computed. ``value_offsets`` are added back before scoring, for
-    callers that pre-centered the component values.
+    is computed. Each component's ``offset_m`` is added back to
+    predictions and truths before scoring, so a mean-centered series
+    scores as its raw positions.
     """
     grnn_config = grnn_config or GrnnConfig()
-    offsets = value_offsets or (0.0, 0.0, 0.0)
     if theta_window is None:
         theta_window = grnn_config.training_size
     start = max(grnn_config.training_size, theta_window)
@@ -317,14 +314,14 @@ def evaluate_station(
     gaps: GapReport = detect_gaps(series, gap_factor)
     grnn_metrics: dict[str, MetricsReport] = {}
     theta_metrics: dict[str, MetricsReport] = {}
-    for comp, offset in zip(series.components, offsets):
+    for comp in series.components:
         with at_station(series.station_id):
             g = _align_tail(forecast_series(comp, grnn_config), keep)
         t = _align_tail(theta_backtest(comp, theta_window, fit=theta_fit), keep)
         if not np.array_equal(g.epochs_mjd, t.epochs_mjd):
             raise RuntimeError("methods were about to be scored on different epochs")
-        grnn_metrics[g.component] = compute_report(_scored_pairs(g, offset))
-        theta_metrics[t.component] = compute_report(_scored_pairs(t, offset))
+        grnn_metrics[g.component] = compute_report(_scored_pairs(g, comp.offset_m))
+        theta_metrics[t.component] = compute_report(_scored_pairs(t, comp.offset_m))
     return StationReport(
         station_id=series.station_id,
         country=series.country,
@@ -345,14 +342,6 @@ def evaluate_station(
     )
 
 
-def _evaluate_one(args) -> StationReport:
-    series, grnn_config, theta_window, theta_fit, gap_factor, value_offsets = args
-    return evaluate_station(
-        series, grnn_config, theta_window, theta_fit=theta_fit,
-        gap_factor=gap_factor, value_offsets=value_offsets,
-    )
-
-
 def evaluate_stations(
     stations: Sequence[StationSeries],
     grnn_config: GrnnConfig | None = None,
@@ -361,27 +350,21 @@ def evaluate_stations(
     theta_fit: ThetaFit = ThetaFit.ROLLING,
     gap_factor: float = 1.5,
     jobs: int = 1,
-    value_offsets: Sequence[tuple[float, float, float]] | None = None,
 ) -> list[StationReport]:
     """Evaluate many stations, optionally across worker processes.
 
     The report order always matches the input order, whatever the
     execution order was.
     """
-    offsets = value_offsets or [None] * len(stations)
-    if len(offsets) != len(stations):
-        raise DataError("one offsets triple per station required")
-    work = [
-        (s, grnn_config, theta_window, theta_fit, gap_factor, off)
-        for s, off in zip(stations, offsets)
-    ]
+    evaluate = partial(evaluate_station, grnn_config=grnn_config, theta_window=theta_window,
+                       theta_fit=theta_fit, gap_factor=gap_factor)
     if jobs <= 1 or len(stations) <= 1:
-        return [_evaluate_one(w) for w in work]
+        return list(map(evaluate, stations))
     # imported here: loading the pool machinery slows every serial start-up
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(stations))) as pool:
-        return list(pool.map(_evaluate_one, work))
+        return list(pool.map(evaluate, stations))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterator
@@ -81,12 +81,17 @@ class ComponentSeries:
     Attributes:
         component: which coordinate this is (X, Y or Z).
         epochs_mjd: epoch of each sample, MJD days.
-        values_m: coordinate value of each sample, meters.
+        values_m: coordinate value of each sample less ``offset_m``, meters.
+        offset_m: amount subtracted from the raw values, meters: the mean
+            that :func:`mean_center` removed, else 0. Backtests add it
+            back to predictions and truths before scoring or printing,
+            so criteria are always those of the raw positions.
     """
 
     component: Component
     epochs_mjd: np.ndarray
     values_m: np.ndarray
+    offset_m: float = 0.0
 
     def __post_init__(self) -> None:
         epochs = np.asarray(self.epochs_mjd, dtype=np.float64)
@@ -96,9 +101,13 @@ class ComponentSeries:
         _check_epochs(epochs)
         if not np.all(np.isfinite(values)):
             raise DataError("values must be finite")
+        offset = float(self.offset_m)
+        if not math.isfinite(offset):
+            raise DataError("offset must be finite")
         object.__setattr__(self, "component", Component(self.component))
         object.__setattr__(self, "epochs_mjd", _readonly(epochs))
         object.__setattr__(self, "values_m", _readonly(values))
+        object.__setattr__(self, "offset_m", offset)
 
     @property
     def count(self) -> int:
@@ -222,23 +231,18 @@ def amplitude(series: ComponentSeries) -> float:
     return float(values.max() - values.min())
 
 
-def mean_center(series: StationSeries) -> tuple[StationSeries, tuple[float, float, float]]:
-    """Mean-center every component; return the centered series and the offsets.
+def mean_center(series: StationSeries) -> StationSeries:
+    """Mean-center every component.
 
-    Adding each offset back to a component's values (or predictions made
-    from them) restores the original representation.
+    Each centered component carries the mean it lost in ``offset_m``, so
+    predictions made from it are shifted back to raw units before they
+    are scored or printed.
     """
-    offsets = tuple(float(c.values_m.mean()) for c in series.components)
-    centered = StationSeries(
-        station_id=series.station_id,
-        components=tuple(
-            ComponentSeries(c.component, c.epochs_mjd, c.values_m - off)
-            for c, off in zip(series.components, offsets)
-        ),
-        country=series.country,
-        nominal_interval_days=series.nominal_interval_days,
-    )
-    return centered, offsets
+    means = [float(c.values_m.mean()) for c in series.components]
+    return replace(series, components=tuple(
+        ComponentSeries(c.component, c.epochs_mjd, c.values_m - m, c.offset_m + m)
+        for c, m in zip(series.components, means)
+    ))
 
 
 def _decode_lines(source: str | Path | IO[bytes] | IO[str]) -> tuple[str, list[str]]:

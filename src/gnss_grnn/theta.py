@@ -4,8 +4,7 @@ The model fits a slope over ordinal in-window positions ``t = 1..p`` (not
 epochs) and forecasts by extending the line through the first two window
 values while adding the slope-scaled, horizon-weighted sum of the
 window's second differences. One-step-ahead forecasts never need values
-beyond the window; further horizons truncate the curvature sum at the
-last formable second difference.
+beyond the window.
 
 This is the two-term variant only, not the full multi-line decomposition
 with exponential-smoothing recombination found elsewhere in the
@@ -31,7 +30,7 @@ class ThetaFit(str, Enum):
     GLOBAL = "global"      # fit once on the first window, reuse everywhere
 
 
-def estimate_theta(values: np.ndarray | ComponentSeries) -> float:
+def estimate_theta(values: np.ndarray) -> float:
     """Slope of the fitted trend line over ordinal positions ``t = 1..p``.
 
     Computed in centered form,
@@ -41,8 +40,6 @@ def estimate_theta(values: np.ndarray | ComponentSeries) -> float:
     but does not cancel catastrophically on large-offset coordinates.
     Equals the least-squares slope: linear input ``a + b t`` returns ``b``.
     """
-    if isinstance(values, ComponentSeries):
-        values = values.values_m
     y = np.asarray(values, dtype=np.float64)
     p = y.size
     if p < 2:
@@ -77,40 +74,28 @@ class ThetaModel:
     def p(self) -> int:
         return int(self.values_m.size)
 
-    @property
-    def y1(self) -> float:
-        return float(self.values_m[0])
 
-    @property
-    def y2(self) -> float:
-        return float(self.values_m[1])
-
-
-def fit_theta_model(values: np.ndarray | ComponentSeries) -> ThetaModel:
+def fit_theta_model(values: np.ndarray) -> ThetaModel:
     """Estimate the slope on a training window and package the model."""
-    if isinstance(values, ComponentSeries):
-        values = values.values_m
     return ThetaModel(theta=estimate_theta(values), values_m=values)
 
 
-def theta_forecast(model: ThetaModel, k: int, *, horizon: int = 1) -> float:
+def theta_forecast(model: ThetaModel, k: int) -> float:
     """Forecast the value at ordinal position ``k`` (1-based, ``k >= 3``).
 
     ``yhat_k = y1 + (k - 1)(y2 - y1)
               + theta * sum_{t=2}^{k-1} (k - t)(y_{t+1} - 2 y_t + y_{t-1})``
 
-    For ``k > p`` the curvature sum is truncated at ``t = p - 1``, the
-    last position whose second difference is formable from the window;
-    one step ahead (``k = p + 1``) this truncation drops nothing that
-    could have been computed. ``k`` may reach at most ``p + horizon``.
+    ``k`` may reach at most ``p + 1``, one step ahead, where the curvature
+    sum is truncated at ``t = p - 1``, the last position whose second
+    difference is formable from the window; the truncation drops nothing
+    that could have been computed.
     """
     if k < 3:
         raise DataError(f"k out of range: forecast position must be >= 3, got {k}")
-    if horizon < 1:
-        raise DataError("horizon must be >= 1")
     p = model.p
-    if k > p + horizon:
-        raise DataError(f"k out of range: at most p + horizon = {p + horizon}, got {k}")
+    if k > p + 1:
+        raise DataError(f"k out of range: at most p + 1 = {p + 1}, got {k}")
     y = model.values_m
     t_hi = min(k - 1, p - 1)  # inclusive upper bound of the curvature sum
     # second differences at t = 2..t_hi (1-based): y[t+1] - 2 y[t] + y[t-1]

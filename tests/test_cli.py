@@ -206,13 +206,34 @@ class TestSweep:
                               "bandwidth too small: ")
         assert "predicting component X at MJD " in err
 
-    def test_mode_flag_is_a_usage_error(self, station_file, capsys):
-        # sweep always runs both update modes, so it must not accept --mode
+    @pytest.mark.parametrize("flag, value", [("--mode", "recursive"), ("-v", "7"),
+                                             ("--training-size", "7")])
+    def test_mode_flag_is_a_usage_error(self, station_file, capsys, flag, value):
+        # sweep always runs both update modes and takes its training sizes
+        # from --v-min/--v-max, so it must not accept --mode or -v
         path = station_file(length=60)
         with pytest.raises(SystemExit) as exc:
-            run_cli("sweep", path, "--v-max", "2", "--mode", "recursive")
+            run_cli("sweep", path, "--v-max", "2", flag, value)
         assert exc.value.code == 1
-        assert "--mode" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_basis_anomaly_matches_raw(self, station_file, capsys):
+        # the CSV prints 7 significant digits of sMAPE and 6 decimals of
+        # meters; the two bases may round to neighbouring last digits
+        path = station_file(length=120)
+        rows = {}
+        for basis in ("raw", "anomaly"):
+            assert run_cli("sweep", path, "--v-min", "3", "--v-max", "9", "--v-step", "3",
+                           "--basis", basis) == 0
+            rows[basis] = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows["raw"]) == len(rows["anomaly"]) == 18
+        for a, b in zip(rows["raw"], rows["anomaly"]):
+            assert [b[k] for k in ("v", "component", "mode", "n")] == \
+                   [a[k] for k in ("v", "component", "mode", "n")]
+            assert float(b["smape_percent"]) == pytest.approx(float(a["smape_percent"]),
+                                                              rel=2e-6)
+            for key in ("std_m", "mabs_m"):
+                assert float(b[key]) == pytest.approx(float(a[key]), abs=2e-6)
 
     def test_seed_flag_is_a_usage_error(self, station_file, capsys):
         # only compare writes the seed; sweep must not take it and ignore it
@@ -248,14 +269,35 @@ class TestCompare:
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
         assert (d1 / "stations.csv").read_bytes() == (d2 / "stations.csv").read_bytes()
 
-    def test_jobs_do_not_change_results(self, station_file, tmp_path):
+    @pytest.mark.parametrize("basis", ["raw", "anomaly"])
+    def test_jobs_do_not_change_results(self, station_file, tmp_path, basis):
+        # in the anomaly basis the offsets cross the pool inside the series
         paths = [station_file(name=f"j{i}", seed=20 + i, length=200) for i in range(3)]
         d1, d2 = tmp_path / "serial", tmp_path / "parallel"
         assert run_cli("compare", *paths, "-v", "20", "--output-dir", d1,
-                       "--jobs", "1") == 0
+                       "--jobs", "1", "--basis", basis) == 0
         assert run_cli("compare", *paths, "-v", "20", "--output-dir", d2,
-                       "--jobs", "3") == 0
+                       "--jobs", "3", "--basis", basis) == 0
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
+        assert (d1 / "stations.csv").read_bytes() == (d2 / "stations.csv").read_bytes()
+
+    def test_basis_anomaly_matches_raw(self, station_file, tmp_path):
+        # criteria are millimetre-sized errors of ~4e6 m coordinates, so the
+        # bases agree to the coordinates' float spacing, not to 1e-9
+        paths = [station_file(name=f"b{i}", seed=30 + i, length=150) for i in range(2)]
+        docs = {}
+        for basis in ("raw", "anomaly"):
+            out = tmp_path / basis
+            assert run_cli("compare", *paths, "-v", "20", "--output-dir", out,
+                           "--jobs", "1", "--basis", basis) == 0
+            docs[basis] = json.loads((out / "report.json").read_text())
+        assert docs["anomaly"]["run"]["basis"] == "anomaly"
+        for a, b in zip(docs["raw"]["stations"], docs["anomaly"]["stations"]):
+            for method in ("grnn", "theta"):
+                for comp in ("X", "Y", "Z"):
+                    for key in ("smape_percent", "std_m", "mabs_m"):
+                        assert b["metrics"][method][comp][key] == pytest.approx(
+                            a["metrics"][method][comp][key], rel=1e-6)
 
     def test_timing_flag_adds_section(self, station_file, tmp_path):
         path = station_file(name="timed", length=250)

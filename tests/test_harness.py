@@ -179,15 +179,15 @@ class TestEvaluateStation:
         with pytest.raises(DataError, match="series too short"):
             evaluate_station(s, GrnnConfig(training_size=11))
 
-    def test_value_offsets_restore_raw_scoring(self):
+    def test_component_offsets_restore_raw_scoring(self):
         from gnss_grnn import mean_center
         s = generate_synthetic(
             SyntheticKind.TREND_PLUS_ANNUAL, 300, 5, SyntheticParams(noise_std_m=1e-3)
         )
-        centered, offsets = mean_center(s)
+        centered = mean_center(s)
         cfg = GrnnConfig(training_size=20, mode=Mode.TEACHER_FORCED)
         raw = evaluate_station(s, cfg)
-        shifted = evaluate_station(centered, cfg, value_offsets=offsets)
+        shifted = evaluate_station(centered, cfg)
         for comp in ("X", "Y", "Z"):
             assert shifted.grnn_metrics[comp].smape_percent == pytest.approx(
                 raw.grnn_metrics[comp].smape_percent, rel=1e-6

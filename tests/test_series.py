@@ -308,6 +308,11 @@ class TestValidation:
         with pytest.raises(DataError):
             ComponentSeries(Component.X, [-1.0, 2.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("offset", [math.nan, math.inf])
+    def test_non_finite_offset(self, offset):
+        with pytest.raises(DataError, match="offset must be finite"):
+            ComponentSeries(Component.X, [1.0, 2.0], [0.0, 0.0], offset)
+
     def test_mismatched_axes(self):
         e = np.array([1.0, 2.0, 3.0])
         comps = (
@@ -370,8 +375,7 @@ class TestDetectGaps:
 
 def anomaly(station, component):
     """One component of the mean-centered station."""
-    centered, _ = mean_center(station)
-    return centered.component(component)
+    return mean_center(station).component(component)
 
 
 class TestAnomalyAndAmplitude:
@@ -408,10 +412,11 @@ class TestAnomalyAndAmplitude:
 
     def test_mean_center_round_trips(self):
         s = make_station([1.0, 2.0, 3.0], x=[4.0, 5.0, 6.0], y=[7.0, 7.0, 7.0], z=[0.0, 1.0, -1.0])
-        centered, offsets = mean_center(s)
-        assert offsets == (5.0, 7.0, 0.0)
-        for comp, off in zip(("X", "Y", "Z"), offsets):
+        centered = mean_center(s)
+        assert tuple(c.offset_m for c in centered.components) == (5.0, 7.0, 0.0)
+        for comp in ("X", "Y", "Z"):
+            c = centered.component(comp)
             np.testing.assert_allclose(
-                centered.component(comp).values_m + off,
+                c.values_m + c.offset_m,
                 s.component(comp).values_m, rtol=0, atol=1e-12,
             )

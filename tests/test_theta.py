@@ -90,8 +90,7 @@ class TestThetaForecast:
         with pytest.raises(DataError, match="k out of range"):
             theta_forecast(model, 2)
         with pytest.raises(DataError, match="k out of range"):
-            theta_forecast(model, 5)  # beyond p + 1 with default horizon
-        assert theta_forecast(model, 5, horizon=2) == theta_forecast(model, 5, horizon=3)
+            theta_forecast(model, 5)  # beyond p + 1
 
     def test_matches_exact_transcription_in_sample(self):
         rng = np.random.default_rng(4)
