@@ -36,6 +36,7 @@ from .harness import (
     write_reports_json,
     write_sweep_csv,
 )
+from .metrics import RATIO_LABELS
 from .series import StationSeries, amplitude, detect_gaps, mean_center, open_text, parse_series
 from .theta import ThetaFit
 
@@ -88,6 +89,10 @@ class _Parser(argparse.ArgumentParser):
                     setattr(namespace, dest, fallback())
                 except argparse.ArgumentTypeError as exc:
                     self.error(str(exc))
+        # argparse parses a subcommand through this method too, and would
+        # otherwise leave its leftovers to the root parser's usage line
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
         return namespace, extras
 
     def error(self, message: str):
@@ -115,14 +120,19 @@ def _bandwidth_spec(text: str):
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _default_jobs() -> int:
@@ -228,8 +238,8 @@ def build_parser() -> _Parser:
     p_compare.add_argument("--time", action="store_true",
                            help="also time both methods (adds nondeterministic "
                                 "wall-clock numbers to the report)")
-    p_compare.add_argument("--reps", type=int, default=None,
-                           help="timing repetitions, median reported "
+    p_compare.add_argument("--reps", type=_int_at_least(3), default=None,
+                           help="timing repetitions, median reported, at least 3 "
                                 "(requires --time; default: 3)")
     p_compare.add_argument("--jobs", type=_positive_int, default=None,
                            help="worker processes across stations, at least 1 "
@@ -355,11 +365,8 @@ def cmd_compare(args) -> int:
     write_reports_csv(reports, csv_path)
 
     for comp, agg in comparison.aggregated.items():
-        parts = []
-        for label, value in (("sMAPE", agg.smape_ratio), ("StD", agg.std_ratio),
-                             ("MAbs", agg.mabs_ratio)):
-            parts.append(f"{label} {value:.6g}" if value is not None
-                         else f"{label} undefined")
+        parts = (f"{RATIO_LABELS[key]} " + ("undefined" if value is None else f"{value:.6g}")
+                 for key, value in agg.ratios.items())
         print(f"{comp}: " + ", ".join(parts))
     if comparison.time_ratio is not None:
         print(f"time ratio (kernel/theta): {comparison.time_ratio:.3f}")

@@ -208,8 +208,6 @@ class ForecastResult:
     """
 
     component: str
-    mode: Mode
-    training_size: int
     epochs_mjd: np.ndarray
     predicted_m: np.ndarray
     observed_m: np.ndarray
@@ -275,8 +273,6 @@ def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResu
         n_window_predicted = np.zeros(n - v, dtype=np.int64)
     return ForecastResult(
         component=str(series.component.value),
-        mode=config.mode,
-        training_size=v,
         epochs_mjd=epochs[v:],
         predicted_m=buffer[v:],
         observed_m=observed[v:],

@@ -14,7 +14,7 @@ import math
 import statistics
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -24,7 +24,15 @@ import numpy as np
 
 from .errors import BandwidthTooSmallError, DataError
 from .grnn import BandwidthRule, ForecastResult, GrnnConfig, Mode, forecast_series
-from .metrics import MetricsReport, PredictionPairs, compute_report
+from .metrics import (
+    CRITERIA,
+    Criteria,
+    MetricsReport,
+    PredictionPairs,
+    compute_report,
+    criteria_ratios,
+    mean_criteria,
+)
 from .series import (
     Component,
     ComponentSeries,
@@ -152,10 +160,7 @@ class SweepRow:
     training_size: int
     component: str
     mode: Mode
-    smape_percent: float
-    std_m: float
-    mabs_m: float
-    n: int
+    metrics: MetricsReport
 
 
 @dataclass(frozen=True)
@@ -222,15 +227,11 @@ def run_sweep(
             for mode in modes:
                 with at_station(series.station_id):
                     result = forecast_series(comp, replace(config, training_size=v, mode=mode))
-                report = compute_report(_scored_pairs(result, comp.offset_m))
                 rows.append(SweepRow(
                     training_size=v,
                     component=str(comp.component.value),
                     mode=Mode(mode),
-                    smape_percent=report.smape_percent,
-                    std_m=report.std_m,
-                    mabs_m=report.mabs_m,
-                    n=report.n,
+                    metrics=compute_report(_scored_pairs(result, comp.offset_m)),
                 ))
     return SweepResult(station_id=series.station_id, rows=tuple(rows))
 
@@ -448,35 +449,29 @@ def time_methods(
 
 @dataclass(frozen=True)
 class ComponentComparison:
-    """Accuracy ratios (kernel method over Theta) for one component.
+    """Station-averaged criteria of both methods for one component, and
+    their ratios (kernel method over Theta) by ratio key.
 
-    A ratio is ``None`` when the Theta denominator is zero; the raw
-    aggregates are always kept so the undefined case stays auditable.
+    A ratio is ``None`` when the Theta denominator is zero; the averaged
+    criteria are always kept so the undefined case stays auditable.
     """
 
-    smape_ratio: float | None
-    std_ratio: float | None
-    mabs_ratio: float | None
-    grnn_smape_percent: float
-    grnn_std_m: float
-    grnn_mabs_m: float
-    theta_smape_percent: float
-    theta_std_m: float
-    theta_mabs_m: float
+    ratios: dict[str, float | None]
+    grnn: Criteria
+    theta: Criteria
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Station-aggregated accuracy ratios plus the optional timing ratio."""
+    """Station-aggregated accuracy ratios plus the optional timing."""
 
     aggregated: dict[str, ComponentComparison]
     per_station: tuple[dict, ...]
-    time_ratio: float | None
     timing: MethodTiming | None
 
-
-def _ratio(num: float, den: float) -> float | None:
-    return None if den == 0.0 else num / den
+    @property
+    def time_ratio(self) -> float | None:
+        return self.timing.time_ratio if self.timing is not None else None
 
 
 def compare_methods(
@@ -493,59 +488,23 @@ def compare_methods(
         raise DataError("need at least one station report")
     aggregated: dict[str, ComponentComparison] = {}
     for comp in _COMPONENTS:
-        g_smape = float(np.mean([r.grnn_metrics[comp].smape_percent for r in reports]))
-        g_std = float(np.mean([r.grnn_metrics[comp].std_m for r in reports]))
-        g_mabs = float(np.mean([r.grnn_metrics[comp].mabs_m for r in reports]))
-        t_smape = float(np.mean([r.theta_metrics[comp].smape_percent for r in reports]))
-        t_std = float(np.mean([r.theta_metrics[comp].std_m for r in reports]))
-        t_mabs = float(np.mean([r.theta_metrics[comp].mabs_m for r in reports]))
-        aggregated[comp] = ComponentComparison(
-            smape_ratio=_ratio(g_smape, t_smape),
-            std_ratio=_ratio(g_std, t_std),
-            mabs_ratio=_ratio(g_mabs, t_mabs),
-            grnn_smape_percent=g_smape,
-            grnn_std_m=g_std,
-            grnn_mabs_m=g_mabs,
-            theta_smape_percent=t_smape,
-            theta_std_m=t_std,
-            theta_mabs_m=t_mabs,
-        )
+        grnn = mean_criteria([r.grnn_metrics[comp] for r in reports])
+        theta = mean_criteria([r.theta_metrics[comp] for r in reports])
+        aggregated[comp] = ComponentComparison(criteria_ratios(grnn, theta), grnn, theta)
     per_station = tuple(
         {
             "station_id": r.station_id,
-            **{
-                comp: {
-                    "smape_ratio": _ratio(
-                        r.grnn_metrics[comp].smape_percent, r.theta_metrics[comp].smape_percent
-                    ),
-                    "std_ratio": _ratio(r.grnn_metrics[comp].std_m, r.theta_metrics[comp].std_m),
-                    "mabs_ratio": _ratio(r.grnn_metrics[comp].mabs_m, r.theta_metrics[comp].mabs_m),
-                }
-                for comp in _COMPONENTS
-            },
+            **{comp: criteria_ratios(r.grnn_metrics[comp], r.theta_metrics[comp])
+               for comp in _COMPONENTS},
         }
         for r in reports
     )
-    return ComparisonReport(
-        aggregated=aggregated,
-        per_station=per_station,
-        time_ratio=timing.time_ratio if timing is not None else None,
-        timing=timing,
-    )
+    return ComparisonReport(aggregated=aggregated, per_station=per_station, timing=timing)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def _metrics_dict(report: MetricsReport) -> dict:
-    return {
-        "smape_percent": report.smape_percent,
-        "std_m": report.std_m,
-        "mabs_m": report.mabs_m,
-        "n": report.n,
-    }
-
 
 def _settings_dict(settings: EvaluationSettings) -> dict:
     bw = settings.grnn.bandwidth
@@ -579,48 +538,31 @@ def station_report_dict(report: StationReport) -> dict:
         "largest_gap_days": report.largest_gap_days,
         "n_predictions": report.n_predictions,
         "metrics": {
-            "grnn": {c: _metrics_dict(report.grnn_metrics[c]) for c in _COMPONENTS},
-            "theta": {c: _metrics_dict(report.theta_metrics[c]) for c in _COMPONENTS},
+            "grnn": {c: asdict(report.grnn_metrics[c]) for c in _COMPONENTS},
+            "theta": {c: asdict(report.theta_metrics[c]) for c in _COMPONENTS},
         },
         "settings": _settings_dict(report.settings),
     }
 
 
 def comparison_report_dict(comparison: ComparisonReport) -> dict:
-    doc: dict = {
+    timing = comparison.timing
+    return {
         "aggregated": {
-            comp: {
-                "smape_ratio": c.smape_ratio,
-                "std_ratio": c.std_ratio,
-                "mabs_ratio": c.mabs_ratio,
-                "grnn": {
-                    "smape_percent": c.grnn_smape_percent,
-                    "std_m": c.grnn_std_m,
-                    "mabs_m": c.grnn_mabs_m,
-                },
-                "theta": {
-                    "smape_percent": c.theta_smape_percent,
-                    "std_m": c.theta_std_m,
-                    "mabs_m": c.theta_mabs_m,
-                },
-            }
+            comp: {**c.ratios, "grnn": asdict(c.grnn), "theta": asdict(c.theta)}
             for comp, c in comparison.aggregated.items()
         },
         "per_station": list(comparison.per_station),
         "time_ratio": comparison.time_ratio,
+        "timing": None if timing is None else {
+            "grnn_seconds": list(timing.grnn_seconds),
+            "theta_seconds": list(timing.theta_seconds),
+            "grnn_median_s": timing.grnn_median,
+            "theta_median_s": timing.theta_median,
+            "workload_predictions": timing.workload_predictions,
+            "theta_predictions": timing.theta_predictions,
+        },
     }
-    if comparison.timing is not None:
-        doc["timing"] = {
-            "grnn_seconds": list(comparison.timing.grnn_seconds),
-            "theta_seconds": list(comparison.timing.theta_seconds),
-            "grnn_median_s": comparison.timing.grnn_median,
-            "theta_median_s": comparison.timing.theta_median,
-            "workload_predictions": comparison.timing.workload_predictions,
-            "theta_predictions": comparison.timing.theta_predictions,
-        }
-    else:
-        doc["timing"] = None
-    return doc
 
 
 def write_reports_json(
@@ -648,40 +590,24 @@ def write_reports_json(
         stream.write("\n")
 
 
-def _fmt_m(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def _fmt_smape(x: float) -> str:
-    # fixed-point would print 0.000000 for earth-centered magnitudes
-    return f"{x:.6e}"
-
-
 def write_reports_csv(reports: Sequence[StationReport], dest: str | Path | IO[str]) -> None:
     """One summary row per station/component/method (lossy 6-decimal floats)."""
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(
-            ["station", "span", "state", "component", "method",
-             "smape_percent", "std_m", "mabs_m"]
-        )
+        writer.writerow(["station", "span", "state", "component", "method",
+                         *(f.name for f in CRITERIA)])
         for r in reports:
             for method, metrics in (("grnn", r.grnn_metrics), ("theta", r.theta_metrics)):
                 for comp in _COMPONENTS:
-                    m = metrics[comp]
-                    writer.writerow([
-                        r.station_id, r.span_label, r.state.value, comp, method,
-                        _fmt_smape(m.smape_percent), _fmt_m(m.std_m), _fmt_m(m.mabs_m),
-                    ])
+                    writer.writerow([r.station_id, r.span_label, r.state.value, comp, method,
+                                     *metrics[comp].printed()])
 
 
 def write_sweep_csv(result: SweepResult, dest: str | Path | IO[str]) -> None:
     """Sweep rows as plot-ready CSV: v, component, mode, then the criteria."""
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["v", "component", "mode", "smape_percent", "std_m", "mabs_m", "n"])
+        writer.writerow(["v", "component", "mode", *(f.name for f in CRITERIA), "n"])
         for row in result.rows:
-            writer.writerow([
-                row.training_size, row.component, row.mode.value,
-                _fmt_smape(row.smape_percent), _fmt_m(row.std_m), _fmt_m(row.mabs_m), row.n,
-            ])
+            writer.writerow([row.training_size, row.component, row.mode.value,
+                             *row.metrics.printed(), row.metrics.n])

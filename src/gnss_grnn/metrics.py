@@ -3,11 +3,14 @@
 Residuals are defined as truth minus prediction. sMAPE uses per-pair
 denominators ``|y| + |yhat|``, is averaged over the pairs and scaled to
 percent; the classical factor-2 variant is deliberately not used.
+:class:`Criteria` is the one record of the three; every report, ratio
+and writer reuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -44,19 +47,57 @@ class PredictionPairs:
         return self.observed_m - self.predicted_m
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    """The three accuracy criteria plus the residuals they came from.
+def _criterion(label: str, ratio_key: str, fmt: str):
+    return field(metadata={"label": label, "ratio_key": ratio_key, "format": fmt})
 
-    Residuals are retained for audit only; serializers emit the scalar
-    criteria and the pair count.
+
+@dataclass(frozen=True)
+class Criteria:
+    """The three accuracy criteria, in reporting order.
+
+    Each field carries the label the CLI prints, the key of its
+    kernel-over-Theta ratio and its CSV format.
     """
 
-    smape_percent: float
-    std_m: float
-    mabs_m: float
+    smape_percent: float = _criterion("sMAPE", "smape_ratio", ".6e")
+    std_m: float = _criterion("StD", "std_ratio", ".6f")
+    mabs_m: float = _criterion("MAbs", "mabs_ratio", ".6f")
+
+    def printed(self) -> list[str]:
+        """The criteria as the CSV writers print them (lossy).
+
+        sMAPE is in exponent form: fixed-point would print 0.000000 for
+        earth-centered magnitudes.
+        """
+        return [format(getattr(self, f.name), f.metadata["format"]) for f in CRITERIA]
+
+
+#: The criterion fields, in reporting order.
+CRITERIA = fields(Criteria)
+
+#: The printed label of each ratio key.
+RATIO_LABELS = {f.metadata["ratio_key"]: f.metadata["label"] for f in CRITERIA}
+
+
+@dataclass(frozen=True)
+class MetricsReport(Criteria):
+    """The criteria of one set of prediction pairs, and how many pairs."""
+
     n: int
-    residuals_m: np.ndarray
+
+
+def mean_criteria(items: Sequence[Criteria]) -> Criteria:
+    """Each criterion averaged over ``items``."""
+    return Criteria(*(float(np.mean([getattr(c, f.name) for c in items])) for f in CRITERIA))
+
+
+def criteria_ratios(num: Criteria, den: Criteria) -> dict[str, float | None]:
+    """``num / den`` per criterion, by ratio key; ``None`` where ``den`` is 0."""
+    return {
+        f.metadata["ratio_key"]: None if getattr(den, f.name) == 0.0
+        else getattr(num, f.name) / getattr(den, f.name)
+        for f in CRITERIA
+    }
 
 
 def smape(pairs: PredictionPairs) -> float:
@@ -97,5 +138,4 @@ def compute_report(pairs: PredictionPairs) -> MetricsReport:
         std_m=std_of_errors(pairs),
         mabs_m=mean_abs_error(pairs),
         n=pairs.n,
-        residuals_m=pairs.residuals_m,
     )

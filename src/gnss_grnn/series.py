@@ -386,15 +386,20 @@ def open_text(dest: str | Path | IO[str]) -> Iterator[IO[str]]:
 
 
 def write_series_csv(series: StationSeries, dest: str | Path | IO[str]) -> None:
-    """Write ``series`` in the canonical MJD CSV schema.
+    """Write ``series`` in the canonical MJD CSV schema, as raw positions.
 
+    A component's ``offset_m`` is added back, so a mean-centered series
+    reads back as the raw station, up to the rounding of that addition.
     Floats are written in shortest round-trip form, so parsing the output
-    reproduces every epoch and value bit for bit.
+    reproduces every epoch, and every value of an offset-0 component, bit
+    for bit.
     """
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_HEADER_MJD)
-        x, y, z = (c.values_m for c in series.components)
+        # no addition at offset 0, which would turn -0.0 into 0.0
+        x, y, z = (c.values_m + c.offset_m if c.offset_m else c.values_m
+                   for c in series.components)
         for i, epoch in enumerate(series.epochs_mjd):
             writer.writerow([repr(float(epoch)), repr(float(x[i])),
                              repr(float(y[i])), repr(float(z[i]))])

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .grnn import ForecastResult, Mode
+from .grnn import ForecastResult
 from .series import ComponentSeries
 
 
@@ -139,8 +139,6 @@ def theta_backtest(
         predicted[i - window] = theta_forecast(model, k)
     return ForecastResult(
         component=str(series.component.value),
-        mode=Mode.TEACHER_FORCED,
-        training_size=window,
         epochs_mjd=series.epochs_mjd[window:],
         predicted_m=predicted,
         observed_m=values[window:],

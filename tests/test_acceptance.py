@@ -164,9 +164,9 @@ def test_p4_training_size_sweep_direction():
     by_key = {(r.training_size, r.component): r for r in result.rows}
     for comp in ("X", "Y", "Z"):
         small, large = by_key[(1, comp)], by_key[(100, comp)]
-        assert large.smape_percent < small.smape_percent
-        assert large.std_m < small.std_m
-        assert large.mabs_m < small.mabs_m
+        assert large.metrics.smape_percent < small.metrics.smape_percent
+        assert large.metrics.std_m < small.metrics.std_m
+        assert large.metrics.mabs_m < small.metrics.mabs_m
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _ok(f"P4 PASS - all three criteria shrink from v=1 to v=100 in {elapsed:.2f}s")

@@ -92,7 +92,9 @@ class TestPredict:
         with pytest.raises(SystemExit) as exc:
             run_cli("predict", path, "-v", "5", "--seed", "7")
         assert exc.value.code == 1
-        assert "--seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gnss-grnn predict ")
+        assert "unrecognized arguments: --seed 7" in err
 
     def test_max_training_size_without_threshold_is_a_usage_error(self, station_file,
                                                                   capsys):
@@ -215,7 +217,10 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", path, "--v-max", "2", flag, value)
         assert exc.value.code == 1
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the usage line is the subcommand's, not the root parser's
+        assert err.startswith("usage: gnss-grnn sweep ")
+        assert f"unrecognized arguments: {flag} {value}" in err
 
     def test_basis_anomaly_matches_raw(self, station_file, capsys):
         # the CSV prints 7 significant digits of sMAPE and 6 decimals of
@@ -241,7 +246,9 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", path, "--v-max", "2", "--seed", "7")
         assert exc.value.code == 1
-        assert "--seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gnss-grnn sweep ")
+        assert "unrecognized arguments: --seed 7" in err
 
 
 class TestCompare:
@@ -325,6 +332,24 @@ class TestCompare:
                     "--output-dir", tmp_path)
         assert exc.value.code == 1
         assert "--reps requires --time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["2", "0"])
+    def test_reps_below_three_fails_before_any_backtest(self, station_file, tmp_path, capsys,
+                                                         monkeypatch, reps):
+        # the median needs 3 samples; refusing late would waste every backtest
+        def evaluate_station(*args, **kwargs):
+            raise AssertionError("a backtest ran")
+
+        monkeypatch.setattr(gnss_grnn.harness, "evaluate_station", evaluate_station)
+        path = station_file(length=60)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", path, "-v", "5", "--time", "--reps", reps, "--jobs", "1",
+                    "--output-dir", tmp_path)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gnss-grnn compare ")
+        assert "argument --reps: must be at least 3" in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, station_file, tmp_path, capsys, jobs):

@@ -83,9 +83,9 @@ class TestRunSweep:
         result = run_sweep(s, range(1, 6))
         assert len(result.rows) == 5 * 3 * 2
         for row in result.rows:
-            assert row.smape_percent == 0.0
-            assert row.std_m == 0.0
-            assert row.mabs_m == 0.0
+            assert row.metrics.smape_percent == 0.0
+            assert row.metrics.std_m == 0.0
+            assert row.metrics.mabs_m == 0.0
 
     def test_single_v_single_mode(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 50, 0)
@@ -93,7 +93,7 @@ class TestRunSweep:
         assert len(result.rows) == 3
         assert {r.component for r in result.rows} == {"X", "Y", "Z"}
         assert all(r.training_size == 1 for r in result.rows)
-        assert all(r.n == 49 for r in result.rows)
+        assert all(r.metrics.n == 49 for r in result.rows)
 
     def test_direction_on_trend_plus_annual(self):
         params = SyntheticParams(slope_m_per_day=5e-5, annual_amplitude_m=0.005,
@@ -106,9 +106,9 @@ class TestRunSweep:
         by_key = {(r.training_size, r.component): r for r in result.rows}
         for comp in ("X", "Y", "Z"):
             small, large = by_key[(1, comp)], by_key[(100, comp)]
-            assert large.smape_percent < small.smape_percent
-            assert large.std_m < small.std_m
-            assert large.mabs_m < small.mabs_m
+            assert large.metrics.smape_percent < small.metrics.smape_percent
+            assert large.metrics.std_m < small.metrics.std_m
+            assert large.metrics.mabs_m < small.metrics.mabs_m
 
     def test_refusals(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
@@ -196,6 +196,24 @@ class TestEvaluateStation:
                 raw.grnn_metrics[comp].mabs_m, rel=1e-6, abs=1e-12
             )
 
+    def test_centered_station_csv_round_trip_scores_as_raw(self):
+        from gnss_grnn import mean_center, parse_series, write_series_csv
+        s = generate_synthetic(
+            SyntheticKind.TREND_PLUS_ANNUAL, 300, 5, SyntheticParams(noise_std_m=1e-3)
+        )
+        buf = io.StringIO()
+        write_series_csv(mean_center(s), buf)
+        again = parse_series(io.StringIO(buf.getvalue()), station_id=s.station_id)
+        cfg = GrnnConfig(training_size=20, mode=Mode.TEACHER_FORCED)
+        raw = evaluate_station(s, cfg)
+        read_back = evaluate_station(again, cfg)
+        for comp in ("X", "Y", "Z"):
+            for method in ("grnn_metrics", "theta_metrics"):
+                got = getattr(read_back, method)[comp]
+                want = getattr(raw, method)[comp]
+                assert got.smape_percent == pytest.approx(want.smape_percent, rel=1e-6)
+                assert got.mabs_m == pytest.approx(want.mabs_m, rel=1e-6)
+
     def test_parallel_matches_serial(self):
         stations = [
             generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 150, seed,
@@ -212,8 +230,7 @@ class TestEvaluateStation:
 
 
 def _metrics(smape_val, std_val, mabs_val, n=10):
-    return MetricsReport(smape_percent=smape_val, std_m=std_val, mabs_m=mabs_val,
-                         n=n, residuals_m=np.zeros(n))
+    return MetricsReport(smape_percent=smape_val, std_m=std_val, mabs_m=mabs_val, n=n)
 
 
 def _fake_report(station_id, grnn, theta):
@@ -235,9 +252,9 @@ class TestCompareMethods:
         report = compare_methods([_fake_report("a", m, m), _fake_report("b", m, m)])
         for comp in ("X", "Y", "Z"):
             agg = report.aggregated[comp]
-            assert agg.smape_ratio == pytest.approx(1.0)
-            assert agg.std_ratio == pytest.approx(1.0)
-            assert agg.mabs_ratio == pytest.approx(1.0)
+            assert agg.ratios["smape_ratio"] == pytest.approx(1.0)
+            assert agg.ratios["std_ratio"] == pytest.approx(1.0)
+            assert agg.ratios["mabs_ratio"] == pytest.approx(1.0)
 
     def test_half_mabs_everywhere(self):
         reports = [
@@ -245,7 +262,7 @@ class TestCompareMethods:
             for i in range(3)
         ]
         report = compare_methods(reports)
-        assert report.aggregated["X"].mabs_ratio == pytest.approx(0.5)
+        assert report.aggregated["X"].ratios["mabs_ratio"] == pytest.approx(0.5)
         for row in report.per_station:
             assert row["X"]["mabs_ratio"] == pytest.approx(0.5)
 
@@ -253,10 +270,10 @@ class TestCompareMethods:
         report = compare_methods([_fake_report("a", _metrics(1.0, 1.0, 1.0),
                                                _metrics(0.0, 0.0, 2.0))])
         agg = report.aggregated["X"]
-        assert agg.smape_ratio is None and agg.std_ratio is None
-        assert agg.mabs_ratio == pytest.approx(0.5)
-        assert agg.theta_smape_percent == 0.0
-        assert agg.grnn_smape_percent == 1.0
+        assert agg.ratios["smape_ratio"] is None and agg.ratios["std_ratio"] is None
+        assert agg.ratios["mabs_ratio"] == pytest.approx(0.5)
+        assert agg.theta.smape_percent == 0.0
+        assert agg.grnn.smape_percent == 1.0
 
     def test_aggregation_is_mean_over_stations(self):
         reports = [
@@ -264,8 +281,8 @@ class TestCompareMethods:
             _fake_report("b", _metrics(3.0, 3.0, 3.0), _metrics(2.0, 2.0, 2.0)),
         ]
         agg = compare_methods(reports).aggregated["Y"]
-        assert agg.grnn_smape_percent == pytest.approx(2.0)
-        assert agg.smape_ratio == pytest.approx(1.0)
+        assert agg.grnn.smape_percent == pytest.approx(2.0)
+        assert agg.ratios["smape_ratio"] == pytest.approx(1.0)
 
     def test_needs_reports(self):
         with pytest.raises(DataError):

@@ -97,7 +97,6 @@ class TestReportAndInvariances:
         assert report.smape_percent == pytest.approx(smape(p))
         assert report.std_m == pytest.approx(std_of_errors(p))
         assert report.mabs_m == pytest.approx(mean_abs_error(p))
-        np.testing.assert_array_equal(report.residuals_m, p.residuals_m)
 
     @given(
         c=st.floats(min_value=-1e3, max_value=1e3),
