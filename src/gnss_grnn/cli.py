@@ -277,7 +277,6 @@ def cmd_inspect(args) -> int:
 
 def _predict_rows(station, config, threshold, max_training):
     adaptive = threshold is not None
-    forecast = forecast_series
     if adaptive:
         config = GrnnConfig(
             training_size=config.training_size,
@@ -286,10 +285,16 @@ def _predict_rows(station, config, threshold, max_training):
             max_training_size=max_training,
             mode=Mode.TEACHER_FORCED,
         )
-        forecast = adaptive_forecast_series
-    for comp in station.components:
+    else:
+        # one walk for X, Y and Z: their kernel weights are the same
         with at_station(station.station_id):
-            res = forecast(comp, config)
+            walks = forecast_series(station, config)
+    for comp in station.components:
+        if adaptive:
+            with at_station(station.station_id):
+                res = adaptive_forecast_series(comp, config)
+        else:
+            res = walks[comp.component, config.mode]
         for i in range(len(res)):
             yhat = float(res.predicted_m[i]) + comp.offset_m
             y = float(res.observed_m[i]) + comp.offset_m

@@ -14,6 +14,12 @@ the ``v`` most recent values, and in recursive mode predictions stand in
 for observations as they are produced. Because weights form a convex
 combination, a forecast can never leave the range of its window values,
 which is what keeps this estimator from extrapolating trends.
+
+The weights depend on the epochs alone. The X, Y and Z components of a
+station share one epoch axis, so, as in Specht's GRNN, one pattern layer
+and one denominator serve every output: a walk over a station computes
+each block of weights once and applies it to every component and every
+requested mode before it moves on to the next block.
 """
 
 from __future__ import annotations
@@ -21,14 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BandwidthTooSmallError, DataError
 from .metrics import PredictionPairs
-from .series import ComponentSeries
+from .series import Component, ComponentSeries, StationSeries
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -223,61 +229,117 @@ class ForecastResult:
         return self.observed_m - self.predicted_m
 
 
-def forecast_series(series: ComponentSeries, config: GrnnConfig) -> ForecastResult:
+@dataclass(frozen=True)
+class StationForecast:
+    """The walks of one station: a :class:`ForecastResult` per (component, mode).
+
+    Index it by ``(component, mode)``. ``len()`` counts the one-step
+    forecasts of every walk together.
+    """
+
+    station_id: str
+    results: dict[tuple[str, Mode], ForecastResult]
+
+    def __getitem__(self, key: tuple[Component | str, Mode | str]) -> ForecastResult:
+        component, mode = key
+        return self.results[Component(component).value, Mode(mode)]
+
+    def __len__(self) -> int:
+        return sum(len(r) for r in self.results.values())
+
+
+def _walk(
+    components: Sequence[ComponentSeries], config: GrnnConfig, modes: Sequence[Mode]
+) -> dict[tuple[str, Mode], ForecastResult]:
+    """Walk ``components``, which share one epoch axis, in every mode of ``modes``.
+
+    Each weight block serves every (component, mode) before the next block
+    is computed. Teacher-forced forecasts are made a block at a time;
+    recursive ones step through the block, one component after the other,
+    since each forecast feeds the next of its component.
+    """
+    v = config.training_size
+    n = components[0].count
+    if n <= v:
+        raise DataError(f"nothing to predict: {n} samples with training_size {v}")
+    epochs = components[0].epochs_mjd
+    # row j of a block is target v + j, whose observed window is row j here
+    value_windows = [sliding_window_view(c.values_m, v) for c in components]
+    # forecasts overwrite these working copies as they are produced; in
+    # recursive mode they become training data for the following steps
+    buffers = {mode: [c.values_m.copy() for c in components] for mode in modes}
+    deviations = np.empty(v, dtype=np.float64)
+    for rows, weights, underflows in _weight_blocks(epochs, np.arange(v, n), v,
+                                                    config.bandwidth):
+        if underflows:
+            # shared weights: the first component is the first to fail
+            j, h, nearest = underflows[0]
+            raise _at_target(_underflow_error(h, nearest), components[0], epochs[v + j])
+        targets = rows + v
+        for mode, buffer in buffers.items():
+            if mode is Mode.TEACHER_FORCED:
+                for values, windows in zip(buffer, value_windows):
+                    values[targets] = _convex_combinations(weights, windows[rows])
+                continue
+            steps = targets.tolist()
+            for values in buffer:
+                # one row of _convex_combinations: same operations, no temporaries
+                for row, k in zip(weights, steps):
+                    base = values[k - v]
+                    np.subtract(values[k - v:k], base, out=deviations)
+                    values[k] = base + row.dot(deviations)
+    results = {}
+    for mode, buffer in buffers.items():
+        if mode is Mode.RECURSIVE:
+            n_window_predicted = np.minimum(np.arange(n - v, dtype=np.int64), v)
+        else:
+            n_window_predicted = np.zeros(n - v, dtype=np.int64)
+        for comp, values in zip(components, buffer):
+            results[comp.component.value, mode] = ForecastResult(
+                component=str(comp.component.value),
+                epochs_mjd=comp.epochs_mjd[v:],
+                predicted_m=values[v:],
+                observed_m=comp.values_m[v:],
+                n_window_predicted=n_window_predicted,
+            )
+    return results
+
+
+def forecast_series(
+    series: ComponentSeries | StationSeries,
+    config: GrnnConfig,
+    modes: Sequence[Mode] | None = None,
+) -> ForecastResult | StationForecast:
     """Walk a series: seed the window with the first ``v`` observed values,
     then predict every later epoch present in the series.
+
+    A :class:`ComponentSeries` gives one :class:`ForecastResult` in
+    ``config.mode``. A :class:`StationSeries` gives a
+    :class:`StationForecast` with one result per component and mode of
+    ``modes`` (default: ``config.mode`` alone), all from one pass of
+    kernel weights over the shared epoch axis.
 
     Epochs inside gaps are never fabricated; the first prediction after a
     hole simply reaches forward from the pre-gap window, so its kernel
     distances are larger than usual. The weights depend on the epochs
     alone, so they come from :func:`_weight_blocks` a block of targets at
-    a time. Teacher-forced forecasts are made a block at a time too;
-    recursive ones step through the block, since each feeds the next.
-    Each recursive step subtracts the window's first value into one
-    deviation buffer reused for the whole walk and takes ``ndarray.dot``
-    of the weight row with it: the operations, in the order, of
-    :func:`_convex_combinations` for one row, without its temporaries.
-    Every forecast matches the stepping walk in
+    a time. Each recursive step subtracts the window's first value into
+    one deviation buffer reused for the whole walk and takes
+    ``ndarray.dot`` of the weight row with it: the operations, in the
+    order, of :func:`_convex_combinations` for one row, without its
+    temporaries. Every forecast matches the stepping walk in
     ``tests/scalar_reference.py`` bit for bit, and an underflow is
-    reported for the first target in walk order that underflows.
+    reported for the first target in walk order that underflows; on a
+    station, for component X, as the per-component walks would report it.
     """
-    v = config.training_size
-    n = series.count
-    if n <= v:
-        raise DataError(f"nothing to predict: {n} samples with training_size {v}")
-    epochs = series.epochs_mjd
-    observed = series.values_m
-    recursive = config.mode is Mode.RECURSIVE
-    # row j of a block is target v + j, whose observed window is row j here
-    value_windows = sliding_window_view(observed, v)
-    # forecasts overwrite this working copy as they are produced; in
-    # recursive mode they become training data for the following steps
-    buffer = observed.copy()
-    deviations = np.empty(v, dtype=np.float64)
-    for rows, weights, underflows in _weight_blocks(epochs, np.arange(v, n), v,
-                                                    config.bandwidth):
-        if underflows:
-            j, h, nearest = underflows[0]
-            raise _at_target(_underflow_error(h, nearest), series, epochs[v + j])
-        if recursive:
-            # one row of _convex_combinations: same operations, no temporaries
-            for row, k in zip(weights, (rows + v).tolist()):
-                base = buffer[k - v]
-                np.subtract(buffer[k - v:k], base, out=deviations)
-                buffer[k] = base + row.dot(deviations)
-        else:
-            buffer[rows + v] = _convex_combinations(weights, value_windows[rows])
-    if recursive:
-        n_window_predicted = np.minimum(np.arange(n - v, dtype=np.int64), v)
-    else:
-        n_window_predicted = np.zeros(n - v, dtype=np.int64)
-    return ForecastResult(
-        component=str(series.component.value),
-        epochs_mjd=epochs[v:],
-        predicted_m=buffer[v:],
-        observed_m=observed[v:],
-        n_window_predicted=n_window_predicted,
-    )
+    if isinstance(series, StationSeries):
+        modes = (config.mode,) if modes is None else tuple(Mode(m) for m in modes)
+        if not modes:
+            raise DataError("no window-update mode to walk")
+        return StationForecast(series.station_id, _walk(series.components, config, modes))
+    if modes is not None:
+        raise TypeError("modes applies to a StationSeries; a component walks config.mode")
+    return _walk((series,), config, (config.mode,))[series.component.value, config.mode]
 
 
 @dataclass(frozen=True)

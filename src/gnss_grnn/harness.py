@@ -182,17 +182,21 @@ def _scored_pairs(result: ForecastResult, offset: float) -> PredictionPairs:
 
 
 @contextmanager
-def at_station(station_id: str) -> Iterator[None]:
+def at_station(station_id: str, training_size: int | None = None) -> Iterator[None]:
     """Re-raise a kernel underflow with the station it occurred in.
 
-    The message gains a ``station <id>: `` prefix; the class is kept, so
-    the failure still maps to the numeric-failure exit code, also when it
-    crosses a worker process.
+    The message gains a ``station <id>: `` prefix, followed by
+    ``training size <v>: `` when ``training_size`` is given; the class is
+    kept, so the failure still maps to the numeric-failure exit code,
+    also when it crosses a worker process.
     """
     try:
         yield
     except BandwidthTooSmallError as exc:
-        raise BandwidthTooSmallError(f"station {station_id}: {exc}") from None
+        where = f"station {station_id}: "
+        if training_size is not None:
+            where += f"training size {training_size}: "
+        raise BandwidthTooSmallError(f"{where}{exc}") from None
 
 
 def run_sweep(
@@ -205,10 +209,13 @@ def run_sweep(
 
     Whether the window update should feed predictions back or stick to
     observations is not obvious a priori, so the sweep runs the modes in
-    ``modes`` and reports each. Every (v, mode) pair recomputes its walk
-    from scratch; nothing is reused across rows. Each component's
-    ``offset_m`` is added back to predictions and truths before scoring,
-    so a mean-centered series scores as its raw positions.
+    ``modes`` and reports each. Each training size is one station walk:
+    its kernel weights are computed once and serve every (component,
+    mode) row of that size; nothing is reused across sizes. An underflow
+    names the station and the training size it occurred at. Each
+    component's ``offset_m`` is added back to predictions and truths
+    before scoring, so a mean-centered series scores as its raw
+    positions.
     """
     config = config or GrnnConfig()
     sizes = sorted(set(int(v) for v in v_values))
@@ -223,15 +230,16 @@ def run_sweep(
         raise DataError("refused: largest training size leaves fewer than 2 predictions")
     rows = []
     for v in sizes:
+        with at_station(series.station_id, v):
+            walks = forecast_series(series, replace(config, training_size=v), modes)
         for comp in series.components:
             for mode in modes:
-                with at_station(series.station_id):
-                    result = forecast_series(comp, replace(config, training_size=v, mode=mode))
                 rows.append(SweepRow(
                     training_size=v,
                     component=str(comp.component.value),
                     mode=Mode(mode),
-                    metrics=compute_report(_scored_pairs(result, comp.offset_m)),
+                    metrics=compute_report(_scored_pairs(walks[comp.component, mode],
+                                                         comp.offset_m)),
                 ))
     return SweepResult(station_id=series.station_id, rows=tuple(rows))
 
@@ -298,9 +306,10 @@ def evaluate_station(
     The Theta window defaults to the kernel method's training size. When
     the two differ, both prediction lists are trimmed to the epochs both
     methods predicted, and that equality is checked before any criterion
-    is computed. Each component's ``offset_m`` is added back to
-    predictions and truths before scoring, so a mean-centered series
-    scores as its raw positions.
+    is computed. One station walk gives the kernel forecasts of all
+    three components from shared weights. Each component's ``offset_m``
+    is added back to predictions and truths before scoring, so a
+    mean-centered series scores as its raw positions.
     """
     grnn_config = grnn_config or GrnnConfig()
     if theta_window is None:
@@ -315,9 +324,10 @@ def evaluate_station(
     gaps: GapReport = detect_gaps(series, gap_factor)
     grnn_metrics: dict[str, MetricsReport] = {}
     theta_metrics: dict[str, MetricsReport] = {}
+    with at_station(series.station_id):
+        walks = forecast_series(series, grnn_config)
     for comp in series.components:
-        with at_station(series.station_id):
-            g = _align_tail(forecast_series(comp, grnn_config), keep)
+        g = _align_tail(walks[comp.component, grnn_config.mode], keep)
         t = _align_tail(theta_backtest(comp, theta_window, fit=theta_fit), keep)
         if not np.array_equal(g.epochs_mjd, t.epochs_mjd):
             raise RuntimeError("methods were about to be scored on different epochs")
@@ -377,10 +387,12 @@ class MethodTiming:
     """Wall-clock samples of both methods on one identical workload.
 
     Samples cover the backtest walks only: the workload arrives parsed
-    and nothing is serialized inside the timed spans.
-    ``workload_predictions`` counts one kernel walk's forecasts and
-    ``theta_predictions`` one Theta walk's; they differ when the Theta
-    window differs from the kernel's training size.
+    and nothing is serialized inside the timed spans. A kernel sample is
+    one station walk per station, all three components from shared
+    weights; a Theta sample is one walk per component.
+    ``workload_predictions`` counts the kernel forecasts of one sample
+    and ``theta_predictions`` the Theta forecasts; they differ when the
+    Theta window differs from the kernel's training size.
     """
 
     grnn_seconds: tuple[float, ...]
@@ -413,7 +425,9 @@ def time_methods(
 
     Runs ``repetitions`` full passes per method on one worker and keeps
     every sample; medians are exposed on the result. One untimed warmup
-    pass per method precedes the samples.
+    pass per method precedes the samples. A kernel pass makes one call
+    per station, which walks X, Y and Z from one set of weights, as
+    :func:`evaluate_station` does.
     """
     if repetitions < 3:
         raise DataError("need at least 3 repetitions for a stable median")
@@ -425,8 +439,8 @@ def time_methods(
     theta_workload = sum(c.count - theta_window for c in components)
 
     def run_grnn() -> None:
-        for comp in components:
-            forecast_series(comp, grnn_config)
+        for station in stations:
+            forecast_series(station, grnn_config)
 
     def run_theta() -> None:
         for comp in components:

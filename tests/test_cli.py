@@ -74,6 +74,21 @@ class TestInspect:
 
 
 class TestPredict:
+    @pytest.mark.parametrize("mode", ["recursive", "teacher-forced"])
+    def test_one_station_walk_per_station(self, station_file, capsys, monkeypatch, mode):
+        calls = []
+
+        def forecast_series(series, config, modes=None):
+            calls.append((type(series).__name__, series.station_id, config.mode.value))
+            return gnss_grnn.forecast_series(series, config, modes)
+
+        monkeypatch.setattr(gnss_grnn.cli, "forecast_series", forecast_series)
+        a, b = station_file(name="a", length=60), station_file(name="b", length=60, seed=2)
+        assert run_cli("predict", a, b, "-v", "5", "--mode", mode) == 0
+        assert calls == [("StationSeries", "a", mode), ("StationSeries", "b", mode)]
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["component"] for r in rows] == 2 * (55 * ["X"] + 55 * ["Y"] + 55 * ["Z"])
+
     def test_constant_has_zero_errors(self, station_file, capsys):
         path = station_file(name="const", kind=SyntheticKind.CONSTANT, length=60)
         assert run_cli("predict", path, "-v", "5") == 0
@@ -204,9 +219,23 @@ class TestSweep:
         path = station_file(name="gappy", kind=SyntheticKind.GAPPED_TREND, length=120)
         assert run_cli("sweep", path, "--v-max", "2", "--bandwidth", "0.3") == 3
         err = capsys.readouterr().err
+        # a fixed 0.3-day bandwidth underflows across the gap at the first size
         assert err.startswith("gnss-grnn: numeric failure: station gappy: "
-                              "bandwidth too small: ")
+                              "training size 1: bandwidth too small: ")
         assert "predicting component X at MJD " in err
+
+    def test_underflow_names_the_training_size(self, station_file, capsys):
+        # the 30-day hole: v=1 falls back to a 1.0-day bandwidth and reaches
+        # across it, v=2's window-std of two daily epochs is only 0.5 days
+        path = station_file(name="B", kind=SyntheticKind.GAPPED_TREND, length=200,
+                            params=SyntheticParams())
+        assert run_cli("sweep", path, "--v-max", "4") == 3
+        assert capsys.readouterr().err == (
+            "gnss-grnn: numeric failure: station B: training size 2: bandwidth too small: "
+            "every kernel value underflowed (h=0.5, nearest distance 31.0 days) "
+            "predicting component X at MJD 55130.0\n")
+        assert run_cli("sweep", path, "--v-min", "1", "--v-max", "1") == 0
+        assert run_cli("sweep", path, "--v-min", "3", "--v-max", "30") == 0
 
     @pytest.mark.parametrize("flag, value", [("--mode", "recursive"), ("-v", "7"),
                                              ("--training-size", "7")])

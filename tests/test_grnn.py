@@ -15,11 +15,16 @@ from gnss_grnn import (
     DataError,
     GrnnConfig,
     Mode,
+    StationForecast,
+    StationSeries,
     adaptive_forecast_series,
     decimal_year_to_mjd,
+    evaluate_station,
     forecast_series,
     gaussian_kernel,
+    mean_center,
     mjd_to_decimal_year,
+    run_sweep,
 )
 from gnss_grnn.grnn import _BLOCK_ELEMENTS, _row_bandwidths, _weight_blocks
 
@@ -551,3 +556,136 @@ class TestForecastSeries:
         mode = data.draw(st.sampled_from(list(Mode)))
         cfg = GrnnConfig(training_size=v, bandwidth=bw, mode=mode)
         assert_same_walk(comp_series(55000.0 + np.cumsum(spacings), values), cfg)
+
+
+def station_of(epochs, values, station_id="S"):
+    """A station whose X, Y, Z rows are ``values`` on the shared ``epochs``."""
+    return StationSeries(station_id, tuple(
+        ComponentSeries(c, np.asarray(epochs, float), np.asarray(row, float))
+        for c, row in zip(Component, values)))
+
+
+def assert_station_walks_step(station, cfg, modes=tuple(Mode)):
+    """Every (component, mode) walk of the station walk has the bits of the
+    stepping walk of that component alone; where the walk underflows, the
+    stepping walk of X fails with the same message."""
+    try:
+        walks = forecast_series(station, cfg, modes)
+    except BandwidthTooSmallError as exc:
+        with pytest.raises(BandwidthTooSmallError) as step_exc:
+            stepping_walk(station.components[0], cfg)
+        assert str(exc).startswith(f"{step_exc.value} predicting component X at MJD ")
+        return False
+    assert isinstance(walks, StationForecast)
+    assert len(walks) == len(modes) * 3 * (station.count - cfg.training_size)
+    for comp in station.components:
+        for mode in modes:
+            predicted, n_window_predicted = stepping_walk(
+                comp, GrnnConfig(training_size=cfg.training_size, bandwidth=cfg.bandwidth,
+                                 mode=mode))
+            walk = walks[comp.component, mode]
+            assert walk.component == comp.component.value
+            assert np.array_equal(walk.predicted_m, predicted)
+            assert np.array_equal(walk.n_window_predicted, n_window_predicted)
+            np.testing.assert_array_equal(walk.observed_m, comp.values_m[cfg.training_size:])
+    return True
+
+
+class TestStationWalk:
+    """One weight pass per station: the walks of every component and mode
+    share the kernel weights and keep the bits of the per-component walks."""
+
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "decimal-year", "irregular"])
+    @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
+                                           BandwidthRule.MEAN_SPACING, 2.5])
+    def test_matches_stepping_walk(self, axis, bandwidth):
+        epochs = _axis(axis, length=640)
+        # v=100 spans more than three weight blocks
+        assert epochs.size - 100 > 3 * (_BLOCK_ELEMENTS // 100)
+        # anomaly-sized values: a coordinate-sized offset would round away
+        # last-bit differences of the dot product
+        values = np.cumsum(np.random.default_rng(9).normal(0.0, 1e-3, (3, epochs.size)),
+                           axis=1)
+        walked = [assert_station_walks_step(station_of(epochs, values),
+                                            GrnnConfig(training_size=v, bandwidth=bandwidth))
+                  for v in (1, 2, 7, 100)]
+        # two-epoch windows have a 0.5-day window-std, too small to reach
+        # across the 20-day gap
+        assert walked == [True, not (axis == "two-gap" and bandwidth == "window-std"),
+                          True, True]
+
+    def test_mean_centered_station(self):
+        epochs = _axis("two-gap")
+        rng = np.random.default_rng(4)
+        raw = np.array([[4075000.0], [931000.0], [4801000.0]]) + np.cumsum(
+            rng.normal(0.0, 1e-3, (3, epochs.size)), axis=1)
+        station = mean_center(station_of(epochs, raw))
+        assert all(c.offset_m != 0.0 for c in station.components)
+        assert assert_station_walks_step(station, GrnnConfig(training_size=7))
+
+    def test_defaults_to_config_mode(self):
+        epochs = _axis("daily", length=40)
+        station = station_of(epochs, np.sin(np.arange(3 * 40.0)).reshape(3, 40))
+        for mode in Mode:
+            walks = forecast_series(station, GrnnConfig(training_size=5, mode=mode))
+            assert set(walks.results) == {(c, mode) for c in ("X", "Y", "Z")}
+            assert len(walks) == 3 * 35
+            for comp in station.components:
+                single = forecast_series(comp, GrnnConfig(training_size=5, mode=mode))
+                assert np.array_equal(walks[comp.component.value, mode].predicted_m,
+                                      single.predicted_m)
+
+    def test_refusals(self):
+        epochs = _axis("daily", length=20)
+        station = station_of(epochs, np.zeros((3, 20)))
+        with pytest.raises(DataError, match="no window-update mode"):
+            forecast_series(station, GrnnConfig(training_size=5), modes=())
+        with pytest.raises(DataError, match="nothing to predict"):
+            forecast_series(station, GrnnConfig(training_size=20))
+        with pytest.raises(TypeError, match="modes applies to a StationSeries"):
+            forecast_series(station.components[0], GrnnConfig(training_size=5),
+                            modes=(Mode.RECURSIVE,))
+
+
+class TestStationUnderflow:
+    """A station underflow is the error the per-component walks raise first,
+    which is component X's since the weights are shared."""
+
+    # 60- and 130-day gaps: the targets after them underflow at h=1 and
+    # share a block that is not the first
+    EPOCHS = np.concatenate([55000.0 + np.arange(400.0), 55460.0 + np.arange(10.0),
+                             55600.0 + np.arange(100.0)])
+
+    def station(self):
+        values = np.linspace(0.0, 1.0, 3 * self.EPOCHS.size).reshape(3, -1)
+        return station_of(self.EPOCHS, values, station_id="GAPPY")
+
+    def first_component_error(self, cfg):
+        """The first per-component walk error, in X, Y, Z order."""
+        for comp in self.station().components:
+            try:
+                forecast_series(comp, cfg)
+            except BandwidthTooSmallError as exc:
+                return exc
+        raise AssertionError("no component underflowed")
+
+    @pytest.mark.parametrize("modes", [(Mode.RECURSIVE,), (Mode.TEACHER_FORCED,),
+                                       tuple(Mode)])
+    def test_station_walk(self, modes):
+        cfg = GrnnConfig(training_size=100, bandwidth=1.0, mode=modes[0])
+        first = self.first_component_error(cfg)
+        assert str(first).endswith("predicting component X at MJD 55460.0")
+        with pytest.raises(BandwidthTooSmallError) as exc:
+            forecast_series(self.station(), cfg, modes)
+        assert type(exc.value) is type(first)
+        assert str(exc.value) == str(first)
+
+    def test_sweep_and_evaluation(self):
+        cfg = GrnnConfig(training_size=100, bandwidth=1.0)
+        first = self.first_component_error(cfg)
+        with pytest.raises(BandwidthTooSmallError) as sweep_exc:
+            run_sweep(self.station(), [100], cfg)
+        assert str(sweep_exc.value) == f"station GAPPY: training size 100: {first}"
+        with pytest.raises(BandwidthTooSmallError) as eval_exc:
+            evaluate_station(self.station(), cfg)
+        assert str(eval_exc.value) == f"station GAPPY: {first}"

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import gnss_grnn.harness
 from gnss_grnn import (
     BandwidthRule,
     DataError,
@@ -16,6 +17,7 @@ from gnss_grnn import (
     Mode,
     SeriesState,
     StationReport,
+    StationSeries,
     SyntheticKind,
     SyntheticParams,
     ThetaFit,
@@ -25,6 +27,7 @@ from gnss_grnn import (
     estimate_theta,
     evaluate_station,
     evaluate_stations,
+    forecast_series,
     generate_synthetic,
     run_sweep,
     time_methods,
@@ -118,6 +121,44 @@ class TestRunSweep:
             run_sweep(s, [19])
         with pytest.raises(DataError):
             run_sweep(s, [])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``(series type, training size, modes)`` of every kernel walk the
+    harness asks for."""
+    calls = []
+
+    def traced(series, config, modes=None):
+        calls.append((type(series), config.training_size, modes))
+        return forecast_series(series, config, modes)
+
+    monkeypatch.setattr(gnss_grnn.harness, "forecast_series", traced)
+    return calls
+
+
+class TestOneWalkPerStation:
+    """The harness walks X, Y, Z (and every sweep mode) from one kernel pass."""
+
+    def station(self):
+        return generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 120, 1,
+                                  SyntheticParams(noise_std_m=1e-3))
+
+    def test_sweep_calls_once_per_training_size(self, kernel_calls):
+        modes = (Mode.RECURSIVE, Mode.TEACHER_FORCED)
+        run_sweep(self.station(), [2, 5, 9], modes=modes)
+        assert kernel_calls == [(StationSeries, v, modes) for v in (2, 5, 9)]
+
+    def test_evaluation_calls_once(self, kernel_calls):
+        evaluate_station(self.station(), GrnnConfig(training_size=10))
+        assert kernel_calls == [(StationSeries, 10, None)]
+
+    def test_timing_calls_once_per_station_and_pass(self, kernel_calls):
+        timing = time_methods([self.station(), self.station()],
+                              GrnnConfig(training_size=10), repetitions=3)
+        # one warmup pass and three timed passes over two stations
+        assert kernel_calls == 8 * [(StationSeries, 10, None)]
+        assert timing.workload_predictions == 2 * 3 * 110
 
 
 def _linear_station(n=120, slope=0.001):
