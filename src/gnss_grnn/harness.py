@@ -320,7 +320,9 @@ def evaluate_station(
             "series too short for evaluation: need at least 2 shared predictions"
         )
     keep = series.count - start
-    # first: a bad gap factor is rejected before any backtest runs
+    # first: a bad theta window or gap factor is rejected before any backtest runs
+    if theta_window < 3:
+        raise DataError("theta window must be >= 3")
     gaps: GapReport = detect_gaps(series, gap_factor)
     grnn_metrics: dict[str, MetricsReport] = {}
     theta_metrics: dict[str, MetricsReport] = {}

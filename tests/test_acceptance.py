@@ -28,14 +28,13 @@ from gnss_grnn import (
     SyntheticKind,
     SyntheticParams,
     evaluate_station,
-    fit_theta_model,
     forecast_series,
     generate_synthetic,
     mean_abs_error,
     run_sweep,
     smape,
     std_of_errors,
-    theta_forecast,
+    theta_backtest,
     time_methods,
     write_reports_csv,
     write_series_csv,
@@ -44,6 +43,7 @@ from gnss_grnn.cli import main as cli_main
 from gnss_grnn.grnn import _convex_combinations, _weight_blocks
 
 from oracles import nw_predict_mp, theta_forecast_fraction, theta_slope_fraction
+from scalar_reference import estimate_theta, fit_theta_model, theta_forecast
 
 
 def _ok(line: str) -> None:
@@ -136,8 +136,6 @@ def test_p3_theta_linear_exactness():
     slopes = np.linspace(-0.95, 0.95, 20)
     intercepts = [-750.0, -2.5, 0.0, 1.0, 980.0]
     t_axis = np.arange(1.0, 61.0)
-    from gnss_grnn import estimate_theta, theta_backtest
-
     for b in slopes:
         for a in intercepts:
             y = a + b * t_axis

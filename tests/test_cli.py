@@ -417,6 +417,19 @@ class TestCompare:
         bad.write_text("epoch_mjd,x_m,y_m,z_m\n55000,a,b,c\n")
         assert run_cli("compare", bad) == 2
 
+    def test_bad_theta_window_exits_2_before_any_walk(self, station_file, tmp_path,
+                                                      capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gnss_grnn.harness, "forecast_series",
+                            lambda *args, **kwargs: calls.append(args))
+        path = station_file(length=120)
+        out_dir = tmp_path / "out"
+        assert run_cli("compare", path, "-v", "20", "--theta-window", "2",
+                       "--jobs", "1", "--output-dir", out_dir) == 2
+        assert capsys.readouterr().err == "gnss-grnn: data error: theta window must be >= 3\n"
+        assert calls == []
+        assert not (out_dir / "report.json").exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):

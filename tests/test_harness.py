@@ -24,7 +24,6 @@ from gnss_grnn import (
     amplitude,
     compare_methods,
     detect_gaps,
-    estimate_theta,
     evaluate_station,
     evaluate_stations,
     forecast_series,
@@ -35,6 +34,8 @@ from gnss_grnn import (
     write_reports_json,
     write_sweep_csv,
 )
+
+from scalar_reference import estimate_theta
 
 
 class TestGenerateSynthetic:
@@ -152,6 +153,11 @@ class TestOneWalkPerStation:
     def test_evaluation_calls_once(self, kernel_calls):
         evaluate_station(self.station(), GrnnConfig(training_size=10))
         assert kernel_calls == [(StationSeries, 10, None)]
+
+    def test_bad_theta_window_walks_nothing(self, kernel_calls):
+        with pytest.raises(DataError, match="theta window must be >= 3"):
+            evaluate_station(self.station(), GrnnConfig(training_size=10), theta_window=2)
+        assert kernel_calls == []
 
     def test_timing_calls_once_per_station_and_pass(self, kernel_calls):
         timing = time_methods([self.station(), self.station()],

@@ -9,15 +9,22 @@ from gnss_grnn import (
     Component,
     ComponentSeries,
     DataError,
+    SyntheticKind,
+    SyntheticParams,
     ThetaFit,
-    ThetaModel,
-    estimate_theta,
-    fit_theta_model,
+    generate_synthetic,
+    mean_center,
     theta_backtest,
-    theta_forecast,
 )
 
 from oracles import ols_slope, theta_forecast_fraction, theta_slope_fraction
+from scalar_reference import (
+    ThetaModel,
+    estimate_theta,
+    fit_theta_model,
+    theta_forecast,
+    theta_walk,
+)
 
 
 def comp_series(values, epochs=None):
@@ -129,7 +136,7 @@ class TestThetaBacktest:
 
     def test_window_bounds(self):
         series = comp_series(np.arange(10.0))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="theta window must be >= 3"):
             theta_backtest(series, 2)
         with pytest.raises(DataError, match="nothing to predict"):
             theta_backtest(series, 10)
@@ -165,3 +172,21 @@ class TestThetaBacktest:
         base = theta_backtest(comp_series(y), 6).predicted_m
         shifted = theta_backtest(comp_series(y + c), 6).predicted_m
         np.testing.assert_allclose(shifted, base + c, rtol=0, atol=1e-9 * max(1.0, abs(c)))
+
+
+# earth-centered magnitudes, a 30-day hole and millimetre noise
+_GAPPED = generate_synthetic(SyntheticKind.GAPPED_TREND, 700, 11,
+                             SyntheticParams(noise_std_m=0.002))
+
+
+class TestBacktestMatchesReference:
+    """The fused loop reproduces the per-origin model-and-forecast walk."""
+
+    @pytest.mark.parametrize("fit", list(ThetaFit))
+    @pytest.mark.parametrize("p", [3, 4, 7, 100, 300])
+    @pytest.mark.parametrize("station", [_GAPPED, mean_center(_GAPPED)],
+                             ids=["raw", "centered"])
+    def test_bit_identical(self, station, p, fit):
+        for comp in station.components:
+            res = theta_backtest(comp, p, fit=fit)
+            assert np.array_equal(res.predicted_m, theta_walk(comp, p, fit))
