@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
@@ -278,23 +279,14 @@ def cmd_inspect(args) -> int:
 def _predict_rows(station, config, threshold, max_training):
     adaptive = threshold is not None
     if adaptive:
-        config = GrnnConfig(
-            training_size=config.training_size,
-            bandwidth=config.bandwidth,
-            threshold_m=threshold,
-            max_training_size=max_training,
-            mode=Mode.TEACHER_FORCED,
-        )
-    else:
-        # one walk for X, Y and Z: their kernel weights are the same
-        with at_station(station.station_id):
-            walks = forecast_series(station, config)
+        config = replace(config, threshold_m=threshold, max_training_size=max_training,
+                         mode=Mode.TEACHER_FORCED)
+    walk = adaptive_forecast_series if adaptive else forecast_series
+    # one walk for X, Y and Z: their kernel weights are the same
+    with at_station(station.station_id):
+        walks = walk(station, config)
     for comp in station.components:
-        if adaptive:
-            with at_station(station.station_id):
-                res = adaptive_forecast_series(comp, config)
-        else:
-            res = walks[comp.component, config.mode]
+        res = walks[comp.component, config.mode]
         for i in range(len(res)):
             yhat = float(res.predicted_m[i]) + comp.offset_m
             y = float(res.observed_m[i]) + comp.offset_m

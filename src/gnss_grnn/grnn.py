@@ -17,9 +17,12 @@ which is what keeps this estimator from extrapolating trends.
 
 The weights depend on the epochs alone. The X, Y and Z components of a
 station share one epoch axis, so, as in Specht's GRNN, one pattern layer
-and one denominator serve every output: a walk over a station computes
-each block of weights once and applies it to every component and every
-requested mode before it moves on to the next block.
+and one denominator serve every output. Both walks therefore take a whole
+station: :func:`forecast_series` computes each block of weights once and
+applies it to every component and every requested mode before it moves
+on to the next block, and :func:`adaptive_forecast_series` computes the
+weights of each window size once for the targets still open in any
+component.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BandwidthTooSmallError, DataError
 from .metrics import PredictionPairs
-from .series import Component, ComponentSeries, StationSeries
+from .series import Component, StationSeries
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -78,8 +81,8 @@ class GrnnConfig:
             elsewhere.
         max_training_size: cap on window growth in the adaptive search;
             ``None`` means only the available history caps it.
-        mode: window-update policy.
-        growth_step: window increment per adaptive retry.
+        mode: window-update policy; the adaptive search is always
+            teacher-forced.
     """
 
     training_size: int = 100
@@ -87,7 +90,6 @@ class GrnnConfig:
     threshold_m: float | None = None
     max_training_size: int | None = None
     mode: Mode = Mode.RECURSIVE
-    growth_step: int = 1
 
     def __post_init__(self) -> None:
         if self.training_size < 1:
@@ -102,8 +104,6 @@ class GrnnConfig:
             object.__setattr__(self, "bandwidth", float(self.bandwidth))
         if self.threshold_m is not None and not self.threshold_m > 0:
             raise DataError("threshold_m must be positive")
-        if self.growth_step < 1:
-            raise DataError("growth_step must be >= 1")
         object.__setattr__(self, "mode", Mode(self.mode))
 
 
@@ -148,11 +148,11 @@ def _underflow_error(h: float, nearest_days: float) -> BandwidthTooSmallError:
 
 
 def _at_target(
-    exc: BandwidthTooSmallError, series: ComponentSeries, epoch: float
+    exc: BandwidthTooSmallError, component: Component, epoch: float
 ) -> BandwidthTooSmallError:
     """``exc`` with the component and target epoch it occurred at."""
     return BandwidthTooSmallError(
-        f"{exc} predicting component {series.component.value} at MJD {float(epoch)!r}"
+        f"{exc} predicting component {component.value} at MJD {float(epoch)!r}"
     )
 
 
@@ -230,11 +230,24 @@ class ForecastResult:
 
 
 @dataclass(frozen=True)
+class AdaptiveForecastResult(ForecastResult):
+    """A :class:`ForecastResult` of the adaptive search, with the window
+    size each forecast used and whether it met the threshold.
+
+    ``n_window_predicted`` is all zeros: the search is teacher-forced.
+    """
+
+    training_size_used: np.ndarray
+    threshold_met: np.ndarray
+
+
+@dataclass(frozen=True)
 class StationForecast:
     """The walks of one station: a :class:`ForecastResult` per (component, mode).
 
-    Index it by ``(component, mode)``. ``len()`` counts the one-step
-    forecasts of every walk together.
+    Index it by ``(component, mode)``; the adaptive search keys its
+    :class:`AdaptiveForecastResult` values by ``Mode.TEACHER_FORCED``.
+    ``len()`` counts the one-step forecasts of every walk together.
     """
 
     station_id: str
@@ -248,21 +261,42 @@ class StationForecast:
         return sum(len(r) for r in self.results.values())
 
 
-def _walk(
-    components: Sequence[ComponentSeries], config: GrnnConfig, modes: Sequence[Mode]
-) -> dict[tuple[str, Mode], ForecastResult]:
-    """Walk ``components``, which share one epoch axis, in every mode of ``modes``.
+def forecast_series(
+    station: StationSeries, config: GrnnConfig, modes: Sequence[Mode] | None = None
+) -> StationForecast:
+    """Walk a station: seed the window with the first ``v`` observed values,
+    then predict every later epoch present in the series.
 
-    Each weight block serves every (component, mode) before the next block
-    is computed. Teacher-forced forecasts are made a block at a time;
-    recursive ones step through the block, one component after the other,
-    since each forecast feeds the next of its component.
+    Gives a :class:`StationForecast` with one result per component and
+    mode of ``modes`` (default: ``config.mode`` alone), all from one pass
+    of kernel weights over the shared epoch axis: each weight block serves
+    every (component, mode) before the next block is computed.
+    Teacher-forced forecasts are made a block at a time; recursive ones
+    step through the block, one component after the other, since each
+    forecast feeds the next of its component.
+
+    Epochs inside gaps are never fabricated; the first prediction after a
+    hole simply reaches forward from the pre-gap window, so its kernel
+    distances are larger than usual. The weights depend on the epochs
+    alone, so they come from :func:`_weight_blocks` a block of targets at
+    a time. Each recursive step subtracts the window's first value into
+    one deviation buffer reused for the whole walk and takes
+    ``ndarray.dot`` of the weight row with it: the operations, in the
+    order, of :func:`_convex_combinations` for one row, without its
+    temporaries. Every forecast matches the stepping walk in
+    ``tests/scalar_reference.py`` bit for bit, and an underflow is
+    reported for the first target in walk order that underflows, for
+    component X, the first of the components that share the weights.
     """
+    modes = (config.mode,) if modes is None else tuple(Mode(m) for m in modes)
+    if not modes:
+        raise DataError("no window-update mode to walk")
     v = config.training_size
-    n = components[0].count
+    n = station.count
     if n <= v:
         raise DataError(f"nothing to predict: {n} samples with training_size {v}")
-    epochs = components[0].epochs_mjd
+    components = station.components
+    epochs = station.epochs_mjd
     # row j of a block is target v + j, whose observed window is row j here
     value_windows = [sliding_window_view(c.values_m, v) for c in components]
     # forecasts overwrite these working copies as they are produced; in
@@ -274,7 +308,8 @@ def _walk(
         if underflows:
             # shared weights: the first component is the first to fail
             j, h, nearest = underflows[0]
-            raise _at_target(_underflow_error(h, nearest), components[0], epochs[v + j])
+            raise _at_target(_underflow_error(h, nearest), components[0].component,
+                             epochs[v + j])
         targets = rows + v
         for mode, buffer in buffers.items():
             if mode is Mode.TEACHER_FORCED:
@@ -302,135 +337,97 @@ def _walk(
                 observed_m=comp.values_m[v:],
                 n_window_predicted=n_window_predicted,
             )
-    return results
+    return StationForecast(station.station_id, results)
 
 
-def forecast_series(
-    series: ComponentSeries | StationSeries,
-    config: GrnnConfig,
-    modes: Sequence[Mode] | None = None,
-) -> ForecastResult | StationForecast:
-    """Walk a series: seed the window with the first ``v`` observed values,
-    then predict every later epoch present in the series.
-
-    A :class:`ComponentSeries` gives one :class:`ForecastResult` in
-    ``config.mode``. A :class:`StationSeries` gives a
-    :class:`StationForecast` with one result per component and mode of
-    ``modes`` (default: ``config.mode`` alone), all from one pass of
-    kernel weights over the shared epoch axis.
-
-    Epochs inside gaps are never fabricated; the first prediction after a
-    hole simply reaches forward from the pre-gap window, so its kernel
-    distances are larger than usual. The weights depend on the epochs
-    alone, so they come from :func:`_weight_blocks` a block of targets at
-    a time. Each recursive step subtracts the window's first value into
-    one deviation buffer reused for the whole walk and takes
-    ``ndarray.dot`` of the weight row with it: the operations, in the
-    order, of :func:`_convex_combinations` for one row, without its
-    temporaries. Every forecast matches the stepping walk in
-    ``tests/scalar_reference.py`` bit for bit, and an underflow is
-    reported for the first target in walk order that underflows; on a
-    station, for component X, as the per-component walks would report it.
-    """
-    if isinstance(series, StationSeries):
-        modes = (config.mode,) if modes is None else tuple(Mode(m) for m in modes)
-        if not modes:
-            raise DataError("no window-update mode to walk")
-        return StationForecast(series.station_id, _walk(series.components, config, modes))
-    if modes is not None:
-        raise TypeError("modes applies to a StationSeries; a component walks config.mode")
-    return _walk((series,), config, (config.mode,))[series.component.value, config.mode]
-
-
-@dataclass(frozen=True)
-class AdaptiveForecastResult:
-    """Adaptive one-step backtest over every post-window epoch."""
-
-    component: str
-    epochs_mjd: np.ndarray
-    predicted_m: np.ndarray
-    observed_m: np.ndarray
-    training_size_used: np.ndarray
-    threshold_met: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.epochs_mjd.size)
-
-    def pairs(self) -> PredictionPairs:
-        return PredictionPairs(predicted_m=self.predicted_m, observed_m=self.observed_m)
-
-
-def adaptive_forecast_series(
-    series: ComponentSeries, config: GrnnConfig
-) -> AdaptiveForecastResult:
+def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> StationForecast:
     """Forecast every index after the seed window, growing its window on demand.
 
-    Each target starts from ``config.training_size`` observed values
-    before it, compares the absolute error against the threshold, and
-    enlarges the window by ``growth_step`` until the error passes or no
-    larger window fits the available history (or ``max_training_size``);
-    the attempt with the smallest error stands when none passes. Needs
-    the truth at the target, so this is a backtest-time procedure only.
+    Each target of each component starts from ``config.training_size``
+    observed values before it, compares the absolute error against the
+    threshold, and enlarges the window by one value until the error
+    passes or no larger window fits the available history (or
+    ``max_training_size``); the attempt with the smallest error stands
+    when none passes. Needs the truth at the target, so this is a
+    backtest-time procedure only. Gives a :class:`StationForecast` with
+    one :class:`AdaptiveForecastResult` per component, keyed by
+    ``Mode.TEACHER_FORCED``.
 
     Batched over targets: the outer loop walks the candidate sizes, and
-    each size forecasts every still-open target at once, with weights
-    from one pass of :func:`_weight_blocks` over those targets. A target
-    closes at the first size that passes the threshold, at the size that
-    underflows, or once the next size exceeds its cap. Every index gets
-    bit for bit the forecast, size and flag of the per-target loop in
-    ``tests/scalar_reference.py``, and an underflow is reported for the
-    same target that loop stops at.
+    each size computes the weights of every target still open in any
+    component in one pass of :func:`_weight_blocks`; each component then
+    forecasts its own open targets from those rows. A target closes in a
+    component at the first size that passes the threshold, at the size
+    that underflows, or once the next size exceeds its cap. Every index
+    gets bit for bit the forecast, size and flag of the per-target loop
+    in ``tests/scalar_reference.py``, and an underflow is reported for
+    the target that loop stops at first, taking the components in X, Y,
+    Z order.
     """
     v0 = config.training_size
-    n = series.count
+    n = station.count
     if n <= v0:
         raise DataError(f"nothing to predict: {n} samples with training_size {v0}")
     if config.threshold_m is None:
         raise DataError("adaptive prediction requires a threshold")
-    epochs = series.epochs_mjd
-    values = series.values_m
+    components = station.components
+    epochs = station.epochs_mjd
     targets = np.arange(v0, n)
     caps = targets
     if config.max_training_size is not None:
         caps = np.minimum(caps, config.max_training_size)
-    predicted = np.empty(targets.size, dtype=np.float64)
-    used = np.empty(targets.size, dtype=np.int64)
-    met = np.zeros(targets.size, dtype=bool)
-    best_abs = np.empty(targets.size, dtype=np.float64)
-    # target position -> (h, nearest distance) at the first size it underflowed
-    underflows: dict[int, tuple[float, float]] = {}
+    shape = (len(components), targets.size)
+    predicted = np.empty(shape, dtype=np.float64)
+    used = np.empty(shape, dtype=np.int64)
+    met = np.zeros(shape, dtype=bool)
+    best_abs = np.empty(shape, dtype=np.float64)
+    is_open = np.ones(shape, dtype=bool)
+    # per component: target position -> (h, nearest distance) at the first
+    # size it underflowed
+    underflows: list[dict[int, tuple[float, float]]] = [{} for _ in components]
     open_pos = np.arange(targets.size)
     v = v0
     while open_pos.size:
-        value_windows = sliding_window_view(values, v)
-        still_open = []
+        value_windows = [sliding_window_view(c.values_m, v) for c in components]
         for rows, weights, underflowed in _weight_blocks(epochs, targets[open_pos], v,
                                                          config.bandwidth):
             for j, h, nearest in underflowed:
-                underflows[int(open_pos[j])] = (h, nearest)
-            pos = open_pos[rows]
-            k = targets[pos]
-            yhat = _convex_combinations(weights, value_windows[k - v])
-            abs_err = np.abs(values[k] - yhat)
-            passed = abs_err < config.threshold_m
-            # v0 is every target's first try; later sizes must be strictly
-            # better, so the earliest size wins ties (a pass is always better)
-            better = abs_err < best_abs[pos] if v > v0 else np.ones(pos.size, dtype=bool)
-            predicted[pos[better]] = yhat[better]
-            used[pos[better]] = v
-            best_abs[pos[better]] = abs_err[better]
-            met[pos] = passed
-            still_open.append(pos[~passed & (v + config.growth_step <= caps[pos])])
-        open_pos = np.concatenate(still_open)
-        v += config.growth_step
-    if underflows:
-        p = min(underflows)
-        raise _at_target(_underflow_error(*underflows[p]), series, epochs[targets[p]])
-    return AdaptiveForecastResult(
-        component=str(series.component.value),
-        epochs_mjd=epochs[v0:],
-        predicted_m=predicted,
-        observed_m=values[v0:],
-        training_size_used=used,
-        threshold_met=met,
-    )
+                p = int(open_pos[j])
+                for c in np.flatnonzero(is_open[:, p]).tolist():
+                    underflows[c][p] = (h, nearest)
+                is_open[:, p] = False
+            block_pos = open_pos[rows]
+            for c, (comp, windows) in enumerate(zip(components, value_windows)):
+                mine = is_open[c, block_pos]
+                pos = block_pos[mine]
+                k = targets[pos]
+                yhat = _convex_combinations(weights[mine], windows[k - v])
+                abs_err = np.abs(comp.values_m[k] - yhat)
+                passed = abs_err < config.threshold_m
+                # v0 is every target's first try; later sizes must be strictly
+                # better, so the earliest size wins ties (a pass is always better)
+                better = abs_err < best_abs[c, pos] if v > v0 else np.ones(pos.size, dtype=bool)
+                predicted[c, pos[better]] = yhat[better]
+                used[c, pos[better]] = v
+                best_abs[c, pos[better]] = abs_err[better]
+                met[c, pos] = passed
+                is_open[c, pos] = ~passed & (v < caps[pos])
+        open_pos = np.flatnonzero(is_open.any(axis=0))
+        v += 1
+    for comp, failed in zip(components, underflows):
+        if failed:
+            p = min(failed)
+            raise _at_target(_underflow_error(*failed[p]), comp.component, epochs[targets[p]])
+    no_window_predictions = np.zeros(targets.size, dtype=np.int64)
+    return StationForecast(station.station_id, {
+        (comp.component.value, Mode.TEACHER_FORCED): AdaptiveForecastResult(
+            component=str(comp.component.value),
+            epochs_mjd=epochs[v0:],
+            predicted_m=predicted[c],
+            observed_m=comp.values_m[v0:],
+            n_window_predicted=no_window_predictions,
+            training_size_used=used[c],
+            threshold_met=met[c],
+        )
+        for c, comp in enumerate(components)
+    })

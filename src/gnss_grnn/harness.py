@@ -436,6 +436,9 @@ def time_methods(
     grnn_config = grnn_config or GrnnConfig()
     if theta_window is None:
         theta_window = grnn_config.training_size
+    # before the warmup: a bad theta window would otherwise fail only after it
+    if theta_window < 3:
+        raise DataError("theta window must be >= 3")
     components = [c for s in stations for c in s.components]
     workload = sum(c.count - grnn_config.training_size for c in components)
     theta_workload = sum(c.count - theta_window for c in components)

@@ -53,8 +53,9 @@ def predict(distances, values, bandwidth) -> tuple[float, np.ndarray]:
 
 
 def stepping_walk(series, cfg) -> tuple[np.ndarray, np.ndarray]:
-    """``forecast_series`` one target at a time: the forecasts and, per
-    target, how many window entries were earlier predictions."""
+    """``forecast_series`` of one component, one target at a time: the
+    forecasts and, per target, how many window entries were earlier
+    predictions."""
     v = cfg.training_size
     epochs, observed = series.epochs_mjd, series.values_m
     recursive = cfg.mode is Mode.RECURSIVE
@@ -71,8 +72,8 @@ def stepping_walk(series, cfg) -> tuple[np.ndarray, np.ndarray]:
 
 
 def adaptive_predict(series, k, cfg) -> tuple[float, int, bool]:
-    """``adaptive_forecast_series`` at index ``k`` alone: the forecast, the
-    window size it used and whether it met the threshold."""
+    """``adaptive_forecast_series`` at index ``k`` of one component alone:
+    the forecast, the window size it used and whether it met the threshold."""
     cap = k if cfg.max_training_size is None else min(k, cfg.max_training_size)
     epochs, values = series.epochs_mjd, series.values_m
     v, best = cfg.training_size, None
@@ -89,9 +90,9 @@ def adaptive_predict(series, k, cfg) -> tuple[float, int, bool]:
         # the earliest size wins ties
         if best is None or error < best[0]:
             best = (error, yhat, v)
-        if v + cfg.growth_step > cap:
+        if v + 1 > cap:
             return best[1], best[2], False
-        v += cfg.growth_step
+        v += 1
 
 
 def estimate_theta(values: np.ndarray) -> float:

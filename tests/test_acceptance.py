@@ -25,6 +25,7 @@ from gnss_grnn import (
     GrnnConfig,
     Mode,
     PredictionPairs,
+    StationSeries,
     SyntheticKind,
     SyntheticParams,
     evaluate_station,
@@ -106,13 +107,18 @@ def test_p2_oracle_equivalence():
                 for h in (0.7, 1.0, 5.0, 200.0):
                     for ahead in (0.8, 1.0, 2.5):
                         target = float(epochs[-1] + ahead)
-                        # a one-target walk: the window, then the target
-                        s = ComponentSeries(Component.X, np.append(epochs, target),
-                                            np.append(values, 0.0))
-                        walk = forecast_series(s, GrnnConfig(training_size=size, bandwidth=h))
-                        yhat = walk.predicted_m[0]
-                        ref = nw_predict_mp(epochs, values, target, h)
-                        assert yhat == pytest.approx(ref, rel=1e-10, abs=1e-12)
+                        # a one-target walk: the window, then the target;
+                        # Y and Z carry the window mirrored and shifted
+                        rows = (values, -values, values + 0.5)
+                        station = StationSeries("P2", tuple(
+                            ComponentSeries(c, np.append(epochs, target), np.append(row, 0.0))
+                            for c, row in zip(Component, rows)))
+                        walks = forecast_series(station,
+                                                GrnnConfig(training_size=size, bandwidth=h))
+                        for c, row in zip(Component, rows):
+                            yhat = walks[c, Mode.RECURSIVE].predicted_m[0]
+                            ref = nw_predict_mp(epochs, row, target, h)
+                            assert yhat == pytest.approx(ref, rel=1e-10, abs=1e-12)
                         cases += 1
     rng = np.random.default_rng(31)
     theta_cases = 0

@@ -89,6 +89,20 @@ class TestPredict:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["component"] for r in rows] == 2 * (55 * ["X"] + 55 * ["Y"] + 55 * ["Z"])
 
+    def test_one_adaptive_search_per_station(self, station_file, capsys, monkeypatch):
+        calls = []
+
+        def adaptive_forecast_series(series, config):
+            calls.append((type(series).__name__, getattr(series, "station_id", None)))
+            return gnss_grnn.adaptive_forecast_series(series, config)
+
+        monkeypatch.setattr(gnss_grnn.cli, "adaptive_forecast_series", adaptive_forecast_series)
+        a, b = station_file(name="a", length=60), station_file(name="b", length=60, seed=2)
+        assert run_cli("predict", a, b, "-v", "5", "--threshold", "0.001") == 0
+        assert calls == [("StationSeries", "a"), ("StationSeries", "b")]
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["component"] for r in rows] == 2 * (55 * ["X"] + 55 * ["Y"] + 55 * ["Z"])
+
     def test_constant_has_zero_errors(self, station_file, capsys):
         path = station_file(name="const", kind=SyntheticKind.CONSTANT, length=60)
         assert run_cli("predict", path, "-v", "5") == 0
@@ -181,6 +195,25 @@ class TestPredict:
         assert err.startswith("gnss-grnn: numeric failure: station gappy: "
                               "bandwidth too small: ")
         assert "predicting component X at MJD " in err
+
+    def test_adaptive_underflow_in_a_later_component(self, tmp_path, capsys):
+        # a 31-day gap: constant X passes at v=1 everywhere, while Y must grow
+        # to v=2 after the gap, where a 0.5-day window-std underflows
+        path = tmp_path / "late.csv"
+        lines = ["epoch_mjd,x_m,y_m,z_m"]
+        for day in [*range(20), *range(51, 61)]:
+            curve = 1e-3 * day ** 2
+            lines.append(f"{55000.0 + day!r},4075000.0,{931000.0 + curve!r},"
+                         f"{4801000.0 - curve!r}")
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("predict", path, "-v", "1", "--threshold", "0.001",
+                       "--max-training-size", "5") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gnss-grnn: numeric failure: station late: bandwidth too small: every kernel "
+            "value underflowed (h=0.5, nearest distance 32.0 days) predicting component Y "
+            "at MJD 55051.0\n")
 
     def test_basis_anomaly_matches_raw(self, station_file, capsys):
         path = station_file(length=120)

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnss_grnn import (
+    AdaptiveForecastResult,
     BandwidthRule,
     BandwidthTooSmallError,
     Component,
     ComponentSeries,
     DataError,
+    ForecastResult,
     GrnnConfig,
     Mode,
     StationForecast,
@@ -32,8 +34,25 @@ from oracles import nw_predict_mp, nw_weights_mp, window_std_mp
 from scalar_reference import adaptive_predict, predict, stepping_walk
 
 
-def comp_series(epochs, values, component=Component.X):
-    return ComponentSeries(component, np.asarray(epochs, float), np.asarray(values, float))
+def station_of(epochs, values, station_id="S"):
+    """A station on the shared ``epochs``: ``values`` holds its X, Y, Z
+    rows, or one row that all three components share."""
+    epochs = np.asarray(epochs, float)
+    rows = np.broadcast_to(np.asarray(values, float), (3, epochs.size))
+    return StationSeries(station_id, tuple(
+        ComponentSeries(c, epochs, row) for c, row in zip(Component, rows)))
+
+
+def walk_x(epochs, values, cfg):
+    """Component X of the walk of a station whose components all hold ``values``."""
+    return forecast_series(station_of(epochs, values), cfg)[Component.X, cfg.mode]
+
+
+def search_x(epochs, values, cfg):
+    """Component X of the adaptive search on a station whose components all
+    hold ``values``."""
+    walks = adaptive_forecast_series(station_of(epochs, values), cfg)
+    return walks[Component.X, Mode.TEACHER_FORCED]
 
 
 def one_target_blocks(epochs, target, bandwidth):
@@ -53,9 +72,8 @@ def weights_at(epochs, target, bandwidth):
 
 def predict_at(epochs, values, target, bandwidth):
     """The one-target ``forecast_series`` from the window ``epochs``/``values``."""
-    s = comp_series(np.append(epochs, target), np.append(values, 0.0))
     cfg = GrnnConfig(training_size=len(values), bandwidth=bandwidth)
-    return float(forecast_series(s, cfg).predicted_m[0])
+    return float(walk_x(np.append(epochs, target), np.append(values, 0.0), cfg).predicted_m[0])
 
 
 def row_bandwidth(epochs, target, bandwidth):
@@ -180,7 +198,7 @@ class TestWindowUpdate:
 
     def walk(self, mode, v=3):
         cfg = GrnnConfig(training_size=v, bandwidth=1.0, mode=mode)
-        return forecast_series(comp_series(self.EPOCHS, self.VALUES), cfg)
+        return walk_x(self.EPOCHS, self.VALUES, cfg)
 
     def test_recursive_appends_prediction(self):
         res = self.walk(Mode.RECURSIVE)
@@ -201,7 +219,7 @@ class TestWindowUpdate:
     def test_gap_epochs_are_never_forecast(self, mode):
         epochs = np.array([1.0, 2.0, 3.0, 7.0, 8.0, 9.0])
         cfg = GrnnConfig(training_size=2, bandwidth=2.0, mode=mode)
-        res = forecast_series(comp_series(epochs, 0.5 * epochs), cfg)
+        res = walk_x(epochs, 0.5 * epochs, cfg)
         np.testing.assert_array_equal(res.epochs_mjd, [3.0, 7.0, 8.0, 9.0])
 
     def test_length_one_window_recursive(self):
@@ -227,7 +245,6 @@ class TestWindowUpdate:
     ({"bandwidth": float("nan")}, "fixed bandwidth must be positive and finite"),
     ({"threshold_m": 0.0}, "threshold_m must be positive"),
     ({"threshold_m": -1.0}, "threshold_m must be positive"),
-    ({"growth_step": 0}, "growth_step must be >= 1"),
 ])
 def test_config_rejects(kwargs, message):
     with pytest.raises(DataError, match=message):
@@ -235,8 +252,8 @@ def test_config_rejects(kwargs, message):
 
 class TestAdaptiveAtOneTarget:
     def test_constant_accepts_first_size(self):
-        s = comp_series(np.arange(20.0) + 1.0, np.full(20, 7.0))
-        walk = adaptive_forecast_series(s, GrnnConfig(training_size=3, threshold_m=0.1))
+        walk = search_x(np.arange(20.0) + 1.0, np.full(20, 7.0),
+                        GrnnConfig(training_size=3, threshold_m=0.1))
         i = 10 - 3
         assert walk.threshold_met[i]
         assert walk.training_size_used[i] == 3
@@ -244,9 +261,8 @@ class TestAdaptiveAtOneTarget:
 
     def test_linear_with_tight_threshold_exhausts(self):
         epochs = np.arange(30.0) + 1.0
-        s = comp_series(epochs, epochs.copy())
         cfg = GrnnConfig(training_size=2, bandwidth=1.0, threshold_m=1e-9)
-        walk = adaptive_forecast_series(s, cfg)
+        walk = search_x(epochs, epochs.copy(), cfg)
         i = 20 - 2
         assert not walk.threshold_met[i]
         # reference loop over the same admissible sizes, keeping the best
@@ -261,32 +277,29 @@ class TestAdaptiveAtOneTarget:
         assert walk.predicted_m[i] == pytest.approx(best[2], rel=1e-12)
 
     def test_huge_threshold_accepts_immediately(self):
-        s = comp_series(np.arange(30.0) + 1.0, np.arange(30.0) ** 1.5)
-        walk = adaptive_forecast_series(s, GrnnConfig(training_size=4, threshold_m=1e12))
+        walk = search_x(np.arange(30.0) + 1.0, np.arange(30.0) ** 1.5,
+                        GrnnConfig(training_size=4, threshold_m=1e12))
         i = 10 - 4
         assert walk.threshold_met[i] and walk.training_size_used[i] == 4
 
     def test_growth_respects_cap(self):
-        s = comp_series(np.arange(30.0) + 1.0, np.arange(30.0))
         cfg = GrnnConfig(training_size=2, bandwidth=1.0, threshold_m=1e-12,
                          max_training_size=5)
-        walk = adaptive_forecast_series(s, cfg)
+        walk = search_x(np.arange(30.0) + 1.0, np.arange(30.0), cfg)
         assert walk.training_size_used[20 - 2] <= 5
 
     def test_insufficient_history(self):
         # no threshold is met, so each target grows its window as far as the
         # history before it allows: index k has exactly k values behind it
-        s = comp_series(np.arange(10.0) + 1.0, np.arange(10.0) ** 2)
         cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-12)
-        walk = adaptive_forecast_series(s, cfg)
+        walk = search_x(np.arange(10.0) + 1.0, np.arange(10.0) ** 2, cfg)
         assert not walk.threshold_met.any()
         assert walk.training_size_used[0] == 5
         assert np.all(walk.training_size_used <= np.arange(5, 10))
 
     def test_walk_shape(self):
-        s = comp_series(np.arange(15.0) + 1.0, np.sin(np.arange(15.0)))
         cfg = GrnnConfig(training_size=4, threshold_m=0.5)
-        walk = adaptive_forecast_series(s, cfg)
+        walk = search_x(np.arange(15.0) + 1.0, np.sin(np.arange(15.0)), cfg)
         assert len(walk) == 11
         assert walk.training_size_used.min() >= 4
 
@@ -296,273 +309,6 @@ def loop_reference(series, cfg):
     forecasts, window sizes and threshold flags."""
     outcomes = [adaptive_predict(series, k, cfg) for k in range(cfg.training_size, series.count)]
     return [list(column) for column in zip(*outcomes)]
-
-
-def assert_same_walk(series, cfg):
-    """:func:`forecast_series` gives the bits of the stepping walk."""
-    predicted, n_window_predicted = stepping_walk(series, cfg)
-    fast = forecast_series(series, cfg)
-    assert np.array_equal(fast.predicted_m, predicted)
-    assert np.array_equal(fast.n_window_predicted, n_window_predicted)
-
-
-def _axis(kind, length=160):
-    rng = np.random.default_rng(5)
-    daily = 55000.0 + np.arange(float(length))
-    if kind == "daily":
-        return daily
-    if kind == "two-gap":
-        return np.concatenate([daily[:60], daily[67:110], daily[130:]])
-    if kind == "decimal-year":
-        # stored as 4-decimal years, as many public series ship
-        return decimal_year_to_mjd(np.round(mjd_to_decimal_year(daily), 4))
-    if kind == "irregular":
-        return np.cumsum(rng.uniform(0.5, 3.0, length)) + 1.0
-    return daily + rng.uniform(-0.01, 0.01, daily.size)  # jittered
-
-
-class TestAdaptiveForecastSeries:
-    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered"])
-    @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
-                                           BandwidthRule.MEAN_SPACING, 2.5])
-    @pytest.mark.parametrize("cap", [None, 40])
-    @pytest.mark.parametrize("growth_step", [1, 3])
-    @pytest.mark.parametrize("training_size", [1, 20])
-    def test_matches_per_target_loop(self, axis, bandwidth, cap, growth_step,
-                                     training_size):
-        self.check_against_loop(_axis(axis), training_size, bandwidth, cap, growth_step)
-
-    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered"])
-    @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
-                                           BandwidthRule.MEAN_SPACING, 2.5])
-    @pytest.mark.parametrize("growth_step", [1, 3])
-    def test_matches_per_target_loop_across_blocks(self, axis, bandwidth, growth_step):
-        # at v=100 the targets span four blocks of _BLOCK_ELEMENTS // 100 rows;
-        # the cap keeps the per-target loop fast
-        epochs = _axis(axis, length=640)
-        assert epochs.size - 100 > 3 * (_BLOCK_ELEMENTS // 100)
-        self.check_against_loop(epochs, 100, bandwidth, 140, growth_step)
-
-    @staticmethod
-    def check_against_loop(epochs, training_size, bandwidth, cap, growth_step):
-        rng = np.random.default_rng(11)
-        # anomaly-sized values: a coordinate-sized offset would round away
-        # last-bit differences of the dot product
-        values = np.cumsum(rng.normal(0.0, 1e-3, epochs.size))
-        s = comp_series(epochs, values, Component.Z)
-        cfg = GrnnConfig(training_size=training_size, bandwidth=bandwidth,
-                         threshold_m=4e-4, max_training_size=cap,
-                         growth_step=growth_step, mode=Mode.TEACHER_FORCED)
-        walk = adaptive_forecast_series(s, cfg)
-        predicted, used, met = loop_reference(s, cfg)
-        assert np.array_equal(walk.predicted_m, predicted)
-        assert np.array_equal(walk.training_size_used, used)
-        assert np.array_equal(walk.threshold_met, met)
-        assert walk.training_size_used.dtype == np.int64
-        assert walk.threshold_met.dtype == bool
-        # both outcomes occur, so the test exercises passing and exhausted targets
-        assert walk.threshold_met.any() and not walk.threshold_met.all()
-        np.testing.assert_array_equal(walk.epochs_mjd, epochs[training_size:])
-        np.testing.assert_array_equal(walk.observed_m, values[training_size:])
-
-    def test_underflow_names_the_target_the_loop_stops_at(self):
-        # a dense block, then spacings doubling up to target A; B lies far after A
-        dense = 50000.0 + 0.01 * np.arange(100)
-        geometric = dense[-1] + 0.02 * np.cumsum(2.0 ** np.arange(12))
-        epochs = np.concatenate([dense, geometric, [geometric[-1] + 1e4]])
-        a = epochs.size - 2
-        values = np.zeros(epochs.size)
-        values[a] = 1.0  # every other target passes at once
-        s = comp_series(epochs, values)
-        cfg = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
-                         threshold_m=0.5)
-        # B underflows at the first size; A only once its window reaches the
-        # dense block, so the loop stops at A
-        with pytest.raises(BandwidthTooSmallError) as loop_exc:
-            loop_reference(s, cfg)
-        assert f"at MJD {float(epochs[a])!r}" in str(loop_exc.value)
-        first_size_only = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
-                                     threshold_m=0.5, max_training_size=2)
-        _, _, met = adaptive_predict(s, a, first_size_only)
-        assert not met
-        with pytest.raises(BandwidthTooSmallError):
-            adaptive_predict(s, a + 1, first_size_only)
-        with pytest.raises(BandwidthTooSmallError) as walk_exc:
-            adaptive_forecast_series(s, cfg)
-        assert str(walk_exc.value) == str(loop_exc.value)
-
-    def test_threshold_required(self):
-        s = comp_series(np.arange(10.0) + 1.0, np.zeros(10))
-        with pytest.raises(DataError, match="requires a threshold"):
-            adaptive_forecast_series(s, GrnnConfig(training_size=3))
-
-    def test_nothing_to_predict(self):
-        s = comp_series(np.arange(3.0) + 1.0, np.zeros(3))
-        with pytest.raises(DataError, match="nothing to predict"):
-            adaptive_forecast_series(s, GrnnConfig(training_size=3, threshold_m=1.0))
-
-
-class TestUnderflowMessage:
-    # a 46-day gap: the first epoch after it lies 47 days past the window
-    EPOCHS = np.concatenate([55000.0 + np.arange(20.0), 55066.0 + np.arange(10.0)])
-
-    def expected(self):
-        return ("bandwidth too small: every kernel value underflowed (h=1.0, "
-                "nearest distance 47.0 days) predicting component Y at MJD 55066.0")
-
-    def series(self):
-        return comp_series(self.EPOCHS, np.linspace(0.0, 1.0, self.EPOCHS.size), Component.Y)
-
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_forecast_series(self, mode):
-        cfg = GrnnConfig(training_size=5, bandwidth=1.0, mode=mode)
-        with pytest.raises(BandwidthTooSmallError) as exc:
-            forecast_series(self.series(), cfg)
-        assert str(exc.value) == self.expected()
-
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_forecast_series_stops_at_first_target_beyond_first_block(self, mode):
-        # 60- and 130-day gaps: the targets after them (indices 400 and 410)
-        # both underflow at h=1 and share a block that is not the first
-        epochs = np.concatenate([55000.0 + np.arange(400.0), 55460.0 + np.arange(10.0),
-                                 55600.0 + np.arange(100.0)])
-        rows = _BLOCK_ELEMENTS // 100
-        assert 0 < (400 - 100) // rows == (410 - 100) // rows
-        s = comp_series(epochs, np.linspace(0.0, 1.0, epochs.size), Component.Y)
-        cfg = GrnnConfig(training_size=100, bandwidth=1.0, mode=mode)
-        with pytest.raises(BandwidthTooSmallError) as step_exc:
-            stepping_walk(s, cfg)
-        with pytest.raises(BandwidthTooSmallError) as walk_exc:
-            forecast_series(s, cfg)
-        assert str(walk_exc.value) == (
-            f"{step_exc.value} predicting component Y at MJD 55460.0")
-        assert "nearest distance 61.0 days" in str(walk_exc.value)
-
-    def test_adaptive_paths(self):
-        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-3)
-        with pytest.raises(BandwidthTooSmallError) as loop_exc:
-            adaptive_predict(self.series(), 20, cfg)
-        with pytest.raises(BandwidthTooSmallError) as walk_exc:
-            adaptive_forecast_series(self.series(), cfg)
-        assert str(loop_exc.value) == str(walk_exc.value) == self.expected()
-
-
-class TestForecastSeries:
-    def test_prediction_count(self):
-        s = comp_series(np.arange(10.0) + 1.0, np.random.default_rng(0).normal(size=10))
-        res = forecast_series(s, GrnnConfig(training_size=3))
-        assert len(res) == 7
-
-    def test_constant_series_recursive_exact(self):
-        s = comp_series(np.arange(50.0) + 1.0, np.full(50, 2.75))
-        res = forecast_series(s, GrnnConfig(training_size=5, mode=Mode.RECURSIVE))
-        np.testing.assert_allclose(res.predicted_m, 2.75, rtol=1e-15)
-        np.testing.assert_array_equal(res.errors_m(), np.zeros(45))
-
-    def test_nothing_to_predict(self):
-        s = comp_series([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        with pytest.raises(DataError, match="nothing to predict"):
-            forecast_series(s, GrnnConfig(training_size=3))
-
-    def test_mode_changes_the_walk(self):
-        epochs = np.arange(40.0) + 1.0
-        values = 0.1 * epochs
-        s = comp_series(epochs, values)
-        rec = forecast_series(s, GrnnConfig(training_size=5, bandwidth=1.0,
-                                            mode=Mode.RECURSIVE))
-        tf = forecast_series(s, GrnnConfig(training_size=5, bandwidth=1.0,
-                                           mode=Mode.TEACHER_FORCED))
-        assert not np.allclose(rec.predicted_m, tf.predicted_m)
-        np.testing.assert_array_equal(rec.n_window_predicted,
-                                      np.minimum(np.arange(35), 5))
-        np.testing.assert_array_equal(tf.n_window_predicted, np.zeros(35, dtype=int))
-
-    def test_matches_manual_stepping_walk(self):
-        rng = np.random.default_rng(3)
-        epochs = np.sort(rng.choice(400, size=120, replace=False)).astype(float) + 1.0
-        values = 4e6 + np.cumsum(rng.normal(0, 1e-3, size=120))
-        s = comp_series(epochs, values)
-        for mode in Mode:
-            for bw in (BandwidthRule.WINDOW_STD, BandwidthRule.MEAN_SPACING, 2.0):
-                cfg = GrnnConfig(training_size=7, bandwidth=bw, mode=mode)
-                fast = forecast_series(s, cfg)
-                predicted, n_window_predicted = stepping_walk(s, cfg)
-                assert np.array_equal(fast.predicted_m, predicted)
-                np.testing.assert_array_equal(fast.epochs_mjd, epochs[7:])
-                np.testing.assert_array_equal(fast.n_window_predicted, n_window_predicted)
-
-    def test_gap_walk_uses_pre_gap_window(self):
-        # 12 daily epochs with a 3-day hole after the 6th
-        epochs = np.array([1., 2., 3., 4., 5., 6., 10., 11., 12., 13., 14., 15.])
-        values = epochs * 0.5
-        s = comp_series(epochs, values)
-        cfg = GrnnConfig(training_size=4, bandwidth=2.0, mode=Mode.TEACHER_FORCED)
-        res = forecast_series(s, cfg)
-        assert len(res) == 8
-        # the prediction at epoch 10 must come from the pre-gap window {3..6}
-        i = int(np.flatnonzero(res.epochs_mjd == 10.0)[0])
-        w = weights_at(epochs[2:6], 10.0, 2.0)
-        assert res.predicted_m[i] == pytest.approx(float(w @ values[2:6]), rel=1e-14)
-        # step-by-step: the window holding epochs {5,6,10,11} predicts epoch 12
-        j = int(np.flatnonzero(res.epochs_mjd == 12.0)[0])
-        w2 = weights_at(epochs[4:8], 12.0, 2.0)
-        assert res.predicted_m[j] == pytest.approx(float(w2 @ values[4:8]), rel=1e-14)
-
-    def test_recursive_error_accumulates_on_ramp(self):
-        epochs = np.arange(30.0) + 1.0
-        s = comp_series(epochs, epochs.copy())
-        res = forecast_series(s, GrnnConfig(training_size=5, bandwidth=1.0,
-                                            mode=Mode.RECURSIVE))
-        errors = np.abs(res.errors_m())[:10]
-        assert np.all(np.diff(errors) >= -1e-12)
-
-    @pytest.mark.parametrize("axis", ["irregular", "daily", "two-gap", "jittered",
-                                      "decimal-year"])
-    def test_blocked_walk_matches_stepping_walk(self, axis):
-        epochs = _axis(axis, length=640)
-        # v=100 spans more than three weight blocks; v=1 is the smallest window
-        assert epochs.size - 100 > 3 * (_BLOCK_ELEMENTS // 100)
-        rng = np.random.default_rng(9)
-        # anomaly-sized values: a coordinate-sized offset would round away
-        # last-bit differences of the dot product
-        values = np.cumsum(rng.normal(0.0, 1e-3, epochs.size))
-        s = comp_series(epochs, values)
-        for v, bw, mode in itertools.product(
-                (1, 100), (BandwidthRule.WINDOW_STD, BandwidthRule.MEAN_SPACING, 2.0), Mode):
-            assert_same_walk(s, GrnnConfig(training_size=v, bandwidth=bw, mode=mode))
-
-    @pytest.mark.parametrize("offset", [0.0, 4e6], ids=["anomaly", "coordinate"])
-    @pytest.mark.parametrize("v", [1, 2, 7, 100, 300])
-    def test_recursive_step_matches_stepping_walk(self, v, offset):
-        # the step's arithmetic depends on v and the value magnitude, not on
-        # the axis; coordinate-sized values catch a step that skips the shift
-        # to the window's first value
-        epochs = _axis("irregular", length=640)
-        values = offset + np.cumsum(np.random.default_rng(9).normal(0.0, 1e-3, epochs.size))
-        assert_same_walk(comp_series(epochs, values), GrnnConfig(training_size=v))
-
-    @given(data=st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_walk_matches_stepping_walk_on_random_axes(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=60))
-        v = data.draw(st.integers(min_value=1, max_value=min(10, n - 1)))
-        # spacings this even keep every nearest kernel value from underflowing
-        spacings = data.draw(st.lists(st.floats(min_value=0.25, max_value=4.0),
-                                      min_size=n, max_size=n))
-        values = data.draw(st.lists(st.floats(min_value=-1e7, max_value=1e7),
-                                    min_size=n, max_size=n))
-        bw = data.draw(st.sampled_from([BandwidthRule.WINDOW_STD,
-                                        BandwidthRule.MEAN_SPACING, 2.0]))
-        mode = data.draw(st.sampled_from(list(Mode)))
-        cfg = GrnnConfig(training_size=v, bandwidth=bw, mode=mode)
-        assert_same_walk(comp_series(55000.0 + np.cumsum(spacings), values), cfg)
-
-
-def station_of(epochs, values, station_id="S"):
-    """A station whose X, Y, Z rows are ``values`` on the shared ``epochs``."""
-    return StationSeries(station_id, tuple(
-        ComponentSeries(c, np.asarray(epochs, float), np.asarray(row, float))
-        for c, row in zip(Component, values)))
 
 
 def assert_station_walks_step(station, cfg, modes=tuple(Mode)):
@@ -587,8 +333,291 @@ def assert_station_walks_step(station, cfg, modes=tuple(Mode)):
             assert walk.component == comp.component.value
             assert np.array_equal(walk.predicted_m, predicted)
             assert np.array_equal(walk.n_window_predicted, n_window_predicted)
+            np.testing.assert_array_equal(walk.epochs_mjd, comp.epochs_mjd[cfg.training_size:])
             np.testing.assert_array_equal(walk.observed_m, comp.values_m[cfg.training_size:])
     return True
+
+
+def _axis(kind, length=160):
+    rng = np.random.default_rng(5)
+    daily = 55000.0 + np.arange(float(length))
+    if kind == "daily":
+        return daily
+    if kind == "two-gap":
+        return np.concatenate([daily[:60], daily[67:110], daily[130:]])
+    if kind == "decimal-year":
+        # stored as 4-decimal years, as many public series ship
+        return decimal_year_to_mjd(np.round(mjd_to_decimal_year(daily), 4))
+    if kind == "irregular":
+        return np.cumsum(rng.uniform(0.5, 3.0, length)) + 1.0
+    return daily + rng.uniform(-0.01, 0.01, daily.size)  # jittered
+
+
+class TestAdaptiveForecastSeries:
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered"])
+    @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
+                                           BandwidthRule.MEAN_SPACING, 2.5])
+    @pytest.mark.parametrize("cap", [None, 40])
+    @pytest.mark.parametrize("training_size", [1, 20])
+    @pytest.mark.parametrize("layout", ["independent", "staggered"])
+    def test_matches_per_target_loop(self, layout, axis, bandwidth, cap, training_size):
+        self.check_against_loop(_axis(axis), training_size, bandwidth, cap, layout)
+
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered"])
+    @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
+                                           BandwidthRule.MEAN_SPACING, 2.5])
+    @pytest.mark.parametrize("layout", ["independent", "staggered"])
+    def test_matches_per_target_loop_across_blocks(self, layout, axis, bandwidth):
+        # at v=100 the targets span four blocks of _BLOCK_ELEMENTS // 100 rows;
+        # the cap keeps the per-target loop fast
+        epochs = _axis(axis, length=640)
+        assert epochs.size - 100 > 3 * (_BLOCK_ELEMENTS // 100)
+        self.check_against_loop(epochs, 100, bandwidth, 140, layout)
+
+    @staticmethod
+    def check_against_loop(epochs, training_size, bandwidth, cap, layout):
+        rng = np.random.default_rng(11)
+        # anomaly-sized values: a coordinate-sized offset would round away
+        # last-bit differences of the dot product; each component differs,
+        # so targets close at different sizes in each
+        values = np.cumsum(rng.normal(0.0, 1e-3, (3, epochs.size)), axis=1)
+        if layout == "staggered":
+            # X is constant, so all its targets close at the first size while
+            # Y and Z stay open; Z is Y doubled, so it stays open longer
+            values = np.stack([np.zeros(epochs.size), values[1], 2.0 * values[1]])
+        station = station_of(epochs, values)
+        cfg = GrnnConfig(training_size=training_size, bandwidth=bandwidth,
+                         threshold_m=4e-4, max_training_size=cap, mode=Mode.TEACHER_FORCED)
+        walks = adaptive_forecast_series(station, cfg)
+        assert isinstance(walks, StationForecast)
+        assert len(walks) == 3 * (epochs.size - training_size)
+        for comp in station.components:
+            walk = walks[comp.component, Mode.TEACHER_FORCED]
+            assert isinstance(walk, AdaptiveForecastResult) and isinstance(walk, ForecastResult)
+            predicted, used, met = loop_reference(comp, cfg)
+            assert walk.component == comp.component.value
+            assert np.array_equal(walk.predicted_m, predicted)
+            assert np.array_equal(walk.training_size_used, used)
+            assert np.array_equal(walk.threshold_met, met)
+            assert walk.training_size_used.dtype == np.int64
+            assert walk.threshold_met.dtype == bool
+            if layout == "staggered" and comp.component is Component.X:
+                assert walk.threshold_met.all()
+                np.testing.assert_array_equal(walk.training_size_used, training_size)
+            else:
+                # both outcomes occur, so the test exercises passing and exhausted targets
+                assert walk.threshold_met.any() and not walk.threshold_met.all()
+            np.testing.assert_array_equal(walk.epochs_mjd, epochs[training_size:])
+            np.testing.assert_array_equal(walk.observed_m, comp.values_m[training_size:])
+            # teacher-forced: no window entry is a prediction
+            np.testing.assert_array_equal(walk.n_window_predicted, 0)
+
+    def test_underflow_names_the_target_the_loop_stops_at(self):
+        # a dense block, then spacings doubling up to target A; B lies far after A
+        dense = 50000.0 + 0.01 * np.arange(100)
+        geometric = dense[-1] + 0.02 * np.cumsum(2.0 ** np.arange(12))
+        epochs = np.concatenate([dense, geometric, [geometric[-1] + 1e4]])
+        a = epochs.size - 2
+        values = np.zeros(epochs.size)
+        values[a] = 1.0  # every other target passes at once
+        station = station_of(epochs, values)
+        s = station.components[0]
+        cfg = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
+                         threshold_m=0.5)
+        # B underflows at the first size; A only once its window reaches the
+        # dense block, so the loop stops at A
+        with pytest.raises(BandwidthTooSmallError) as loop_exc:
+            loop_reference(s, cfg)
+        assert f"at MJD {float(epochs[a])!r}" in str(loop_exc.value)
+        first_size_only = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
+                                     threshold_m=0.5, max_training_size=2)
+        _, _, met = adaptive_predict(s, a, first_size_only)
+        assert not met
+        with pytest.raises(BandwidthTooSmallError):
+            adaptive_predict(s, a + 1, first_size_only)
+        with pytest.raises(BandwidthTooSmallError) as walk_exc:
+            adaptive_forecast_series(station, cfg)
+        assert str(walk_exc.value) == str(loop_exc.value)
+
+    def test_underflow_in_a_later_component(self):
+        # a 31-day gap: X is constant, so each of its targets passes at v=1;
+        # Y and Z must grow to v=2 after the gap, whose 0.5-day window-std
+        # underflows 32 days out. Y is the first component that fails.
+        epochs = np.concatenate([55000.0 + np.arange(20.0), 55051.0 + np.arange(10.0)])
+        curve = 1e-3 * (epochs - 55000.0) ** 2
+        station = station_of(epochs, [np.zeros(epochs.size), curve, -curve])
+        cfg = GrnnConfig(training_size=1, threshold_m=1e-3, max_training_size=5)
+        x, y, _ = station.components
+        _, used, met = loop_reference(x, cfg)
+        assert all(met) and set(used) == {1}
+        with pytest.raises(BandwidthTooSmallError) as loop_exc:
+            loop_reference(y, cfg)
+        with pytest.raises(BandwidthTooSmallError) as walk_exc:
+            adaptive_forecast_series(station, cfg)
+        assert str(walk_exc.value) == str(loop_exc.value) == (
+            "bandwidth too small: every kernel value underflowed (h=0.5, "
+            "nearest distance 32.0 days) predicting component Y at MJD 55051.0")
+
+    def test_threshold_required(self):
+        station = station_of(np.arange(10.0) + 1.0, np.zeros(10))
+        with pytest.raises(DataError, match="requires a threshold"):
+            adaptive_forecast_series(station, GrnnConfig(training_size=3))
+
+    def test_nothing_to_predict(self):
+        station = station_of(np.arange(3.0) + 1.0, np.zeros(3))
+        with pytest.raises(DataError, match="nothing to predict"):
+            adaptive_forecast_series(station, GrnnConfig(training_size=3, threshold_m=1.0))
+
+
+class TestUnderflowMessage:
+    # a 46-day gap: the first epoch after it lies 47 days past the window
+    EPOCHS = np.concatenate([55000.0 + np.arange(20.0), 55066.0 + np.arange(10.0)])
+
+    def expected(self):
+        return ("bandwidth too small: every kernel value underflowed (h=1.0, "
+                "nearest distance 47.0 days) predicting component X at MJD 55066.0")
+
+    def station(self):
+        return station_of(self.EPOCHS, np.linspace(0.0, 1.0, self.EPOCHS.size))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_forecast_series(self, mode):
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0, mode=mode)
+        with pytest.raises(BandwidthTooSmallError) as exc:
+            forecast_series(self.station(), cfg)
+        assert str(exc.value) == self.expected()
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_forecast_series_stops_at_first_target_beyond_first_block(self, mode):
+        # 60- and 130-day gaps: the targets after them (indices 400 and 410)
+        # both underflow at h=1 and share a block that is not the first
+        epochs = np.concatenate([55000.0 + np.arange(400.0), 55460.0 + np.arange(10.0),
+                                 55600.0 + np.arange(100.0)])
+        rows = _BLOCK_ELEMENTS // 100
+        assert 0 < (400 - 100) // rows == (410 - 100) // rows
+        station = station_of(epochs, np.linspace(0.0, 1.0, epochs.size))
+        cfg = GrnnConfig(training_size=100, bandwidth=1.0, mode=mode)
+        with pytest.raises(BandwidthTooSmallError) as step_exc:
+            stepping_walk(station.components[0], cfg)
+        with pytest.raises(BandwidthTooSmallError) as walk_exc:
+            forecast_series(station, cfg)
+        assert str(walk_exc.value) == (
+            f"{step_exc.value} predicting component X at MJD 55460.0")
+        assert "nearest distance 61.0 days" in str(walk_exc.value)
+
+    def test_adaptive_paths(self):
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-3)
+        with pytest.raises(BandwidthTooSmallError) as loop_exc:
+            adaptive_predict(self.station().components[0], 20, cfg)
+        with pytest.raises(BandwidthTooSmallError) as walk_exc:
+            adaptive_forecast_series(self.station(), cfg)
+        assert str(loop_exc.value) == str(walk_exc.value) == self.expected()
+
+
+class TestForecastSeries:
+    def test_prediction_count(self):
+        res = walk_x(np.arange(10.0) + 1.0, np.random.default_rng(0).normal(size=10),
+                     GrnnConfig(training_size=3))
+        assert len(res) == 7
+
+    def test_constant_series_recursive_exact(self):
+        res = walk_x(np.arange(50.0) + 1.0, np.full(50, 2.75),
+                     GrnnConfig(training_size=5, mode=Mode.RECURSIVE))
+        np.testing.assert_allclose(res.predicted_m, 2.75, rtol=1e-15)
+        np.testing.assert_array_equal(res.errors_m(), np.zeros(45))
+
+    def test_nothing_to_predict(self):
+        station = station_of([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="nothing to predict"):
+            forecast_series(station, GrnnConfig(training_size=3))
+
+    def test_mode_changes_the_walk(self):
+        epochs = np.arange(40.0) + 1.0
+        values = 0.1 * epochs
+        rec = walk_x(epochs, values, GrnnConfig(training_size=5, bandwidth=1.0,
+                                                mode=Mode.RECURSIVE))
+        tf = walk_x(epochs, values, GrnnConfig(training_size=5, bandwidth=1.0,
+                                               mode=Mode.TEACHER_FORCED))
+        assert not np.allclose(rec.predicted_m, tf.predicted_m)
+        np.testing.assert_array_equal(rec.n_window_predicted,
+                                      np.minimum(np.arange(35), 5))
+        np.testing.assert_array_equal(tf.n_window_predicted, np.zeros(35, dtype=int))
+
+    def test_matches_manual_stepping_walk(self):
+        rng = np.random.default_rng(3)
+        epochs = np.sort(rng.choice(400, size=120, replace=False)).astype(float) + 1.0
+        values = 4e6 + np.cumsum(rng.normal(0, 1e-3, size=(3, 120)), axis=1)
+        station = station_of(epochs, values)
+        # both modes of every component, each against its stepping walk
+        for bw in (BandwidthRule.WINDOW_STD, BandwidthRule.MEAN_SPACING, 2.0):
+            assert assert_station_walks_step(station, GrnnConfig(training_size=7, bandwidth=bw))
+
+    def test_gap_walk_uses_pre_gap_window(self):
+        # 12 daily epochs with a 3-day hole after the 6th
+        epochs = np.array([1., 2., 3., 4., 5., 6., 10., 11., 12., 13., 14., 15.])
+        values = epochs * 0.5
+        cfg = GrnnConfig(training_size=4, bandwidth=2.0, mode=Mode.TEACHER_FORCED)
+        res = walk_x(epochs, values, cfg)
+        assert len(res) == 8
+        # the prediction at epoch 10 must come from the pre-gap window {3..6}
+        i = int(np.flatnonzero(res.epochs_mjd == 10.0)[0])
+        w = weights_at(epochs[2:6], 10.0, 2.0)
+        assert res.predicted_m[i] == pytest.approx(float(w @ values[2:6]), rel=1e-14)
+        # step-by-step: the window holding epochs {5,6,10,11} predicts epoch 12
+        j = int(np.flatnonzero(res.epochs_mjd == 12.0)[0])
+        w2 = weights_at(epochs[4:8], 12.0, 2.0)
+        assert res.predicted_m[j] == pytest.approx(float(w2 @ values[4:8]), rel=1e-14)
+
+    def test_recursive_error_accumulates_on_ramp(self):
+        epochs = np.arange(30.0) + 1.0
+        res = walk_x(epochs, epochs.copy(), GrnnConfig(training_size=5, bandwidth=1.0,
+                                                       mode=Mode.RECURSIVE))
+        errors = np.abs(res.errors_m())[:10]
+        assert np.all(np.diff(errors) >= -1e-12)
+
+    @pytest.mark.parametrize("axis", ["irregular", "daily", "two-gap", "jittered",
+                                      "decimal-year"])
+    def test_blocked_walk_matches_stepping_walk(self, axis):
+        epochs = _axis(axis, length=640)
+        # v=100 spans more than three weight blocks; v=1 is the smallest window
+        assert epochs.size - 100 > 3 * (_BLOCK_ELEMENTS // 100)
+        rng = np.random.default_rng(9)
+        # anomaly-sized values: a coordinate-sized offset would round away
+        # last-bit differences of the dot product
+        values = np.cumsum(rng.normal(0.0, 1e-3, (3, epochs.size)), axis=1)
+        station = station_of(epochs, values)
+        for v, bw in itertools.product(
+                (1, 100), (BandwidthRule.WINDOW_STD, BandwidthRule.MEAN_SPACING, 2.0)):
+            assert assert_station_walks_step(station, GrnnConfig(training_size=v, bandwidth=bw))
+
+    @pytest.mark.parametrize("offset", [0.0, 4e6], ids=["anomaly", "coordinate"])
+    @pytest.mark.parametrize("v", [1, 2, 7, 100, 300])
+    def test_recursive_step_matches_stepping_walk(self, v, offset):
+        # the step's arithmetic depends on v and the value magnitude, not on
+        # the axis; coordinate-sized values catch a step that skips the shift
+        # to the window's first value
+        epochs = _axis("irregular", length=640)
+        values = offset + np.cumsum(np.random.default_rng(9).normal(0.0, 1e-3, (3, epochs.size)),
+                                    axis=1)
+        assert assert_station_walks_step(station_of(epochs, values),
+                                         GrnnConfig(training_size=v), (Mode.RECURSIVE,))
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_walk_matches_stepping_walk_on_random_axes(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=60))
+        v = data.draw(st.integers(min_value=1, max_value=min(10, n - 1)))
+        # spacings this even keep every nearest kernel value from underflowing
+        spacings = data.draw(st.lists(st.floats(min_value=0.25, max_value=4.0),
+                                      min_size=n, max_size=n))
+        values = data.draw(st.lists(st.floats(min_value=-1e7, max_value=1e7),
+                                    min_size=3 * n, max_size=3 * n))
+        bw = data.draw(st.sampled_from([BandwidthRule.WINDOW_STD,
+                                        BandwidthRule.MEAN_SPACING, 2.0]))
+        mode = data.draw(st.sampled_from(list(Mode)))
+        station = station_of(55000.0 + np.cumsum(spacings), np.reshape(values, (3, n)))
+        assert assert_station_walks_step(station, GrnnConfig(training_size=v, bandwidth=bw),
+                                         (mode,))
 
 
 class TestStationWalk:
@@ -631,9 +660,8 @@ class TestStationWalk:
             assert set(walks.results) == {(c, mode) for c in ("X", "Y", "Z")}
             assert len(walks) == 3 * 35
             for comp in station.components:
-                single = forecast_series(comp, GrnnConfig(training_size=5, mode=mode))
-                assert np.array_equal(walks[comp.component.value, mode].predicted_m,
-                                      single.predicted_m)
+                predicted, _ = stepping_walk(comp, GrnnConfig(training_size=5, mode=mode))
+                assert np.array_equal(walks[comp.component.value, mode].predicted_m, predicted)
 
     def test_refusals(self):
         epochs = _axis("daily", length=20)
@@ -642,14 +670,11 @@ class TestStationWalk:
             forecast_series(station, GrnnConfig(training_size=5), modes=())
         with pytest.raises(DataError, match="nothing to predict"):
             forecast_series(station, GrnnConfig(training_size=20))
-        with pytest.raises(TypeError, match="modes applies to a StationSeries"):
-            forecast_series(station.components[0], GrnnConfig(training_size=5),
-                            modes=(Mode.RECURSIVE,))
 
 
 class TestStationUnderflow:
-    """A station underflow is the error the per-component walks raise first,
-    which is component X's since the weights are shared."""
+    """A station underflow is the error the per-component stepping walks
+    raise first, which is component X's since the weights are shared."""
 
     # 60- and 130-day gaps: the targets after them underflow at h=1 and
     # share a block that is not the first
@@ -661,12 +686,14 @@ class TestStationUnderflow:
         return station_of(self.EPOCHS, values, station_id="GAPPY")
 
     def first_component_error(self, cfg):
-        """The first per-component walk error, in X, Y, Z order."""
+        """The first stepping-walk error, in X, Y, Z order, as a station walk
+        words it: every walk stops at the first target after the 60-day gap."""
         for comp in self.station().components:
             try:
-                forecast_series(comp, cfg)
+                stepping_walk(comp, cfg)
             except BandwidthTooSmallError as exc:
-                return exc
+                return BandwidthTooSmallError(
+                    f"{exc} predicting component {comp.component.value} at MJD 55460.0")
         raise AssertionError("no component underflowed")
 
     @pytest.mark.parametrize("modes", [(Mode.RECURSIVE,), (Mode.TEACHER_FORCED,),

@@ -159,6 +159,11 @@ class TestOneWalkPerStation:
             evaluate_station(self.station(), GrnnConfig(training_size=10), theta_window=2)
         assert kernel_calls == []
 
+    def test_timing_bad_theta_window_walks_nothing(self, kernel_calls):
+        with pytest.raises(DataError, match="theta window must be >= 3"):
+            time_methods([self.station()], GrnnConfig(training_size=10), theta_window=2)
+        assert kernel_calls == []
+
     def test_timing_calls_once_per_station_and_pass(self, kernel_calls):
         timing = time_methods([self.station(), self.station()],
                               GrnnConfig(training_size=10), repetitions=3)
