@@ -23,6 +23,15 @@ applies it to every component and every requested mode before it moves
 on to the next block, and :func:`adaptive_forecast_series` computes the
 weights of each window size once for the targets still open in any
 component.
+
+The weights of a target depend only on its distances to the window
+epochs, so targets with bit-identical distances share them. IGS final
+solutions are daily, and on such an axis every target whose window holds
+no gap has the same distances. :func:`_weight_blocks` therefore computes
+one weight row per run of adjacent targets with identical distances, plus
+an index from targets to rows: a block of a gap-free daily series costs
+one kernel row, while an irregular axis, where every run is one target,
+pays only the comparison that finds the runs.
 """
 
 from __future__ import annotations
@@ -81,8 +90,8 @@ class GrnnConfig:
             elsewhere.
         max_training_size: cap on window growth in the adaptive search;
             ``None`` means only the available history caps it.
-        mode: window-update policy; the adaptive search is always
-            teacher-forced.
+        mode: window-update policy; :func:`adaptive_forecast_series` is
+            teacher-forced and refuses any other mode.
     """
 
     training_size: int = 100
@@ -159,9 +168,10 @@ def _at_target(
 def _convex_combinations(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """``weights @ window`` per row, evaluated about the window's first value.
 
-    Algebraically identical because the weights sum to 1, but exact on a
-    constant window and far better conditioned when values are large
-    coordinates with sub-meter variation. A stacked ``(1, v) @ (v, 1)``
+    ``weights`` holds a row per window, or one row that every window
+    shares. Algebraically identical because the weights sum to 1, but
+    exact on a constant window and far better conditioned when values are
+    large coordinates with sub-meter variation. A stacked ``(1, v) @ (v, 1)``
     matmul runs the same dot as the 1-d product, so every row gets the
     bits of the single-target forecast in ``tests/scalar_reference.py``.
     """
@@ -172,35 +182,51 @@ def _convex_combinations(weights: np.ndarray, windows: np.ndarray) -> np.ndarray
 
 def _weight_blocks(
     epochs: np.ndarray, targets: np.ndarray, v: int, bandwidth: float | BandwidthRule
-) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, float, float]]]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, float, float]]]]:
     """Normalized kernel weights for ``targets``, a block at a time.
 
-    Row ``j`` of a block weighs the ``v`` epochs before
-    ``epochs[targets[j]]``: row bandwidth, Gaussian kernels, one
-    normalizing sum. Each row has the bits of the single-target weights
-    in ``tests/scalar_reference.py``. A block holds at most ``_BLOCK_ELEMENTS`` window elements,
-    which bounds the working memory whatever the number of targets.
-    Yields ``(rows, weights, underflows)`` per block: the indices into
-    ``targets`` whose kernels kept a nonzero sum, their weight rows, and
-    ``(row, h, nearest distance)`` for each row that underflowed.
+    Target ``j`` weighs the ``v`` epochs before ``epochs[targets[j]]`` by
+    its distances to them: row bandwidth, Gaussian kernels, one
+    normalizing sum. Adjacent targets whose distance rows are bit-identical
+    form a run, and each run gets its weight row once: on a regular axis a
+    whole block is one run, on an irregular one every target is its own.
+    Each row has the bits of the single-target weights in
+    ``tests/scalar_reference.py``. A block holds at most ``_BLOCK_ELEMENTS``
+    window elements, which bounds the working memory whatever the number
+    of targets.
+
+    Yields ``(rows, weights, pattern, underflows)`` per block: the indices
+    into ``targets`` whose kernels kept a nonzero sum, one weight row per
+    run of them, the index from those targets to their rows
+    (``weights[pattern[i]]`` weighs target ``rows[i]``), and ``(row, h,
+    nearest distance)`` for each target that underflowed.
     """
     epoch_windows = sliding_window_view(epochs, v)
     size = max(1, _BLOCK_ELEMENTS // v)
     for start in range(0, targets.size, size):
         k = targets[start:start + size]
         distances = epochs[k][:, None] - epoch_windows[k - v]
+        # a run starts at every row that differs from the row before it
+        starts = np.ones(k.size, dtype=bool)
+        np.any(distances[1:] != distances[:-1], axis=1, out=starts[1:])
+        pattern = np.cumsum(starts) - 1
+        if pattern[-1] + 1 < k.size:
+            distances = distances[starts]
         h = _row_bandwidths(distances, bandwidth)
         kernels = gaussian_kernel(distances / h[:, None])
         total = kernels.sum(axis=1)
-        # drop underflowed rows before dividing: a zero row sum would only warn
+        # drop underflowed runs before dividing: a zero row sum would only warn
         ok = total != 0.0
-        underflows = [(start + j, float(h[j]), float(distances[j].min()))
-                      for j in np.flatnonzero(~ok).tolist()]
+        failed = ~ok[pattern]
+        underflows = [(start + j, float(h[r]), float(distances[r].min()))
+                      for j, r in zip(np.flatnonzero(failed).tolist(),
+                                      pattern[failed].tolist())]
         if underflows:
             kernels, total = kernels[ok], total[ok]
+            pattern = (np.cumsum(ok) - 1)[pattern[~failed]]
         weights = kernels / total[:, None]
         assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
-        yield start + np.flatnonzero(ok), weights, underflows
+        yield start + np.flatnonzero(~failed), weights, pattern, underflows
 
 
 @dataclass(frozen=True)
@@ -279,7 +305,11 @@ def forecast_series(
     hole simply reaches forward from the pre-gap window, so its kernel
     distances are larger than usual. The weights depend on the epochs
     alone, so they come from :func:`_weight_blocks` a block of targets at
-    a time. Each recursive step subtracts the window's first value into
+    a time, one row per run of targets with identical distances. The
+    teacher-forced matmul broadcasts the row of a block that is one run,
+    takes the rows as they are when every target is its own run, and
+    gathers per-target rows only otherwise. Each recursive step finds its
+    row through the block's index, subtracts the window's first value into
     one deviation buffer reused for the whole walk and takes
     ``ndarray.dot`` of the weight row with it: the operations, in the
     order, of :func:`_convex_combinations` for one row, without its
@@ -303,8 +333,8 @@ def forecast_series(
     # recursive mode they become training data for the following steps
     buffers = {mode: [c.values_m.copy() for c in components] for mode in modes}
     deviations = np.empty(v, dtype=np.float64)
-    for rows, weights, underflows in _weight_blocks(epochs, np.arange(v, n), v,
-                                                    config.bandwidth):
+    for rows, weights, pattern, underflows in _weight_blocks(epochs, np.arange(v, n), v,
+                                                             config.bandwidth):
         if underflows:
             # shared weights: the first component is the first to fail
             j, h, nearest = underflows[0]
@@ -313,13 +343,20 @@ def forecast_series(
         targets = rows + v
         for mode, buffer in buffers.items():
             if mode is Mode.TEACHER_FORCED:
+                # a single run's row broadcasts; one run per target needs no gather
+                per_target = weights if len(weights) in (1, rows.size) else weights[pattern]
                 for values, windows in zip(buffer, value_windows):
-                    values[targets] = _convex_combinations(weights, windows[rows])
+                    values[targets] = _convex_combinations(per_target, windows[rows])
                 continue
             steps = targets.tolist()
+            if len(weights) == rows.size:  # every target its own run
+                step_rows = weights
+            else:
+                weight_rows = list(weights)
+                step_rows = [weight_rows[r] for r in pattern.tolist()]
             for values in buffer:
                 # one row of _convex_combinations: same operations, no temporaries
-                for row, k in zip(weights, steps):
+                for row, k in zip(step_rows, steps):
                     base = values[k - v]
                     np.subtract(values[k - v:k], base, out=deviations)
                     values[k] = base + row.dot(deviations)
@@ -349,14 +386,16 @@ def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> Stat
     passes or no larger window fits the available history (or
     ``max_training_size``); the attempt with the smallest error stands
     when none passes. Needs the truth at the target, so this is a
-    backtest-time procedure only. Gives a :class:`StationForecast` with
-    one :class:`AdaptiveForecastResult` per component, keyed by
+    backtest-time procedure only. ``config.mode`` must be
+    ``Mode.TEACHER_FORCED``. Gives a :class:`StationForecast` with one
+    :class:`AdaptiveForecastResult` per component, keyed by
     ``Mode.TEACHER_FORCED``.
 
     Batched over targets: the outer loop walks the candidate sizes, and
     each size computes the weights of every target still open in any
     component in one pass of :func:`_weight_blocks`; each component then
-    forecasts its own open targets from those rows. A target closes in a
+    forecasts its own open targets from those rows, broadcasting a block
+    that is one run of identical rows. A target closes in a
     component at the first size that passes the threshold, at the size
     that underflows, or once the next size exceeds its cap. Every index
     gets bit for bit the forecast, size and flag of the per-target loop
@@ -370,6 +409,8 @@ def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> Stat
         raise DataError(f"nothing to predict: {n} samples with training_size {v0}")
     if config.threshold_m is None:
         raise DataError("adaptive prediction requires a threshold")
+    if config.mode is not Mode.TEACHER_FORCED:
+        raise DataError(f"adaptive prediction is teacher-forced, not {config.mode.value}")
     components = station.components
     epochs = station.epochs_mjd
     targets = np.arange(v0, n)
@@ -389,8 +430,8 @@ def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> Stat
     v = v0
     while open_pos.size:
         value_windows = [sliding_window_view(c.values_m, v) for c in components]
-        for rows, weights, underflowed in _weight_blocks(epochs, targets[open_pos], v,
-                                                         config.bandwidth):
+        for rows, weights, pattern, underflowed in _weight_blocks(epochs, targets[open_pos], v,
+                                                                  config.bandwidth):
             for j, h, nearest in underflowed:
                 p = int(open_pos[j])
                 for c in np.flatnonzero(is_open[:, p]).tolist():
@@ -401,7 +442,9 @@ def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> Stat
                 mine = is_open[c, block_pos]
                 pos = block_pos[mine]
                 k = targets[pos]
-                yhat = _convex_combinations(weights[mine], windows[k - v])
+                # a single run's row broadcasts over every open target
+                own = weights if len(weights) == 1 else weights[pattern[mine]]
+                yhat = _convex_combinations(own, windows[k - v])
                 abs_err = np.abs(comp.values_m[k] - yhat)
                 passed = abs_err < config.threshold_m
                 # v0 is every target's first try; later sizes must be strictly

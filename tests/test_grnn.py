@@ -1,6 +1,7 @@
 """Kernel forecaster: weights, bandwidths, one-target forecasts, walks."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from gnss_grnn import (
     mjd_to_decimal_year,
     run_sweep,
 )
+from gnss_grnn import grnn
 from gnss_grnn.grnn import _BLOCK_ELEMENTS, _row_bandwidths, _weight_blocks
 
 from oracles import nw_predict_mp, nw_weights_mp, window_std_mp
@@ -56,8 +58,8 @@ def search_x(epochs, values, cfg):
 
 
 def one_target_blocks(epochs, target, bandwidth):
-    """The single ``(rows, weights, underflows)`` block of one target after
-    the window ``epochs``."""
+    """The single ``(rows, weights, pattern, underflows)`` block of one
+    target after the window ``epochs``."""
     axis = np.append(np.asarray(epochs, float), target)
     v = axis.size - 1
     (block,) = _weight_blocks(axis, np.array([v]), v, bandwidth)
@@ -65,8 +67,8 @@ def one_target_blocks(epochs, target, bandwidth):
 
 
 def weights_at(epochs, target, bandwidth):
-    rows, weights, underflows = one_target_blocks(epochs, target, bandwidth)
-    assert rows.tolist() == [0] and not underflows
+    rows, weights, pattern, underflows = one_target_blocks(epochs, target, bandwidth)
+    assert rows.tolist() == [0] and pattern.tolist() == [0] and not underflows
     return weights[0]
 
 
@@ -78,6 +80,36 @@ def predict_at(epochs, values, target, bandwidth):
 
 def row_bandwidth(epochs, target, bandwidth):
     return float(_row_bandwidths((target - np.asarray(epochs, float))[None, :], bandwidth)[0])
+
+
+def assert_blocks_weigh_each_target(epochs, v, bandwidth):
+    """``_weight_blocks`` over every target after the first ``v`` epochs
+    gives each target the bits of its scalar-reference weights, or reports
+    the reference's underflow, and keeps one weight row per run of
+    adjacent targets with identical distance rows. Returns the blocks."""
+    targets = np.arange(v, epochs.size)
+    size = max(1, _BLOCK_ELEMENTS // v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = list(_weight_blocks(epochs, targets, v, bandwidth))
+    assert len(blocks) == -(-targets.size // size)
+    for b, (rows, weights, pattern, underflows) in enumerate(blocks):
+        block = list(range(b * size, min((b + 1) * size, targets.size)))
+        distances = [epochs[k] - epochs[k - v:k] for k in targets[block].tolist()]
+        run = np.cumsum([True] + [not np.array_equal(d, e)
+                                  for d, e in zip(distances[1:], distances)])
+        assert sorted(rows.tolist() + [j for j, _, _ in underflows]) == block
+        kept = rows - block[0]
+        assert np.array_equal(pattern, np.unique(run[kept], return_inverse=True)[1])
+        assert len(weights) == np.unique(run[kept]).size
+        for j, r in zip(kept.tolist(), pattern.tolist()):
+            assert np.array_equal(weights[r], predict(distances[j], np.zeros(v), bandwidth)[1])
+        for j, h, nearest in underflows:
+            with pytest.raises(BandwidthTooSmallError) as exc:
+                predict(distances[j - block[0]], np.zeros(v), bandwidth)
+            assert str(exc.value) == ("bandwidth too small: every kernel value underflowed "
+                                      f"(h={h!r}, nearest distance {nearest!r} days)")
+    return blocks
 
 
 class TestGaussianKernel:
@@ -111,8 +143,8 @@ class TestWeightBlocks:
         np.testing.assert_array_equal(weights_at([1.0], 5.0, 2.0), [1.0])
 
     def test_underflow_is_reported_not_weighted(self):
-        rows, weights, underflows = one_target_blocks([0.0], 100.0, 0.5)
-        assert rows.size == 0 and weights.shape == (0, 1)
+        rows, weights, pattern, underflows = one_target_blocks([0.0], 100.0, 0.5)
+        assert rows.size == 0 and weights.shape == (0, 1) and pattern.size == 0
         assert underflows == [(0, 0.5, 100.0)]
 
     def test_decay_with_distance(self):
@@ -125,6 +157,40 @@ class TestWeightBlocks:
         w = weights_at(epochs, 9.0, 2.2)
         ref = [float(x) for x in nw_weights_mp(epochs, 9.0, 2.2)]
         np.testing.assert_allclose(w, ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "runs", "decimal-year", "irregular"])
+    @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
+                                           BandwidthRule.MEAN_SPACING, 2.5])
+    @pytest.mark.parametrize("v", [1, 7, 100])
+    def test_one_row_per_run(self, axis, bandwidth, v):
+        # at v=100 the targets span four blocks
+        blocks = assert_blocks_weigh_each_target(_axis(axis, length=640), v, bandwidth)
+        if axis == "daily":
+            # one run crosses every block boundary
+            assert all(len(weights) == 1 for _, weights, _, _ in blocks)
+        if axis == "runs" and v < 36:
+            # windows that miss every moved epoch form runs inside the block
+            ((rows, weights, _, _),) = blocks
+            assert 1 < len(weights) < rows.size
+
+    def test_underflow_inside_one_run(self):
+        # each daily block is one run; at h=0.01 its nearest epoch lies 100
+        # bandwidths out, so every kernel of every row underflows
+        epochs = _axis("daily", length=640)
+        blocks = assert_blocks_weigh_each_target(epochs, 100, 0.01)
+        assert len(blocks) > 1
+        for rows, weights, pattern, underflows in blocks:
+            assert rows.size == pattern.size == 0 and weights.shape == (0, 100)
+            assert {(h, nearest) for _, h, nearest in underflows} == {(0.01, 1.0)}
+        assert sum(len(underflows) for *_, underflows in blocks) == epochs.size - 100
+
+    def test_underflow_between_runs(self):
+        # at h=0.2 only the targets right after the 7- and 20-day gaps
+        # underflow; the runs around them keep their rows
+        blocks = assert_blocks_weigh_each_target(_axis("two-gap"), 2, 0.2)
+        ((rows, weights, _, underflows),) = blocks
+        assert [j for j, _, _ in underflows] == [58, 101]
+        assert len(weights) == 5
 
 
 class TestRowBandwidths:
@@ -253,7 +319,8 @@ def test_config_rejects(kwargs, message):
 class TestAdaptiveAtOneTarget:
     def test_constant_accepts_first_size(self):
         walk = search_x(np.arange(20.0) + 1.0, np.full(20, 7.0),
-                        GrnnConfig(training_size=3, threshold_m=0.1))
+                        GrnnConfig(training_size=3, threshold_m=0.1,
+                                   mode=Mode.TEACHER_FORCED))
         i = 10 - 3
         assert walk.threshold_met[i]
         assert walk.training_size_used[i] == 3
@@ -261,7 +328,8 @@ class TestAdaptiveAtOneTarget:
 
     def test_linear_with_tight_threshold_exhausts(self):
         epochs = np.arange(30.0) + 1.0
-        cfg = GrnnConfig(training_size=2, bandwidth=1.0, threshold_m=1e-9)
+        cfg = GrnnConfig(training_size=2, bandwidth=1.0, threshold_m=1e-9,
+                         mode=Mode.TEACHER_FORCED)
         walk = search_x(epochs, epochs.copy(), cfg)
         i = 20 - 2
         assert not walk.threshold_met[i]
@@ -278,27 +346,28 @@ class TestAdaptiveAtOneTarget:
 
     def test_huge_threshold_accepts_immediately(self):
         walk = search_x(np.arange(30.0) + 1.0, np.arange(30.0) ** 1.5,
-                        GrnnConfig(training_size=4, threshold_m=1e12))
+                        GrnnConfig(training_size=4, threshold_m=1e12, mode=Mode.TEACHER_FORCED))
         i = 10 - 4
         assert walk.threshold_met[i] and walk.training_size_used[i] == 4
 
     def test_growth_respects_cap(self):
         cfg = GrnnConfig(training_size=2, bandwidth=1.0, threshold_m=1e-12,
-                         max_training_size=5)
+                         max_training_size=5, mode=Mode.TEACHER_FORCED)
         walk = search_x(np.arange(30.0) + 1.0, np.arange(30.0), cfg)
         assert walk.training_size_used[20 - 2] <= 5
 
     def test_insufficient_history(self):
         # no threshold is met, so each target grows its window as far as the
         # history before it allows: index k has exactly k values behind it
-        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-12)
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-12,
+                         mode=Mode.TEACHER_FORCED)
         walk = search_x(np.arange(10.0) + 1.0, np.arange(10.0) ** 2, cfg)
         assert not walk.threshold_met.any()
         assert walk.training_size_used[0] == 5
         assert np.all(walk.training_size_used <= np.arange(5, 10))
 
     def test_walk_shape(self):
-        cfg = GrnnConfig(training_size=4, threshold_m=0.5)
+        cfg = GrnnConfig(training_size=4, threshold_m=0.5, mode=Mode.TEACHER_FORCED)
         walk = search_x(np.arange(15.0) + 1.0, np.sin(np.arange(15.0)), cfg)
         assert len(walk) == 11
         assert walk.training_size_used.min() >= 4
@@ -350,11 +419,18 @@ def _axis(kind, length=160):
         return decimal_year_to_mjd(np.round(mjd_to_decimal_year(daily), 4))
     if kind == "irregular":
         return np.cumsum(rng.uniform(0.5, 3.0, length)) + 1.0
+    if kind == "runs":
+        # one epoch in 37 moved by 6 hours: targets whose window misses it
+        # share their distance row with their neighbours, so runs of
+        # identical rows start and end inside a block
+        runs = daily.copy()
+        runs[18::37] += 0.25
+        return runs
     return daily + rng.uniform(-0.01, 0.01, daily.size)  # jittered
 
 
 class TestAdaptiveForecastSeries:
-    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered"])
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered", "decimal-year", "runs"])
     @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
                                            BandwidthRule.MEAN_SPACING, 2.5])
     @pytest.mark.parametrize("cap", [None, 40])
@@ -363,7 +439,7 @@ class TestAdaptiveForecastSeries:
     def test_matches_per_target_loop(self, layout, axis, bandwidth, cap, training_size):
         self.check_against_loop(_axis(axis), training_size, bandwidth, cap, layout)
 
-    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered"])
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered", "decimal-year", "runs"])
     @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
                                            BandwidthRule.MEAN_SPACING, 2.5])
     @pytest.mark.parametrize("layout", ["independent", "staggered"])
@@ -423,14 +499,15 @@ class TestAdaptiveForecastSeries:
         station = station_of(epochs, values)
         s = station.components[0]
         cfg = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
-                         threshold_m=0.5)
+                         threshold_m=0.5, mode=Mode.TEACHER_FORCED)
         # B underflows at the first size; A only once its window reaches the
         # dense block, so the loop stops at A
         with pytest.raises(BandwidthTooSmallError) as loop_exc:
             loop_reference(s, cfg)
         assert f"at MJD {float(epochs[a])!r}" in str(loop_exc.value)
         first_size_only = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
-                                     threshold_m=0.5, max_training_size=2)
+                                     threshold_m=0.5, max_training_size=2,
+                                     mode=Mode.TEACHER_FORCED)
         _, _, met = adaptive_predict(s, a, first_size_only)
         assert not met
         with pytest.raises(BandwidthTooSmallError):
@@ -446,7 +523,8 @@ class TestAdaptiveForecastSeries:
         epochs = np.concatenate([55000.0 + np.arange(20.0), 55051.0 + np.arange(10.0)])
         curve = 1e-3 * (epochs - 55000.0) ** 2
         station = station_of(epochs, [np.zeros(epochs.size), curve, -curve])
-        cfg = GrnnConfig(training_size=1, threshold_m=1e-3, max_training_size=5)
+        cfg = GrnnConfig(training_size=1, threshold_m=1e-3, max_training_size=5,
+                         mode=Mode.TEACHER_FORCED)
         x, y, _ = station.components
         _, used, met = loop_reference(x, cfg)
         assert all(met) and set(used) == {1}
@@ -461,12 +539,61 @@ class TestAdaptiveForecastSeries:
     def test_threshold_required(self):
         station = station_of(np.arange(10.0) + 1.0, np.zeros(10))
         with pytest.raises(DataError, match="requires a threshold"):
-            adaptive_forecast_series(station, GrnnConfig(training_size=3))
+            adaptive_forecast_series(station, GrnnConfig(training_size=3,
+                                                         mode=Mode.TEACHER_FORCED))
+
+    def test_refuses_recursive_mode(self):
+        station = station_of(np.arange(10.0) + 1.0, np.zeros(10))
+        with pytest.raises(DataError, match="teacher-forced, not recursive"):
+            adaptive_forecast_series(station, GrnnConfig(training_size=3, threshold_m=0.1))
 
     def test_nothing_to_predict(self):
         station = station_of(np.arange(3.0) + 1.0, np.zeros(3))
         with pytest.raises(DataError, match="nothing to predict"):
-            adaptive_forecast_series(station, GrnnConfig(training_size=3, threshold_m=1.0))
+            adaptive_forecast_series(station, GrnnConfig(training_size=3, threshold_m=1.0,
+                                                         mode=Mode.TEACHER_FORCED))
+
+
+class TestKernelRows:
+    """The adaptive search evaluates one kernel row per run of identical
+    distance rows: a wrapped ``gaussian_kernel`` counts the rows it gets."""
+
+    @staticmethod
+    def search(monkeypatch, axis):
+        """The rows of each kernel call and ``(size, targets)`` of each weight
+        pass of an adaptive search over 41 sizes on ``axis``."""
+        kernel_rows, passes = [], []
+
+        def gaussian_kernel(a):
+            kernel_rows.append(a.shape[0])
+            return kernel(a)
+
+        def weight_blocks(epochs, targets, v, bandwidth):
+            passes.append((v, targets.size))
+            return _weight_blocks(epochs, targets, v, bandwidth)
+
+        kernel = grnn.gaussian_kernel
+        monkeypatch.setattr(grnn, "gaussian_kernel", gaussian_kernel)
+        monkeypatch.setattr(grnn, "_weight_blocks", weight_blocks)
+        epochs = _axis(axis, length=640)
+        values = np.cumsum(np.random.default_rng(11).normal(0.0, 1e-3, (3, epochs.size)),
+                           axis=1)
+        cfg = GrnnConfig(training_size=100, threshold_m=4e-4, max_training_size=140,
+                         mode=Mode.TEACHER_FORCED)
+        adaptive_forecast_series(station_of(epochs, values), cfg)
+        assert [v for v, _ in passes] == list(range(100, 141))
+        return kernel_rows, passes
+
+    def test_one_row_per_block_on_a_daily_axis(self, monkeypatch):
+        kernel_rows, passes = self.search(monkeypatch, "daily")
+        blocks = sum(-(-n // (_BLOCK_ELEMENTS // v)) for v, n in passes)
+        assert blocks > len(passes)
+        assert kernel_rows == [1] * blocks
+
+    def test_one_row_per_target_on_decimal_years(self, monkeypatch):
+        # rounded epochs make every distance row differ from its neighbours
+        kernel_rows, passes = self.search(monkeypatch, "decimal-year")
+        assert sum(kernel_rows) == sum(n for _, n in passes)
 
 
 class TestUnderflowMessage:
@@ -506,7 +633,8 @@ class TestUnderflowMessage:
         assert "nearest distance 61.0 days" in str(walk_exc.value)
 
     def test_adaptive_paths(self):
-        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-3)
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-3,
+                         mode=Mode.TEACHER_FORCED)
         with pytest.raises(BandwidthTooSmallError) as loop_exc:
             adaptive_predict(self.station().components[0], 20, cfg)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
@@ -624,7 +752,7 @@ class TestStationWalk:
     """One weight pass per station: the walks of every component and mode
     share the kernel weights and keep the bits of the per-component walks."""
 
-    @pytest.mark.parametrize("axis", ["daily", "two-gap", "decimal-year", "irregular"])
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "decimal-year", "irregular", "runs"])
     @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
                                            BandwidthRule.MEAN_SPACING, 2.5])
     def test_matches_stepping_walk(self, axis, bandwidth):
