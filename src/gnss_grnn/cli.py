@@ -4,6 +4,18 @@ Exit codes are a stable contract: 0 success, 1 usage error, 2 data
 error (unparseable or contract-violating input), 3 numeric failure
 (kernel underflow, undefined criterion). Output ordering is
 deterministic regardless of how many workers run.
+
+No flag is silently ignored. Each command checks its own flag rules
+before it reads any file, and a broken rule is a usage error:
+
+* ``predict --max-training-size`` without ``--threshold``;
+* ``predict --threshold`` with an explicit ``--mode recursive`` (the
+  window search is teacher-forced, which ``--threshold`` implies);
+* ``compare --reps`` without ``--time``.
+
+``compare`` without ``--jobs`` runs ``GNSS_GRNN_JOBS`` workers when that
+variable is set and not blank, else one per processor; a value that is
+not an integer of at least 1 is a usage error too.
 """
 
 from __future__ import annotations
@@ -13,7 +25,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
@@ -50,46 +61,10 @@ class Basis(str, Enum):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract says 1.
-
-    ``requires`` maps an option's destination to the destination of the
-    option it needs: giving the first without the second would be
-    silently ignored, so it is a usage error instead. ``excludes`` maps
-    an option's destination to ``(dest, value)`` of an enum option it
-    refuses that value of: giving both is a usage error. That option
-    must default to ``None``, so an explicit value can be told from
-    none; ``value`` becomes its default once the check has passed.
-    ``fallbacks`` maps the destination of an option that defaults to
-    ``None`` to a function giving its value when the option is absent;
-    an ``argparse.ArgumentTypeError`` from it is a usage error.
-    """
-
-    def __init__(self, *args, requires: dict[str, str] | None = None,
-                 excludes: dict[str, tuple[str, Enum]] | None = None,
-                 fallbacks: dict[str, Callable[[], object]] | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.requires = requires or {}
-        self.excludes = excludes or {}
-        self.fallbacks = fallbacks or {}
+    """argparse exits with 2 on usage errors; the contract says 1."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
-        for dest, needed in self.requires.items():
-            other = getattr(namespace, needed)
-            if getattr(namespace, dest) is not None and (other is None or other is False):
-                self.error(f"{_flag(dest)} requires {_flag(needed)}")
-        for dest, (other, value) in self.excludes.items():
-            if getattr(namespace, other) is None:
-                setattr(namespace, other, value)
-            elif getattr(namespace, dest) is not None and getattr(namespace, other) is value:
-                self.error(f"{_flag(other)} {value.value} cannot be combined with "
-                           f"{_flag(dest)}")
-        for dest, fallback in self.fallbacks.items():
-            if getattr(namespace, dest) is None:
-                try:
-                    setattr(namespace, dest, fallback())
-                except argparse.ArgumentTypeError as exc:
-                    self.error(str(exc))
         # argparse parses a subcommand through this method too, and would
         # otherwise leave its leftovers to the root parser's usage line
         if extras:
@@ -99,10 +74,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _flag(dest: str) -> str:
-    return "--" + dest.replace("_", "-")
 
 
 def _bandwidth_spec(text: str):
@@ -190,9 +161,7 @@ def build_parser() -> _Parser:
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_predict = sub.add_parser("predict", help="one-step forecasts for every epoch "
-                                               "after the seed window",
-                               requires={"max_training_size": "threshold"},
-                               excludes={"threshold": ("mode", Mode.RECURSIVE)})
+                                               "after the seed window")
     p_predict.add_argument("paths", nargs="+", type=Path)
     _add_common_model_flags(p_predict)
     p_predict.add_argument("--threshold", type=float, default=None, metavar="T",
@@ -205,8 +174,8 @@ def build_parser() -> _Parser:
     p_predict.add_argument("--output", type=Path, default=None,
                            help="write here instead of stdout")
     p_predict.add_argument("--format", choices=("csv", "json"), default="csv")
-    # recursive is filled in after parsing, see excludes
-    p_predict.set_defaults(func=cmd_predict, mode=None)
+    # None tells an explicit --mode from none; cmd_predict resolves it
+    p_predict.set_defaults(func=cmd_predict, usage_error=p_predict.error, mode=None)
 
     p_sweep = sub.add_parser("sweep", help="accuracy criteria per training size "
                                            "and update mode (CSV, one station)")
@@ -221,9 +190,7 @@ def build_parser() -> _Parser:
 
     p_compare = sub.add_parser("compare",
                                help="backtest kernel and Theta methods per station "
-                                    "and report accuracy ratios",
-                               requires={"reps": "time"},
-                               fallbacks={"jobs": _default_jobs})
+                                    "and report accuracy ratios")
     p_compare.add_argument("paths", nargs="+", type=Path)
     _add_common_model_flags(p_compare)
     p_compare.add_argument("--theta-window", type=int, default=None,
@@ -247,7 +214,7 @@ def build_parser() -> _Parser:
                                 "(default: GNSS_GRNN_JOBS or all processors)")
     p_compare.add_argument("--output-dir", type=Path, default=Path("."),
                            help="where report.json and stations.csv go")
-    p_compare.set_defaults(func=cmd_compare)
+    p_compare.set_defaults(func=cmd_compare, usage_error=p_compare.error)
     return parser
 
 
@@ -276,11 +243,8 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _predict_rows(station, config, threshold, max_training):
-    adaptive = threshold is not None
-    if adaptive:
-        config = replace(config, threshold_m=threshold, max_training_size=max_training,
-                         mode=Mode.TEACHER_FORCED)
+def _predict_rows(station, config):
+    adaptive = config.threshold_m is not None
     walk = adaptive_forecast_series if adaptive else forecast_series
     # one walk for X, Y and Z: their kernel weights are the same
     with at_station(station.station_id):
@@ -305,14 +269,19 @@ def _predict_rows(station, config, threshold, max_training):
 
 
 def cmd_predict(args) -> int:
+    if args.max_training_size is not None and args.threshold is None:
+        args.usage_error("--max-training-size requires --threshold")
+    mode = args.mode or Mode.RECURSIVE
+    if args.threshold is not None:
+        if args.mode is Mode.RECURSIVE:
+            args.usage_error("--mode recursive cannot be combined with --threshold")
+        # the window search forecasts from observed windows only
+        mode = Mode.TEACHER_FORCED
     stations = _load_stations(args.paths, args.basis)
     config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth,
-                        mode=args.mode)
-    rows = [
-        row
-        for station in stations
-        for row in _predict_rows(station, config, args.threshold, args.max_training_size)
-    ]
+                        threshold_m=args.threshold, max_training_size=args.max_training_size,
+                        mode=mode)
+    rows = [row for station in stations for row in _predict_rows(station, config)]
     with open_text(args.output or sys.stdout) as stream:
         if args.format == "json":
             json.dump(rows, stream, indent=2, allow_nan=False)
@@ -340,12 +309,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.reps is not None and not args.time:
+        args.usage_error("--reps requires --time")
+    jobs = args.jobs
+    if jobs is None:
+        try:
+            jobs = _default_jobs()
+        except argparse.ArgumentTypeError as exc:
+            args.usage_error(str(exc))
     stations = _load_stations(args.paths, args.basis)
     config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth,
                         mode=args.mode)
     reports = evaluate_stations(
         stations, config, args.theta_window,
-        theta_fit=args.theta_fit, gap_factor=args.gap_factor, jobs=args.jobs,
+        theta_fit=args.theta_fit, gap_factor=args.gap_factor, jobs=jobs,
     )
     timing = None
     if args.time:

@@ -86,10 +86,11 @@ class GrnnConfig:
         training_size: window length ``v`` (most recent values used).
         bandwidth: fixed bandwidth in days, or a :class:`BandwidthRule`.
         threshold_m: acceptance threshold on the absolute prediction
-            error; required by :func:`adaptive_forecast_series`, ignored
-            elsewhere.
+            error; required by :func:`adaptive_forecast_series`, refused
+            by :func:`forecast_series`.
         max_training_size: cap on window growth in the adaptive search;
-            ``None`` means only the available history caps it.
+            ``None`` means only the available history caps it. Refused
+            by :func:`forecast_series`.
         mode: window-update policy; :func:`adaptive_forecast_series` is
             teacher-forced and refuses any other mode.
     """
@@ -299,7 +300,9 @@ def forecast_series(
     every (component, mode) before the next block is computed.
     Teacher-forced forecasts are made a block at a time; recursive ones
     step through the block, one component after the other, since each
-    forecast feeds the next of its component.
+    forecast feeds the next of its component. A config that sets
+    ``threshold_m`` or ``max_training_size`` is refused: only
+    :func:`adaptive_forecast_series` reads them.
 
     Epochs inside gaps are never fabricated; the first prediction after a
     hole simply reaches forward from the pre-gap window, so its kernel
@@ -321,6 +324,9 @@ def forecast_series(
     modes = (config.mode,) if modes is None else tuple(Mode(m) for m in modes)
     if not modes:
         raise DataError("no window-update mode to walk")
+    if config.threshold_m is not None or config.max_training_size is not None:
+        raise DataError("threshold_m and max_training_size apply to the adaptive "
+                        "search only")
     v = config.training_size
     n = station.count
     if n <= v:

@@ -183,20 +183,21 @@ def _scored_pairs(result: ForecastResult, offset: float) -> PredictionPairs:
 
 @contextmanager
 def at_station(station_id: str, training_size: int | None = None) -> Iterator[None]:
-    """Re-raise a kernel underflow with the station it occurred in.
+    """Re-raise a kernel underflow or a data error with the station it
+    occurred in.
 
     The message gains a ``station <id>: `` prefix, followed by
     ``training size <v>: `` when ``training_size`` is given; the class is
-    kept, so the failure still maps to the numeric-failure exit code,
-    also when it crosses a worker process.
+    kept, so the failure still maps to its exit code (numeric failure or
+    data error), also when it crosses a worker process.
     """
     try:
         yield
-    except BandwidthTooSmallError as exc:
+    except (BandwidthTooSmallError, DataError) as exc:
         where = f"station {station_id}: "
         if training_size is not None:
             where += f"training size {training_size}: "
-        raise BandwidthTooSmallError(f"{where}{exc}") from None
+        raise type(exc)(f"{where}{exc}") from None
 
 
 def run_sweep(
@@ -315,10 +316,11 @@ def evaluate_station(
     if theta_window is None:
         theta_window = grnn_config.training_size
     start = max(grnn_config.training_size, theta_window)
-    if series.count - start < 2:
-        raise DataError(
-            "series too short for evaluation: need at least 2 shared predictions"
-        )
+    with at_station(series.station_id):
+        if series.count - start < 2:
+            raise DataError(
+                "series too short for evaluation: need at least 2 shared predictions"
+            )
     keep = series.count - start
     # first: a bad theta window or gap factor is rejected before any backtest runs
     if theta_window < 3:

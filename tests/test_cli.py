@@ -115,6 +115,14 @@ class TestPredict:
         assert run_cli("predict", path, "-v", "150") == 2
         assert "nothing to predict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", [[], ["--threshold", "0.001"]])
+    def test_short_station_is_named(self, station_file, capsys, threshold):
+        long = station_file(name="long", length=150)
+        short = station_file(name="short", length=40)
+        assert run_cli("predict", long, short, "-v", "60", *threshold) == 2
+        assert capsys.readouterr().err == ("gnss-grnn: data error: station short: nothing "
+                                           "to predict: 40 samples with training_size 60\n")
+
     def test_seed_flag_is_a_usage_error(self, station_file, capsys):
         # only compare writes the seed; predict must not take it and ignore it
         path = station_file(length=60)
@@ -434,6 +442,18 @@ class TestCompare:
         assert "predicting component X at MJD " in err
         assert not (out_dir / "report.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_short_station_is_named(self, station_file, tmp_path, capsys, jobs):
+        long = station_file(name="long", length=150)
+        short = station_file(name="short", length=40)
+        out_dir = tmp_path / "out"
+        assert run_cli("compare", long, short, "-v", "60", "--jobs", jobs,
+                       "--output-dir", out_dir) == 2
+        assert capsys.readouterr().err == ("gnss-grnn: data error: station short: series "
+                                           "too short for evaluation: need at least 2 "
+                                           "shared predictions\n")
+        assert not (out_dir / "report.json").exists()
+
     @pytest.mark.parametrize("factor", ["nan", "inf"])
     def test_non_finite_gap_factor_is_data_error(self, station_file, tmp_path, capsys,
                                                  factor):
@@ -528,6 +548,29 @@ def test_bad_jobs_env_is_a_usage_error(station_file, tmp_path, capsys, monkeypat
     assert not (tmp_path / "report.json").exists()
     # an explicit --jobs wins, so the variable is not read
     assert run_cli("compare", path, "-v", "5", "--jobs", "1", "--output-dir", tmp_path) == 0
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["predict", "--max-training-size", "20"], None,
+     "--max-training-size requires --threshold"),
+    (["predict", "--threshold", "0.01", "--mode", "recursive"], None,
+     "--mode recursive cannot be combined with --threshold"),
+    (["compare", "--reps", "5"], None, "--reps requires --time"),
+    (["compare"], "abc", "GNSS_GRNN_JOBS: invalid int value: 'abc'"),
+])
+def test_flag_rules_are_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                        argv, env, message):
+    # a missing station would be a data error (exit 2); the broken rule wins
+    missing = tmp_path / "no-such-station.csv"
+    if env is not None:
+        monkeypatch.setenv("GNSS_GRNN_JOBS", env)
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, missing, *flags)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: gnss-grnn {command} [-h]")
+    assert err.endswith(f"gnss-grnn {command}: error: {message}\n")
 
 
 @pytest.mark.parametrize("command, choices", [

@@ -799,6 +799,17 @@ class TestStationWalk:
         with pytest.raises(DataError, match="nothing to predict"):
             forecast_series(station, GrnnConfig(training_size=20))
 
+    @pytest.mark.parametrize("adaptive_only", [
+        {"threshold_m": 0.01}, {"max_training_size": 8},
+        {"threshold_m": 0.01, "max_training_size": 8},
+    ])
+    def test_refuses_adaptive_settings(self, adaptive_only):
+        # the plain walk has no window search; it must not pretend to honour one
+        station = station_of(_axis("daily", length=20), np.zeros((3, 20)))
+        cfg = GrnnConfig(training_size=5, mode=Mode.TEACHER_FORCED, **adaptive_only)
+        with pytest.raises(DataError, match="apply to the adaptive search only"):
+            forecast_series(station, cfg)
+
 
 class TestStationUnderflow:
     """A station underflow is the error the per-component stepping walks

@@ -228,8 +228,16 @@ class TestEvaluateStation:
 
     def test_too_short(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 12, 0)
-        with pytest.raises(DataError, match="series too short"):
+        with pytest.raises(DataError) as exc:
             evaluate_station(s, GrnnConfig(training_size=11))
+        assert str(exc.value) == (f"station {s.station_id}: series too short for "
+                                  "evaluation: need at least 2 shared predictions")
+
+    def test_refuses_a_threshold(self):
+        # the backtest is the plain walk; a threshold would be recorded in the
+        # report's settings without having steered anything
+        with pytest.raises(DataError, match="station .*: threshold_m and max_training_size"):
+            evaluate_station(_linear_station(), GrnnConfig(training_size=10, threshold_m=0.01))
 
     def test_component_offsets_restore_raw_scoring(self):
         from gnss_grnn import mean_center
