@@ -251,12 +251,22 @@ def run_sweep(
 
 @dataclass(frozen=True)
 class EvaluationSettings:
-    """Everything that determined one station evaluation, for the record."""
+    """Everything that determined one station evaluation, for the record.
+
+    An evaluation runs the plain kernel walk, which refuses the adaptive
+    search's ``threshold_m`` and ``max_training_size``, so a record that
+    set either would describe a run that cannot happen.
+    """
 
     grnn: GrnnConfig
     theta_window: int
     theta_fit: ThetaFit
     gap_factor: float
+
+    def __post_init__(self) -> None:
+        if self.grnn.threshold_m is not None or self.grnn.max_training_size is not None:
+            raise DataError("threshold_m and max_training_size apply to the adaptive "
+                            "search only")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ beyond the window. The general-``k`` form, ``3 <= k <= p + 1``, is kept
 only as a test reference, which the backtest must match bit for bit and
 exact rational arithmetic checks.
 
+The backtest refits at every origin, but a window's second differences
+are those of the whole series, so they are formed once per series; each
+origin then costs two dot products, one for the curvature sum and one
+for the slope.
+
 This is the two-term variant only, not the full multi-line decomposition
 with exponential-smoothing recombination found elsewhere in the
 forecasting literature.
@@ -57,6 +62,16 @@ def theta_backtest(
     are skipped exactly like the kernel walk, so the first post-gap
     forecast leans on pre-gap values. With ``fit=GLOBAL`` the slope from
     the first window is reused at every origin.
+
+    Per origin ``i`` (window ``y = values[i:i + p]``) the loop computes
+    two dot products: the curvature sum ``lags @ d2[i:i + p - 2]``, over
+    the series' second differences ``d2`` formed once before the loop,
+    and the slope numerator ``tc @ (y - np.add.reduce(y) / p)``. That
+    mean is what ``y.mean()`` computes (a pairwise sum, then a true
+    divide by the count), so it has the same bits, without the Python
+    wrapper that dominated the loop. The forecasts are assembled
+    elementwise after the loop in the per-origin order of operations,
+    ``y1 + (k - 1)(y2 - y1) + (slope / tc.tc) * curvature``.
     """
     fit = ThetaFit(fit)
     n = series.count
@@ -65,24 +80,28 @@ def theta_backtest(
     if n <= window:
         raise DataError(f"nothing to predict: {n} samples with window {window}")
     values = series.values_m
-    p, k = window, window + 1
+    p, k, m = window, window + 1, n - window
     t = np.arange(1.0, p + 1.0)
     tc = t - t.mean()
     tctc = tc @ tc
     lags = k - np.arange(2.0, p)
-    theta = None
-    predicted = np.empty(n - p, dtype=np.float64)
-    for i in range(n - p):
-        y = values[i:i + p]
-        if theta is None or fit is ThetaFit.ROLLING:
-            theta = float((tc @ (y - y.mean())) / tctc)
-        # second differences at t = 2..p-1 (1-based): y[t+1] - 2 y[t] + y[t-1]
-        core = y[2:p] - 2.0 * y[1:p - 1] + y[0:p - 2]
-        predicted[i] = y[0] + (k - 1) * (y[1] - y[0]) + theta * float(lags @ core)
+    # second differences y[j+2] - 2 y[j+1] + y[j]; window i uses d2[i:i + p - 2]
+    d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
+    rolling = fit is ThetaFit.ROLLING
+    # slope numerators: one per origin, or the first window's alone (broadcast)
+    slopes = np.empty(m if rolling else 1, dtype=np.float64)
+    curvature = np.empty(m, dtype=np.float64)
+    for i in range(m):
+        curvature[i] = lags @ d2[i:i + p - 2]
+        if rolling or i == 0:
+            y = values[i:i + p]
+            slopes[i] = tc @ (y - np.add.reduce(y) / p)
+    predicted = (values[:m] + (k - 1) * (values[1:m + 1] - values[:m])
+                 + slopes / tctc * curvature)
     return ForecastResult(
         component=str(series.component.value),
         epochs_mjd=series.epochs_mjd[p:],
         predicted_m=predicted,
         observed_m=values[p:],
-        n_window_predicted=np.zeros(n - p, dtype=np.int64),
+        n_window_predicted=np.zeros(m, dtype=np.int64),
     )

@@ -239,6 +239,17 @@ class TestEvaluateStation:
         with pytest.raises(DataError, match="station .*: threshold_m and max_training_size"):
             evaluate_station(_linear_station(), GrnnConfig(training_size=10, threshold_m=0.01))
 
+    @pytest.mark.parametrize("config", [
+        GrnnConfig(training_size=10, threshold_m=0.01),
+        GrnnConfig(training_size=10, threshold_m=0.01, max_training_size=20),
+        GrnnConfig(training_size=10, max_training_size=20),
+    ], ids=["threshold", "both", "cap"])
+    def test_settings_refuse_adaptive_fields(self, config):
+        # no evaluation can run under them, so no report may record them
+        with pytest.raises(DataError, match="^threshold_m and max_training_size apply"):
+            EvaluationSettings(grnn=config, theta_window=10, theta_fit=ThetaFit.ROLLING,
+                               gap_factor=1.5)
+
     def test_component_offsets_restore_raw_scoring(self):
         from gnss_grnn import mean_center
         s = generate_synthetic(

@@ -72,8 +72,8 @@ def _reports():
     settings = (
         EvaluationSettings(grnn=GrnnConfig(training_size=25), theta_window=25,
                            theta_fit=ThetaFit.ROLLING, gap_factor=1.5),
-        EvaluationSettings(grnn=GrnnConfig(training_size=30, bandwidth=2.5, threshold_m=0.004,
-                                           max_training_size=60, mode=Mode.TEACHER_FORCED),
+        EvaluationSettings(grnn=GrnnConfig(training_size=30, bandwidth=2.5,
+                                           mode=Mode.TEACHER_FORCED),
                            theta_window=35, theta_fit=ThetaFit.GLOBAL, gap_factor=2.0),
     )
     spans = (

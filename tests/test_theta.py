@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnss_grnn import (
@@ -128,11 +128,14 @@ class TestThetaBacktest:
     def test_quadratic_matches_reference(self):
         t = np.arange(20.0)
         y = 0.5 + 0.2 * t + 0.05 * t * t
-        res = theta_backtest(comp_series(y), 5)
-        for i in range(len(res)):
-            window = y[i:i + 5]
-            expected = float(theta_forecast_fraction(window, 6))
-            assert res.predicted_m[i] == pytest.approx(expected, rel=1e-10)
+        # rolling: the oracle fits each window itself; global: the first window's slope
+        first_slope = theta_slope_fraction(y[:5])
+        for fit, theta in ((ThetaFit.ROLLING, None), (ThetaFit.GLOBAL, first_slope)):
+            res = theta_backtest(comp_series(y), 5, fit=fit)
+            for i in range(len(res)):
+                window = y[i:i + 5]
+                expected = float(theta_forecast_fraction(window, 6, theta))
+                assert res.predicted_m[i] == pytest.approx(expected, rel=1e-10)
 
     def test_window_bounds(self):
         series = comp_series(np.arange(10.0))
@@ -190,3 +193,31 @@ class TestBacktestMatchesReference:
         for comp in station.components:
             res = theta_backtest(comp, p, fit=fit)
             assert np.array_equal(res.predicted_m, theta_walk(comp, p, fit))
+
+
+class TestBacktestMatchesReferenceDrawn:
+    """Drawn windows and lengths at earth-centered magnitudes, down to one
+    origin (``n = p + 1``: exactly ``p - 1`` second differences) and one
+    curvature term (``p = 3``)."""
+
+    @given(
+        p=st.integers(min_value=3, max_value=64),
+        extra=st.integers(min_value=1, max_value=80),
+        fit=st.sampled_from(list(ThetaFit)),
+        offset=st.floats(min_value=3.8e6, max_value=4.2e6),
+        sign=st.sampled_from([1.0, -1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(p=3, extra=1, fit=ThetaFit.ROLLING, offset=4e6, sign=1.0, seed=0)
+    @example(p=3, extra=1, fit=ThetaFit.GLOBAL, offset=4e6, sign=-1.0, seed=1)
+    @example(p=3, extra=80, fit=ThetaFit.ROLLING, offset=4e6, sign=1.0, seed=2)
+    @example(p=3, extra=80, fit=ThetaFit.GLOBAL, offset=4e6, sign=1.0, seed=3)
+    @example(p=64, extra=1, fit=ThetaFit.ROLLING, offset=4e6, sign=-1.0, seed=4)
+    @example(p=64, extra=1, fit=ThetaFit.GLOBAL, offset=4e6, sign=1.0, seed=5)
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, p, extra, fit, offset, sign, seed):
+        rng = np.random.default_rng(seed)
+        values = sign * offset + rng.normal(scale=0.001, size=p + extra)
+        comp = comp_series(values)
+        res = theta_backtest(comp, p, fit=fit)
+        assert np.array_equal(res.predicted_m, theta_walk(comp, p, fit))
