@@ -257,7 +257,7 @@ def _predict_rows(station, config):
             row = {
                 "station": station.station_id,
                 "epoch_mjd": float(res.epochs_mjd[i]),
-                "component": res.component,
+                "component": comp.component.value,
                 "predicted_m": yhat,
                 "observed_m": y,
                 "abs_error_m": abs(y - yhat),
@@ -303,8 +303,8 @@ def cmd_sweep(args) -> int:
         raise DataError("invalid training-size range")
     (station,) = _load_stations(args.paths, args.basis)
     config = GrnnConfig(training_size=args.v_min, bandwidth=args.bandwidth)
-    result = run_sweep(station, range(args.v_min, args.v_max + 1, args.v_step), config)
-    write_sweep_csv(result, args.output or sys.stdout)
+    rows = run_sweep(station, range(args.v_min, args.v_max + 1, args.v_step), config)
+    write_sweep_csv(rows, args.output or sys.stdout)
     return 0
 
 

@@ -45,7 +45,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BandwidthTooSmallError, DataError
-from .metrics import PredictionPairs
 from .series import Component, StationSeries
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -235,34 +234,21 @@ class ForecastResult:
     """Rolling one-step forecasts over every post-window epoch of a series.
 
     Columnar: ``predicted_m[i]`` is the forecast for ``epochs_mjd[i]``
-    whose truth is ``observed_m[i]``; ``n_window_predicted[i]`` counts how
-    many entries of the window that produced it were themselves earlier
-    predictions (always 0 in teacher-forced mode).
+    whose truth is ``observed_m[i]``.
     """
 
-    component: str
     epochs_mjd: np.ndarray
     predicted_m: np.ndarray
     observed_m: np.ndarray
-    n_window_predicted: np.ndarray
 
     def __len__(self) -> int:
         return int(self.epochs_mjd.size)
-
-    def pairs(self) -> PredictionPairs:
-        return PredictionPairs(predicted_m=self.predicted_m, observed_m=self.observed_m)
-
-    def errors_m(self) -> np.ndarray:
-        return self.observed_m - self.predicted_m
 
 
 @dataclass(frozen=True)
 class AdaptiveForecastResult(ForecastResult):
     """A :class:`ForecastResult` of the adaptive search, with the window
-    size each forecast used and whether it met the threshold.
-
-    ``n_window_predicted`` is all zeros: the search is teacher-forced.
-    """
+    size each forecast used and whether it met the threshold."""
 
     training_size_used: np.ndarray
     threshold_met: np.ndarray
@@ -277,7 +263,6 @@ class StationForecast:
     ``len()`` counts the one-step forecasts of every walk together.
     """
 
-    station_id: str
     results: dict[tuple[str, Mode], ForecastResult]
 
     def __getitem__(self, key: tuple[Component | str, Mode | str]) -> ForecastResult:
@@ -366,21 +351,15 @@ def forecast_series(
                     base = values[k - v]
                     np.subtract(values[k - v:k], base, out=deviations)
                     values[k] = base + row.dot(deviations)
-    results = {}
-    for mode, buffer in buffers.items():
-        if mode is Mode.RECURSIVE:
-            n_window_predicted = np.minimum(np.arange(n - v, dtype=np.int64), v)
-        else:
-            n_window_predicted = np.zeros(n - v, dtype=np.int64)
-        for comp, values in zip(components, buffer):
-            results[comp.component.value, mode] = ForecastResult(
-                component=str(comp.component.value),
-                epochs_mjd=comp.epochs_mjd[v:],
-                predicted_m=values[v:],
-                observed_m=comp.values_m[v:],
-                n_window_predicted=n_window_predicted,
-            )
-    return StationForecast(station.station_id, results)
+    return StationForecast({
+        (comp.component.value, mode): ForecastResult(
+            epochs_mjd=comp.epochs_mjd[v:],
+            predicted_m=values[v:],
+            observed_m=comp.values_m[v:],
+        )
+        for mode, buffer in buffers.items()
+        for comp, values in zip(components, buffer)
+    })
 
 
 def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> StationForecast:
@@ -467,14 +446,11 @@ def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> Stat
         if failed:
             p = min(failed)
             raise _at_target(_underflow_error(*failed[p]), comp.component, epochs[targets[p]])
-    no_window_predictions = np.zeros(targets.size, dtype=np.int64)
-    return StationForecast(station.station_id, {
+    return StationForecast({
         (comp.component.value, Mode.TEACHER_FORCED): AdaptiveForecastResult(
-            component=str(comp.component.value),
             epochs_mjd=epochs[v0:],
             predicted_m=predicted[c],
             observed_m=comp.values_m[v0:],
-            n_window_predicted=no_window_predictions,
             training_size_used=used[c],
             threshold_met=met[c],
         )

@@ -163,18 +163,10 @@ class SweepRow:
     metrics: MetricsReport
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """All rows of a training-size sweep, ordered by (v, component, mode)."""
-
-    station_id: str
-    rows: tuple[SweepRow, ...]
-
-
 def _scored_pairs(result: ForecastResult, offset: float) -> PredictionPairs:
     """Pairs for scoring, shifted back by the component's ``offset_m``."""
     if offset == 0.0:
-        return result.pairs()
+        return PredictionPairs(predicted_m=result.predicted_m, observed_m=result.observed_m)
     return PredictionPairs(
         predicted_m=result.predicted_m + offset,
         observed_m=result.observed_m + offset,
@@ -205,18 +197,20 @@ def run_sweep(
     v_values: Iterable[int],
     config: GrnnConfig | None = None,
     modes: Sequence[Mode] = (Mode.RECURSIVE, Mode.TEACHER_FORCED),
-) -> SweepResult:
+) -> tuple[SweepRow, ...]:
     """Backtest each training size in ``v_values`` for every component.
 
     Whether the window update should feed predictions back or stick to
     observations is not obvious a priori, so the sweep runs the modes in
-    ``modes`` and reports each. Each training size is one station walk:
-    its kernel weights are computed once and serve every (component,
-    mode) row of that size; nothing is reused across sizes. An underflow
-    names the station and the training size it occurred at. Each
-    component's ``offset_m`` is added back to predictions and truths
-    before scoring, so a mean-centered series scores as its raw
-    positions.
+    ``modes`` and reports each. Gives one :class:`SweepRow` per (training
+    size, component, mode), ordered by size, then component, then mode.
+    Each training size is one station walk: its kernel weights are
+    computed once and serve every (component, mode) row of that size;
+    nothing is reused across sizes. A series too short for the largest
+    size is refused with the station named, and an underflow names the
+    station and the training size it occurred at. Each component's
+    ``offset_m`` is added back to predictions and truths before scoring,
+    so a mean-centered series scores as its raw positions.
     """
     config = config or GrnnConfig()
     sizes = sorted(set(int(v) for v in v_values))
@@ -225,10 +219,11 @@ def run_sweep(
     if sizes[0] < 1:
         raise DataError("training sizes must be >= 1")
     p = series.count
-    if sizes[-1] >= p:
-        raise DataError(f"refused: v_max {sizes[-1]} must be < series length {p}")
-    if p - sizes[-1] < 2:
-        raise DataError("refused: largest training size leaves fewer than 2 predictions")
+    with at_station(series.station_id):
+        if sizes[-1] >= p:
+            raise DataError(f"refused: v_max {sizes[-1]} must be < series length {p}")
+        if p - sizes[-1] < 2:
+            raise DataError("refused: largest training size leaves fewer than 2 predictions")
     rows = []
     for v in sizes:
         with at_station(series.station_id, v):
@@ -242,7 +237,7 @@ def run_sweep(
                     metrics=compute_report(_scored_pairs(walks[comp.component, mode],
                                                          comp.offset_m)),
                 ))
-    return SweepResult(station_id=series.station_id, rows=tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +295,6 @@ def _align_tail(result: ForecastResult, keep: int) -> ForecastResult:
         epochs_mjd=result.epochs_mjd[-keep:],
         predicted_m=result.predicted_m[-keep:],
         observed_m=result.observed_m[-keep:],
-        n_window_predicted=result.n_window_predicted[-keep:],
     )
 
 
@@ -345,8 +339,8 @@ def evaluate_station(
         t = _align_tail(theta_backtest(comp, theta_window, fit=theta_fit), keep)
         if not np.array_equal(g.epochs_mjd, t.epochs_mjd):
             raise RuntimeError("methods were about to be scored on different epochs")
-        grnn_metrics[g.component] = compute_report(_scored_pairs(g, comp.offset_m))
-        theta_metrics[t.component] = compute_report(_scored_pairs(t, comp.offset_m))
+        grnn_metrics[comp.component.value] = compute_report(_scored_pairs(g, comp.offset_m))
+        theta_metrics[comp.component.value] = compute_report(_scored_pairs(t, comp.offset_m))
     return StationReport(
         station_id=series.station_id,
         country=series.country,
@@ -634,11 +628,12 @@ def write_reports_csv(reports: Sequence[StationReport], dest: str | Path | IO[st
                                      *metrics[comp].printed()])
 
 
-def write_sweep_csv(result: SweepResult, dest: str | Path | IO[str]) -> None:
-    """Sweep rows as plot-ready CSV: v, component, mode, then the criteria."""
+def write_sweep_csv(rows: Iterable[SweepRow], dest: str | Path | IO[str]) -> None:
+    """The rows of :func:`run_sweep` as plot-ready CSV, in the order given:
+    v, component, mode, then the criteria."""
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["v", "component", "mode", *(f.name for f in CRITERIA), "n"])
-        for row in result.rows:
+        for row in rows:
             writer.writerow([row.training_size, row.component, row.mode.value,
                              *row.metrics.printed(), row.metrics.n])

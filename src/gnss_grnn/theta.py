@@ -99,9 +99,7 @@ def theta_backtest(
     predicted = (values[:m] + (k - 1) * (values[1:m + 1] - values[:m])
                  + slopes / tctc * curvature)
     return ForecastResult(
-        component=str(series.component.value),
         epochs_mjd=series.epochs_mjd[p:],
         predicted_m=predicted,
         observed_m=values[p:],
-        n_window_predicted=np.zeros(m, dtype=np.int64),
     )

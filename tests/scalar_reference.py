@@ -52,23 +52,19 @@ def predict(distances, values, bandwidth) -> tuple[float, np.ndarray]:
     return float(base + weights @ (values - base)), weights
 
 
-def stepping_walk(series, cfg) -> tuple[np.ndarray, np.ndarray]:
+def stepping_walk(series, cfg) -> np.ndarray:
     """``forecast_series`` of one component, one target at a time: the
-    forecasts and, per target, how many window entries were earlier
-    predictions."""
+    forecasts."""
     v = cfg.training_size
     epochs, observed = series.epochs_mjd, series.values_m
     recursive = cfg.mode is Mode.RECURSIVE
     window = observed[:v].copy()
-    from_prediction = np.zeros(v, dtype=bool)
-    predicted, n_window_predicted = [], []
+    predicted = []
     for k in range(v, series.count):
         yhat, _ = predict(epochs[k] - epochs[k - v:k], window, cfg.bandwidth)
         predicted.append(yhat)
-        n_window_predicted.append(int(from_prediction.sum()))
         window = np.append(window[1:], yhat if recursive else observed[k])
-        from_prediction = np.append(from_prediction[1:], recursive)
-    return np.array(predicted), np.array(n_window_predicted)
+    return np.array(predicted)
 
 
 def adaptive_predict(series, k, cfg) -> tuple[float, int, bool]:

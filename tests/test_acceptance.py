@@ -150,7 +150,7 @@ def test_p3_theta_linear_exactness():
             series = ComponentSeries(Component.X, 55000.0 + t_axis, y)
             res = theta_backtest(series, 20)
             scale = np.maximum(1.0, np.abs(res.observed_m))
-            assert np.all(np.abs(res.errors_m()) <= 1e-9 * scale)
+            assert np.all(np.abs(res.observed_m - res.predicted_m) <= 1e-9 * scale)
     _ok("P3 PASS - 20 slopes x 5 intercepts recovered and backtested exactly")
 
 
@@ -160,12 +160,12 @@ def test_p4_training_size_sweep_direction():
     params = SyntheticParams(slope_m_per_day=5e-5, annual_amplitude_m=0.005,
                              noise_std_m=0.001)
     series = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 2000, 42, params)
-    result = run_sweep(
+    rows = run_sweep(
         series, [1, 100],
         GrnnConfig(training_size=1, bandwidth=BandwidthRule.MEAN_SPACING),
         modes=[Mode.TEACHER_FORCED],
     )
-    by_key = {(r.training_size, r.component): r for r in result.rows}
+    by_key = {(r.training_size, r.component): r for r in rows}
     for comp in ("X", "Y", "Z"):
         small, large = by_key[(1, comp)], by_key[(100, comp)]
         assert large.metrics.smape_percent < small.metrics.smape_percent

@@ -272,14 +272,12 @@ class TestWindowUpdate:
         window = np.array([11.0, 12.0, res.predicted_m[0]])
         assert res.predicted_m[1] == predict(5.0 - self.EPOCHS[1:4], window, 1.0)[0]
         assert res.predicted_m[1] != predict(5.0 - self.EPOCHS[1:4], self.VALUES[1:4], 1.0)[0]
-        np.testing.assert_array_equal(res.n_window_predicted, [0, 1])
 
     def test_teacher_forced_appends_observation(self):
         res = self.walk(Mode.TEACHER_FORCED)
         # epoch 5 is predicted from {11, 12, 12.5}: the truth, not the forecast
         assert res.predicted_m[1] == predict(5.0 - self.EPOCHS[1:4], self.VALUES[1:4], 1.0)[0]
         np.testing.assert_array_equal(res.observed_m, [12.5, 13.0])
-        np.testing.assert_array_equal(res.n_window_predicted, [0, 0])
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_gap_epochs_are_never_forecast(self, mode):
@@ -292,7 +290,6 @@ class TestWindowUpdate:
         res = self.walk(Mode.RECURSIVE, v=1)
         # a single weight of 1 repeats the seed value along the whole walk
         np.testing.assert_array_equal(res.predicted_m, np.full(4, 10.0))
-        np.testing.assert_array_equal(res.n_window_predicted, [0, 1, 1, 1])
 
     def test_length_one_window_teacher_forced(self):
         res = self.walk(Mode.TEACHER_FORCED, v=1)
@@ -395,13 +392,11 @@ def assert_station_walks_step(station, cfg, modes=tuple(Mode)):
     assert len(walks) == len(modes) * 3 * (station.count - cfg.training_size)
     for comp in station.components:
         for mode in modes:
-            predicted, n_window_predicted = stepping_walk(
+            predicted = stepping_walk(
                 comp, GrnnConfig(training_size=cfg.training_size, bandwidth=cfg.bandwidth,
                                  mode=mode))
             walk = walks[comp.component, mode]
-            assert walk.component == comp.component.value
             assert np.array_equal(walk.predicted_m, predicted)
-            assert np.array_equal(walk.n_window_predicted, n_window_predicted)
             np.testing.assert_array_equal(walk.epochs_mjd, comp.epochs_mjd[cfg.training_size:])
             np.testing.assert_array_equal(walk.observed_m, comp.values_m[cfg.training_size:])
     return True
@@ -471,7 +466,6 @@ class TestAdaptiveForecastSeries:
             walk = walks[comp.component, Mode.TEACHER_FORCED]
             assert isinstance(walk, AdaptiveForecastResult) and isinstance(walk, ForecastResult)
             predicted, used, met = loop_reference(comp, cfg)
-            assert walk.component == comp.component.value
             assert np.array_equal(walk.predicted_m, predicted)
             assert np.array_equal(walk.training_size_used, used)
             assert np.array_equal(walk.threshold_met, met)
@@ -485,8 +479,6 @@ class TestAdaptiveForecastSeries:
                 assert walk.threshold_met.any() and not walk.threshold_met.all()
             np.testing.assert_array_equal(walk.epochs_mjd, epochs[training_size:])
             np.testing.assert_array_equal(walk.observed_m, comp.values_m[training_size:])
-            # teacher-forced: no window entry is a prediction
-            np.testing.assert_array_equal(walk.n_window_predicted, 0)
 
     def test_underflow_names_the_target_the_loop_stops_at(self):
         # a dense block, then spacings doubling up to target A; B lies far after A
@@ -652,7 +644,7 @@ class TestForecastSeries:
         res = walk_x(np.arange(50.0) + 1.0, np.full(50, 2.75),
                      GrnnConfig(training_size=5, mode=Mode.RECURSIVE))
         np.testing.assert_allclose(res.predicted_m, 2.75, rtol=1e-15)
-        np.testing.assert_array_equal(res.errors_m(), np.zeros(45))
+        np.testing.assert_array_equal(res.observed_m - res.predicted_m, np.zeros(45))
 
     def test_nothing_to_predict(self):
         station = station_of([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -667,9 +659,6 @@ class TestForecastSeries:
         tf = walk_x(epochs, values, GrnnConfig(training_size=5, bandwidth=1.0,
                                                mode=Mode.TEACHER_FORCED))
         assert not np.allclose(rec.predicted_m, tf.predicted_m)
-        np.testing.assert_array_equal(rec.n_window_predicted,
-                                      np.minimum(np.arange(35), 5))
-        np.testing.assert_array_equal(tf.n_window_predicted, np.zeros(35, dtype=int))
 
     def test_matches_manual_stepping_walk(self):
         rng = np.random.default_rng(3)
@@ -700,7 +689,7 @@ class TestForecastSeries:
         epochs = np.arange(30.0) + 1.0
         res = walk_x(epochs, epochs.copy(), GrnnConfig(training_size=5, bandwidth=1.0,
                                                        mode=Mode.RECURSIVE))
-        errors = np.abs(res.errors_m())[:10]
+        errors = np.abs(res.observed_m - res.predicted_m)[:10]
         assert np.all(np.diff(errors) >= -1e-12)
 
     @pytest.mark.parametrize("axis", ["irregular", "daily", "two-gap", "jittered",
@@ -788,7 +777,7 @@ class TestStationWalk:
             assert set(walks.results) == {(c, mode) for c in ("X", "Y", "Z")}
             assert len(walks) == 3 * 35
             for comp in station.components:
-                predicted, _ = stepping_walk(comp, GrnnConfig(training_size=5, mode=mode))
+                predicted = stepping_walk(comp, GrnnConfig(training_size=5, mode=mode))
                 assert np.array_equal(walks[comp.component.value, mode].predicted_m, predicted)
 
     def test_refusals(self):

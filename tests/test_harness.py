@@ -84,30 +84,30 @@ class TestGenerateSynthetic:
 class TestRunSweep:
     def test_constant_series_all_zero(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 200, 0)
-        result = run_sweep(s, range(1, 6))
-        assert len(result.rows) == 5 * 3 * 2
-        for row in result.rows:
+        rows = run_sweep(s, range(1, 6))
+        assert len(rows) == 5 * 3 * 2
+        for row in rows:
             assert row.metrics.smape_percent == 0.0
             assert row.metrics.std_m == 0.0
             assert row.metrics.mabs_m == 0.0
 
     def test_single_v_single_mode(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 50, 0)
-        result = run_sweep(s, [1], modes=[Mode.TEACHER_FORCED])
-        assert len(result.rows) == 3
-        assert {r.component for r in result.rows} == {"X", "Y", "Z"}
-        assert all(r.training_size == 1 for r in result.rows)
-        assert all(r.metrics.n == 49 for r in result.rows)
+        rows = run_sweep(s, [1], modes=[Mode.TEACHER_FORCED])
+        assert len(rows) == 3
+        assert {r.component for r in rows} == {"X", "Y", "Z"}
+        assert all(r.training_size == 1 for r in rows)
+        assert all(r.metrics.n == 49 for r in rows)
 
     def test_direction_on_trend_plus_annual(self):
         params = SyntheticParams(slope_m_per_day=5e-5, annual_amplitude_m=0.005,
                                  noise_std_m=0.001)
         s = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 2000, 42, params)
-        result = run_sweep(s, [1, 100],
-                           GrnnConfig(training_size=1,
-                                      bandwidth=BandwidthRule.MEAN_SPACING),
-                           modes=[Mode.TEACHER_FORCED])
-        by_key = {(r.training_size, r.component): r for r in result.rows}
+        rows = run_sweep(s, [1, 100],
+                         GrnnConfig(training_size=1,
+                                    bandwidth=BandwidthRule.MEAN_SPACING),
+                         modes=[Mode.TEACHER_FORCED])
+        by_key = {(r.training_size, r.component): r for r in rows}
         for comp in ("X", "Y", "Z"):
             small, large = by_key[(1, comp)], by_key[(100, comp)]
             assert large.metrics.smape_percent < small.metrics.smape_percent
@@ -122,6 +122,17 @@ class TestRunSweep:
             run_sweep(s, [19])
         with pytest.raises(DataError):
             run_sweep(s, [])
+
+    @pytest.mark.parametrize("v, message", [
+        (20, "refused: v_max 20 must be < series length 20"),
+        (19, "refused: largest training size leaves fewer than 2 predictions"),
+    ])
+    def test_length_refusals_name_the_station(self, v, message):
+        s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
+        with pytest.raises(DataError) as exc:
+            run_sweep(s, [v])
+        assert type(exc.value) is DataError
+        assert str(exc.value) == f"station synthetic-constant-0: {message}"
 
 
 @pytest.fixture
@@ -447,9 +458,9 @@ class TestWriters:
 
     def test_sweep_csv_columns(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 60, 0)
-        result = run_sweep(s, [1, 2], modes=[Mode.TEACHER_FORCED])
+        rows = run_sweep(s, [1, 2], modes=[Mode.TEACHER_FORCED])
         buf = io.StringIO()
-        write_sweep_csv(result, buf)
+        write_sweep_csv(rows, buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert rows[0] == ["v", "component", "mode", "smape_percent", "std_m", "mabs_m", "n"]
         assert len(rows) == 1 + 6

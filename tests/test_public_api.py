@@ -1,5 +1,7 @@
 """The package's public names."""
 
+from dataclasses import fields
+
 import pytest
 
 import gnss_grnn
@@ -22,3 +24,17 @@ def test_star_import_binds_every_export():
 def test_theta_backtest_is_the_only_theta_path(name):
     assert not hasattr(gnss_grnn, name)
     assert not hasattr(gnss_grnn.theta, name)
+
+
+def test_sweep_rows_have_no_wrapper():
+    assert "SweepResult" not in gnss_grnn.__all__
+    assert not hasattr(gnss_grnn, "SweepResult")
+    assert not hasattr(gnss_grnn.harness, "SweepResult")
+
+
+def test_forecast_results_hold_only_what_outputs_read():
+    assert [f.name for f in fields(gnss_grnn.ForecastResult)] == [
+        "epochs_mjd", "predicted_m", "observed_m"]
+    assert [f.name for f in fields(gnss_grnn.AdaptiveForecastResult)] == [
+        "epochs_mjd", "predicted_m", "observed_m", "training_size_used", "threshold_met"]
+    assert [f.name for f in fields(gnss_grnn.StationForecast)] == ["results"]

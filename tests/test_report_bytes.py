@@ -19,7 +19,6 @@ from gnss_grnn import (
     Mode,
     SeriesState,
     StationReport,
-    SweepResult,
     SweepRow,
     ThetaFit,
     compare_methods,
@@ -108,7 +107,7 @@ def render() -> dict[str, str]:
     write_reports_csv(reports, buf)
     out["stations.csv"] = buf.getvalue()
     buf = io.StringIO()
-    write_sweep_csv(SweepResult("ST01", tuple(_sweep_row(*r) for r in _SWEEP)), buf)
+    write_sweep_csv([_sweep_row(*r) for r in _SWEEP], buf)
     out["sweep.csv"] = buf.getvalue()
     return out
 
