@@ -87,8 +87,8 @@ def _bandwidth_spec(text: str):
             raise argparse.ArgumentTypeError(
                 f"{text!r} is neither a number nor one of: {choices}"
             ) from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError("bandwidth must be positive")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("bandwidth must be positive and finite")
     return value
 
 
@@ -243,14 +243,14 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _predict_rows(station, config):
-    adaptive = config.threshold_m is not None
-    walk = adaptive_forecast_series if adaptive else forecast_series
+def _predict_rows(station, config, mode, threshold_m, max_training_size):
+    adaptive = threshold_m is not None
     # one walk for X, Y and Z: their kernel weights are the same
     with at_station(station.station_id):
-        walks = walk(station, config)
+        walks = (adaptive_forecast_series(station, config, threshold_m, max_training_size)
+                 if adaptive else forecast_series(station, config, (mode,)))
     for comp in station.components:
-        res = walks[comp.component, config.mode]
+        res = walks[comp.component, mode]
         for i in range(len(res)):
             yhat = float(res.predicted_m[i]) + comp.offset_m
             y = float(res.observed_m[i]) + comp.offset_m
@@ -278,10 +278,10 @@ def cmd_predict(args) -> int:
         # the window search forecasts from observed windows only
         mode = Mode.TEACHER_FORCED
     stations = _load_stations(args.paths, args.basis)
-    config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth,
-                        threshold_m=args.threshold, max_training_size=args.max_training_size,
-                        mode=mode)
-    rows = [row for station in stations for row in _predict_rows(station, config)]
+    config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth)
+    rows = [row for station in stations
+            for row in _predict_rows(station, config, mode, args.threshold,
+                                     args.max_training_size)]
     with open_text(args.output or sys.stdout) as stream:
         if args.format == "json":
             json.dump(rows, stream, indent=2, allow_nan=False)
@@ -302,8 +302,7 @@ def cmd_sweep(args) -> int:
     if args.v_min < 1 or args.v_max < args.v_min or args.v_step < 1:
         raise DataError("invalid training-size range")
     (station,) = _load_stations(args.paths, args.basis)
-    config = GrnnConfig(training_size=args.v_min, bandwidth=args.bandwidth)
-    rows = run_sweep(station, range(args.v_min, args.v_max + 1, args.v_step), config)
+    rows = run_sweep(station, range(args.v_min, args.v_max + 1, args.v_step), args.bandwidth)
     write_sweep_csv(rows, args.output or sys.stdout)
     return 0
 
@@ -318,15 +317,14 @@ def cmd_compare(args) -> int:
         except argparse.ArgumentTypeError as exc:
             args.usage_error(str(exc))
     stations = _load_stations(args.paths, args.basis)
-    config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth,
-                        mode=args.mode)
+    config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth)
     reports = evaluate_stations(
-        stations, config, args.theta_window,
+        stations, config, args.theta_window, mode=args.mode,
         theta_fit=args.theta_fit, gap_factor=args.gap_factor, jobs=jobs,
     )
     timing = None
     if args.time:
-        timing = time_methods(stations, config, args.theta_window,
+        timing = time_methods(stations, config, args.theta_window, mode=args.mode,
                               theta_fit=args.theta_fit,
                               repetitions=3 if args.reps is None else args.reps)
     comparison = compare_methods(reports, timing)

@@ -79,41 +79,28 @@ class BandwidthRule(str, Enum):
 
 @dataclass(frozen=True)
 class GrnnConfig:
-    """Forecaster settings.
+    """The kernel model's two settings, as in Specht's GRNN; how a walk
+    uses the model (its mode, the adaptive search) is that walk's argument.
 
     Attributes:
         training_size: window length ``v`` (most recent values used).
         bandwidth: fixed bandwidth in days, or a :class:`BandwidthRule`.
-        threshold_m: acceptance threshold on the absolute prediction
-            error; required by :func:`adaptive_forecast_series`, refused
-            by :func:`forecast_series`.
-        max_training_size: cap on window growth in the adaptive search;
-            ``None`` means only the available history caps it. Refused
-            by :func:`forecast_series`.
-        mode: window-update policy; :func:`adaptive_forecast_series` is
-            teacher-forced and refuses any other mode.
     """
 
     training_size: int = 100
     bandwidth: float | BandwidthRule = BandwidthRule.WINDOW_STD
-    threshold_m: float | None = None
-    max_training_size: int | None = None
-    mode: Mode = Mode.RECURSIVE
 
     def __post_init__(self) -> None:
         if self.training_size < 1:
             raise DataError("training_size must be >= 1")
-        if self.max_training_size is not None and self.max_training_size < self.training_size:
-            raise DataError("max_training_size must be >= training_size")
-        if isinstance(self.bandwidth, str) and not isinstance(self.bandwidth, BandwidthRule):
-            object.__setattr__(self, "bandwidth", BandwidthRule(self.bandwidth))
-        elif isinstance(self.bandwidth, (int, float)):
-            if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-                raise DataError("fixed bandwidth must be positive and finite")
-            object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        if self.threshold_m is not None and not self.threshold_m > 0:
-            raise DataError("threshold_m must be positive")
-        object.__setattr__(self, "mode", Mode(self.mode))
+        bw = self.bandwidth
+        if isinstance(bw, str) and bw in {r.value for r in BandwidthRule}:
+            object.__setattr__(self, "bandwidth", BandwidthRule(bw))
+        elif isinstance(bw, (int, float)) and math.isfinite(bw) and bw > 0:
+            object.__setattr__(self, "bandwidth", float(bw))
+        else:
+            raise DataError("fixed bandwidth must be positive and finite, or a "
+                            f"BandwidthRule; got {bw!r}")
 
 
 def gaussian_kernel(a):
@@ -274,20 +261,18 @@ class StationForecast:
 
 
 def forecast_series(
-    station: StationSeries, config: GrnnConfig, modes: Sequence[Mode] | None = None
+    station: StationSeries, config: GrnnConfig, modes: Sequence[Mode] = (Mode.RECURSIVE,)
 ) -> StationForecast:
     """Walk a station: seed the window with the first ``v`` observed values,
     then predict every later epoch present in the series.
 
     Gives a :class:`StationForecast` with one result per component and
-    mode of ``modes`` (default: ``config.mode`` alone), all from one pass
+    mode of ``modes`` (default: recursive alone), all from one pass
     of kernel weights over the shared epoch axis: each weight block serves
     every (component, mode) before the next block is computed.
     Teacher-forced forecasts are made a block at a time; recursive ones
     step through the block, one component after the other, since each
-    forecast feeds the next of its component. A config that sets
-    ``threshold_m`` or ``max_training_size`` is refused: only
-    :func:`adaptive_forecast_series` reads them.
+    forecast feeds the next of its component.
 
     Epochs inside gaps are never fabricated; the first prediction after a
     hole simply reaches forward from the pre-gap window, so its kernel
@@ -306,12 +291,9 @@ def forecast_series(
     reported for the first target in walk order that underflows, for
     component X, the first of the components that share the weights.
     """
-    modes = (config.mode,) if modes is None else tuple(Mode(m) for m in modes)
+    modes = tuple(Mode(m) for m in modes)
     if not modes:
         raise DataError("no window-update mode to walk")
-    if config.threshold_m is not None or config.max_training_size is not None:
-        raise DataError("threshold_m and max_training_size apply to the adaptive "
-                        "search only")
     v = config.training_size
     n = station.count
     if n <= v:
@@ -362,19 +344,23 @@ def forecast_series(
     })
 
 
-def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> StationForecast:
+def adaptive_forecast_series(
+    station: StationSeries,
+    config: GrnnConfig,
+    threshold_m: float,
+    max_training_size: int | None = None,
+) -> StationForecast:
     """Forecast every index after the seed window, growing its window on demand.
 
     Each target of each component starts from ``config.training_size``
-    observed values before it, compares the absolute error against the
-    threshold, and enlarges the window by one value until the error
+    observed values before it, compares the absolute error against
+    ``threshold_m``, and enlarges the window by one value until the error
     passes or no larger window fits the available history (or
     ``max_training_size``); the attempt with the smallest error stands
     when none passes. Needs the truth at the target, so this is a
-    backtest-time procedure only. ``config.mode`` must be
-    ``Mode.TEACHER_FORCED``. Gives a :class:`StationForecast` with one
-    :class:`AdaptiveForecastResult` per component, keyed by
-    ``Mode.TEACHER_FORCED``.
+    backtest-time procedure only, and teacher-forced. Gives a
+    :class:`StationForecast` with one :class:`AdaptiveForecastResult` per
+    component, keyed by ``Mode.TEACHER_FORCED``.
 
     Batched over targets: the outer loop walks the candidate sizes, and
     each size computes the weights of every target still open in any
@@ -389,19 +375,19 @@ def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> Stat
     Z order.
     """
     v0 = config.training_size
+    if not threshold_m > 0:
+        raise DataError("threshold_m must be positive")
+    if max_training_size is not None and max_training_size < v0:
+        raise DataError("max_training_size must be >= training_size")
     n = station.count
     if n <= v0:
         raise DataError(f"nothing to predict: {n} samples with training_size {v0}")
-    if config.threshold_m is None:
-        raise DataError("adaptive prediction requires a threshold")
-    if config.mode is not Mode.TEACHER_FORCED:
-        raise DataError(f"adaptive prediction is teacher-forced, not {config.mode.value}")
     components = station.components
     epochs = station.epochs_mjd
     targets = np.arange(v0, n)
     caps = targets
-    if config.max_training_size is not None:
-        caps = np.minimum(caps, config.max_training_size)
+    if max_training_size is not None:
+        caps = np.minimum(caps, max_training_size)
     shape = (len(components), targets.size)
     predicted = np.empty(shape, dtype=np.float64)
     used = np.empty(shape, dtype=np.int64)
@@ -431,7 +417,7 @@ def adaptive_forecast_series(station: StationSeries, config: GrnnConfig) -> Stat
                 own = weights if len(weights) == 1 else weights[pattern[mine]]
                 yhat = _convex_combinations(own, windows[k - v])
                 abs_err = np.abs(comp.values_m[k] - yhat)
-                passed = abs_err < config.threshold_m
+                passed = abs_err < threshold_m
                 # v0 is every target's first try; later sizes must be strictly
                 # better, so the earliest size wins ties (a pass is always better)
                 better = abs_err < best_abs[c, pos] if v > v0 else np.ones(pos.size, dtype=bool)

@@ -195,10 +195,11 @@ def at_station(station_id: str, training_size: int | None = None) -> Iterator[No
 def run_sweep(
     series: StationSeries,
     v_values: Iterable[int],
-    config: GrnnConfig | None = None,
+    bandwidth: float | BandwidthRule = BandwidthRule.WINDOW_STD,
     modes: Sequence[Mode] = (Mode.RECURSIVE, Mode.TEACHER_FORCED),
 ) -> tuple[SweepRow, ...]:
-    """Backtest each training size in ``v_values`` for every component.
+    """Backtest each training size in ``v_values`` for every component,
+    each with the kernel ``bandwidth`` (days, or a :class:`BandwidthRule`).
 
     Whether the window update should feed predictions back or stick to
     observations is not obvious a priori, so the sweep runs the modes in
@@ -212,7 +213,6 @@ def run_sweep(
     ``offset_m`` is added back to predictions and truths before scoring,
     so a mean-centered series scores as its raw positions.
     """
-    config = config or GrnnConfig()
     sizes = sorted(set(int(v) for v in v_values))
     if not sizes:
         raise DataError("empty training-size range")
@@ -226,8 +226,9 @@ def run_sweep(
             raise DataError("refused: largest training size leaves fewer than 2 predictions")
     rows = []
     for v in sizes:
+        config = GrnnConfig(v, bandwidth)
         with at_station(series.station_id, v):
-            walks = forecast_series(series, replace(config, training_size=v), modes)
+            walks = forecast_series(series, config, modes)
         for comp in series.components:
             for mode in modes:
                 rows.append(SweepRow(
@@ -246,22 +247,15 @@ def run_sweep(
 
 @dataclass(frozen=True)
 class EvaluationSettings:
-    """Everything that determined one station evaluation, for the record.
-
-    An evaluation runs the plain kernel walk, which refuses the adaptive
-    search's ``threshold_m`` and ``max_training_size``, so a record that
-    set either would describe a run that cannot happen.
-    """
+    """Everything that determined one station evaluation, for the record:
+    the kernel model, the window-update mode its walk ran in, and the
+    Theta and gap settings."""
 
     grnn: GrnnConfig
+    mode: Mode
     theta_window: int
     theta_fit: ThetaFit
     gap_factor: float
-
-    def __post_init__(self) -> None:
-        if self.grnn.threshold_m is not None or self.grnn.max_training_size is not None:
-            raise DataError("threshold_m and max_training_size apply to the adaptive "
-                            "search only")
 
 
 @dataclass(frozen=True)
@@ -303,16 +297,18 @@ def evaluate_station(
     grnn_config: GrnnConfig | None = None,
     theta_window: int | None = None,
     *,
+    mode: Mode = Mode.RECURSIVE,
     theta_fit: ThetaFit = ThetaFit.ROLLING,
     gap_factor: float = 1.5,
 ) -> StationReport:
     """Backtest both methods on one station and score them identically.
 
-    The Theta window defaults to the kernel method's training size. When
-    the two differ, both prediction lists are trimmed to the epochs both
-    methods predicted, and that equality is checked before any criterion
-    is computed. One station walk gives the kernel forecasts of all
-    three components from shared weights. Each component's ``offset_m``
+    The kernel walk runs in window-update ``mode``. The Theta window
+    defaults to the kernel method's training size. When the two differ,
+    both prediction lists are trimmed to the epochs both methods
+    predicted, and that equality is checked before any criterion is
+    computed. One station walk gives the kernel forecasts of all three
+    components from shared weights. Each component's ``offset_m``
     is added back to predictions and truths before scoring, so a
     mean-centered series scores as its raw positions.
     """
@@ -333,9 +329,9 @@ def evaluate_station(
     grnn_metrics: dict[str, MetricsReport] = {}
     theta_metrics: dict[str, MetricsReport] = {}
     with at_station(series.station_id):
-        walks = forecast_series(series, grnn_config)
+        walks = forecast_series(series, grnn_config, (mode,))
     for comp in series.components:
-        g = _align_tail(walks[comp.component, grnn_config.mode], keep)
+        g = _align_tail(walks[comp.component, mode], keep)
         t = _align_tail(theta_backtest(comp, theta_window, fit=theta_fit), keep)
         if not np.array_equal(g.epochs_mjd, t.epochs_mjd):
             raise RuntimeError("methods were about to be scored on different epochs")
@@ -354,6 +350,7 @@ def evaluate_station(
         theta_metrics=theta_metrics,
         settings=EvaluationSettings(
             grnn=grnn_config,
+            mode=Mode(mode),
             theta_window=theta_window,
             theta_fit=ThetaFit(theta_fit),
             gap_factor=gap_factor,
@@ -366,6 +363,7 @@ def evaluate_stations(
     grnn_config: GrnnConfig | None = None,
     theta_window: int | None = None,
     *,
+    mode: Mode = Mode.RECURSIVE,
     theta_fit: ThetaFit = ThetaFit.ROLLING,
     gap_factor: float = 1.5,
     jobs: int = 1,
@@ -376,7 +374,7 @@ def evaluate_stations(
     execution order was.
     """
     evaluate = partial(evaluate_station, grnn_config=grnn_config, theta_window=theta_window,
-                       theta_fit=theta_fit, gap_factor=gap_factor)
+                       mode=mode, theta_fit=theta_fit, gap_factor=gap_factor)
     if jobs <= 1 or len(stations) <= 1:
         return list(map(evaluate, stations))
     # imported here: loading the pool machinery slows every serial start-up
@@ -426,6 +424,7 @@ def time_methods(
     grnn_config: GrnnConfig | None = None,
     theta_window: int | None = None,
     *,
+    mode: Mode = Mode.RECURSIVE,
     theta_fit: ThetaFit = ThetaFit.ROLLING,
     repetitions: int = 3,
 ) -> MethodTiming:
@@ -434,8 +433,8 @@ def time_methods(
     Runs ``repetitions`` full passes per method on one worker and keeps
     every sample; medians are exposed on the result. One untimed warmup
     pass per method precedes the samples. A kernel pass makes one call
-    per station, which walks X, Y and Z from one set of weights, as
-    :func:`evaluate_station` does.
+    per station, which walks X, Y and Z from one set of weights in
+    window-update ``mode``, as :func:`evaluate_station` does.
     """
     if repetitions < 3:
         raise DataError("need at least 3 repetitions for a stable median")
@@ -451,7 +450,7 @@ def time_methods(
 
     def run_grnn() -> None:
         for station in stations:
-            forecast_series(station, grnn_config)
+            forecast_series(station, grnn_config, (mode,))
 
     def run_theta() -> None:
         for comp in components:
@@ -537,9 +536,10 @@ def _settings_dict(settings: EvaluationSettings) -> dict:
         "grnn": {
             "training_size": settings.grnn.training_size,
             "bandwidth": bw.value if isinstance(bw, BandwidthRule) else bw,
-            "threshold_m": settings.grnn.threshold_m,
-            "max_training_size": settings.grnn.max_training_size,
-            "mode": settings.grnn.mode.value,
+            # schema 1 keeps these keys; an evaluation never runs the adaptive search
+            "threshold_m": None,
+            "max_training_size": None,
+            "mode": settings.mode.value,
         },
         "theta": {
             "window": settings.theta_window,

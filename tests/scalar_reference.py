@@ -52,36 +52,37 @@ def predict(distances, values, bandwidth) -> tuple[float, np.ndarray]:
     return float(base + weights @ (values - base)), weights
 
 
-def stepping_walk(series, cfg) -> np.ndarray:
-    """``forecast_series`` of one component, one target at a time: the
-    forecasts."""
-    v = cfg.training_size
+def stepping_walk(series, config, mode=Mode.RECURSIVE) -> np.ndarray:
+    """``forecast_series`` of one component in one ``mode``, one target at
+    a time: the forecasts."""
+    v = config.training_size
     epochs, observed = series.epochs_mjd, series.values_m
-    recursive = cfg.mode is Mode.RECURSIVE
+    recursive = Mode(mode) is Mode.RECURSIVE
     window = observed[:v].copy()
     predicted = []
     for k in range(v, series.count):
-        yhat, _ = predict(epochs[k] - epochs[k - v:k], window, cfg.bandwidth)
+        yhat, _ = predict(epochs[k] - epochs[k - v:k], window, config.bandwidth)
         predicted.append(yhat)
         window = np.append(window[1:], yhat if recursive else observed[k])
     return np.array(predicted)
 
 
-def adaptive_predict(series, k, cfg) -> tuple[float, int, bool]:
+def adaptive_predict(series, k, config, threshold_m,
+                     max_training_size=None) -> tuple[float, int, bool]:
     """``adaptive_forecast_series`` at index ``k`` of one component alone:
     the forecast, the window size it used and whether it met the threshold."""
-    cap = k if cfg.max_training_size is None else min(k, cfg.max_training_size)
+    cap = k if max_training_size is None else min(k, max_training_size)
     epochs, values = series.epochs_mjd, series.values_m
-    v, best = cfg.training_size, None
+    v, best = config.training_size, None
     while True:
         try:
-            yhat, _ = predict(epochs[k] - epochs[k - v:k], values[k - v:k], cfg.bandwidth)
+            yhat, _ = predict(epochs[k] - epochs[k - v:k], values[k - v:k], config.bandwidth)
         except BandwidthTooSmallError as exc:
             raise BandwidthTooSmallError(
                 f"{exc} predicting component {series.component.value} "
                 f"at MJD {float(epochs[k])!r}") from None
         error = abs(float(values[k]) - yhat)
-        if error < cfg.threshold_m:
+        if error < threshold_m:
             return yhat, v, True
         # the earliest size wins ties
         if best is None or error < best[0]:

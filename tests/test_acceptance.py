@@ -160,11 +160,7 @@ def test_p4_training_size_sweep_direction():
     params = SyntheticParams(slope_m_per_day=5e-5, annual_amplitude_m=0.005,
                              noise_std_m=0.001)
     series = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 2000, 42, params)
-    rows = run_sweep(
-        series, [1, 100],
-        GrnnConfig(training_size=1, bandwidth=BandwidthRule.MEAN_SPACING),
-        modes=[Mode.TEACHER_FORCED],
-    )
+    rows = run_sweep(series, [1, 100], BandwidthRule.MEAN_SPACING, modes=[Mode.TEACHER_FORCED])
     by_key = {(r.training_size, r.component): r for r in rows}
     for comp in ("X", "Y", "Z"):
         small, large = by_key[(1, comp)], by_key[(100, comp)]
@@ -185,9 +181,9 @@ def test_p5_gap_penalty_direction():
         SyntheticKind.GAPPED_TREND, 2000, 7,
         SyntheticParams(**base, gap_spans=((600, 30), (1100, 30), (1500, 30))),
     )
-    cfg = GrnnConfig(training_size=100, mode=Mode.TEACHER_FORCED)
-    a = evaluate_station(ungapped, cfg)
-    b = evaluate_station(gapped, cfg)
+    cfg = GrnnConfig(training_size=100)
+    a = evaluate_station(ungapped, cfg, mode=Mode.TEACHER_FORCED)
+    b = evaluate_station(gapped, cfg, mode=Mode.TEACHER_FORCED)
     ratios = []
     for comp in ("X", "Y", "Z"):
         s_ungapped = a.grnn_metrics[comp].smape_percent

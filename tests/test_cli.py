@@ -13,6 +13,7 @@ import pytest
 
 import gnss_grnn
 from gnss_grnn import (
+    Mode,
     SyntheticKind,
     SyntheticParams,
     generate_synthetic,
@@ -78,28 +79,32 @@ class TestPredict:
     def test_one_station_walk_per_station(self, station_file, capsys, monkeypatch, mode):
         calls = []
 
-        def forecast_series(series, config, modes=None):
-            calls.append((type(series).__name__, series.station_id, config.mode.value))
-            return gnss_grnn.forecast_series(series, config, modes)
+        def forecast_series(station, config, modes=(Mode.RECURSIVE,)):
+            calls.append((type(station).__name__, station.station_id,
+                          [Mode(m).value for m in modes]))
+            return gnss_grnn.forecast_series(station, config, modes)
 
         monkeypatch.setattr(gnss_grnn.cli, "forecast_series", forecast_series)
         a, b = station_file(name="a", length=60), station_file(name="b", length=60, seed=2)
         assert run_cli("predict", a, b, "-v", "5", "--mode", mode) == 0
-        assert calls == [("StationSeries", "a", mode), ("StationSeries", "b", mode)]
+        assert calls == [("StationSeries", "a", [mode]), ("StationSeries", "b", [mode])]
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["component"] for r in rows] == 2 * (55 * ["X"] + 55 * ["Y"] + 55 * ["Z"])
 
     def test_one_adaptive_search_per_station(self, station_file, capsys, monkeypatch):
         calls = []
 
-        def adaptive_forecast_series(series, config):
-            calls.append((type(series).__name__, getattr(series, "station_id", None)))
-            return gnss_grnn.adaptive_forecast_series(series, config)
+        def adaptive_forecast_series(station, config, threshold_m, max_training_size=None):
+            calls.append((type(station).__name__, station.station_id, threshold_m,
+                          max_training_size))
+            return gnss_grnn.adaptive_forecast_series(station, config, threshold_m,
+                                                      max_training_size)
 
         monkeypatch.setattr(gnss_grnn.cli, "adaptive_forecast_series", adaptive_forecast_series)
         a, b = station_file(name="a", length=60), station_file(name="b", length=60, seed=2)
-        assert run_cli("predict", a, b, "-v", "5", "--threshold", "0.001") == 0
-        assert calls == [("StationSeries", "a"), ("StationSeries", "b")]
+        assert run_cli("predict", a, b, "-v", "5", "--threshold", "0.001",
+                       "--max-training-size", "20") == 0
+        assert calls == [("StationSeries", "a", 0.001, 20), ("StationSeries", "b", 0.001, 20)]
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["component"] for r in rows] == 2 * (55 * ["X"] + 55 * ["Y"] + 55 * ["Z"])
 
@@ -171,6 +176,20 @@ class TestPredict:
         assert run_cli("predict", path, "-v", "5", "--threshold", "0.01",
                        "--mode", "teacher-forced") == 0
         assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--threshold", "0"], "threshold_m must be positive"),
+        (["--threshold", "0.001", "--max-training-size", "2"],
+         "max_training_size must be >= training_size"),
+    ])
+    def test_bad_search_argument_names_the_station(self, station_file, capsys, flags,
+                                                   message):
+        # the search checks its own arguments, inside the station's walk
+        path = station_file(name="a", length=60)
+        assert run_cli("predict", path, "-v", "5", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gnss-grnn: data error: station a: {message}\n"
 
     def test_threshold_adds_adaptive_columns(self, station_file, capsys):
         path = station_file(length=80)
@@ -385,6 +404,17 @@ class TestCompare:
         assert doc["comparison"]["time_ratio"] > 0
         assert len(doc["comparison"]["timing"]["grnn_seconds"]) == 3
 
+    def test_mode_is_recorded(self, station_file, tmp_path):
+        path = station_file(name="tf", length=200)
+        out_dir = tmp_path / "tf"
+        assert run_cli("compare", path, "-v", "10", "--mode", "teacher-forced",
+                       "--output-dir", out_dir, "--jobs", "1") == 0
+        doc = json.loads((out_dir / "report.json").read_text())
+        # schema 1 still carries the adaptive search's keys, always null
+        assert doc["stations"][0]["settings"]["grnn"] == {
+            "training_size": 10, "bandwidth": "window-std", "threshold_m": None,
+            "max_training_size": None, "mode": "teacher-forced"}
+
     def test_theta_window_and_fit_flags(self, station_file, tmp_path):
         path = station_file(name="tw", length=200)
         out_dir = tmp_path / "tw"
@@ -495,9 +525,10 @@ class TestUsageErrors:
             run_cli()
         assert exc.value.code == 1
 
-    def test_bad_bandwidth_spec(self, capsys):
+    @pytest.mark.parametrize("spec", ["narrow", "0", "-1", "nan", "inf"])
+    def test_bad_bandwidth_spec(self, capsys, spec):
         with pytest.raises(SystemExit) as exc:
-            run_cli("predict", "whatever.csv", "--bandwidth", "narrow")
+            run_cli("predict", "whatever.csv", f"--bandwidth={spec}")
         assert exc.value.code == 1
 
     def test_missing_file_is_data_error(self, capsys):
@@ -555,6 +586,8 @@ def test_bad_jobs_env_is_a_usage_error(station_file, tmp_path, capsys, monkeypat
      "--max-training-size requires --threshold"),
     (["predict", "--threshold", "0.01", "--mode", "recursive"], None,
      "--mode recursive cannot be combined with --threshold"),
+    (["predict", "--bandwidth", "inf"], None,
+     "argument --bandwidth: bandwidth must be positive and finite"),
     (["compare", "--reps", "5"], None, "--reps requires --time"),
     (["compare"], "abc", "GNSS_GRNN_JOBS: invalid int value: 'abc'"),
 ])

@@ -45,15 +45,17 @@ def station_of(epochs, values, station_id="S"):
         ComponentSeries(c, epochs, row) for c, row in zip(Component, rows)))
 
 
-def walk_x(epochs, values, cfg):
-    """Component X of the walk of a station whose components all hold ``values``."""
-    return forecast_series(station_of(epochs, values), cfg)[Component.X, cfg.mode]
+def walk_x(epochs, values, cfg, mode=Mode.RECURSIVE):
+    """Component X of the ``mode`` walk of a station whose components all
+    hold ``values``."""
+    return forecast_series(station_of(epochs, values), cfg, (mode,))[Component.X, mode]
 
 
-def search_x(epochs, values, cfg):
+def search_x(epochs, values, cfg, threshold_m, max_training_size=None):
     """Component X of the adaptive search on a station whose components all
     hold ``values``."""
-    walks = adaptive_forecast_series(station_of(epochs, values), cfg)
+    walks = adaptive_forecast_series(station_of(epochs, values), cfg, threshold_m,
+                                     max_training_size)
     return walks[Component.X, Mode.TEACHER_FORCED]
 
 
@@ -263,8 +265,8 @@ class TestWindowUpdate:
     VALUES = np.array([10.0, 11.0, 12.0, 12.5, 13.0])
 
     def walk(self, mode, v=3):
-        cfg = GrnnConfig(training_size=v, bandwidth=1.0, mode=mode)
-        return walk_x(self.EPOCHS, self.VALUES, cfg)
+        cfg = GrnnConfig(training_size=v, bandwidth=1.0)
+        return walk_x(self.EPOCHS, self.VALUES, cfg, mode)
 
     def test_recursive_appends_prediction(self):
         res = self.walk(Mode.RECURSIVE)
@@ -282,8 +284,8 @@ class TestWindowUpdate:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_gap_epochs_are_never_forecast(self, mode):
         epochs = np.array([1.0, 2.0, 3.0, 7.0, 8.0, 9.0])
-        cfg = GrnnConfig(training_size=2, bandwidth=2.0, mode=mode)
-        res = walk_x(epochs, 0.5 * epochs, cfg)
+        cfg = GrnnConfig(training_size=2, bandwidth=2.0)
+        res = walk_x(epochs, 0.5 * epochs, cfg, mode)
         np.testing.assert_array_equal(res.epochs_mjd, [3.0, 7.0, 8.0, 9.0])
 
     def test_length_one_window_recursive(self):
@@ -303,21 +305,35 @@ class TestWindowUpdate:
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"training_size": 0}, "training_size must be >= 1"),
-    ({"max_training_size": 99}, "max_training_size must be >= training_size"),
     ({"bandwidth": 0.0}, "fixed bandwidth must be positive and finite"),
     ({"bandwidth": float("nan")}, "fixed bandwidth must be positive and finite"),
-    ({"threshold_m": 0.0}, "threshold_m must be positive"),
-    ({"threshold_m": -1.0}, "threshold_m must be positive"),
+    ({"bandwidth": None}, "or a BandwidthRule; got None$"),
+    ({"bandwidth": GrnnConfig()}, "or a BandwidthRule; got GrnnConfig"),
+    ({"bandwidth": "narrow"}, "or a BandwidthRule; got 'narrow'$"),
 ])
 def test_config_rejects(kwargs, message):
+    # a bad bandwidth fails here, not later inside a walk
     with pytest.raises(DataError, match=message):
         GrnnConfig(**{"training_size": 100, **kwargs})
 
+
+@pytest.mark.parametrize("threshold_m, max_training_size, message", [
+    (0.0, None, "threshold_m must be positive"),
+    (-1.0, None, "threshold_m must be positive"),
+    (float("nan"), None, "threshold_m must be positive"),
+    (0.01, 99, "max_training_size must be >= training_size"),
+])
+def test_adaptive_search_rejects(threshold_m, max_training_size, message):
+    station = station_of(np.arange(120.0) + 1.0, np.zeros(120))
+    with pytest.raises(DataError, match=f"^{message}$"):
+        adaptive_forecast_series(station, GrnnConfig(training_size=100), threshold_m,
+                                 max_training_size)
+
+
 class TestAdaptiveAtOneTarget:
     def test_constant_accepts_first_size(self):
-        walk = search_x(np.arange(20.0) + 1.0, np.full(20, 7.0),
-                        GrnnConfig(training_size=3, threshold_m=0.1,
-                                   mode=Mode.TEACHER_FORCED))
+        walk = search_x(np.arange(20.0) + 1.0, np.full(20, 7.0), GrnnConfig(training_size=3),
+                        0.1)
         i = 10 - 3
         assert walk.threshold_met[i]
         assert walk.training_size_used[i] == 3
@@ -325,9 +341,7 @@ class TestAdaptiveAtOneTarget:
 
     def test_linear_with_tight_threshold_exhausts(self):
         epochs = np.arange(30.0) + 1.0
-        cfg = GrnnConfig(training_size=2, bandwidth=1.0, threshold_m=1e-9,
-                         mode=Mode.TEACHER_FORCED)
-        walk = search_x(epochs, epochs.copy(), cfg)
+        walk = search_x(epochs, epochs.copy(), GrnnConfig(training_size=2, bandwidth=1.0), 1e-9)
         i = 20 - 2
         assert not walk.threshold_met[i]
         # reference loop over the same admissible sizes, keeping the best
@@ -343,37 +357,36 @@ class TestAdaptiveAtOneTarget:
 
     def test_huge_threshold_accepts_immediately(self):
         walk = search_x(np.arange(30.0) + 1.0, np.arange(30.0) ** 1.5,
-                        GrnnConfig(training_size=4, threshold_m=1e12, mode=Mode.TEACHER_FORCED))
+                        GrnnConfig(training_size=4), 1e12)
         i = 10 - 4
         assert walk.threshold_met[i] and walk.training_size_used[i] == 4
 
     def test_growth_respects_cap(self):
-        cfg = GrnnConfig(training_size=2, bandwidth=1.0, threshold_m=1e-12,
-                         max_training_size=5, mode=Mode.TEACHER_FORCED)
-        walk = search_x(np.arange(30.0) + 1.0, np.arange(30.0), cfg)
+        cfg = GrnnConfig(training_size=2, bandwidth=1.0)
+        walk = search_x(np.arange(30.0) + 1.0, np.arange(30.0), cfg, 1e-12, 5)
         assert walk.training_size_used[20 - 2] <= 5
 
     def test_insufficient_history(self):
         # no threshold is met, so each target grows its window as far as the
         # history before it allows: index k has exactly k values behind it
-        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-12,
-                         mode=Mode.TEACHER_FORCED)
-        walk = search_x(np.arange(10.0) + 1.0, np.arange(10.0) ** 2, cfg)
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0)
+        walk = search_x(np.arange(10.0) + 1.0, np.arange(10.0) ** 2, cfg, 1e-12)
         assert not walk.threshold_met.any()
         assert walk.training_size_used[0] == 5
         assert np.all(walk.training_size_used <= np.arange(5, 10))
 
     def test_walk_shape(self):
-        cfg = GrnnConfig(training_size=4, threshold_m=0.5, mode=Mode.TEACHER_FORCED)
-        walk = search_x(np.arange(15.0) + 1.0, np.sin(np.arange(15.0)), cfg)
+        walk = search_x(np.arange(15.0) + 1.0, np.sin(np.arange(15.0)),
+                        GrnnConfig(training_size=4), 0.5)
         assert len(walk) == 11
         assert walk.training_size_used.min() >= 4
 
 
-def loop_reference(series, cfg):
+def loop_reference(series, cfg, threshold_m, max_training_size=None):
     """The per-target loop the batched adaptive walk replaces: its
     forecasts, window sizes and threshold flags."""
-    outcomes = [adaptive_predict(series, k, cfg) for k in range(cfg.training_size, series.count)]
+    outcomes = [adaptive_predict(series, k, cfg, threshold_m, max_training_size)
+                for k in range(cfg.training_size, series.count)]
     return [list(column) for column in zip(*outcomes)]
 
 
@@ -385,17 +398,15 @@ def assert_station_walks_step(station, cfg, modes=tuple(Mode)):
         walks = forecast_series(station, cfg, modes)
     except BandwidthTooSmallError as exc:
         with pytest.raises(BandwidthTooSmallError) as step_exc:
-            stepping_walk(station.components[0], cfg)
+            stepping_walk(station.components[0], cfg, modes[0])
         assert str(exc).startswith(f"{step_exc.value} predicting component X at MJD ")
         return False
     assert isinstance(walks, StationForecast)
     assert len(walks) == len(modes) * 3 * (station.count - cfg.training_size)
     for comp in station.components:
         for mode in modes:
-            predicted = stepping_walk(
-                comp, GrnnConfig(training_size=cfg.training_size, bandwidth=cfg.bandwidth,
-                                 mode=mode))
             walk = walks[comp.component, mode]
+            predicted = stepping_walk(comp, cfg, mode)
             assert np.array_equal(walk.predicted_m, predicted)
             np.testing.assert_array_equal(walk.epochs_mjd, comp.epochs_mjd[cfg.training_size:])
             np.testing.assert_array_equal(walk.observed_m, comp.values_m[cfg.training_size:])
@@ -457,15 +468,14 @@ class TestAdaptiveForecastSeries:
             # Y and Z stay open; Z is Y doubled, so it stays open longer
             values = np.stack([np.zeros(epochs.size), values[1], 2.0 * values[1]])
         station = station_of(epochs, values)
-        cfg = GrnnConfig(training_size=training_size, bandwidth=bandwidth,
-                         threshold_m=4e-4, max_training_size=cap, mode=Mode.TEACHER_FORCED)
-        walks = adaptive_forecast_series(station, cfg)
+        cfg = GrnnConfig(training_size=training_size, bandwidth=bandwidth)
+        walks = adaptive_forecast_series(station, cfg, 4e-4, cap)
         assert isinstance(walks, StationForecast)
         assert len(walks) == 3 * (epochs.size - training_size)
         for comp in station.components:
             walk = walks[comp.component, Mode.TEACHER_FORCED]
             assert isinstance(walk, AdaptiveForecastResult) and isinstance(walk, ForecastResult)
-            predicted, used, met = loop_reference(comp, cfg)
+            predicted, used, met = loop_reference(comp, cfg, 4e-4, cap)
             assert np.array_equal(walk.predicted_m, predicted)
             assert np.array_equal(walk.training_size_used, used)
             assert np.array_equal(walk.threshold_met, met)
@@ -490,22 +500,19 @@ class TestAdaptiveForecastSeries:
         values[a] = 1.0  # every other target passes at once
         station = station_of(epochs, values)
         s = station.components[0]
-        cfg = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
-                         threshold_m=0.5, mode=Mode.TEACHER_FORCED)
+        cfg = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING)
         # B underflows at the first size; A only once its window reaches the
         # dense block, so the loop stops at A
         with pytest.raises(BandwidthTooSmallError) as loop_exc:
-            loop_reference(s, cfg)
+            loop_reference(s, cfg, 0.5)
         assert f"at MJD {float(epochs[a])!r}" in str(loop_exc.value)
-        first_size_only = GrnnConfig(training_size=2, bandwidth=BandwidthRule.MEAN_SPACING,
-                                     threshold_m=0.5, max_training_size=2,
-                                     mode=Mode.TEACHER_FORCED)
-        _, _, met = adaptive_predict(s, a, first_size_only)
+        # capped at the first size
+        _, _, met = adaptive_predict(s, a, cfg, 0.5, 2)
         assert not met
         with pytest.raises(BandwidthTooSmallError):
-            adaptive_predict(s, a + 1, first_size_only)
+            adaptive_predict(s, a + 1, cfg, 0.5, 2)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
-            adaptive_forecast_series(station, cfg)
+            adaptive_forecast_series(station, cfg, 0.5)
         assert str(walk_exc.value) == str(loop_exc.value)
 
     def test_underflow_in_a_later_component(self):
@@ -515,35 +522,22 @@ class TestAdaptiveForecastSeries:
         epochs = np.concatenate([55000.0 + np.arange(20.0), 55051.0 + np.arange(10.0)])
         curve = 1e-3 * (epochs - 55000.0) ** 2
         station = station_of(epochs, [np.zeros(epochs.size), curve, -curve])
-        cfg = GrnnConfig(training_size=1, threshold_m=1e-3, max_training_size=5,
-                         mode=Mode.TEACHER_FORCED)
+        cfg = GrnnConfig(training_size=1)
         x, y, _ = station.components
-        _, used, met = loop_reference(x, cfg)
+        _, used, met = loop_reference(x, cfg, 1e-3, 5)
         assert all(met) and set(used) == {1}
         with pytest.raises(BandwidthTooSmallError) as loop_exc:
-            loop_reference(y, cfg)
+            loop_reference(y, cfg, 1e-3, 5)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
-            adaptive_forecast_series(station, cfg)
+            adaptive_forecast_series(station, cfg, 1e-3, 5)
         assert str(walk_exc.value) == str(loop_exc.value) == (
             "bandwidth too small: every kernel value underflowed (h=0.5, "
             "nearest distance 32.0 days) predicting component Y at MJD 55051.0")
 
-    def test_threshold_required(self):
-        station = station_of(np.arange(10.0) + 1.0, np.zeros(10))
-        with pytest.raises(DataError, match="requires a threshold"):
-            adaptive_forecast_series(station, GrnnConfig(training_size=3,
-                                                         mode=Mode.TEACHER_FORCED))
-
-    def test_refuses_recursive_mode(self):
-        station = station_of(np.arange(10.0) + 1.0, np.zeros(10))
-        with pytest.raises(DataError, match="teacher-forced, not recursive"):
-            adaptive_forecast_series(station, GrnnConfig(training_size=3, threshold_m=0.1))
-
     def test_nothing_to_predict(self):
         station = station_of(np.arange(3.0) + 1.0, np.zeros(3))
         with pytest.raises(DataError, match="nothing to predict"):
-            adaptive_forecast_series(station, GrnnConfig(training_size=3, threshold_m=1.0,
-                                                         mode=Mode.TEACHER_FORCED))
+            adaptive_forecast_series(station, GrnnConfig(training_size=3), 1.0)
 
 
 class TestKernelRows:
@@ -570,9 +564,8 @@ class TestKernelRows:
         epochs = _axis(axis, length=640)
         values = np.cumsum(np.random.default_rng(11).normal(0.0, 1e-3, (3, epochs.size)),
                            axis=1)
-        cfg = GrnnConfig(training_size=100, threshold_m=4e-4, max_training_size=140,
-                         mode=Mode.TEACHER_FORCED)
-        adaptive_forecast_series(station_of(epochs, values), cfg)
+        adaptive_forecast_series(station_of(epochs, values), GrnnConfig(training_size=100),
+                                 4e-4, 140)
         assert [v for v, _ in passes] == list(range(100, 141))
         return kernel_rows, passes
 
@@ -601,9 +594,9 @@ class TestUnderflowMessage:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_forecast_series(self, mode):
-        cfg = GrnnConfig(training_size=5, bandwidth=1.0, mode=mode)
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0)
         with pytest.raises(BandwidthTooSmallError) as exc:
-            forecast_series(self.station(), cfg)
+            forecast_series(self.station(), cfg, (mode,))
         assert str(exc.value) == self.expected()
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -615,22 +608,21 @@ class TestUnderflowMessage:
         rows = _BLOCK_ELEMENTS // 100
         assert 0 < (400 - 100) // rows == (410 - 100) // rows
         station = station_of(epochs, np.linspace(0.0, 1.0, epochs.size))
-        cfg = GrnnConfig(training_size=100, bandwidth=1.0, mode=mode)
+        cfg = GrnnConfig(training_size=100, bandwidth=1.0)
         with pytest.raises(BandwidthTooSmallError) as step_exc:
-            stepping_walk(station.components[0], cfg)
+            stepping_walk(station.components[0], cfg, mode)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
-            forecast_series(station, cfg)
+            forecast_series(station, cfg, (mode,))
         assert str(walk_exc.value) == (
             f"{step_exc.value} predicting component X at MJD 55460.0")
         assert "nearest distance 61.0 days" in str(walk_exc.value)
 
     def test_adaptive_paths(self):
-        cfg = GrnnConfig(training_size=5, bandwidth=1.0, threshold_m=1e-3,
-                         mode=Mode.TEACHER_FORCED)
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0)
         with pytest.raises(BandwidthTooSmallError) as loop_exc:
-            adaptive_predict(self.station().components[0], 20, cfg)
+            adaptive_predict(self.station().components[0], 20, cfg, 1e-3)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
-            adaptive_forecast_series(self.station(), cfg)
+            adaptive_forecast_series(self.station(), cfg, 1e-3)
         assert str(loop_exc.value) == str(walk_exc.value) == self.expected()
 
 
@@ -642,7 +634,7 @@ class TestForecastSeries:
 
     def test_constant_series_recursive_exact(self):
         res = walk_x(np.arange(50.0) + 1.0, np.full(50, 2.75),
-                     GrnnConfig(training_size=5, mode=Mode.RECURSIVE))
+                     GrnnConfig(training_size=5), Mode.RECURSIVE)
         np.testing.assert_allclose(res.predicted_m, 2.75, rtol=1e-15)
         np.testing.assert_array_equal(res.observed_m - res.predicted_m, np.zeros(45))
 
@@ -654,10 +646,9 @@ class TestForecastSeries:
     def test_mode_changes_the_walk(self):
         epochs = np.arange(40.0) + 1.0
         values = 0.1 * epochs
-        rec = walk_x(epochs, values, GrnnConfig(training_size=5, bandwidth=1.0,
-                                                mode=Mode.RECURSIVE))
-        tf = walk_x(epochs, values, GrnnConfig(training_size=5, bandwidth=1.0,
-                                               mode=Mode.TEACHER_FORCED))
+        cfg = GrnnConfig(training_size=5, bandwidth=1.0)
+        rec = walk_x(epochs, values, cfg, Mode.RECURSIVE)
+        tf = walk_x(epochs, values, cfg, Mode.TEACHER_FORCED)
         assert not np.allclose(rec.predicted_m, tf.predicted_m)
 
     def test_matches_manual_stepping_walk(self):
@@ -673,8 +664,8 @@ class TestForecastSeries:
         # 12 daily epochs with a 3-day hole after the 6th
         epochs = np.array([1., 2., 3., 4., 5., 6., 10., 11., 12., 13., 14., 15.])
         values = epochs * 0.5
-        cfg = GrnnConfig(training_size=4, bandwidth=2.0, mode=Mode.TEACHER_FORCED)
-        res = walk_x(epochs, values, cfg)
+        cfg = GrnnConfig(training_size=4, bandwidth=2.0)
+        res = walk_x(epochs, values, cfg, Mode.TEACHER_FORCED)
         assert len(res) == 8
         # the prediction at epoch 10 must come from the pre-gap window {3..6}
         i = int(np.flatnonzero(res.epochs_mjd == 10.0)[0])
@@ -687,8 +678,8 @@ class TestForecastSeries:
 
     def test_recursive_error_accumulates_on_ramp(self):
         epochs = np.arange(30.0) + 1.0
-        res = walk_x(epochs, epochs.copy(), GrnnConfig(training_size=5, bandwidth=1.0,
-                                                       mode=Mode.RECURSIVE))
+        res = walk_x(epochs, epochs.copy(), GrnnConfig(training_size=5, bandwidth=1.0),
+                     Mode.RECURSIVE)
         errors = np.abs(res.observed_m - res.predicted_m)[:10]
         assert np.all(np.diff(errors) >= -1e-12)
 
@@ -769,15 +760,17 @@ class TestStationWalk:
         assert all(c.offset_m != 0.0 for c in station.components)
         assert assert_station_walks_step(station, GrnnConfig(training_size=7))
 
-    def test_defaults_to_config_mode(self):
+    def test_walks_only_the_modes_asked_for(self):
         epochs = _axis("daily", length=40)
         station = station_of(epochs, np.sin(np.arange(3 * 40.0)).reshape(3, 40))
-        for mode in Mode:
-            walks = forecast_series(station, GrnnConfig(training_size=5, mode=mode))
+        cfg = GrnnConfig(training_size=5)
+        # recursive by default, else each mode alone
+        for mode, walks in [(Mode.RECURSIVE, forecast_series(station, cfg)),
+                            *((m, forecast_series(station, cfg, (m,))) for m in Mode)]:
             assert set(walks.results) == {(c, mode) for c in ("X", "Y", "Z")}
             assert len(walks) == 3 * 35
             for comp in station.components:
-                predicted = stepping_walk(comp, GrnnConfig(training_size=5, mode=mode))
+                predicted = stepping_walk(comp, cfg, mode)
                 assert np.array_equal(walks[comp.component.value, mode].predicted_m, predicted)
 
     def test_refusals(self):
@@ -787,17 +780,6 @@ class TestStationWalk:
             forecast_series(station, GrnnConfig(training_size=5), modes=())
         with pytest.raises(DataError, match="nothing to predict"):
             forecast_series(station, GrnnConfig(training_size=20))
-
-    @pytest.mark.parametrize("adaptive_only", [
-        {"threshold_m": 0.01}, {"max_training_size": 8},
-        {"threshold_m": 0.01, "max_training_size": 8},
-    ])
-    def test_refuses_adaptive_settings(self, adaptive_only):
-        # the plain walk has no window search; it must not pretend to honour one
-        station = station_of(_axis("daily", length=20), np.zeros((3, 20)))
-        cfg = GrnnConfig(training_size=5, mode=Mode.TEACHER_FORCED, **adaptive_only)
-        with pytest.raises(DataError, match="apply to the adaptive search only"):
-            forecast_series(station, cfg)
 
 
 class TestStationUnderflow:
@@ -813,12 +795,12 @@ class TestStationUnderflow:
         values = np.linspace(0.0, 1.0, 3 * self.EPOCHS.size).reshape(3, -1)
         return station_of(self.EPOCHS, values, station_id="GAPPY")
 
-    def first_component_error(self, cfg):
+    def first_component_error(self, cfg, mode=Mode.RECURSIVE):
         """The first stepping-walk error, in X, Y, Z order, as a station walk
         words it: every walk stops at the first target after the 60-day gap."""
         for comp in self.station().components:
             try:
-                stepping_walk(comp, cfg)
+                stepping_walk(comp, cfg, mode)
             except BandwidthTooSmallError as exc:
                 return BandwidthTooSmallError(
                     f"{exc} predicting component {comp.component.value} at MJD 55460.0")
@@ -827,8 +809,8 @@ class TestStationUnderflow:
     @pytest.mark.parametrize("modes", [(Mode.RECURSIVE,), (Mode.TEACHER_FORCED,),
                                        tuple(Mode)])
     def test_station_walk(self, modes):
-        cfg = GrnnConfig(training_size=100, bandwidth=1.0, mode=modes[0])
-        first = self.first_component_error(cfg)
+        cfg = GrnnConfig(training_size=100, bandwidth=1.0)
+        first = self.first_component_error(cfg, modes[0])
         assert str(first).endswith("predicting component X at MJD 55460.0")
         with pytest.raises(BandwidthTooSmallError) as exc:
             forecast_series(self.station(), cfg, modes)
@@ -839,7 +821,7 @@ class TestStationUnderflow:
         cfg = GrnnConfig(training_size=100, bandwidth=1.0)
         first = self.first_component_error(cfg)
         with pytest.raises(BandwidthTooSmallError) as sweep_exc:
-            run_sweep(self.station(), [100], cfg)
+            run_sweep(self.station(), [100], cfg.bandwidth)
         assert str(sweep_exc.value) == f"station GAPPY: training size 100: {first}"
         with pytest.raises(BandwidthTooSmallError) as eval_exc:
             evaluate_station(self.station(), cfg)

@@ -103,10 +103,7 @@ class TestRunSweep:
         params = SyntheticParams(slope_m_per_day=5e-5, annual_amplitude_m=0.005,
                                  noise_std_m=0.001)
         s = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 2000, 42, params)
-        rows = run_sweep(s, [1, 100],
-                         GrnnConfig(training_size=1,
-                                    bandwidth=BandwidthRule.MEAN_SPACING),
-                         modes=[Mode.TEACHER_FORCED])
+        rows = run_sweep(s, [1, 100], BandwidthRule.MEAN_SPACING, modes=[Mode.TEACHER_FORCED])
         by_key = {(r.training_size, r.component): r for r in rows}
         for comp in ("X", "Y", "Z"):
             small, large = by_key[(1, comp)], by_key[(100, comp)]
@@ -141,9 +138,9 @@ def kernel_calls(monkeypatch):
     harness asks for."""
     calls = []
 
-    def traced(series, config, modes=None):
-        calls.append((type(series), config.training_size, modes))
-        return forecast_series(series, config, modes)
+    def traced(station, config, modes=(Mode.RECURSIVE,)):
+        calls.append((type(station), config.training_size, tuple(modes)))
+        return forecast_series(station, config, modes)
 
     monkeypatch.setattr(gnss_grnn.harness, "forecast_series", traced)
     return calls
@@ -163,7 +160,7 @@ class TestOneWalkPerStation:
 
     def test_evaluation_calls_once(self, kernel_calls):
         evaluate_station(self.station(), GrnnConfig(training_size=10))
-        assert kernel_calls == [(StationSeries, 10, None)]
+        assert kernel_calls == [(StationSeries, 10, (Mode.RECURSIVE,))]
 
     def test_bad_theta_window_walks_nothing(self, kernel_calls):
         with pytest.raises(DataError, match="theta window must be >= 3"):
@@ -179,7 +176,7 @@ class TestOneWalkPerStation:
         timing = time_methods([self.station(), self.station()],
                               GrnnConfig(training_size=10), repetitions=3)
         # one warmup pass and three timed passes over two stations
-        assert kernel_calls == 8 * [(StationSeries, 10, None)]
+        assert kernel_calls == 8 * [(StationSeries, 10, (Mode.RECURSIVE,))]
         assert timing.workload_predictions == 2 * 3 * 110
 
 
@@ -223,9 +220,9 @@ class TestEvaluateStation:
                             noise_std_m=0.001,
                             gap_spans=((600, 30), (1100, 30), (1500, 30))),
         )
-        cfg = GrnnConfig(training_size=100, mode=Mode.TEACHER_FORCED)
-        a = evaluate_station(ungapped, cfg)
-        b = evaluate_station(gapped, cfg)
+        cfg = GrnnConfig(training_size=100)
+        a = evaluate_station(ungapped, cfg, mode=Mode.TEACHER_FORCED)
+        b = evaluate_station(gapped, cfg, mode=Mode.TEACHER_FORCED)
         for comp in ("X", "Y", "Z"):
             assert b.grnn_metrics[comp].smape_percent >= a.grnn_metrics[comp].smape_percent
 
@@ -244,32 +241,15 @@ class TestEvaluateStation:
         assert str(exc.value) == (f"station {s.station_id}: series too short for "
                                   "evaluation: need at least 2 shared predictions")
 
-    def test_refuses_a_threshold(self):
-        # the backtest is the plain walk; a threshold would be recorded in the
-        # report's settings without having steered anything
-        with pytest.raises(DataError, match="station .*: threshold_m and max_training_size"):
-            evaluate_station(_linear_station(), GrnnConfig(training_size=10, threshold_m=0.01))
-
-    @pytest.mark.parametrize("config", [
-        GrnnConfig(training_size=10, threshold_m=0.01),
-        GrnnConfig(training_size=10, threshold_m=0.01, max_training_size=20),
-        GrnnConfig(training_size=10, max_training_size=20),
-    ], ids=["threshold", "both", "cap"])
-    def test_settings_refuse_adaptive_fields(self, config):
-        # no evaluation can run under them, so no report may record them
-        with pytest.raises(DataError, match="^threshold_m and max_training_size apply"):
-            EvaluationSettings(grnn=config, theta_window=10, theta_fit=ThetaFit.ROLLING,
-                               gap_factor=1.5)
-
     def test_component_offsets_restore_raw_scoring(self):
         from gnss_grnn import mean_center
         s = generate_synthetic(
             SyntheticKind.TREND_PLUS_ANNUAL, 300, 5, SyntheticParams(noise_std_m=1e-3)
         )
         centered = mean_center(s)
-        cfg = GrnnConfig(training_size=20, mode=Mode.TEACHER_FORCED)
-        raw = evaluate_station(s, cfg)
-        shifted = evaluate_station(centered, cfg)
+        cfg = GrnnConfig(training_size=20)
+        raw = evaluate_station(s, cfg, mode=Mode.TEACHER_FORCED)
+        shifted = evaluate_station(centered, cfg, mode=Mode.TEACHER_FORCED)
         for comp in ("X", "Y", "Z"):
             assert shifted.grnn_metrics[comp].smape_percent == pytest.approx(
                 raw.grnn_metrics[comp].smape_percent, rel=1e-6
@@ -286,9 +266,9 @@ class TestEvaluateStation:
         buf = io.StringIO()
         write_series_csv(mean_center(s), buf)
         again = parse_series(io.StringIO(buf.getvalue()), station_id=s.station_id)
-        cfg = GrnnConfig(training_size=20, mode=Mode.TEACHER_FORCED)
-        raw = evaluate_station(s, cfg)
-        read_back = evaluate_station(again, cfg)
+        cfg = GrnnConfig(training_size=20)
+        raw = evaluate_station(s, cfg, mode=Mode.TEACHER_FORCED)
+        read_back = evaluate_station(again, cfg, mode=Mode.TEACHER_FORCED)
         for comp in ("X", "Y", "Z"):
             for method in ("grnn_metrics", "theta_metrics"):
                 got = getattr(read_back, method)[comp]
@@ -316,7 +296,7 @@ def _metrics(smape_val, std_val, mabs_val, n=10):
 
 
 def _fake_report(station_id, grnn, theta):
-    settings = EvaluationSettings(grnn=GrnnConfig(), theta_window=100,
+    settings = EvaluationSettings(grnn=GrnnConfig(), mode=Mode.RECURSIVE, theta_window=100,
                                   theta_fit=ThetaFit.ROLLING, gap_factor=1.5)
     return StationReport(
         station_id=station_id, country=None, first_mjd=55000.0, last_mjd=55999.0,

@@ -1,5 +1,6 @@
 """The package's public names."""
 
+import inspect
 from dataclasses import fields
 
 import pytest
@@ -38,3 +39,21 @@ def test_forecast_results_hold_only_what_outputs_read():
     assert [f.name for f in fields(gnss_grnn.AdaptiveForecastResult)] == [
         "epochs_mjd", "predicted_m", "observed_m", "training_size_used", "threshold_met"]
     assert [f.name for f in fields(gnss_grnn.StationForecast)] == ["results"]
+
+
+def test_each_walk_takes_only_the_settings_it_reads():
+    assert [f.name for f in fields(gnss_grnn.GrnnConfig)] == ["training_size", "bandwidth"]
+    assert [f.name for f in fields(gnss_grnn.EvaluationSettings)] == [
+        "grnn", "mode", "theta_window", "theta_fit", "gap_factor"]
+
+    def parameters(function):
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(gnss_grnn.forecast_series) == ["station", "config", "modes"]
+    assert parameters(gnss_grnn.adaptive_forecast_series) == [
+        "station", "config", "threshold_m", "max_training_size"]
+    assert parameters(gnss_grnn.run_sweep) == ["series", "v_values", "bandwidth", "modes"]
+    for function in (gnss_grnn.evaluate_station, gnss_grnn.evaluate_stations,
+                     gnss_grnn.time_methods):
+        mode = inspect.signature(function).parameters["mode"]
+        assert (mode.kind, mode.default) == (mode.KEYWORD_ONLY, gnss_grnn.Mode.RECURSIVE)

@@ -69,10 +69,10 @@ def _sweep_row(v, component, mode, smape_percent, std_m, mabs_m, n):
 
 def _reports():
     settings = (
-        EvaluationSettings(grnn=GrnnConfig(training_size=25), theta_window=25,
-                           theta_fit=ThetaFit.ROLLING, gap_factor=1.5),
-        EvaluationSettings(grnn=GrnnConfig(training_size=30, bandwidth=2.5,
-                                           mode=Mode.TEACHER_FORCED),
+        EvaluationSettings(grnn=GrnnConfig(training_size=25), mode=Mode.RECURSIVE,
+                           theta_window=25, theta_fit=ThetaFit.ROLLING, gap_factor=1.5),
+        EvaluationSettings(grnn=GrnnConfig(training_size=30, bandwidth=2.5),
+                           mode=Mode.TEACHER_FORCED,
                            theta_window=35, theta_fit=ThetaFit.GLOBAL, gap_factor=2.0),
     )
     spans = (
