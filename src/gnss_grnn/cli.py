@@ -11,6 +11,9 @@ before it reads any file, and a broken rule is a usage error:
 * ``predict --max-training-size`` without ``--threshold``;
 * ``predict --threshold`` with an explicit ``--mode recursive`` (the
   window search is teacher-forced, which ``--threshold`` implies);
+* ``sweep`` with more than one station;
+* ``sweep`` with ``--v-min`` or ``--v-step`` below 1, or ``--v-max``
+  below ``--v-min``;
 * ``compare --reps`` without ``--time``.
 
 ``compare`` without ``--jobs`` runs ``GNSS_GRNN_JOBS`` workers when that
@@ -186,7 +189,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--v-step", type=int, default=1)
     p_sweep.add_argument("--output", type=Path, default=None,
                          help="write here instead of stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, usage_error=p_sweep.error)
 
     p_compare = sub.add_parser("compare",
                                help="backtest kernel and Theta methods per station "
@@ -298,9 +301,9 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     if len(args.paths) != 1:
-        raise DataError("sweep handles one station at a time")
+        args.usage_error("sweep handles one station at a time")
     if args.v_min < 1 or args.v_max < args.v_min or args.v_step < 1:
-        raise DataError("invalid training-size range")
+        args.usage_error("invalid training-size range")
     (station,) = _load_stations(args.paths, args.basis)
     rows = run_sweep(station, range(args.v_min, args.v_max + 1, args.v_step), args.bandwidth)
     write_sweep_csv(rows, args.output or sys.stdout)
@@ -336,12 +339,12 @@ def cmd_compare(args) -> int:
                        run={"seed": args.seed, "basis": args.basis.value})
     write_reports_csv(reports, csv_path)
 
-    for comp, agg in comparison.aggregated.items():
-        parts = (f"{RATIO_LABELS[key]} " + ("undefined" if value is None else f"{value:.6g}")
-                 for key, value in agg.ratios.items())
+    for comp, agg in comparison["aggregated"].items():
+        parts = (f"{label} " + ("undefined" if agg[key] is None else f"{agg[key]:.6g}")
+                 for key, label in RATIO_LABELS.items())
         print(f"{comp}: " + ", ".join(parts))
-    if comparison.time_ratio is not None:
-        print(f"time ratio (kernel/theta): {comparison.time_ratio:.3f}")
+    if comparison["time_ratio"] is not None:
+        print(f"time ratio (kernel/theta): {comparison['time_ratio']:.3f}")
     print(f"wrote {json_path} and {csv_path}")
     return 0
 

@@ -26,7 +26,6 @@ from .errors import BandwidthTooSmallError, DataError
 from .grnn import BandwidthRule, ForecastResult, GrnnConfig, Mode, forecast_series
 from .metrics import (
     CRITERIA,
-    Criteria,
     MetricsReport,
     PredictionPairs,
     compute_report,
@@ -471,59 +470,48 @@ def time_methods(
     )
 
 
-@dataclass(frozen=True)
-class ComponentComparison:
-    """Station-averaged criteria of both methods for one component, and
-    their ratios (kernel method over Theta) by ratio key.
-
-    A ratio is ``None`` when the Theta denominator is zero; the averaged
-    criteria are always kept so the undefined case stays auditable.
-    """
-
-    ratios: dict[str, float | None]
-    grnn: Criteria
-    theta: Criteria
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Station-aggregated accuracy ratios plus the optional timing."""
-
-    aggregated: dict[str, ComponentComparison]
-    per_station: tuple[dict, ...]
-    timing: MethodTiming | None
-
-    @property
-    def time_ratio(self) -> float | None:
-        return self.timing.time_ratio if self.timing is not None else None
-
-
 def compare_methods(
     reports: Sequence[StationReport],
     timing: MethodTiming | None = None,
-) -> ComparisonReport:
-    """Divide the kernel method's criteria by Theta's.
+) -> dict:
+    """Divide the kernel method's criteria by Theta's, giving the
+    ``comparison`` block of ``report.json``.
 
     Criteria are first averaged over stations per component, then
     divided; per-station ratios are also emitted so the aggregation
-    choice stays auditable. Ratios below 1 favor the kernel method.
+    choice stays auditable. Ratios below 1 favor the kernel method, and
+    a ratio is ``None`` where Theta's criterion is 0.
     """
     if not reports:
         raise DataError("need at least one station report")
-    aggregated: dict[str, ComponentComparison] = {}
+    aggregated = {}
     for comp in _COMPONENTS:
         grnn = mean_criteria([r.grnn_metrics[comp] for r in reports])
         theta = mean_criteria([r.theta_metrics[comp] for r in reports])
-        aggregated[comp] = ComponentComparison(criteria_ratios(grnn, theta), grnn, theta)
-    per_station = tuple(
+        aggregated[comp] = {**criteria_ratios(grnn, theta),
+                            "grnn": asdict(grnn), "theta": asdict(theta)}
+    per_station = [
         {
             "station_id": r.station_id,
             **{comp: criteria_ratios(r.grnn_metrics[comp], r.theta_metrics[comp])
                for comp in _COMPONENTS},
         }
         for r in reports
-    )
-    return ComparisonReport(aggregated=aggregated, per_station=per_station, timing=timing)
+    ]
+    block = {"aggregated": aggregated, "per_station": per_station,
+             "time_ratio": None, "timing": None}
+    if timing is not None:
+        grnn_median, theta_median = timing.grnn_median, timing.theta_median
+        block["time_ratio"] = grnn_median / theta_median
+        block["timing"] = {
+            "grnn_seconds": list(timing.grnn_seconds),
+            "theta_seconds": list(timing.theta_seconds),
+            "grnn_median_s": grnn_median,
+            "theta_median_s": theta_median,
+            "workload_predictions": timing.workload_predictions,
+            "theta_predictions": timing.theta_predictions,
+        }
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -570,45 +558,26 @@ def station_report_dict(report: StationReport) -> dict:
     }
 
 
-def comparison_report_dict(comparison: ComparisonReport) -> dict:
-    timing = comparison.timing
-    return {
-        "aggregated": {
-            comp: {**c.ratios, "grnn": asdict(c.grnn), "theta": asdict(c.theta)}
-            for comp, c in comparison.aggregated.items()
-        },
-        "per_station": list(comparison.per_station),
-        "time_ratio": comparison.time_ratio,
-        "timing": None if timing is None else {
-            "grnn_seconds": list(timing.grnn_seconds),
-            "theta_seconds": list(timing.theta_seconds),
-            "grnn_median_s": timing.grnn_median,
-            "theta_median_s": timing.theta_median,
-            "workload_predictions": timing.workload_predictions,
-            "theta_predictions": timing.theta_predictions,
-        },
-    }
-
-
 def write_reports_json(
     reports: Sequence[StationReport],
-    comparison: ComparisonReport | None,
+    comparison: dict | None,
     dest: str | Path | IO[str],
     *,
     run: dict | None = None,
 ) -> None:
     """Write the full-fidelity JSON document (schema-versioned).
 
-    ``run``, when given, is written as the ``"run"`` block right after the
-    schema version. Floats serialize in shortest round-trip form; given
-    identical inputs the output is byte-identical run to run.
+    ``comparison`` is written as given, normally what :func:`compare_methods`
+    returns. ``run``, when given, is written as the ``"run"`` block right
+    after the schema version. Floats serialize in shortest round-trip
+    form; given identical inputs the output is byte-identical run to run.
     """
     doc = {"schema_version": SCHEMA_VERSION}
     if run is not None:
         doc["run"] = run
     doc |= {
         "stations": [station_report_dict(r) for r in reports],
-        "comparison": comparison_report_dict(comparison) if comparison else None,
+        "comparison": comparison,
     }
     with open_text(dest) as stream:
         json.dump(doc, stream, indent=2, allow_nan=False)

@@ -181,16 +181,18 @@ class GapSpan:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Gap structure of a station series."""
+    """Gap structure of a station series; its state and largest gap
+    (0.0 days when continuous) derive from ``gaps``."""
 
     gaps: tuple[GapSpan, ...]
-    state: SeriesState
-    largest_gap_days: float
 
-    def __post_init__(self) -> None:
-        expected = SeriesState.CONTINUOUS if not self.gaps else SeriesState.DISCONTINUOUS
-        if self.state is not expected:
-            raise DataError("state must be continuous exactly when there are no gaps")
+    @property
+    def state(self) -> SeriesState:
+        return SeriesState.DISCONTINUOUS if self.gaps else SeriesState.CONTINUOUS
+
+    @property
+    def largest_gap_days(self) -> float:
+        return max((g.span_days for g in self.gaps), default=0.0)
 
 
 def detect_gaps(series: StationSeries, gap_factor: float = 1.5) -> GapReport:
@@ -218,9 +220,7 @@ def detect_gaps(series: StationSeries, gap_factor: float = 1.5) -> GapReport:
         )
         for i in holes
     )
-    state = SeriesState.DISCONTINUOUS if gaps else SeriesState.CONTINUOUS
-    largest = max((g.span_days for g in gaps), default=0.0)
-    return GapReport(gaps=gaps, state=state, largest_gap_days=largest)
+    return GapReport(gaps)
 
 
 def amplitude(series: ComponentSeries) -> float:

@@ -20,6 +20,7 @@ from gnss_grnn import (
     write_series_csv,
 )
 from gnss_grnn.cli import _default_jobs, main
+from gnss_grnn.metrics import RATIO_LABELS
 
 
 @pytest.fixture
@@ -264,7 +265,12 @@ class TestSweep:
 
     def test_multiple_stations_refused(self, station_file, capsys):
         a, b = station_file(name="a"), station_file(name="b")
-        assert run_cli("sweep", a, b, "--v-max", "2") == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", a, b, "--v-max", "2")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gnss-grnn sweep [-h]")
+        assert err.endswith("gnss-grnn sweep: error: sweep handles one station at a time\n")
 
     def test_range_to_file(self, station_file, tmp_path):
         path = station_file(length=80)
@@ -403,6 +409,33 @@ class TestCompare:
         doc = json.loads((out_dir / "report.json").read_text())
         assert doc["comparison"]["time_ratio"] > 0
         assert len(doc["comparison"]["timing"]["grnn_seconds"]) == 3
+
+    def test_stdout_prints_the_written_ratios(self, station_file, tmp_path, capsys):
+        paths = [station_file(name=f"p{i}", seed=40 + i, length=200) for i in range(2)]
+        out_dir = tmp_path / "printed"
+        assert run_cli("compare", *paths, "-v", "20", "--time", "--reps", "3",
+                       "--output-dir", out_dir, "--jobs", "1") == 0
+        comparison = json.loads((out_dir / "report.json").read_text())["comparison"]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            f"{comp}: " + ", ".join(f"{label} {comparison['aggregated'][comp][key]:.6g}"
+                                    for key, label in RATIO_LABELS.items())
+            for comp in ("X", "Y", "Z")
+        ]
+        assert lines[3] == f"time ratio (kernel/theta): {comparison['time_ratio']:.3f}"
+        assert lines[4] == (f"wrote {out_dir / 'report.json'} and "
+                            f"{out_dir / 'stations.csv'}")
+        assert len(lines) == 5
+
+    def test_stdout_prints_undefined_ratios(self, station_file, tmp_path, capsys):
+        # Theta forecasts a flat series exactly, so every ratio divides by 0
+        path = station_file(name="flat", kind=SyntheticKind.CONSTANT, length=60)
+        assert run_cli("compare", path, "-v", "10", "--output-dir", tmp_path,
+                       "--jobs", "1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [f"{comp}: sMAPE undefined, StD undefined, MAbs undefined"
+                             for comp in ("X", "Y", "Z")]
+        assert lines[3].startswith("wrote ")
 
     def test_mode_is_recorded(self, station_file, tmp_path):
         path = station_file(name="tf", length=200)
@@ -588,6 +621,11 @@ def test_bad_jobs_env_is_a_usage_error(station_file, tmp_path, capsys, monkeypat
      "--mode recursive cannot be combined with --threshold"),
     (["predict", "--bandwidth", "inf"], None,
      "argument --bandwidth: bandwidth must be positive and finite"),
+    (["sweep", "second-station.csv", "--v-max", "3"], None,
+     "sweep handles one station at a time"),
+    (["sweep", "--v-max", "3", "--v-min", "0"], None, "invalid training-size range"),
+    (["sweep", "--v-max", "3", "--v-step", "0"], None, "invalid training-size range"),
+    (["sweep", "--v-max", "3", "--v-min", "5"], None, "invalid training-size range"),
     (["compare", "--reps", "5"], None, "--reps requires --time"),
     (["compare"], "abc", "GNSS_GRNN_JOBS: invalid int value: 'abc'"),
 ])

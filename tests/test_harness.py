@@ -13,6 +13,7 @@ from gnss_grnn import (
     DataError,
     EvaluationSettings,
     GrnnConfig,
+    MethodTiming,
     MetricsReport,
     Mode,
     SeriesState,
@@ -313,10 +314,10 @@ class TestCompareMethods:
         m = _metrics(1.5, 0.2, 0.3)
         report = compare_methods([_fake_report("a", m, m), _fake_report("b", m, m)])
         for comp in ("X", "Y", "Z"):
-            agg = report.aggregated[comp]
-            assert agg.ratios["smape_ratio"] == pytest.approx(1.0)
-            assert agg.ratios["std_ratio"] == pytest.approx(1.0)
-            assert agg.ratios["mabs_ratio"] == pytest.approx(1.0)
+            agg = report["aggregated"][comp]
+            assert agg["smape_ratio"] == pytest.approx(1.0)
+            assert agg["std_ratio"] == pytest.approx(1.0)
+            assert agg["mabs_ratio"] == pytest.approx(1.0)
 
     def test_half_mabs_everywhere(self):
         reports = [
@@ -324,31 +325,56 @@ class TestCompareMethods:
             for i in range(3)
         ]
         report = compare_methods(reports)
-        assert report.aggregated["X"].ratios["mabs_ratio"] == pytest.approx(0.5)
-        for row in report.per_station:
+        assert report["aggregated"]["X"]["mabs_ratio"] == pytest.approx(0.5)
+        for row in report["per_station"]:
             assert row["X"]["mabs_ratio"] == pytest.approx(0.5)
 
     def test_zero_denominator_is_undefined_with_raw_values_kept(self):
         report = compare_methods([_fake_report("a", _metrics(1.0, 1.0, 1.0),
                                                _metrics(0.0, 0.0, 2.0))])
-        agg = report.aggregated["X"]
-        assert agg.ratios["smape_ratio"] is None and agg.ratios["std_ratio"] is None
-        assert agg.ratios["mabs_ratio"] == pytest.approx(0.5)
-        assert agg.theta.smape_percent == 0.0
-        assert agg.grnn.smape_percent == 1.0
+        agg = report["aggregated"]["X"]
+        assert agg["smape_ratio"] is None and agg["std_ratio"] is None
+        assert agg["mabs_ratio"] == pytest.approx(0.5)
+        assert agg["theta"]["smape_percent"] == 0.0
+        assert agg["grnn"]["smape_percent"] == 1.0
 
     def test_aggregation_is_mean_over_stations(self):
         reports = [
             _fake_report("a", _metrics(1.0, 1.0, 1.0), _metrics(2.0, 2.0, 2.0)),
             _fake_report("b", _metrics(3.0, 3.0, 3.0), _metrics(2.0, 2.0, 2.0)),
         ]
-        agg = compare_methods(reports).aggregated["Y"]
-        assert agg.grnn.smape_percent == pytest.approx(2.0)
-        assert agg.ratios["smape_ratio"] == pytest.approx(1.0)
+        agg = compare_methods(reports)["aggregated"]["Y"]
+        assert agg["grnn"]["smape_percent"] == pytest.approx(2.0)
+        assert agg["smape_ratio"] == pytest.approx(1.0)
 
     def test_needs_reports(self):
         with pytest.raises(DataError):
             compare_methods([])
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_returns_the_block_report_json_writes(self, timed):
+        reports = [
+            _fake_report("a", _metrics(1.0, 1.0, 1.0), _metrics(2.0, 0.0, 4.0)),
+            _fake_report("b", _metrics(3.0, 3.0, 3.0), _metrics(2.0, 0.0, 2.0)),
+        ]
+        timing = MethodTiming(grnn_seconds=(0.3, 0.1, 0.2), theta_seconds=(2.0, 1.0, 4.0),
+                              workload_predictions=30, theta_predictions=20) if timed else None
+        block = compare_methods(reports, timing)
+        buf = io.StringIO()
+        write_reports_json(reports, block, buf)
+        written = json.loads(buf.getvalue())["comparison"]
+        assert block == written
+        # same keys in the same order, at every level
+        assert json.dumps(block) == json.dumps(written)
+        assert list(block) == ["aggregated", "per_station", "time_ratio", "timing"]
+        assert list(block["aggregated"]["X"]) == [
+            "smape_ratio", "std_ratio", "mabs_ratio", "grnn", "theta"]
+        assert block["aggregated"]["X"]["std_ratio"] is None
+        if timed:
+            assert block["time_ratio"] == 0.2 / 2.0
+            assert block["timing"]["grnn_median_s"] == 0.2
+        else:
+            assert block["time_ratio"] is None and block["timing"] is None
 
 
 class TestTiming:

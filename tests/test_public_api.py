@@ -57,3 +57,10 @@ def test_each_walk_takes_only_the_settings_it_reads():
                      gnss_grnn.time_methods):
         mode = inspect.signature(function).parameters["mode"]
         assert (mode.kind, mode.default) == (mode.KEYWORD_ONLY, gnss_grnn.Mode.RECURSIVE)
+
+
+def test_each_fact_is_stored_once():
+    assert "ComparisonReport" not in gnss_grnn.__all__
+    for name in ("ComponentComparison", "ComparisonReport", "comparison_report_dict"):
+        assert not hasattr(gnss_grnn.harness, name)
+    assert [f.name for f in fields(gnss_grnn.GapReport)] == ["gaps"]

@@ -13,6 +13,8 @@ from gnss_grnn import (
     Component,
     ComponentSeries,
     DataError,
+    GapReport,
+    GapSpan,
     ParseError,
     SeriesState,
     StationSeries,
@@ -344,6 +346,12 @@ class TestDetectGaps:
         (gap,) = report.gaps
         assert (gap.start_mjd, gap.end_mjd, gap.missing_count) == (55001.0, 55005.0, 3)
         assert report.largest_gap_days == 4.0
+
+    def test_state_and_largest_gap_derive_from_the_gaps(self):
+        none = GapReport(())
+        assert (none.state, none.largest_gap_days) == (SeriesState.CONTINUOUS, 0.0)
+        two = GapReport((GapSpan(55001.0, 55005.0, 3), GapSpan(55010.0, 55012.0, 1)))
+        assert (two.state, two.largest_gap_days) == (SeriesState.DISCONTINUOUS, 4.0)
 
     def test_jitter_below_factor_is_continuous(self):
         s = make_station(55000.0 + 1.2 * np.arange(10.0))
