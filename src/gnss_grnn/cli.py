@@ -28,7 +28,6 @@ import csv
 import json
 import os
 import sys
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -52,15 +51,8 @@ from .harness import (
     write_sweep_csv,
 )
 from .metrics import RATIO_LABELS
-from .series import StationSeries, amplitude, detect_gaps, mean_center, open_text, parse_series
+from .series import amplitude, detect_gaps, open_text, parse_series
 from .theta import ThetaFit
-
-
-class Basis(str, Enum):
-    """Value representation the pipeline works in."""
-
-    RAW = "raw"
-    ANOMALY = "anomaly"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,11 +134,6 @@ def _add_common_model_flags(p: argparse.ArgumentParser, *, walk: bool = True) ->
                        default=Mode.RECURSIVE,
                        help="window update: feed predictions back (recursive) or use "
                             "observations (teacher-forced); default: recursive")
-    p.add_argument("--basis", type=Basis, choices=[b.value for b in Basis],
-                   default=Basis.RAW,
-                   help="work on raw values or mean-centered anomalies; each "
-                        "component's mean is added back before scoring and "
-                        "printing, so outputs are always in raw units")
 
 
 def build_parser() -> _Parser:
@@ -184,9 +171,12 @@ def build_parser() -> _Parser:
                                            "and update mode (CSV, one station)")
     p_sweep.add_argument("paths", nargs="+", type=Path)
     _add_common_model_flags(p_sweep, walk=False)
-    p_sweep.add_argument("--v-min", type=int, default=1)
-    p_sweep.add_argument("--v-max", type=int, required=True)
-    p_sweep.add_argument("--v-step", type=int, default=1)
+    p_sweep.add_argument("--v-min", type=int, default=1,
+                         help="smallest training size (default: 1)")
+    p_sweep.add_argument("--v-max", type=int, required=True,
+                         help="largest training size, included if the step reaches it")
+    p_sweep.add_argument("--v-step", type=int, default=1,
+                         help="training-size increment (default: 1)")
     p_sweep.add_argument("--output", type=Path, default=None,
                          help="write here instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep, usage_error=p_sweep.error)
@@ -202,7 +192,8 @@ def build_parser() -> _Parser:
                            choices=[f.value for f in ThetaFit],
                            default=ThetaFit.ROLLING,
                            help="refit the slope per origin, or once on the first window")
-    p_compare.add_argument("--gap-factor", type=float, default=1.5)
+    p_compare.add_argument("--gap-factor", type=float, default=1.5,
+                           help="spacing beyond gap_factor * nominal interval is a gap")
     p_compare.add_argument("--seed", type=int, default=0,
                            help="seed written to report.json; nothing in the "
                                 "program is random")
@@ -221,15 +212,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_stations(paths: Sequence[Path], basis: Basis = Basis.RAW) -> list[StationSeries]:
-    stations = [parse_series(p) for p in paths]
-    if basis is Basis.ANOMALY:
-        return [mean_center(s) for s in stations]
-    return stations
-
-
 def cmd_inspect(args) -> int:
-    for station in _load_stations(args.paths):
+    for station in [parse_series(p) for p in args.paths]:
         gaps = detect_gaps(station, args.gap_factor)
         state = gaps.state.value
         if gaps.gaps:
@@ -255,8 +239,8 @@ def _predict_rows(station, config, mode, threshold_m, max_training_size):
     for comp in station.components:
         res = walks[comp.component, mode]
         for i in range(len(res)):
-            yhat = float(res.predicted_m[i]) + comp.offset_m
-            y = float(res.observed_m[i]) + comp.offset_m
+            yhat = float(res.predicted_m[i])
+            y = float(res.observed_m[i])
             row = {
                 "station": station.station_id,
                 "epoch_mjd": float(res.epochs_mjd[i]),
@@ -280,7 +264,7 @@ def cmd_predict(args) -> int:
             args.usage_error("--mode recursive cannot be combined with --threshold")
         # the window search forecasts from observed windows only
         mode = Mode.TEACHER_FORCED
-    stations = _load_stations(args.paths, args.basis)
+    stations = [parse_series(p) for p in args.paths]
     config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth)
     rows = [row for station in stations
             for row in _predict_rows(station, config, mode, args.threshold,
@@ -304,7 +288,7 @@ def cmd_sweep(args) -> int:
         args.usage_error("sweep handles one station at a time")
     if args.v_min < 1 or args.v_max < args.v_min or args.v_step < 1:
         args.usage_error("invalid training-size range")
-    (station,) = _load_stations(args.paths, args.basis)
+    station = parse_series(args.paths[0])
     rows = run_sweep(station, range(args.v_min, args.v_max + 1, args.v_step), args.bandwidth)
     write_sweep_csv(rows, args.output or sys.stdout)
     return 0
@@ -319,7 +303,7 @@ def cmd_compare(args) -> int:
             jobs = _default_jobs()
         except argparse.ArgumentTypeError as exc:
             args.usage_error(str(exc))
-    stations = _load_stations(args.paths, args.basis)
+    stations = [parse_series(p) for p in args.paths]
     config = GrnnConfig(training_size=args.training_size, bandwidth=args.bandwidth)
     reports = evaluate_stations(
         stations, config, args.theta_window, mode=args.mode,
@@ -335,8 +319,9 @@ def cmd_compare(args) -> int:
     args.output_dir.mkdir(parents=True, exist_ok=True)
     json_path = args.output_dir / "report.json"
     csv_path = args.output_dir / "stations.csv"
+    # schema 1 keeps the basis key; every run works on raw positions
     write_reports_json(reports, comparison, json_path,
-                       run={"seed": args.seed, "basis": args.basis.value})
+                       run={"seed": args.seed, "basis": "raw"})
     write_reports_csv(reports, csv_path)
 
     for comp, agg in comparison["aggregated"].items():

@@ -91,12 +91,17 @@ class GrnnConfig:
     bandwidth: float | BandwidthRule = BandwidthRule.WINDOW_STD
 
     def __post_init__(self) -> None:
-        if self.training_size < 1:
+        v = self.training_size
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise DataError(f"training_size must be an integer; got {v!r}")
+        if v < 1:
             raise DataError("training_size must be >= 1")
+        object.__setattr__(self, "training_size", int(v))
         bw = self.bandwidth
         if isinstance(bw, str) and bw in {r.value for r in BandwidthRule}:
             object.__setattr__(self, "bandwidth", BandwidthRule(bw))
-        elif isinstance(bw, (int, float)) and math.isfinite(bw) and bw > 0:
+        elif (isinstance(bw, (int, float)) and not isinstance(bw, bool)
+              and math.isfinite(bw) and bw > 0):
             object.__setattr__(self, "bandwidth", float(bw))
         else:
             raise DataError("fixed bandwidth must be positive and finite, or a "

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import statistics
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -162,16 +161,6 @@ class SweepRow:
     metrics: MetricsReport
 
 
-def _scored_pairs(result: ForecastResult, offset: float) -> PredictionPairs:
-    """Pairs for scoring, shifted back by the component's ``offset_m``."""
-    if offset == 0.0:
-        return PredictionPairs(predicted_m=result.predicted_m, observed_m=result.observed_m)
-    return PredictionPairs(
-        predicted_m=result.predicted_m + offset,
-        observed_m=result.observed_m + offset,
-    )
-
-
 @contextmanager
 def at_station(station_id: str, training_size: int | None = None) -> Iterator[None]:
     """Re-raise a kernel underflow or a data error with the station it
@@ -208,9 +197,8 @@ def run_sweep(
     computed once and serve every (component, mode) row of that size;
     nothing is reused across sizes. A series too short for the largest
     size is refused with the station named, and an underflow names the
-    station and the training size it occurred at. Each component's
-    ``offset_m`` is added back to predictions and truths before scoring,
-    so a mean-centered series scores as its raw positions.
+    station and the training size it occurred at. Forecasts are scored
+    against the raw positions they were made from.
     """
     sizes = sorted(set(int(v) for v in v_values))
     if not sizes:
@@ -230,12 +218,12 @@ def run_sweep(
             walks = forecast_series(series, config, modes)
         for comp in series.components:
             for mode in modes:
+                r = walks[comp.component, mode]
                 rows.append(SweepRow(
                     training_size=v,
                     component=str(comp.component.value),
                     mode=Mode(mode),
-                    metrics=compute_report(_scored_pairs(walks[comp.component, mode],
-                                                         comp.offset_m)),
+                    metrics=compute_report(PredictionPairs(r.predicted_m, r.observed_m)),
                 ))
     return tuple(rows)
 
@@ -307,9 +295,8 @@ def evaluate_station(
     both prediction lists are trimmed to the epochs both methods
     predicted, and that equality is checked before any criterion is
     computed. One station walk gives the kernel forecasts of all three
-    components from shared weights. Each component's ``offset_m``
-    is added back to predictions and truths before scoring, so a
-    mean-centered series scores as its raw positions.
+    components from shared weights. Both methods forecast and are scored
+    on the raw positions.
     """
     grnn_config = grnn_config or GrnnConfig()
     if theta_window is None:
@@ -334,8 +321,10 @@ def evaluate_station(
         t = _align_tail(theta_backtest(comp, theta_window, fit=theta_fit), keep)
         if not np.array_equal(g.epochs_mjd, t.epochs_mjd):
             raise RuntimeError("methods were about to be scored on different epochs")
-        grnn_metrics[comp.component.value] = compute_report(_scored_pairs(g, comp.offset_m))
-        theta_metrics[comp.component.value] = compute_report(_scored_pairs(t, comp.offset_m))
+        grnn_metrics[comp.component.value] = compute_report(
+            PredictionPairs(g.predicted_m, g.observed_m))
+        theta_metrics[comp.component.value] = compute_report(
+            PredictionPairs(t.predicted_m, t.observed_m))
     return StationReport(
         station_id=series.station_id,
         country=series.country,
@@ -407,11 +396,11 @@ class MethodTiming:
 
     @property
     def grnn_median(self) -> float:
-        return statistics.median(self.grnn_seconds)
+        return float(np.median(self.grnn_seconds))
 
     @property
     def theta_median(self) -> float:
-        return statistics.median(self.theta_seconds)
+        return float(np.median(self.theta_seconds))
 
     @property
     def time_ratio(self) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterator
@@ -81,17 +81,13 @@ class ComponentSeries:
     Attributes:
         component: which coordinate this is (X, Y or Z).
         epochs_mjd: epoch of each sample, MJD days.
-        values_m: coordinate value of each sample less ``offset_m``, meters.
-        offset_m: amount subtracted from the raw values, meters: the mean
-            that :func:`mean_center` removed, else 0. Backtests add it
-            back to predictions and truths before scoring or printing,
-            so criteria are always those of the raw positions.
+        values_m: coordinate value of each sample, meters, as read: every
+            method forecasts and scores the raw positions.
     """
 
     component: Component
     epochs_mjd: np.ndarray
     values_m: np.ndarray
-    offset_m: float = 0.0
 
     def __post_init__(self) -> None:
         epochs = np.asarray(self.epochs_mjd, dtype=np.float64)
@@ -101,13 +97,9 @@ class ComponentSeries:
         _check_epochs(epochs)
         if not np.all(np.isfinite(values)):
             raise DataError("values must be finite")
-        offset = float(self.offset_m)
-        if not math.isfinite(offset):
-            raise DataError("offset must be finite")
         object.__setattr__(self, "component", Component(self.component))
         object.__setattr__(self, "epochs_mjd", _readonly(epochs))
         object.__setattr__(self, "values_m", _readonly(values))
-        object.__setattr__(self, "offset_m", offset)
 
     @property
     def count(self) -> int:
@@ -229,20 +221,6 @@ def amplitude(series: ComponentSeries) -> float:
         raise DataError("amplitude needs at least one sample")
     values = series.values_m
     return float(values.max() - values.min())
-
-
-def mean_center(series: StationSeries) -> StationSeries:
-    """Mean-center every component.
-
-    Each centered component carries the mean it lost in ``offset_m``, so
-    predictions made from it are shifted back to raw units before they
-    are scored or printed.
-    """
-    means = [float(c.values_m.mean()) for c in series.components]
-    return replace(series, components=tuple(
-        ComponentSeries(c.component, c.epochs_mjd, c.values_m - m, c.offset_m + m)
-        for c, m in zip(series.components, means)
-    ))
 
 
 def _decode_lines(source: str | Path | IO[bytes] | IO[str]) -> tuple[str, list[str]]:
@@ -386,20 +364,15 @@ def open_text(dest: str | Path | IO[str]) -> Iterator[IO[str]]:
 
 
 def write_series_csv(series: StationSeries, dest: str | Path | IO[str]) -> None:
-    """Write ``series`` in the canonical MJD CSV schema, as raw positions.
+    """Write ``series`` in the canonical MJD CSV schema.
 
-    A component's ``offset_m`` is added back, so a mean-centered series
-    reads back as the raw station, up to the rounding of that addition.
     Floats are written in shortest round-trip form, so parsing the output
-    reproduces every epoch, and every value of an offset-0 component, bit
-    for bit.
+    reproduces every epoch and every value bit for bit.
     """
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_HEADER_MJD)
-        # no addition at offset 0, which would turn -0.0 into 0.0
-        x, y, z = (c.values_m + c.offset_m if c.offset_m else c.values_m
-                   for c in series.components)
+        x, y, z = (c.values_m for c in series.components)
         for i, epoch in enumerate(series.epochs_mjd):
             writer.writerow([repr(float(epoch)), repr(float(x[i])),
                              repr(float(y[i])), repr(float(z[i]))])

@@ -243,16 +243,6 @@ class TestPredict:
             "value underflowed (h=0.5, nearest distance 32.0 days) predicting component Y "
             "at MJD 55051.0\n")
 
-    def test_basis_anomaly_matches_raw(self, station_file, capsys):
-        path = station_file(length=120)
-        run_cli("predict", path, "-v", "10")
-        raw = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        run_cli("predict", path, "-v", "10", "--basis", "anomaly")
-        anom = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        for a, b in zip(raw, anom):
-            assert float(b["predicted_m"]) == pytest.approx(float(a["predicted_m"]),
-                                                            rel=1e-9)
-
 
 class TestSweep:
     def test_v_max_one(self, station_file, capsys):
@@ -317,24 +307,6 @@ class TestSweep:
         assert err.startswith("usage: gnss-grnn sweep ")
         assert f"unrecognized arguments: {flag} {value}" in err
 
-    def test_basis_anomaly_matches_raw(self, station_file, capsys):
-        # the CSV prints 7 significant digits of sMAPE and 6 decimals of
-        # meters; the two bases may round to neighbouring last digits
-        path = station_file(length=120)
-        rows = {}
-        for basis in ("raw", "anomaly"):
-            assert run_cli("sweep", path, "--v-min", "3", "--v-max", "9", "--v-step", "3",
-                           "--basis", basis) == 0
-            rows[basis] = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert len(rows["raw"]) == len(rows["anomaly"]) == 18
-        for a, b in zip(rows["raw"], rows["anomaly"]):
-            assert [b[k] for k in ("v", "component", "mode", "n")] == \
-                   [a[k] for k in ("v", "component", "mode", "n")]
-            assert float(b["smape_percent"]) == pytest.approx(float(a["smape_percent"]),
-                                                              rel=2e-6)
-            for key in ("std_m", "mabs_m"):
-                assert float(b[key]) == pytest.approx(float(a[key]), abs=2e-6)
-
     def test_seed_flag_is_a_usage_error(self, station_file, capsys):
         # only compare writes the seed; sweep must not take it and ignore it
         path = station_file(length=60)
@@ -371,35 +343,15 @@ class TestCompare:
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
         assert (d1 / "stations.csv").read_bytes() == (d2 / "stations.csv").read_bytes()
 
-    @pytest.mark.parametrize("basis", ["raw", "anomaly"])
-    def test_jobs_do_not_change_results(self, station_file, tmp_path, basis):
-        # in the anomaly basis the offsets cross the pool inside the series
+    def test_jobs_do_not_change_results(self, station_file, tmp_path):
         paths = [station_file(name=f"j{i}", seed=20 + i, length=200) for i in range(3)]
         d1, d2 = tmp_path / "serial", tmp_path / "parallel"
         assert run_cli("compare", *paths, "-v", "20", "--output-dir", d1,
-                       "--jobs", "1", "--basis", basis) == 0
+                       "--jobs", "1") == 0
         assert run_cli("compare", *paths, "-v", "20", "--output-dir", d2,
-                       "--jobs", "3", "--basis", basis) == 0
+                       "--jobs", "3") == 0
         assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
         assert (d1 / "stations.csv").read_bytes() == (d2 / "stations.csv").read_bytes()
-
-    def test_basis_anomaly_matches_raw(self, station_file, tmp_path):
-        # criteria are millimetre-sized errors of ~4e6 m coordinates, so the
-        # bases agree to the coordinates' float spacing, not to 1e-9
-        paths = [station_file(name=f"b{i}", seed=30 + i, length=150) for i in range(2)]
-        docs = {}
-        for basis in ("raw", "anomaly"):
-            out = tmp_path / basis
-            assert run_cli("compare", *paths, "-v", "20", "--output-dir", out,
-                           "--jobs", "1", "--basis", basis) == 0
-            docs[basis] = json.loads((out / "report.json").read_text())
-        assert docs["anomaly"]["run"]["basis"] == "anomaly"
-        for a, b in zip(docs["raw"]["stations"], docs["anomaly"]["stations"]):
-            for method in ("grnn", "theta"):
-                for comp in ("X", "Y", "Z"):
-                    for key in ("smape_percent", "std_m", "mabs_m"):
-                        assert b["metrics"][method][comp][key] == pytest.approx(
-                            a["metrics"][method][comp][key], rel=1e-6)
 
     def test_timing_flag_adds_section(self, station_file, tmp_path):
         path = station_file(name="timed", length=250)
@@ -567,15 +519,43 @@ class TestUsageErrors:
     def test_missing_file_is_data_error(self, capsys):
         assert run_cli("inspect", "no-such-file.csv") == 2
 
+    def test_missing_file_stops_inspect_before_any_output(self, station_file, capsys):
+        # every file is parsed before the first station is printed
+        good = station_file(length=60)
+        assert run_cli("inspect", good, good.parent / "missing.csv") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing.csv" in captured.err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("predict", ["--output"]),
+        ("sweep", ["--v-max", "3", "--output"]),
+        ("compare", ["--jobs", "1", "--output-dir"]),
+    ])
+    def test_basis_flag_is_gone(self, station_file, tmp_path, capsys, command, flags):
+        # every command works on the raw positions; there is no basis to choose
+        path, out = station_file(length=60), tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, path, *flags, out, "--basis", "raw")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: gnss-grnn {command} [-h]")
+        assert err.endswith(f"gnss-grnn {command}: error: "
+                            "unrecognized arguments: --basis raw\n")
+        assert not out.exists()
+
 
 def test_import_does_not_load_process_pool():
-    # the pool machinery is imported only when compare runs with --jobs > 1
+    # the pool machinery is imported only when compare runs with --jobs > 1,
+    # and the timing medians are numpy's, so statistics (with fractions and
+    # decimal) is never loaded
     src = str(Path(gnss_grnn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import gnss_grnn.cli, sys; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent', "
+            "'statistics', 'fractions', 'decimal')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
@@ -645,8 +625,8 @@ def test_flag_rules_are_checked_before_any_file_is_read(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("command, choices", [
-    ("predict", ["{recursive,teacher-forced}", "{raw,anomaly}"]),
-    ("compare", ["{recursive,teacher-forced}", "{raw,anomaly}", "{rolling,global}"]),
+    ("predict", ["{recursive,teacher-forced}"]),
+    ("compare", ["{recursive,teacher-forced}", "{rolling,global}"]),
 ])
 def test_help_lists_the_values_enum_flags_accept(capsys, command, choices):
     with pytest.raises(SystemExit) as exc:
@@ -655,5 +635,5 @@ def test_help_lists_the_values_enum_flags_accept(capsys, command, choices):
     out = capsys.readouterr().out
     for listed in choices:
         assert listed in out
-    for enum_name in ("Mode.", "Basis.", "ThetaFit."):
+    for enum_name in ("Mode.", "ThetaFit."):
         assert enum_name not in out

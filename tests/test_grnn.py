@@ -25,7 +25,6 @@ from gnss_grnn import (
     evaluate_station,
     forecast_series,
     gaussian_kernel,
-    mean_center,
     mjd_to_decimal_year,
     run_sweep,
 )
@@ -310,11 +309,25 @@ class TestWindowUpdate:
     ({"bandwidth": None}, "or a BandwidthRule; got None$"),
     ({"bandwidth": GrnnConfig()}, "or a BandwidthRule; got GrnnConfig"),
     ({"bandwidth": "narrow"}, "or a BandwidthRule; got 'narrow'$"),
+    ({"bandwidth": True}, "or a BandwidthRule; got True$"),
+    ({"training_size": 10.0}, "training_size must be an integer; got 10.0$"),
+    ({"training_size": 2.5}, "training_size must be an integer; got 2.5$"),
+    ({"training_size": True}, "training_size must be an integer; got True$"),
+    ({"training_size": "7"}, "training_size must be an integer; got '7'$"),
 ])
 def test_config_rejects(kwargs, message):
-    # a bad bandwidth fails here, not later inside a walk
+    # a bad bandwidth or training size fails here, not later inside a walk
     with pytest.raises(DataError, match=message):
         GrnnConfig(**{"training_size": 100, **kwargs})
+
+
+@pytest.mark.parametrize("v", [np.int64(7), np.int32(7), np.uint8(7)])
+def test_config_accepts_numpy_integers(v):
+    # stored as int, so a report.json that records it still serializes
+    cfg = GrnnConfig(training_size=v)
+    assert type(cfg.training_size) is int and cfg.training_size == 7
+    walks = forecast_series(station_of(np.arange(1.0, 13.0), np.arange(12.0)), cfg)
+    assert len(walks) == 3 * 5
 
 
 @pytest.mark.parametrize("threshold_m, max_training_size, message", [
@@ -756,8 +769,7 @@ class TestStationWalk:
         rng = np.random.default_rng(4)
         raw = np.array([[4075000.0], [931000.0], [4801000.0]]) + np.cumsum(
             rng.normal(0.0, 1e-3, (3, epochs.size)), axis=1)
-        station = mean_center(station_of(epochs, raw))
-        assert all(c.offset_m != 0.0 for c in station.components)
+        station = station_of(epochs, raw - raw.mean(axis=1, keepdims=True))
         assert assert_station_walks_step(station, GrnnConfig(training_size=7))
 
     def test_walks_only_the_modes_asked_for(self):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import statistics
 
 import numpy as np
 import pytest
@@ -242,41 +243,6 @@ class TestEvaluateStation:
         assert str(exc.value) == (f"station {s.station_id}: series too short for "
                                   "evaluation: need at least 2 shared predictions")
 
-    def test_component_offsets_restore_raw_scoring(self):
-        from gnss_grnn import mean_center
-        s = generate_synthetic(
-            SyntheticKind.TREND_PLUS_ANNUAL, 300, 5, SyntheticParams(noise_std_m=1e-3)
-        )
-        centered = mean_center(s)
-        cfg = GrnnConfig(training_size=20)
-        raw = evaluate_station(s, cfg, mode=Mode.TEACHER_FORCED)
-        shifted = evaluate_station(centered, cfg, mode=Mode.TEACHER_FORCED)
-        for comp in ("X", "Y", "Z"):
-            assert shifted.grnn_metrics[comp].smape_percent == pytest.approx(
-                raw.grnn_metrics[comp].smape_percent, rel=1e-6
-            )
-            assert shifted.grnn_metrics[comp].mabs_m == pytest.approx(
-                raw.grnn_metrics[comp].mabs_m, rel=1e-6, abs=1e-12
-            )
-
-    def test_centered_station_csv_round_trip_scores_as_raw(self):
-        from gnss_grnn import mean_center, parse_series, write_series_csv
-        s = generate_synthetic(
-            SyntheticKind.TREND_PLUS_ANNUAL, 300, 5, SyntheticParams(noise_std_m=1e-3)
-        )
-        buf = io.StringIO()
-        write_series_csv(mean_center(s), buf)
-        again = parse_series(io.StringIO(buf.getvalue()), station_id=s.station_id)
-        cfg = GrnnConfig(training_size=20)
-        raw = evaluate_station(s, cfg, mode=Mode.TEACHER_FORCED)
-        read_back = evaluate_station(again, cfg, mode=Mode.TEACHER_FORCED)
-        for comp in ("X", "Y", "Z"):
-            for method in ("grnn_metrics", "theta_metrics"):
-                got = getattr(read_back, method)[comp]
-                want = getattr(raw, method)[comp]
-                assert got.smape_percent == pytest.approx(want.smape_percent, rel=1e-6)
-                assert got.mabs_m == pytest.approx(want.mabs_m, rel=1e-6)
-
     def test_parallel_matches_serial(self):
         stations = [
             generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 150, seed,
@@ -403,6 +369,19 @@ class TestTiming:
         assert doc["schema_version"] == 1
         block = doc["comparison"]["timing"]
         assert (block["workload_predictions"], block["theta_predictions"]) == (540, 450)
+
+    @pytest.mark.parametrize("count", [3, 4, 5, 6, 10, 11])
+    def test_medians_are_statistics_median_bits(self, count):
+        # the medians in report_timed.json are statistics.median's; for an
+        # even count both take the mean of the two middle samples
+        rng = np.random.default_rng(count)
+        for _ in range(300):
+            samples = tuple(float(x) for x in rng.lognormal(-3.0, 2.0, count))
+            timing = MethodTiming(samples, samples[::-1], 0, 0)
+            want = statistics.median(samples)
+            assert type(timing.grnn_median) is float
+            assert timing.grnn_median.hex() == want.hex()
+            assert timing.theta_median.hex() == want.hex()
 
     def test_rep_floor(self):
         with pytest.raises(DataError):

@@ -6,6 +6,7 @@ from dataclasses import fields
 import pytest
 
 import gnss_grnn
+import gnss_grnn.cli
 
 
 def test_every_export_resolves_once():
@@ -64,3 +65,12 @@ def test_each_fact_is_stored_once():
     for name in ("ComponentComparison", "ComparisonReport", "comparison_report_dict"):
         assert not hasattr(gnss_grnn.harness, name)
     assert [f.name for f in fields(gnss_grnn.GapReport)] == ["gaps"]
+
+
+def test_one_value_basis():
+    assert [f.name for f in fields(gnss_grnn.ComponentSeries)] == [
+        "component", "epochs_mjd", "values_m"]
+    assert "mean_center" not in gnss_grnn.__all__
+    assert not hasattr(gnss_grnn, "mean_center")
+    assert not hasattr(gnss_grnn.series, "mean_center")
+    assert not hasattr(gnss_grnn.cli, "Basis")

@@ -1,4 +1,4 @@
-"""Ingestion, gap detection, anomalies and amplitudes."""
+"""Ingestion, gap detection and amplitudes."""
 
 import csv
 import io
@@ -21,7 +21,6 @@ from gnss_grnn import (
     amplitude,
     decimal_year_to_mjd,
     detect_gaps,
-    mean_center,
     parse_series,
     write_series_csv,
 )
@@ -310,11 +309,6 @@ class TestValidation:
         with pytest.raises(DataError):
             ComponentSeries(Component.X, [-1.0, 2.0], [0.0, 0.0])
 
-    @pytest.mark.parametrize("offset", [math.nan, math.inf])
-    def test_non_finite_offset(self, offset):
-        with pytest.raises(DataError, match="offset must be finite"):
-            ComponentSeries(Component.X, [1.0, 2.0], [0.0, 0.0], offset)
-
     def test_mismatched_axes(self):
         e = np.array([1.0, 2.0, 3.0])
         comps = (
@@ -381,50 +375,15 @@ class TestDetectGaps:
         assert detect_gaps(s, 1.0).state is SeriesState.DISCONTINUOUS
 
 
-def anomaly(station, component):
-    """One component of the mean-centered station."""
-    return mean_center(station).component(component)
-
-
-class TestAnomalyAndAmplitude:
+class TestAmplitude:
     def test_constant_series(self):
         s = make_station([1.0, 2.0, 3.0], x=[5.0, 5.0, 5.0])
-        np.testing.assert_array_equal(anomaly(s, "X").values_m, [0.0, 0.0, 0.0])
         assert amplitude(s.component("X")) == 0.0
-
-    def test_hand_values(self):
-        s = make_station([1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0])
-        np.testing.assert_allclose(anomaly(s, "Y").values_m, [-1.0, 0.0, 1.0], atol=1e-15)
 
     def test_single_point(self):
         s = make_station([7.0], z=[7.3])
-        assert anomaly(s, "Z").values_m[0] == 0.0
         assert amplitude(s.component("Z")) == 0.0
 
     def test_amplitude_hand_value(self):
         c = ComponentSeries(Component.X, [1.0, 2.0, 3.0], [0.10, -0.10, 0.05])
         assert amplitude(c) == pytest.approx(0.20, abs=1e-15)
-
-    @given(st.lists(st.floats(min_value=-1e7, max_value=1e7,
-                              allow_nan=False, allow_infinity=False),
-                    min_size=1, max_size=60))
-    @settings(max_examples=150, deadline=None)
-    def test_anomaly_mean_near_zero_and_amplitude_preserved(self, values):
-        s = make_station(np.arange(1.0, len(values) + 1.0), x=values)
-        c = s.component("X")
-        anom = anomaly(s, "X")
-        scale = max(1.0, abs(float(np.mean(values))))
-        assert abs(float(anom.values_m.mean())) < 1e-9 * scale
-        assert amplitude(anom) >= 0.0
-        assert amplitude(anom) == pytest.approx(amplitude(c), rel=1e-12, abs=1e-300)
-
-    def test_mean_center_round_trips(self):
-        s = make_station([1.0, 2.0, 3.0], x=[4.0, 5.0, 6.0], y=[7.0, 7.0, 7.0], z=[0.0, 1.0, -1.0])
-        centered = mean_center(s)
-        assert tuple(c.offset_m for c in centered.components) == (5.0, 7.0, 0.0)
-        for comp in ("X", "Y", "Z"):
-            c = centered.component(comp)
-            np.testing.assert_allclose(
-                c.values_m + c.offset_m,
-                s.component(comp).values_m, rtol=0, atol=1e-12,
-            )
