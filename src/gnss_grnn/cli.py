@@ -8,6 +8,8 @@ deterministic regardless of how many workers run.
 No flag is silently ignored. Each command checks its own flag rules
 before it reads any file, and a broken rule is a usage error:
 
+* ``-v``/``--training-size`` or ``predict --max-training-size`` below 1;
+* ``compare --theta-window`` below 3;
 * ``predict --max-training-size`` without ``--threshold``;
 * ``predict --threshold`` with an explicit ``--mode recursive`` (the
   window search is teacher-forced, which ``--threshold`` implies);
@@ -123,8 +125,8 @@ def _add_common_model_flags(p: argparse.ArgumentParser, *, walk: bool = True) ->
     """Register the model flags; ``walk=False`` leaves out ``-v`` and ``--mode``,
     which fix the one walk a command runs (``sweep`` varies both itself)."""
     if walk:
-        p.add_argument("-v", "--training-size", type=int, default=100, metavar="V",
-                       help="rolling window length (default: 100)")
+        p.add_argument("-v", "--training-size", type=_positive_int, default=100, metavar="V",
+                       help="rolling window length, at least 1 (default: 100)")
     p.add_argument("--bandwidth", type=_bandwidth_spec, default=BandwidthRule.WINDOW_STD,
                    metavar="SPEC",
                    help="kernel bandwidth in days, or 'window-std' / 'mean-spacing' "
@@ -158,7 +160,7 @@ def build_parser() -> _Parser:
                            help="grow the window until |error| < T (meters); the "
                                 "search forecasts from observed windows, so it "
                                 "runs teacher-forced and refuses --mode recursive")
-    p_predict.add_argument("--max-training-size", type=int, default=None,
+    p_predict.add_argument("--max-training-size", type=_positive_int, default=None,
                            help="cap for threshold-driven window growth "
                                 "(requires --threshold)")
     p_predict.add_argument("--output", type=Path, default=None,
@@ -186,8 +188,8 @@ def build_parser() -> _Parser:
                                     "and report accuracy ratios")
     p_compare.add_argument("paths", nargs="+", type=Path)
     _add_common_model_flags(p_compare)
-    p_compare.add_argument("--theta-window", type=int, default=None,
-                           help="Theta training window (default: same as -v)")
+    p_compare.add_argument("--theta-window", type=_int_at_least(3), default=None,
+                           help="Theta training window, at least 3 (default: same as -v)")
     p_compare.add_argument("--theta-fit", type=ThetaFit,
                            choices=[f.value for f in ThetaFit],
                            default=ThetaFit.ROLLING,

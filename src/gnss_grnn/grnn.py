@@ -6,7 +6,10 @@ values, with weights decaying in the epoch distance (days) scaled by a
 bandwidth. Two window-update modes exist:
 
 * recursive - each prediction is appended to the window and feeds the
-  following predictions, so errors compound along the walk;
+  following predictions, so errors compound along the walk. Each
+  prediction is a convex combination of its window, so the walk settles
+  on a constant, typically after some 1-3 ``v`` steps; from there on the
+  walk writes that value out instead of stepping, with the same bits;
 * teacher-forced - observed values replace predictions at every step.
 
 The rolling-window semantics deserve one note: the window always holds
@@ -58,7 +61,13 @@ _BLOCK_ELEMENTS = 2**14
 
 
 class Mode(str, Enum):
-    """Window-update policy during a forecast walk."""
+    """Window-update policy during a forecast walk.
+
+    RECURSIVE feeds each forecast back into the window. The walk becomes a
+    constant after roughly 1-3 ``v`` steps, so recursive-mode criteria over
+    a long walk mostly score a flat line. TEACHER_FORCED forecasts every
+    target from observed values.
+    """
 
     RECURSIVE = "recursive"
     TEACHER_FORCED = "teacher-forced"
@@ -100,7 +109,7 @@ class GrnnConfig:
         bw = self.bandwidth
         if isinstance(bw, str) and bw in {r.value for r in BandwidthRule}:
             object.__setattr__(self, "bandwidth", BandwidthRule(bw))
-        elif (isinstance(bw, (int, float)) and not isinstance(bw, bool)
+        elif (isinstance(bw, (int, float, np.integer)) and not isinstance(bw, bool)
               and math.isfinite(bw) and bw > 0):
             object.__setattr__(self, "bandwidth", float(bw))
         else:
@@ -291,7 +300,17 @@ def forecast_series(
     one deviation buffer reused for the whole walk and takes
     ``ndarray.dot`` of the weight row with it: the operations, in the
     order, of :func:`_convex_combinations` for one row, without its
-    temporaries. Every forecast matches the stepping walk in
+    temporaries.
+
+    A recursive walk becomes a constant after roughly 1-3 ``v`` steps.
+    Once a component's window holds ``v`` equal nonzero finite values
+    ``c``, every later forecast is ``c + 0.0``, which is ``c``: the
+    component stops stepping there and its remaining forecasts are ``c``,
+    with unchanged bits. Recursive-mode criteria over a long walk
+    therefore mostly score a flat line. The weights still come for every
+    target, so an underflow after that point is still reported.
+
+    Every forecast matches the stepping walk in
     ``tests/scalar_reference.py`` bit for bit, and an underflow is
     reported for the first target in walk order that underflows, for
     component X, the first of the components that share the weights.
@@ -311,6 +330,12 @@ def forecast_series(
     # recursive mode they become training data for the following steps
     buffers = {mode: [c.values_m.copy() for c in components] for mode in modes}
     deviations = np.empty(v, dtype=np.float64)
+    # per component, the length of the run of equal values that ends the
+    # recursive buffer so far (the seed window's to begin with), and whether
+    # the rest of the walk is already written
+    runs = [int(np.append(c.values_m[v - 1::-1] != c.values_m[v - 1], True).argmax())
+            for c in components]
+    settled = [False] * len(components)
     for rows, weights, pattern, underflows in _weight_blocks(epochs, np.arange(v, n), v,
                                                              config.bandwidth):
         if underflows:
@@ -332,12 +357,24 @@ def forecast_series(
             else:
                 weight_rows = list(weights)
                 step_rows = [weight_rows[r] for r in pattern.tolist()]
-            for values in buffer:
+            for c, values in enumerate(buffer):
+                if settled[c]:
+                    continue
+                run = runs[c]
                 # one row of _convex_combinations: same operations, no temporaries
                 for row, k in zip(step_rows, steps):
                     base = values[k - v]
                     np.subtract(values[k - v:k], base, out=deviations)
-                    values[k] = base + row.dot(deviations)
+                    y = values[k] = base + row.dot(deviations)
+                    run = run + 1 if y == values[k - 1] else 1
+                    if run >= v and y != 0.0 and math.isfinite(y):
+                        # every later window is v copies of y: each deviation is
+                        # +0.0, so each forecast is y + 0.0, which is y exactly;
+                        # not so for -0.0 (-0.0 + 0.0 is +0.0) or an infinity
+                        values[k + 1:] = y
+                        settled[c] = True
+                        break
+                runs[c] = run
     return StationForecast({
         (comp.component.value, mode): ForecastResult(
             epochs_mjd=comp.epochs_mjd[v:],

@@ -485,16 +485,21 @@ class TestCompare:
         bad.write_text("epoch_mjd,x_m,y_m,z_m\n55000,a,b,c\n")
         assert run_cli("compare", bad) == 2
 
-    def test_bad_theta_window_exits_2_before_any_walk(self, station_file, tmp_path,
+    def test_bad_theta_window_exits_1_before_any_walk(self, station_file, tmp_path,
                                                       capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(gnss_grnn.harness, "forecast_series",
                             lambda *args, **kwargs: calls.append(args))
         path = station_file(length=120)
         out_dir = tmp_path / "out"
-        assert run_cli("compare", path, "-v", "20", "--theta-window", "2",
-                       "--jobs", "1", "--output-dir", out_dir) == 2
-        assert capsys.readouterr().err == "gnss-grnn: data error: theta window must be >= 3\n"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", path, "-v", "20", "--theta-window", "2",
+                    "--jobs", "1", "--output-dir", out_dir)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gnss-grnn compare [-h]")
+        assert err.endswith("gnss-grnn compare: error: argument --theta-window: "
+                            "must be at least 3\n")
         assert calls == []
         assert not (out_dir / "report.json").exists()
 
@@ -601,6 +606,12 @@ def test_bad_jobs_env_is_a_usage_error(station_file, tmp_path, capsys, monkeypat
      "--mode recursive cannot be combined with --threshold"),
     (["predict", "--bandwidth", "inf"], None,
      "argument --bandwidth: bandwidth must be positive and finite"),
+    (["predict", "-v", "0"], None, "argument -v/--training-size: must be at least 1"),
+    (["predict", "--threshold", "0.01", "--max-training-size", "0"], None,
+     "argument --max-training-size: must be at least 1"),
+    (["compare", "--training-size", "-3"], None,
+     "argument -v/--training-size: must be at least 1"),
+    (["compare", "--theta-window", "2"], None, "argument --theta-window: must be at least 3"),
     (["sweep", "second-station.csv", "--v-max", "3"], None,
      "sweep handles one station at a time"),
     (["sweep", "--v-max", "3", "--v-min", "0"], None, "invalid training-size range"),

@@ -310,6 +310,8 @@ class TestWindowUpdate:
     ({"bandwidth": GrnnConfig()}, "or a BandwidthRule; got GrnnConfig"),
     ({"bandwidth": "narrow"}, "or a BandwidthRule; got 'narrow'$"),
     ({"bandwidth": True}, "or a BandwidthRule; got True$"),
+    ({"bandwidth": np.bool_(True)}, "fixed bandwidth must be positive and finite"),
+    ({"bandwidth": np.int64(0)}, "fixed bandwidth must be positive and finite"),
     ({"training_size": 10.0}, "training_size must be an integer; got 10.0$"),
     ({"training_size": 2.5}, "training_size must be an integer; got 2.5$"),
     ({"training_size": True}, "training_size must be an integer; got True$"),
@@ -328,6 +330,13 @@ def test_config_accepts_numpy_integers(v):
     assert type(cfg.training_size) is int and cfg.training_size == 7
     walks = forecast_series(station_of(np.arange(1.0, 13.0), np.arange(12.0)), cfg)
     assert len(walks) == 3 * 5
+
+
+@pytest.mark.parametrize("bandwidth", [np.int64(2), np.int32(2), np.uint8(2), np.float64(2), 2])
+def test_config_accepts_numpy_number_bandwidths(bandwidth):
+    # any real number type fixes the bandwidth, stored as a float of days
+    cfg = GrnnConfig(bandwidth=bandwidth)
+    assert type(cfg.bandwidth) is float and cfg.bandwidth == 2.0
 
 
 @pytest.mark.parametrize("threshold_m, max_training_size, message", [
@@ -420,7 +429,8 @@ def assert_station_walks_step(station, cfg, modes=tuple(Mode)):
         for mode in modes:
             walk = walks[comp.component, mode]
             predicted = stepping_walk(comp, cfg, mode)
-            assert np.array_equal(walk.predicted_m, predicted)
+            # as int64 views, so that -0.0 and +0.0 differ
+            assert np.array_equal(walk.predicted_m.view(np.int64), predicted.view(np.int64))
             np.testing.assert_array_equal(walk.epochs_mjd, comp.epochs_mjd[cfg.training_size:])
             np.testing.assert_array_equal(walk.observed_m, comp.values_m[cfg.training_size:])
     return True
@@ -792,6 +802,115 @@ class TestStationWalk:
             forecast_series(station, GrnnConfig(training_size=5), modes=())
         with pytest.raises(DataError, match="nothing to predict"):
             forecast_series(station, GrnnConfig(training_size=20))
+
+
+def settling_steps(station, cfg):
+    """Per component, the index of the recursive stepping walk's first
+    forecast that closes a window of ``v`` equal nonzero values, or None."""
+    v, steps = cfg.training_size, []
+    for comp in station.components:
+        buffer = np.concatenate([comp.values_m[:v], stepping_walk(comp, cfg)])
+        settled = [j for j in range(buffer.size - v)
+                   if buffer[j + v] != 0.0 and np.all(buffer[j + 1:j + v + 1] == buffer[j + v])]
+        steps.append(settled[0] if settled else None)
+    return steps
+
+
+class TestFixedPoint:
+    """A recursive walk whose window holds ``v`` equal nonzero values keeps
+    forecasting that value exactly; the walk writes it out instead of
+    stepping, with the bits of the stepping walk."""
+
+    V = 200
+    C = 4075000.25
+
+    def station(self, epochs, seed_heads):
+        """Per component, a seed window of ``head`` values 0.01 m above
+        ``C`` and then ``v - head`` copies of ``C``. At a 1-day bandwidth
+        the head lies too far back to get any weight, so every forecast is
+        ``C`` and the walk settles at step ``head``. The observations after
+        the seed differ from ``C``, so a forecast left unwritten shows."""
+        values = np.full((3, epochs.size), self.C)
+        values[:, self.V:] -= 0.5
+        for row, head in zip(values, seed_heads):
+            row[:head] += 0.01
+        return station_of(epochs, values)
+
+    @pytest.mark.parametrize("axis", ["daily", "gap-after-settling"])
+    @pytest.mark.parametrize("seed_heads", [(40, 81, 82), (0, 40, 81)],
+                             ids=["mid-block-and-boundary", "constant-seed"])
+    def test_settles_with_the_stepping_walks_bits(self, axis, seed_heads):
+        rows = _BLOCK_ELEMENTS // self.V
+        assert rows == 81  # head 81 settles on a block's last row, 82 on the next one's first
+        epochs = 55000.0 + np.arange(600.0)
+        if axis == "gap-after-settling":
+            # a 5-day hole in the third block: new weights, the same constant
+            epochs[self.V + 2 * rows + 10:] += 5.0
+        station = self.station(epochs, seed_heads)
+        cfg = GrnnConfig(training_size=self.V, bandwidth=1.0)
+        assert settling_steps(station, cfg) == [max(h - 1, 0) for h in seed_heads]
+        assert assert_station_walks_step(station, cfg)
+
+    def test_underflow_after_settling(self):
+        # a 46-day gap three blocks in: the walks settled long before it
+        epochs = 55000.0 + np.arange(600.0)
+        epochs[self.V + 250:] += 45.0
+        station = self.station(epochs, (40, 81, 82))
+        cfg = GrnnConfig(training_size=self.V, bandwidth=1.0)
+        with pytest.raises(BandwidthTooSmallError) as exc:
+            forecast_series(station, cfg)
+        assert str(exc.value) == (
+            "bandwidth too small: every kernel value underflowed (h=1.0, nearest distance "
+            "46.0 days) predicting component X at MJD 55495.0")
+        assert not assert_station_walks_step(station, cfg)
+
+    @pytest.mark.parametrize("v", [1, 2, 7])
+    @pytest.mark.parametrize("zeros", ["+0.0", "-0.0", "mixed"])
+    def test_zero_windows(self, v, zeros):
+        # -0.0 + 0.0 is +0.0: a window of zeros must be stepped, not copied
+        signs = {"+0.0": [1.0], "-0.0": [-1.0], "mixed": [1.0, -1.0, -1.0]}[zeros]
+        epochs = 55000.0 + np.arange(40.0)
+        zero_row = np.resize(np.copysign(0.0, signs), epochs.size)
+        station = station_of(epochs, [zero_row, -zero_row, np.full(epochs.size, 2.5)])
+        cfg = GrnnConfig(training_size=v)
+        assert settling_steps(station, cfg)[2] == 0
+        assert assert_station_walks_step(station, cfg, (Mode.RECURSIVE,))
+
+    def test_first_forecast_repeating_an_unsettled_seed(self):
+        # the first forecast rounds to the seed's last value while the window
+        # still holds two other values, which the next forecast weighs
+        distances = np.array([3.0, 2.0, 1.0])
+        _, (w3, w2, _) = predict(distances, np.zeros(3), 2.0)
+        head = 1.0 - w2 / w3 * 0.5  # w3 (head - 1) + w2 (1.5 - 1) = 0
+        for _ in range(100):
+            first = predict(distances, np.array([head, 1.5, 1.0]), 2.0)[0]
+            if first == 1.0:
+                break
+            head = np.nextafter(head, 2.0 if first < 1.0 else 0.0)
+        station = station_of(55000.0 + np.arange(30.0), np.append([head, 1.5], np.ones(28)))
+        cfg = GrnnConfig(training_size=3, bandwidth=2.0)
+        predicted = stepping_walk(station.components[0], cfg)
+        assert predicted[0] == 1.0 != predicted[1]
+        assert assert_station_walks_step(station, cfg)
+
+    def test_length_one_window_settles_at_once(self):
+        epochs = _axis("irregular", length=300)
+        values = np.cumsum(np.random.default_rng(2).normal(0.0, 1e-3, (3, epochs.size)), axis=1)
+        cfg = GrnnConfig(training_size=1)
+        station = station_of(epochs, values)
+        assert settling_steps(station, cfg) == [0, 0, 0]
+        assert assert_station_walks_step(station, cfg)
+
+    def test_overflowing_walk_is_stepped(self):
+        # the seed's span overflows: the walk reaches two equal infinities,
+        # and inf - inf makes the next forecast NaN, not inf
+        epochs = 55000.0 + np.arange(12.0)
+        values = np.tile([-1e308, 1e308], 6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            station = station_of(epochs, values)
+            predicted = stepping_walk(station.components[0], GrnnConfig(training_size=2))
+            assert np.isinf(predicted[:2]).all() and np.isnan(predicted[2:]).all()
+            assert assert_station_walks_step(station, GrnnConfig(training_size=2))
 
 
 class TestStationUnderflow:
