@@ -10,6 +10,7 @@ before it reads any file, and a broken rule is a usage error:
 
 * ``-v``/``--training-size`` or ``predict --max-training-size`` below 1;
 * ``compare --theta-window`` below 3;
+* ``compare -v`` below 3 without ``--theta-window``, which defaults to ``-v``;
 * ``predict --max-training-size`` without ``--threshold``;
 * ``predict --threshold`` with an explicit ``--mode recursive`` (the
   window search is teacher-forced, which ``--threshold`` implies);
@@ -299,6 +300,9 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     if args.reps is not None and not args.time:
         args.usage_error("--reps requires --time")
+    if args.theta_window is None and args.training_size < 3:
+        args.usage_error("--theta-window defaults to -v, which is below 3: "
+                         "give --theta-window 3 or more")
     jobs = args.jobs
     if jobs is None:
         try:

@@ -30,12 +30,12 @@ from .metrics import (
     compute_report,
     criteria_ratios,
     mean_criteria,
+    printed,
 )
 from .series import (
     Component,
     ComponentSeries,
     GapReport,
-    SeriesState,
     StationSeries,
     detect_gaps,
     mjd_to_decimal_year,
@@ -232,40 +232,10 @@ def run_sweep(
 # per-station evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvaluationSettings:
-    """Everything that determined one station evaluation, for the record:
-    the kernel model, the window-update mode its walk ran in, and the
-    Theta and gap settings."""
-
-    grnn: GrnnConfig
-    mode: Mode
-    theta_window: int
-    theta_fit: ThetaFit
-    gap_factor: float
-
-
-@dataclass(frozen=True)
-class StationReport:
-    """Per-station accuracy of both methods, plus the gap state."""
-
-    station_id: str
-    country: str | None
-    first_mjd: float
-    last_mjd: float
-    state: SeriesState
-    gap_count: int
-    largest_gap_days: float
-    n_predictions: int
-    grnn_metrics: dict[str, MetricsReport]
-    theta_metrics: dict[str, MetricsReport]
-    settings: EvaluationSettings
-
-    @property
-    def span_label(self) -> str:
-        first = int(math.floor(mjd_to_decimal_year(self.first_mjd)))
-        last = int(math.floor(mjd_to_decimal_year(self.last_mjd)))
-        return f"{first}-{last}"
+def _span_label(first_mjd: float, last_mjd: float) -> str:
+    first = int(math.floor(mjd_to_decimal_year(first_mjd)))
+    last = int(math.floor(mjd_to_decimal_year(last_mjd)))
+    return f"{first}-{last}"
 
 
 def _align_tail(result: ForecastResult, keep: int) -> ForecastResult:
@@ -287,7 +257,7 @@ def evaluate_station(
     mode: Mode = Mode.RECURSIVE,
     theta_fit: ThetaFit = ThetaFit.ROLLING,
     gap_factor: float = 1.5,
-) -> StationReport:
+) -> dict:
     """Backtest both methods on one station and score them identically.
 
     The kernel walk runs in window-update ``mode``. The Theta window
@@ -297,6 +267,12 @@ def evaluate_station(
     computed. One station walk gives the kernel forecasts of all three
     components from shared weights. Both methods forecast and are scored
     on the raw positions.
+
+    Gives the station's block of ``report.json``, as
+    :func:`write_reports_json` writes it: its id, country, span and gap
+    state, the number of shared predictions, the criteria of each method
+    by component under ``metrics``, and the ``settings`` that produced
+    them.
     """
     grnn_config = grnn_config or GrnnConfig()
     if theta_window is None:
@@ -312,8 +288,7 @@ def evaluate_station(
     if theta_window < 3:
         raise DataError("theta window must be >= 3")
     gaps: GapReport = detect_gaps(series, gap_factor)
-    grnn_metrics: dict[str, MetricsReport] = {}
-    theta_metrics: dict[str, MetricsReport] = {}
+    metrics: dict[str, dict[str, dict]] = {"grnn": {}, "theta": {}}
     with at_station(series.station_id):
         walks = forecast_series(series, grnn_config, (mode,))
     for comp in series.components:
@@ -321,29 +296,34 @@ def evaluate_station(
         t = _align_tail(theta_backtest(comp, theta_window, fit=theta_fit), keep)
         if not np.array_equal(g.epochs_mjd, t.epochs_mjd):
             raise RuntimeError("methods were about to be scored on different epochs")
-        grnn_metrics[comp.component.value] = compute_report(
-            PredictionPairs(g.predicted_m, g.observed_m))
-        theta_metrics[comp.component.value] = compute_report(
-            PredictionPairs(t.predicted_m, t.observed_m))
-    return StationReport(
-        station_id=series.station_id,
-        country=series.country,
-        first_mjd=float(series.epochs_mjd[0]),
-        last_mjd=float(series.epochs_mjd[-1]),
-        state=gaps.state,
-        gap_count=len(gaps.gaps),
-        largest_gap_days=gaps.largest_gap_days,
-        n_predictions=keep,
-        grnn_metrics=grnn_metrics,
-        theta_metrics=theta_metrics,
-        settings=EvaluationSettings(
-            grnn=grnn_config,
-            mode=Mode(mode),
-            theta_window=theta_window,
-            theta_fit=ThetaFit(theta_fit),
-            gap_factor=gap_factor,
-        ),
-    )
+        for method, r in (("grnn", g), ("theta", t)):
+            metrics[method][comp.component.value] = asdict(
+                compute_report(PredictionPairs(r.predicted_m, r.observed_m)))
+    first_mjd, last_mjd = float(series.epochs_mjd[0]), float(series.epochs_mjd[-1])
+    bw = grnn_config.bandwidth
+    return {
+        "station_id": series.station_id,
+        "country": series.country,
+        "span": {"first_mjd": first_mjd, "last_mjd": last_mjd,
+                 "label": _span_label(first_mjd, last_mjd)},
+        "state": gaps.state.value,
+        "gap_count": len(gaps.gaps),
+        "largest_gap_days": gaps.largest_gap_days,
+        "n_predictions": keep,
+        "metrics": metrics,
+        "settings": {
+            "grnn": {
+                "training_size": grnn_config.training_size,
+                "bandwidth": bw.value if isinstance(bw, BandwidthRule) else bw,
+                # schema 1 keeps these keys; an evaluation never runs the adaptive search
+                "threshold_m": None,
+                "max_training_size": None,
+                "mode": Mode(mode).value,
+            },
+            "theta": {"window": theta_window, "fit": ThetaFit(theta_fit).value},
+            "gap_factor": gap_factor,
+        },
+    }
 
 
 def evaluate_stations(
@@ -355,11 +335,11 @@ def evaluate_stations(
     theta_fit: ThetaFit = ThetaFit.ROLLING,
     gap_factor: float = 1.5,
     jobs: int = 1,
-) -> list[StationReport]:
+) -> list[dict]:
     """Evaluate many stations, optionally across worker processes.
 
-    The report order always matches the input order, whatever the
-    execution order was.
+    Gives one :func:`evaluate_station` block per station, in the input
+    order whatever the execution order was.
     """
     evaluate = partial(evaluate_station, grnn_config=grnn_config, theta_window=theta_window,
                        mode=mode, theta_fit=theta_fit, gap_factor=gap_factor)
@@ -460,29 +440,29 @@ def time_methods(
 
 
 def compare_methods(
-    reports: Sequence[StationReport],
+    reports: Sequence[dict],
     timing: MethodTiming | None = None,
 ) -> dict:
     """Divide the kernel method's criteria by Theta's, giving the
     ``comparison`` block of ``report.json``.
 
-    Criteria are first averaged over stations per component, then
-    divided; per-station ratios are also emitted so the aggregation
-    choice stays auditable. Ratios below 1 favor the kernel method, and
+    ``reports`` are station blocks as :func:`evaluate_station` gives
+    them, read under ``metrics``. Criteria are first averaged over
+    stations per component, then divided; per-station ratios are also
+    emitted so the aggregation choice stays auditable. Ratios below 1 favor the kernel method, and
     a ratio is ``None`` where Theta's criterion is 0.
     """
     if not reports:
         raise DataError("need at least one station report")
     aggregated = {}
     for comp in _COMPONENTS:
-        grnn = mean_criteria([r.grnn_metrics[comp] for r in reports])
-        theta = mean_criteria([r.theta_metrics[comp] for r in reports])
-        aggregated[comp] = {**criteria_ratios(grnn, theta),
-                            "grnn": asdict(grnn), "theta": asdict(theta)}
+        grnn = mean_criteria([r["metrics"]["grnn"][comp] for r in reports])
+        theta = mean_criteria([r["metrics"]["theta"][comp] for r in reports])
+        aggregated[comp] = {**criteria_ratios(grnn, theta), "grnn": grnn, "theta": theta}
     per_station = [
         {
-            "station_id": r.station_id,
-            **{comp: criteria_ratios(r.grnn_metrics[comp], r.theta_metrics[comp])
+            "station_id": r["station_id"],
+            **{comp: criteria_ratios(r["metrics"]["grnn"][comp], r["metrics"]["theta"][comp])
                for comp in _COMPONENTS},
         }
         for r in reports
@@ -507,48 +487,8 @@ def compare_methods(
 # serialization
 # ---------------------------------------------------------------------------
 
-def _settings_dict(settings: EvaluationSettings) -> dict:
-    bw = settings.grnn.bandwidth
-    return {
-        "grnn": {
-            "training_size": settings.grnn.training_size,
-            "bandwidth": bw.value if isinstance(bw, BandwidthRule) else bw,
-            # schema 1 keeps these keys; an evaluation never runs the adaptive search
-            "threshold_m": None,
-            "max_training_size": None,
-            "mode": settings.mode.value,
-        },
-        "theta": {
-            "window": settings.theta_window,
-            "fit": settings.theta_fit.value,
-        },
-        "gap_factor": settings.gap_factor,
-    }
-
-
-def station_report_dict(report: StationReport) -> dict:
-    return {
-        "station_id": report.station_id,
-        "country": report.country,
-        "span": {
-            "first_mjd": report.first_mjd,
-            "last_mjd": report.last_mjd,
-            "label": report.span_label,
-        },
-        "state": report.state.value,
-        "gap_count": report.gap_count,
-        "largest_gap_days": report.largest_gap_days,
-        "n_predictions": report.n_predictions,
-        "metrics": {
-            "grnn": {c: asdict(report.grnn_metrics[c]) for c in _COMPONENTS},
-            "theta": {c: asdict(report.theta_metrics[c]) for c in _COMPONENTS},
-        },
-        "settings": _settings_dict(report.settings),
-    }
-
-
 def write_reports_json(
-    reports: Sequence[StationReport],
+    reports: Sequence[dict],
     comparison: dict | None,
     dest: str | Path | IO[str],
     *,
@@ -556,7 +496,8 @@ def write_reports_json(
 ) -> None:
     """Write the full-fidelity JSON document (schema-versioned).
 
-    ``comparison`` is written as given, normally what :func:`compare_methods`
+    ``reports``, the station blocks of :func:`evaluate_station`, and
+    ``comparison`` are written as given, normally what :func:`compare_methods`
     returns. ``run``, when given, is written as the ``"run"`` block right
     after the schema version. Floats serialize in shortest round-trip
     form; given identical inputs the output is byte-identical run to run.
@@ -565,7 +506,7 @@ def write_reports_json(
     if run is not None:
         doc["run"] = run
     doc |= {
-        "stations": [station_report_dict(r) for r in reports],
+        "stations": list(reports),
         "comparison": comparison,
     }
     with open_text(dest) as stream:
@@ -573,17 +514,18 @@ def write_reports_json(
         stream.write("\n")
 
 
-def write_reports_csv(reports: Sequence[StationReport], dest: str | Path | IO[str]) -> None:
-    """One summary row per station/component/method (lossy 6-decimal floats)."""
+def write_reports_csv(reports: Sequence[dict], dest: str | Path | IO[str]) -> None:
+    """One summary row per station/method/component of the station blocks
+    of :func:`evaluate_station`, in their ``metrics`` order (lossy floats)."""
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["station", "span", "state", "component", "method",
                          *(f.name for f in CRITERIA)])
         for r in reports:
-            for method, metrics in (("grnn", r.grnn_metrics), ("theta", r.theta_metrics)):
-                for comp in _COMPONENTS:
-                    writer.writerow([r.station_id, r.span_label, r.state.value, comp, method,
-                                     *metrics[comp].printed()])
+            for method, by_component in r["metrics"].items():
+                for comp, criteria in by_component.items():
+                    writer.writerow([r["station_id"], r["span"]["label"], r["state"], comp,
+                                     method, *printed(criteria)])
 
 
 def write_sweep_csv(rows: Iterable[SweepRow], dest: str | Path | IO[str]) -> None:
@@ -594,4 +536,4 @@ def write_sweep_csv(rows: Iterable[SweepRow], dest: str | Path | IO[str]) -> Non
         writer.writerow(["v", "component", "mode", *(f.name for f in CRITERIA), "n"])
         for row in rows:
             writer.writerow([row.training_size, row.component, row.mode.value,
-                             *row.metrics.printed(), row.metrics.n])
+                             *printed(asdict(row.metrics)), row.metrics.n])

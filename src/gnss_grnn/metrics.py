@@ -3,14 +3,15 @@
 Residuals are defined as truth minus prediction. sMAPE uses per-pair
 denominators ``|y| + |yhat|``, is averaged over the pairs and scaled to
 percent; the classical factor-2 variant is deliberately not used.
-:class:`Criteria` is the one record of the three; every report, ratio
-and writer reuses it.
+:class:`Criteria` is the one record of the three. Its fields name the
+keys that averages, ratios and printed rows read from any mapping of
+criteria, such as a ``report.json`` metrics block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -63,14 +64,6 @@ class Criteria:
     std_m: float = _criterion("StD", "std_ratio", ".6f")
     mabs_m: float = _criterion("MAbs", "mabs_ratio", ".6f")
 
-    def printed(self) -> list[str]:
-        """The criteria as the CSV writers print them (lossy).
-
-        sMAPE is in exponent form: fixed-point would print 0.000000 for
-        earth-centered magnitudes.
-        """
-        return [format(getattr(self, f.name), f.metadata["format"]) for f in CRITERIA]
-
 
 #: The criterion fields, in reporting order.
 CRITERIA = fields(Criteria)
@@ -86,16 +79,25 @@ class MetricsReport(Criteria):
     n: int
 
 
-def mean_criteria(items: Sequence[Criteria]) -> Criteria:
-    """Each criterion averaged over ``items``."""
-    return Criteria(*(float(np.mean([getattr(c, f.name) for c in items])) for f in CRITERIA))
+def printed(criteria: Mapping[str, float]) -> list[str]:
+    """The criteria as the CSV writers print them (lossy).
+
+    sMAPE is in exponent form: fixed-point would print 0.000000 for
+    earth-centered magnitudes.
+    """
+    return [format(criteria[f.name], f.metadata["format"]) for f in CRITERIA]
 
 
-def criteria_ratios(num: Criteria, den: Criteria) -> dict[str, float | None]:
+def mean_criteria(items: Sequence[Mapping[str, float]]) -> dict[str, float]:
+    """Each criterion averaged over ``items``, by field name."""
+    return {f.name: float(np.mean([c[f.name] for c in items])) for f in CRITERIA}
+
+
+def criteria_ratios(num: Mapping[str, float],
+                    den: Mapping[str, float]) -> dict[str, float | None]:
     """``num / den`` per criterion, by ratio key; ``None`` where ``den`` is 0."""
     return {
-        f.metadata["ratio_key"]: None if getattr(den, f.name) == 0.0
-        else getattr(num, f.name) / getattr(den, f.name)
+        f.metadata["ratio_key"]: None if den[f.name] == 0.0 else num[f.name] / den[f.name]
         for f in CRITERIA
     }
 

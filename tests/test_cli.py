@@ -612,6 +612,8 @@ def test_bad_jobs_env_is_a_usage_error(station_file, tmp_path, capsys, monkeypat
     (["compare", "--training-size", "-3"], None,
      "argument -v/--training-size: must be at least 1"),
     (["compare", "--theta-window", "2"], None, "argument --theta-window: must be at least 3"),
+    (["compare", "-v", "2"], None,
+     "--theta-window defaults to -v, which is below 3: give --theta-window 3 or more"),
     (["sweep", "second-station.csv", "--v-max", "3"], None,
      "sweep handles one station at a time"),
     (["sweep", "--v-max", "3", "--v-min", "0"], None, "invalid training-size range"),

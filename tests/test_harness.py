@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import statistics
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,17 +13,14 @@ import gnss_grnn.harness
 from gnss_grnn import (
     BandwidthRule,
     DataError,
-    EvaluationSettings,
     GrnnConfig,
     MethodTiming,
     MetricsReport,
     Mode,
     SeriesState,
-    StationReport,
     StationSeries,
     SyntheticKind,
     SyntheticParams,
-    ThetaFit,
     amplitude,
     compare_methods,
     detect_gaps,
@@ -192,25 +190,26 @@ class TestEvaluateStation:
         s = generate_synthetic(SyntheticKind.CONSTANT, 120, 0)
         report = evaluate_station(s, GrnnConfig(training_size=10))
         for comp in ("X", "Y", "Z"):
-            for metrics in (report.grnn_metrics[comp], report.theta_metrics[comp]):
-                assert metrics.smape_percent == pytest.approx(0.0, abs=1e-12)
-                assert metrics.std_m == pytest.approx(0.0, abs=1e-9)
-                assert metrics.mabs_m == pytest.approx(0.0, abs=1e-9)
+            for method in ("grnn", "theta"):
+                metrics = report["metrics"][method][comp]
+                assert metrics["smape_percent"] == pytest.approx(0.0, abs=1e-12)
+                assert metrics["std_m"] == pytest.approx(0.0, abs=1e-9)
+                assert metrics["mabs_m"] == pytest.approx(0.0, abs=1e-9)
 
     def test_linear_theta_exact_kernel_biased(self):
         report = evaluate_station(_linear_station(), GrnnConfig(training_size=10))
         for comp in ("X", "Y", "Z"):
             # the trend line nails a noiseless ramp (to rounding at coordinate
             # scale); a convex combination cannot reach past its window
-            assert report.theta_metrics[comp].mabs_m < 1e-7
-            assert report.grnn_metrics[comp].mabs_m > 1e-5
+            assert report["metrics"]["theta"][comp]["mabs_m"] < 1e-7
+            assert report["metrics"]["grnn"][comp]["mabs_m"] > 1e-5
 
     def test_gap_state_recorded(self):
         gapped = generate_synthetic(SyntheticKind.GAPPED_TREND, 400, 3)
         report = evaluate_station(gapped, GrnnConfig(training_size=20))
-        assert report.state is SeriesState.DISCONTINUOUS
-        assert report.gap_count == 1
-        assert report.largest_gap_days > 1.5
+        assert report["state"] == SeriesState.DISCONTINUOUS.value
+        assert report["gap_count"] == 1
+        assert report["largest_gap_days"] > 1.5
 
     def test_gapped_at_least_as_hard_as_ungapped(self):
         params = SyntheticParams(slope_m_per_day=1e-3, annual_amplitude_m=0.005,
@@ -226,15 +225,16 @@ class TestEvaluateStation:
         a = evaluate_station(ungapped, cfg, mode=Mode.TEACHER_FORCED)
         b = evaluate_station(gapped, cfg, mode=Mode.TEACHER_FORCED)
         for comp in ("X", "Y", "Z"):
-            assert b.grnn_metrics[comp].smape_percent >= a.grnn_metrics[comp].smape_percent
+            assert (b["metrics"]["grnn"][comp]["smape_percent"]
+                    >= a["metrics"]["grnn"][comp]["smape_percent"])
 
     def test_differing_windows_are_aligned(self):
         s = _linear_station(150)
         report = evaluate_station(s, GrnnConfig(training_size=10), theta_window=30)
-        assert report.n_predictions == 120
+        assert report["n_predictions"] == 120
         for comp in ("X", "Y", "Z"):
-            assert report.grnn_metrics[comp].n == 120
-            assert report.theta_metrics[comp].n == 120
+            assert report["metrics"]["grnn"][comp]["n"] == 120
+            assert report["metrics"]["theta"][comp]["n"] == 120
 
     def test_too_short(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 12, 0)
@@ -252,27 +252,33 @@ class TestEvaluateStation:
         cfg = GrnnConfig(training_size=10)
         serial = evaluate_stations(stations, cfg, jobs=1)
         parallel = evaluate_stations(stations, cfg, jobs=3)
-        assert [r.station_id for r in serial] == [r.station_id for r in parallel]
+        assert [r["station_id"] for r in serial] == [r["station_id"] for r in parallel]
         for a, b in zip(serial, parallel):
             for comp in ("X", "Y", "Z"):
-                assert a.grnn_metrics[comp].smape_percent == b.grnn_metrics[comp].smape_percent
+                assert (a["metrics"]["grnn"][comp]["smape_percent"]
+                        == b["metrics"]["grnn"][comp]["smape_percent"])
 
 
 def _metrics(smape_val, std_val, mabs_val, n=10):
-    return MetricsReport(smape_percent=smape_val, std_m=std_val, mabs_m=mabs_val, n=n)
+    return asdict(MetricsReport(smape_percent=smape_val, std_m=std_val, mabs_m=mabs_val,
+                                n=n))
 
 
 def _fake_report(station_id, grnn, theta):
-    settings = EvaluationSettings(grnn=GrnnConfig(), mode=Mode.RECURSIVE, theta_window=100,
-                                  theta_fit=ThetaFit.ROLLING, gap_factor=1.5)
-    return StationReport(
-        station_id=station_id, country=None, first_mjd=55000.0, last_mjd=55999.0,
-        state=SeriesState.CONTINUOUS, gap_count=0, largest_gap_days=0.0,
-        n_predictions=10,
-        grnn_metrics={c: grnn for c in ("X", "Y", "Z")},
-        theta_metrics={c: theta for c in ("X", "Y", "Z")},
-        settings=settings,
-    )
+    return {
+        "station_id": station_id, "country": None,
+        "span": {"first_mjd": 55000.0, "last_mjd": 55999.0, "label": "2009-2012"},
+        "state": "continuous", "gap_count": 0, "largest_gap_days": 0.0,
+        "n_predictions": 10,
+        "metrics": {"grnn": {c: grnn for c in ("X", "Y", "Z")},
+                    "theta": {c: theta for c in ("X", "Y", "Z")}},
+        "settings": {
+            "grnn": {"training_size": 100, "bandwidth": "window-std", "threshold_m": None,
+                     "max_training_size": None, "mode": "recursive"},
+            "theta": {"window": 100, "fit": "rolling"},
+            "gap_factor": 1.5,
+        },
+    }
 
 
 class TestCompareMethods:
@@ -410,6 +416,23 @@ class TestWriters:
         assert station["settings"]["grnn"]["training_size"] == 10
         assert doc["comparison"]["time_ratio"] is None
 
+    @pytest.mark.parametrize("kind", [SyntheticKind.TREND_PLUS_ANNUAL,
+                                      SyntheticKind.GAPPED_TREND])
+    def test_evaluation_is_the_block_report_json_writes(self, kind):
+        s = generate_synthetic(kind, 300, 5, SyntheticParams(noise_std_m=1e-3))
+        block = evaluate_station(s, GrnnConfig(training_size=20))
+        buf = io.StringIO()
+        write_reports_json([block], None, buf)
+        written = json.loads(buf.getvalue())["stations"][0]
+        assert block == written
+        # same keys in the same order, at every level
+        assert json.dumps(block) == json.dumps(written)
+        assert list(block) == ["station_id", "country", "span", "state", "gap_count",
+                               "largest_gap_days", "n_predictions", "metrics", "settings"]
+        assert block["state"] == (SeriesState.DISCONTINUOUS.value
+                                  if kind is SyntheticKind.GAPPED_TREND
+                                  else SeriesState.CONTINUOUS.value)
+
     def test_json_run_block_follows_schema_version(self):
         report = self._station_report()
         comparison = compare_methods([report])
@@ -428,7 +451,7 @@ class TestWriters:
         write_reports_json([report], None, buf)
         doc = json.loads(buf.getvalue())
         assert doc["stations"][0]["metrics"]["grnn"]["X"]["smape_percent"] == \
-            report.grnn_metrics["X"].smape_percent
+            report["metrics"]["grnn"]["X"]["smape_percent"]
 
     def test_stations_csv_columns(self):
         report = self._station_report()
@@ -439,7 +462,7 @@ class TestWriters:
                            "smape_percent", "std_m", "mabs_m"]
         assert len(rows) == 1 + 6  # 3 components x 2 methods
         assert {r[4] for r in rows[1:]} == {"grnn", "theta"}
-        assert rows[1][1] == report.span_label
+        assert rows[1][1] == report["span"]["label"]
 
     def test_sweep_csv_columns(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 60, 0)

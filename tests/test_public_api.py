@@ -44,8 +44,6 @@ def test_forecast_results_hold_only_what_outputs_read():
 
 def test_each_walk_takes_only_the_settings_it_reads():
     assert [f.name for f in fields(gnss_grnn.GrnnConfig)] == ["training_size", "bandwidth"]
-    assert [f.name for f in fields(gnss_grnn.EvaluationSettings)] == [
-        "grnn", "mode", "theta_window", "theta_fit", "gap_factor"]
 
     def parameters(function):
         return list(inspect.signature(function).parameters)
@@ -65,6 +63,15 @@ def test_each_fact_is_stored_once():
     for name in ("ComponentComparison", "ComparisonReport", "comparison_report_dict"):
         assert not hasattr(gnss_grnn.harness, name)
     assert [f.name for f in fields(gnss_grnn.GapReport)] == ["gaps"]
+
+
+def test_a_station_result_has_one_form():
+    for name in ("StationReport", "EvaluationSettings", "station_report_dict",
+                 "_settings_dict"):
+        assert name not in gnss_grnn.__all__
+        assert not hasattr(gnss_grnn, name)
+        assert not hasattr(gnss_grnn.harness, name)
+    assert not hasattr(gnss_grnn.Criteria, "printed")
 
 
 def test_one_value_basis():

@@ -7,20 +7,16 @@ writers print, including null ratios and a fixed timing record.
 """
 
 import io
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from gnss_grnn import (
-    EvaluationSettings,
-    GrnnConfig,
     MethodTiming,
     MetricsReport,
     Mode,
-    SeriesState,
-    StationReport,
     SweepRow,
-    ThetaFit,
     compare_methods,
     write_reports_csv,
     write_reports_json,
@@ -67,28 +63,38 @@ def _sweep_row(v, component, mode, smape_percent, std_m, mabs_m, n):
                     metrics=_metrics(smape_percent, std_m, mabs_m, n))
 
 
+def _settings(v, bandwidth, mode, theta_window, theta_fit, gap_factor):
+    return {
+        "grnn": {"training_size": v, "bandwidth": bandwidth, "threshold_m": None,
+                 "max_training_size": None, "mode": mode},
+        "theta": {"window": theta_window, "fit": theta_fit},
+        "gap_factor": gap_factor,
+    }
+
+
 def _reports():
     settings = (
-        EvaluationSettings(grnn=GrnnConfig(training_size=25), mode=Mode.RECURSIVE,
-                           theta_window=25, theta_fit=ThetaFit.ROLLING, gap_factor=1.5),
-        EvaluationSettings(grnn=GrnnConfig(training_size=30, bandwidth=2.5),
-                           mode=Mode.TEACHER_FORCED,
-                           theta_window=35, theta_fit=ThetaFit.GLOBAL, gap_factor=2.0),
+        _settings(25, "window-std", "recursive", 25, "rolling", 1.5),
+        _settings(30, 2.5, "teacher-forced", 35, "global", 2.0),
     )
     spans = (
-        (None, 55000.0, 55799.0, SeriesState.CONTINUOUS, 0, 0.0, 50),
-        ("DE", 56000.5, 57460.25, SeriesState.DISCONTINUOUS, 2, 46.0, 40),
+        (None, 55000.0, 55799.0, "2009-2011", "continuous", 0, 0.0, 50),
+        ("DE", 56000.5, 57460.25, "2012-2016", "discontinuous", 2, 46.0, 40),
     )
     reports = []
     for (sid, (grnn, theta)), cfg, span in zip(_CRITERIA.items(), settings, spans):
-        country, first, last, state, gap_count, largest, n = span
-        reports.append(StationReport(
-            station_id=sid, country=country, first_mjd=first, last_mjd=last, state=state,
-            gap_count=gap_count, largest_gap_days=largest, n_predictions=n,
-            grnn_metrics={c: _metrics(*grnn[c], n) for c in grnn},
-            theta_metrics={c: _metrics(*theta[c], n) for c in theta},
-            settings=cfg,
-        ))
+        country, first, last, label, state, gap_count, largest, n = span
+        reports.append({
+            "station_id": sid, "country": country,
+            "span": {"first_mjd": first, "last_mjd": last, "label": label},
+            "state": state, "gap_count": gap_count, "largest_gap_days": largest,
+            "n_predictions": n,
+            "metrics": {
+                "grnn": {c: asdict(_metrics(*grnn[c], n)) for c in grnn},
+                "theta": {c: asdict(_metrics(*theta[c], n)) for c in theta},
+            },
+            "settings": cfg,
+        })
     return reports
 
 
