@@ -26,8 +26,6 @@ from .grnn import (
     gaussian_kernel,
 )
 from .harness import (
-    MethodTiming,
-    SweepRow,
     SyntheticKind,
     SyntheticParams,
     compare_methods,
@@ -42,7 +40,6 @@ from .harness import (
 )
 from .metrics import (
     Criteria,
-    MetricsReport,
     PredictionPairs,
     compute_report,
     mean_abs_error,
@@ -77,8 +74,6 @@ __all__ = [
     "GapReport",
     "GapSpan",
     "GrnnConfig",
-    "MethodTiming",
-    "MetricsReport",
     "Mode",
     "NumericError",
     "ParseError",
@@ -86,7 +81,6 @@ __all__ = [
     "SeriesState",
     "StationForecast",
     "StationSeries",
-    "SweepRow",
     "SyntheticKind",
     "SyntheticParams",
     "ThetaFit",

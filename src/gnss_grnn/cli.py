@@ -11,12 +11,15 @@ before it reads any file, and a broken rule is a usage error:
 * ``-v``/``--training-size`` or ``predict --max-training-size`` below 1;
 * ``compare --theta-window`` below 3;
 * ``compare -v`` below 3 without ``--theta-window``, which defaults to ``-v``;
+* ``predict --threshold`` that is not a positive number (NaN included);
 * ``predict --max-training-size`` without ``--threshold``;
 * ``predict --threshold`` with an explicit ``--mode recursive`` (the
   window search is teacher-forced, which ``--threshold`` implies);
 * ``sweep`` with more than one station;
 * ``sweep`` with ``--v-min`` or ``--v-step`` below 1, or ``--v-max``
   below ``--v-min``;
+* ``inspect`` or ``compare`` with a ``--gap-factor`` that is below 1 or
+  not finite;
 * ``compare --reps`` without ``--time``.
 
 ``compare`` without ``--jobs`` runs ``GNSS_GRNN_JOBS`` workers when that
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -105,6 +109,24 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 _positive_int = _int_at_least(1)
 
 
+def _float_where(accepts: Callable[[float], bool], rule: str) -> Callable[[str], float]:
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+    return parse
+
+
+# NaN compares false, so it fails both rules
+_threshold = _float_where(lambda t: t > 0, "must be a positive number")
+_gap_factor = _float_where(lambda f: math.isfinite(f) and f >= 1,
+                           "must be a finite number >= 1")
+
+
 def _default_jobs() -> int:
     """Workers for ``compare`` without ``--jobs``: ``GNSS_GRNN_JOBS`` when
     set and not blank, else every processor.
@@ -149,7 +171,7 @@ def build_parser() -> _Parser:
 
     p_inspect = sub.add_parser("inspect", help="summarize span, gaps and amplitudes")
     p_inspect.add_argument("paths", nargs="+", type=Path)
-    p_inspect.add_argument("--gap-factor", type=float, default=1.5,
+    p_inspect.add_argument("--gap-factor", type=_gap_factor, default=1.5,
                            help="spacing beyond gap_factor * nominal interval is a gap")
     p_inspect.set_defaults(func=cmd_inspect)
 
@@ -157,7 +179,7 @@ def build_parser() -> _Parser:
                                                "after the seed window")
     p_predict.add_argument("paths", nargs="+", type=Path)
     _add_common_model_flags(p_predict)
-    p_predict.add_argument("--threshold", type=float, default=None, metavar="T",
+    p_predict.add_argument("--threshold", type=_threshold, default=None, metavar="T",
                            help="grow the window until |error| < T (meters); the "
                                 "search forecasts from observed windows, so it "
                                 "runs teacher-forced and refuses --mode recursive")
@@ -195,7 +217,7 @@ def build_parser() -> _Parser:
                            choices=[f.value for f in ThetaFit],
                            default=ThetaFit.ROLLING,
                            help="refit the slope per origin, or once on the first window")
-    p_compare.add_argument("--gap-factor", type=float, default=1.5,
+    p_compare.add_argument("--gap-factor", type=_gap_factor, default=1.5,
                            help="spacing beyond gap_factor * nominal interval is a gap")
     p_compare.add_argument("--seed", type=int, default=0,
                            help="seed written to report.json; nothing in the "

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -22,10 +22,9 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BandwidthTooSmallError, DataError
-from .grnn import BandwidthRule, ForecastResult, GrnnConfig, Mode, forecast_series
+from .grnn import BandwidthRule, GrnnConfig, Mode, forecast_series
 from .metrics import (
     CRITERIA,
-    MetricsReport,
     PredictionPairs,
     compute_report,
     criteria_ratios,
@@ -151,16 +150,6 @@ def generate_synthetic(
 # training-size sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Criteria for one (training size, component, mode) cell."""
-
-    training_size: int
-    component: str
-    mode: Mode
-    metrics: MetricsReport
-
-
 @contextmanager
 def at_station(station_id: str, training_size: int | None = None) -> Iterator[None]:
     """Re-raise a kernel underflow or a data error with the station it
@@ -185,14 +174,17 @@ def run_sweep(
     v_values: Iterable[int],
     bandwidth: float | BandwidthRule = BandwidthRule.WINDOW_STD,
     modes: Sequence[Mode] = (Mode.RECURSIVE, Mode.TEACHER_FORCED),
-) -> tuple[SweepRow, ...]:
+) -> tuple[dict, ...]:
     """Backtest each training size in ``v_values`` for every component,
     each with the kernel ``bandwidth`` (days, or a :class:`BandwidthRule`).
 
     Whether the window update should feed predictions back or stick to
     observations is not obvious a priori, so the sweep runs the modes in
-    ``modes`` and reports each. Gives one :class:`SweepRow` per (training
-    size, component, mode), ordered by size, then component, then mode.
+    ``modes`` and reports each. Gives one row per (training size,
+    component, mode), ordered by size, then component, then mode: a dict
+    keyed like the header of :func:`write_sweep_csv`, ``v``,
+    ``component``, ``mode`` (its string value), then the
+    :func:`compute_report` criteria and ``n``.
     Each training size is one station walk: its kernel weights are
     computed once and serve every (component, mode) row of that size;
     nothing is reused across sizes. A series too short for the largest
@@ -219,12 +211,12 @@ def run_sweep(
         for comp in series.components:
             for mode in modes:
                 r = walks[comp.component, mode]
-                rows.append(SweepRow(
-                    training_size=v,
-                    component=str(comp.component.value),
-                    mode=Mode(mode),
-                    metrics=compute_report(PredictionPairs(r.predicted_m, r.observed_m)),
-                ))
+                rows.append({
+                    "v": v,
+                    "component": comp.component.value,
+                    "mode": Mode(mode).value,
+                    **compute_report(PredictionPairs(r.predicted_m, r.observed_m)),
+                })
     return tuple(rows)
 
 
@@ -236,17 +228,6 @@ def _span_label(first_mjd: float, last_mjd: float) -> str:
     first = int(math.floor(mjd_to_decimal_year(first_mjd)))
     last = int(math.floor(mjd_to_decimal_year(last_mjd)))
     return f"{first}-{last}"
-
-
-def _align_tail(result: ForecastResult, keep: int) -> ForecastResult:
-    if len(result) == keep:
-        return result
-    return replace(
-        result,
-        epochs_mjd=result.epochs_mjd[-keep:],
-        predicted_m=result.predicted_m[-keep:],
-        observed_m=result.observed_m[-keep:],
-    )
 
 
 def evaluate_station(
@@ -277,28 +258,27 @@ def evaluate_station(
     grnn_config = grnn_config or GrnnConfig()
     if theta_window is None:
         theta_window = grnn_config.training_size
-    start = max(grnn_config.training_size, theta_window)
-    with at_station(series.station_id):
-        if series.count - start < 2:
-            raise DataError(
-                "series too short for evaluation: need at least 2 shared predictions"
-            )
-    keep = series.count - start
-    # first: a bad theta window or gap factor is rejected before any backtest runs
+    # first: a bad theta window or gap factor is rejected before the
+    # station's length is checked or any backtest runs
     if theta_window < 3:
         raise DataError("theta window must be >= 3")
     gaps: GapReport = detect_gaps(series, gap_factor)
-    metrics: dict[str, dict[str, dict]] = {"grnn": {}, "theta": {}}
+    keep = series.count - max(grnn_config.training_size, theta_window)
     with at_station(series.station_id):
+        if keep < 2:
+            raise DataError(
+                "series too short for evaluation: need at least 2 shared predictions"
+            )
         walks = forecast_series(series, grnn_config, (mode,))
+    metrics: dict[str, dict[str, dict]] = {"grnn": {}, "theta": {}}
     for comp in series.components:
-        g = _align_tail(walks[comp.component, mode], keep)
-        t = _align_tail(theta_backtest(comp, theta_window, fit=theta_fit), keep)
-        if not np.array_equal(g.epochs_mjd, t.epochs_mjd):
+        g = walks[comp.component, mode]
+        t = theta_backtest(comp, theta_window, fit=theta_fit)
+        if not np.array_equal(g.epochs_mjd[-keep:], t.epochs_mjd[-keep:]):
             raise RuntimeError("methods were about to be scored on different epochs")
         for method, r in (("grnn", g), ("theta", t)):
-            metrics[method][comp.component.value] = asdict(
-                compute_report(PredictionPairs(r.predicted_m, r.observed_m)))
+            metrics[method][comp.component.value] = compute_report(
+                PredictionPairs(r.predicted_m[-keep:], r.observed_m[-keep:]))
     first_mjd, last_mjd = float(series.epochs_mjd[0]), float(series.epochs_mjd[-1])
     bw = grnn_config.bandwidth
     return {
@@ -356,37 +336,6 @@ def evaluate_stations(
 # method comparison and timing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MethodTiming:
-    """Wall-clock samples of both methods on one identical workload.
-
-    Samples cover the backtest walks only: the workload arrives parsed
-    and nothing is serialized inside the timed spans. A kernel sample is
-    one station walk per station, all three components from shared
-    weights; a Theta sample is one walk per component.
-    ``workload_predictions`` counts the kernel forecasts of one sample
-    and ``theta_predictions`` the Theta forecasts; they differ when the
-    Theta window differs from the kernel's training size.
-    """
-
-    grnn_seconds: tuple[float, ...]
-    theta_seconds: tuple[float, ...]
-    workload_predictions: int
-    theta_predictions: int
-
-    @property
-    def grnn_median(self) -> float:
-        return float(np.median(self.grnn_seconds))
-
-    @property
-    def theta_median(self) -> float:
-        return float(np.median(self.theta_seconds))
-
-    @property
-    def time_ratio(self) -> float:
-        return self.grnn_median / self.theta_median
-
-
 def time_methods(
     stations: Sequence[StationSeries],
     grnn_config: GrnnConfig | None = None,
@@ -395,14 +344,23 @@ def time_methods(
     mode: Mode = Mode.RECURSIVE,
     theta_fit: ThetaFit = ThetaFit.ROLLING,
     repetitions: int = 3,
-) -> MethodTiming:
+) -> dict:
     """Time both methods on the same prediction workload, serially.
 
-    Runs ``repetitions`` full passes per method on one worker and keeps
-    every sample; medians are exposed on the result. One untimed warmup
-    pass per method precedes the samples. A kernel pass makes one call
-    per station, which walks X, Y and Z from one set of weights in
-    window-update ``mode``, as :func:`evaluate_station` does.
+    Runs ``repetitions`` full passes per method on one worker, after one
+    untimed warmup pass per method, and keeps every sample. Samples cover
+    the backtest walks only: the workload arrives parsed and nothing is
+    serialized inside the timed spans. A kernel sample is one station
+    walk per station, all three components from shared weights in
+    window-update ``mode``, as :func:`evaluate_station` does; a Theta
+    sample is one walk per component.
+
+    Gives the ``timing`` block of ``report.json``: the samples
+    ``grnn_seconds`` and ``theta_seconds``, their medians
+    ``grnn_median_s`` and ``theta_median_s``, then
+    ``workload_predictions``, the kernel forecasts of one sample, and
+    ``theta_predictions``, the Theta forecasts; the two counts differ when
+    the Theta window differs from the kernel's training size.
     """
     if repetitions < 3:
         raise DataError("need at least 3 repetitions for a stable median")
@@ -431,17 +389,19 @@ def time_methods(
             t0 = time.perf_counter()
             runner()
             samples[method].append(time.perf_counter() - t0)
-    return MethodTiming(
-        grnn_seconds=tuple(samples["grnn"]),
-        theta_seconds=tuple(samples["theta"]),
-        workload_predictions=workload,
-        theta_predictions=theta_workload,
-    )
+    return {
+        "grnn_seconds": samples["grnn"],
+        "theta_seconds": samples["theta"],
+        "grnn_median_s": float(np.median(samples["grnn"])),
+        "theta_median_s": float(np.median(samples["theta"])),
+        "workload_predictions": workload,
+        "theta_predictions": theta_workload,
+    }
 
 
 def compare_methods(
     reports: Sequence[dict],
-    timing: MethodTiming | None = None,
+    timing: dict | None = None,
 ) -> dict:
     """Divide the kernel method's criteria by Theta's, giving the
     ``comparison`` block of ``report.json``.
@@ -449,8 +409,10 @@ def compare_methods(
     ``reports`` are station blocks as :func:`evaluate_station` gives
     them, read under ``metrics``. Criteria are first averaged over
     stations per component, then divided; per-station ratios are also
-    emitted so the aggregation choice stays auditable. Ratios below 1 favor the kernel method, and
-    a ratio is ``None`` where Theta's criterion is 0.
+    emitted so the aggregation choice stays auditable. Ratios below 1
+    favor the kernel method, and a ratio is ``None`` where Theta's
+    criterion is 0. ``timing``, the block :func:`time_methods` gives, is
+    stored as given, beside the ratio of its medians.
     """
     if not reports:
         raise DataError("need at least one station report")
@@ -470,16 +432,8 @@ def compare_methods(
     block = {"aggregated": aggregated, "per_station": per_station,
              "time_ratio": None, "timing": None}
     if timing is not None:
-        grnn_median, theta_median = timing.grnn_median, timing.theta_median
-        block["time_ratio"] = grnn_median / theta_median
-        block["timing"] = {
-            "grnn_seconds": list(timing.grnn_seconds),
-            "theta_seconds": list(timing.theta_seconds),
-            "grnn_median_s": grnn_median,
-            "theta_median_s": theta_median,
-            "workload_predictions": timing.workload_predictions,
-            "theta_predictions": timing.theta_predictions,
-        }
+        block["time_ratio"] = timing["grnn_median_s"] / timing["theta_median_s"]
+        block["timing"] = timing
     return block
 
 
@@ -528,12 +482,12 @@ def write_reports_csv(reports: Sequence[dict], dest: str | Path | IO[str]) -> No
                                      method, *printed(criteria)])
 
 
-def write_sweep_csv(rows: Iterable[SweepRow], dest: str | Path | IO[str]) -> None:
+def write_sweep_csv(rows: Iterable[dict], dest: str | Path | IO[str]) -> None:
     """The rows of :func:`run_sweep` as plot-ready CSV, in the order given:
-    v, component, mode, then the criteria."""
+    v, component, mode, the criteria (lossy floats), then n."""
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["v", "component", "mode", *(f.name for f in CRITERIA), "n"])
         for row in rows:
-            writer.writerow([row.training_size, row.component, row.mode.value,
-                             *printed(asdict(row.metrics)), row.metrics.n])
+            writer.writerow([row["v"], row["component"], row["mode"], *printed(row),
+                             row["n"]])

@@ -3,9 +3,10 @@
 Residuals are defined as truth minus prediction. sMAPE uses per-pair
 denominators ``|y| + |yhat|``, is averaged over the pairs and scaled to
 percent; the classical factor-2 variant is deliberately not used.
-:class:`Criteria` is the one record of the three. Its fields name the
-keys that averages, ratios and printed rows read from any mapping of
-criteria, such as a ``report.json`` metrics block.
+:func:`compute_report` gives the three as a dict, the metrics block
+``report.json`` writes. :class:`Criteria` is the table of the three: its
+fields name the keys that averages, ratios and printed rows read from
+any such mapping.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ def _criterion(label: str, ratio_key: str, fmt: str):
 
 @dataclass(frozen=True)
 class Criteria:
-    """The three accuracy criteria, in reporting order.
+    """The table of the three accuracy criteria, in reporting order.
 
-    Each field carries the label the CLI prints, the key of its
-    kernel-over-Theta ratio and its CSV format.
+    Each field names a criterion's key and carries the label the CLI
+    prints, the key of its kernel-over-Theta ratio and its CSV format.
     """
 
     smape_percent: float = _criterion("sMAPE", "smape_ratio", ".6e")
@@ -70,13 +71,6 @@ CRITERIA = fields(Criteria)
 
 #: The printed label of each ratio key.
 RATIO_LABELS = {f.metadata["ratio_key"]: f.metadata["label"] for f in CRITERIA}
-
-
-@dataclass(frozen=True)
-class MetricsReport(Criteria):
-    """The criteria of one set of prediction pairs, and how many pairs."""
-
-    n: int
 
 
 def printed(criteria: Mapping[str, float]) -> list[str]:
@@ -133,11 +127,12 @@ def mean_abs_error(pairs: PredictionPairs) -> float:
     return float(np.abs(pairs.residuals_m).mean())
 
 
-def compute_report(pairs: PredictionPairs) -> MetricsReport:
-    """Evaluate all three criteria over one set of pairs."""
-    return MetricsReport(
-        smape_percent=smape(pairs),
-        std_m=std_of_errors(pairs),
-        mabs_m=mean_abs_error(pairs),
-        n=pairs.n,
-    )
+def compute_report(pairs: PredictionPairs) -> dict[str, float | int]:
+    """All three criteria over one set of pairs, and how many pairs:
+    ``smape_percent``, ``std_m``, ``mabs_m`` and ``n``, in that order."""
+    return {
+        "smape_percent": smape(pairs),
+        "std_m": std_of_errors(pairs),
+        "mabs_m": mean_abs_error(pairs),
+        "n": pairs.n,
+    }

@@ -161,12 +161,12 @@ def test_p4_training_size_sweep_direction():
                              noise_std_m=0.001)
     series = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 2000, 42, params)
     rows = run_sweep(series, [1, 100], BandwidthRule.MEAN_SPACING, modes=[Mode.TEACHER_FORCED])
-    by_key = {(r.training_size, r.component): r for r in rows}
+    by_key = {(r["v"], r["component"]): r for r in rows}
     for comp in ("X", "Y", "Z"):
         small, large = by_key[(1, comp)], by_key[(100, comp)]
-        assert large.metrics.smape_percent < small.metrics.smape_percent
-        assert large.metrics.std_m < small.metrics.std_m
-        assert large.metrics.mabs_m < small.metrics.mabs_m
+        assert large["smape_percent"] < small["smape_percent"]
+        assert large["std_m"] < small["std_m"]
+        assert large["mabs_m"] < small["mabs_m"]
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _ok(f"P4 PASS - all three criteria shrink from v=1 to v=100 in {elapsed:.2f}s")
@@ -199,11 +199,12 @@ def test_p6_timing_direction():
                                 SyntheticParams(noise_std_m=0.001))
     cfg = GrnnConfig(training_size=100)
     timing = time_methods([series], cfg, theta_window=100, repetitions=3)
-    assert timing.workload_predictions == 3 * 2000
-    assert timing.workload_predictions >= 2000
-    assert timing.grnn_median < timing.theta_median
+    assert timing["workload_predictions"] == 3 * 2000
+    assert timing["workload_predictions"] >= 2000
+    assert timing["grnn_median_s"] < timing["theta_median_s"]
+    ratio = timing["grnn_median_s"] / timing["theta_median_s"]
     _ok(f"P6 PASS - kernel/theta wall-time ratio "
-        f"{timing.time_ratio:.3f} over {timing.workload_predictions} predictions")
+        f"{ratio:.3f} over {timing['workload_predictions']} predictions")
 
 
 def test_p7_metric_hand_arithmetic():

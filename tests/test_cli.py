@@ -51,14 +51,16 @@ class TestInspect:
         assert run_cli("inspect", path) == 0
         assert "state: discontinuous, 1 gap" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
-    def test_non_finite_gap_factor_is_data_error(self, station_file, capsys, factor):
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-inf", "0.5"])
+    def test_bad_gap_factor_is_a_usage_error(self, station_file, capsys, factor):
         # NaN and +inf would report the gapped series as continuous
         path = station_file(name="gappy", kind=SyntheticKind.GAPPED_TREND, length=400)
-        assert run_cli("inspect", path, f"--gap-factor={factor}") == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("inspect", path, f"--gap-factor={factor}")
+        assert exc.value.code == 1
         captured = capsys.readouterr()
-        assert captured.err == ("gnss-grnn: data error: gap_factor must be a finite "
-                                f"number >= 1, got {factor}\n")
+        assert captured.err.endswith("gnss-grnn inspect: error: argument --gap-factor: "
+                                     "must be a finite number >= 1\n")
         assert "state" not in captured.out
 
     def test_empty_file_is_data_error(self, tmp_path, capsys):
@@ -178,19 +180,15 @@ class TestPredict:
                        "--mode", "teacher-forced") == 0
         assert capsys.readouterr().out == default
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--threshold", "0"], "threshold_m must be positive"),
-        (["--threshold", "0.001", "--max-training-size", "2"],
-         "max_training_size must be >= training_size"),
-    ])
-    def test_bad_search_argument_names_the_station(self, station_file, capsys, flags,
-                                                   message):
+    def test_bad_search_argument_names_the_station(self, station_file, capsys):
         # the search checks its own arguments, inside the station's walk
         path = station_file(name="a", length=60)
-        assert run_cli("predict", path, "-v", "5", *flags) == 2
+        assert run_cli("predict", path, "-v", "5", "--threshold", "0.001",
+                       "--max-training-size", "2") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"gnss-grnn: data error: station a: {message}\n"
+        assert captured.err == ("gnss-grnn: data error: station a: "
+                                "max_training_size must be >= training_size\n")
 
     def test_threshold_adds_adaptive_columns(self, station_file, capsys):
         path = station_file(length=80)
@@ -469,15 +467,16 @@ class TestCompare:
                                            "shared predictions\n")
         assert not (out_dir / "report.json").exists()
 
-    @pytest.mark.parametrize("factor", ["nan", "inf"])
-    def test_non_finite_gap_factor_is_data_error(self, station_file, tmp_path, capsys,
-                                                 factor):
+    @pytest.mark.parametrize("factor", ["nan", "inf", "0.5"])
+    def test_bad_gap_factor_is_a_usage_error(self, station_file, tmp_path, capsys, factor):
         path = station_file(name="gappy", kind=SyntheticKind.GAPPED_TREND, length=120)
         out_dir = tmp_path / "out"
-        assert run_cli("compare", path, "-v", "20", f"--gap-factor={factor}",
-                       "--jobs", "1", "--output-dir", out_dir) == 2
-        assert capsys.readouterr().err == ("gnss-grnn: data error: gap_factor must be a "
-                                           f"finite number >= 1, got {factor}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", path, "-v", "20", f"--gap-factor={factor}",
+                    "--jobs", "1", "--output-dir", out_dir)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "gnss-grnn compare: error: argument --gap-factor: must be a finite number >= 1\n")
         assert not (out_dir / "report.json").exists()
 
     def test_malformed_station_is_data_error(self, tmp_path, capsys):
@@ -606,6 +605,17 @@ def test_bad_jobs_env_is_a_usage_error(station_file, tmp_path, capsys, monkeypat
      "--mode recursive cannot be combined with --threshold"),
     (["predict", "--bandwidth", "inf"], None,
      "argument --bandwidth: bandwidth must be positive and finite"),
+    (["predict", "--threshold", "0"], None, "argument --threshold: must be a positive number"),
+    (["predict", "--threshold", "nan"], None,
+     "argument --threshold: must be a positive number"),
+    (["predict", "--threshold", "-1"], None,
+     "argument --threshold: must be a positive number"),
+    (["predict", "--threshold", "abc"], None,
+     "argument --threshold: invalid float value: 'abc'"),
+    (["inspect", "--gap-factor", "0.5"], None,
+     "argument --gap-factor: must be a finite number >= 1"),
+    (["compare", "--gap-factor", "nan"], None,
+     "argument --gap-factor: must be a finite number >= 1"),
     (["predict", "-v", "0"], None, "argument -v/--training-size: must be at least 1"),
     (["predict", "--threshold", "0.01", "--max-training-size", "0"], None,
      "argument --max-training-size: must be at least 1"),

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +14,6 @@ from gnss_grnn import (
     BandwidthRule,
     DataError,
     GrnnConfig,
-    MethodTiming,
-    MetricsReport,
     Mode,
     SeriesState,
     StationSeries,
@@ -87,29 +85,29 @@ class TestRunSweep:
         rows = run_sweep(s, range(1, 6))
         assert len(rows) == 5 * 3 * 2
         for row in rows:
-            assert row.metrics.smape_percent == 0.0
-            assert row.metrics.std_m == 0.0
-            assert row.metrics.mabs_m == 0.0
+            assert row["smape_percent"] == 0.0
+            assert row["std_m"] == 0.0
+            assert row["mabs_m"] == 0.0
 
     def test_single_v_single_mode(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 50, 0)
         rows = run_sweep(s, [1], modes=[Mode.TEACHER_FORCED])
         assert len(rows) == 3
-        assert {r.component for r in rows} == {"X", "Y", "Z"}
-        assert all(r.training_size == 1 for r in rows)
-        assert all(r.metrics.n == 49 for r in rows)
+        assert {r["component"] for r in rows} == {"X", "Y", "Z"}
+        assert all(r["v"] == 1 and r["mode"] == "teacher-forced" for r in rows)
+        assert all(r["n"] == 49 for r in rows)
 
     def test_direction_on_trend_plus_annual(self):
         params = SyntheticParams(slope_m_per_day=5e-5, annual_amplitude_m=0.005,
                                  noise_std_m=0.001)
         s = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 2000, 42, params)
         rows = run_sweep(s, [1, 100], BandwidthRule.MEAN_SPACING, modes=[Mode.TEACHER_FORCED])
-        by_key = {(r.training_size, r.component): r for r in rows}
+        by_key = {(r["v"], r["component"]): r for r in rows}
         for comp in ("X", "Y", "Z"):
             small, large = by_key[(1, comp)], by_key[(100, comp)]
-            assert large.metrics.smape_percent < small.metrics.smape_percent
-            assert large.metrics.std_m < small.metrics.std_m
-            assert large.metrics.mabs_m < small.metrics.mabs_m
+            assert large["smape_percent"] < small["smape_percent"]
+            assert large["std_m"] < small["std_m"]
+            assert large["mabs_m"] < small["mabs_m"]
 
     def test_refusals(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
@@ -177,7 +175,7 @@ class TestOneWalkPerStation:
                               GrnnConfig(training_size=10), repetitions=3)
         # one warmup pass and three timed passes over two stations
         assert kernel_calls == 8 * [(StationSeries, 10, (Mode.RECURSIVE,))]
-        assert timing.workload_predictions == 2 * 3 * 110
+        assert timing["workload_predictions"] == 2 * 3 * 110
 
 
 def _linear_station(n=120, slope=0.001):
@@ -243,6 +241,17 @@ class TestEvaluateStation:
         assert str(exc.value) == (f"station {s.station_id}: series too short for "
                                   "evaluation: need at least 2 shared predictions")
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"theta_window": 2}, "theta window must be >= 3"),
+        ({"gap_factor": 0.5}, "gap_factor must be a finite number >= 1, got 0.5"),
+    ])
+    def test_bad_setting_is_named_before_a_short_station(self, settings, message):
+        # the settings are wrong whatever the station; its length is checked after
+        s = generate_synthetic(SyntheticKind.LINEAR, 12, 0)
+        with pytest.raises(DataError) as exc:
+            evaluate_station(s, GrnnConfig(training_size=11), **settings)
+        assert str(exc.value) == message
+
     def test_parallel_matches_serial(self):
         stations = [
             generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 150, seed,
@@ -260,8 +269,7 @@ class TestEvaluateStation:
 
 
 def _metrics(smape_val, std_val, mabs_val, n=10):
-    return asdict(MetricsReport(smape_percent=smape_val, std_m=std_val, mabs_m=mabs_val,
-                                n=n))
+    return {"smape_percent": smape_val, "std_m": std_val, "mabs_m": mabs_val, "n": n}
 
 
 def _fake_report(station_id, grnn, theta):
@@ -329,8 +337,9 @@ class TestCompareMethods:
             _fake_report("a", _metrics(1.0, 1.0, 1.0), _metrics(2.0, 0.0, 4.0)),
             _fake_report("b", _metrics(3.0, 3.0, 3.0), _metrics(2.0, 0.0, 2.0)),
         ]
-        timing = MethodTiming(grnn_seconds=(0.3, 0.1, 0.2), theta_seconds=(2.0, 1.0, 4.0),
-                              workload_predictions=30, theta_predictions=20) if timed else None
+        timing = {"grnn_seconds": [0.3, 0.1, 0.2], "theta_seconds": [2.0, 1.0, 4.0],
+                  "grnn_median_s": 0.2, "theta_median_s": 2.0,
+                  "workload_predictions": 30, "theta_predictions": 20} if timed else None
         block = compare_methods(reports, timing)
         buf = io.StringIO()
         write_reports_json(reports, block, buf)
@@ -344,7 +353,7 @@ class TestCompareMethods:
         assert block["aggregated"]["X"]["std_ratio"] is None
         if timed:
             assert block["time_ratio"] == 0.2 / 2.0
-            assert block["timing"]["grnn_median_s"] == 0.2
+            assert block["timing"] is timing
         else:
             assert block["time_ratio"] is None and block["timing"] is None
 
@@ -354,20 +363,22 @@ class TestTiming:
         stations = [generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 200, 1,
                                        SyntheticParams(noise_std_m=1e-3))]
         timing = time_methods(stations, GrnnConfig(training_size=20), repetitions=3)
-        assert len(timing.grnn_seconds) == 3
-        assert len(timing.theta_seconds) == 3
-        assert timing.workload_predictions == 3 * 180
-        assert timing.time_ratio > 0
-        assert all(t > 0 for t in timing.grnn_seconds + timing.theta_seconds)
-        assert timing.theta_predictions == timing.workload_predictions
+        assert list(timing) == ["grnn_seconds", "theta_seconds", "grnn_median_s",
+                                "theta_median_s", "workload_predictions", "theta_predictions"]
+        assert len(timing["grnn_seconds"]) == 3
+        assert len(timing["theta_seconds"]) == 3
+        assert timing["workload_predictions"] == 3 * 180
+        assert timing["grnn_median_s"] > 0 and timing["theta_median_s"] > 0
+        assert all(t > 0 for t in timing["grnn_seconds"] + timing["theta_seconds"])
+        assert timing["theta_predictions"] == timing["workload_predictions"]
 
     def test_theta_window_sets_theta_count(self):
         stations = [generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 200, 1,
                                        SyntheticParams(noise_std_m=1e-3))]
         timing = time_methods(stations, GrnnConfig(training_size=20), theta_window=50,
                               repetitions=3)
-        assert timing.workload_predictions == 3 * 180
-        assert timing.theta_predictions == 3 * 150
+        assert timing["workload_predictions"] == 3 * 180
+        assert timing["theta_predictions"] == 3 * 150
         report = evaluate_station(stations[0], GrnnConfig(training_size=20), 50)
         buf = io.StringIO()
         write_reports_json([report], compare_methods([report], timing), buf)
@@ -377,17 +388,28 @@ class TestTiming:
         assert (block["workload_predictions"], block["theta_predictions"]) == (540, 450)
 
     @pytest.mark.parametrize("count", [3, 4, 5, 6, 10, 11])
-    def test_medians_are_statistics_median_bits(self, count):
+    def test_medians_are_statistics_median_bits(self, count, monkeypatch):
         # the medians in report_timed.json are statistics.median's; for an
         # even count both take the mean of the two middle samples
+        monkeypatch.setattr(gnss_grnn.harness, "forecast_series", lambda *args: None)
+        monkeypatch.setattr(gnss_grnn.harness, "theta_backtest", lambda *args, **kw: None)
+        station = generate_synthetic(SyntheticKind.CONSTANT, 50, 0)
         rng = np.random.default_rng(count)
         for _ in range(300):
-            samples = tuple(float(x) for x in rng.lognormal(-3.0, 2.0, count))
-            timing = MethodTiming(samples, samples[::-1], 0, 0)
+            samples = [float(x) for x in rng.lognormal(-3.0, 2.0, count)]
+            # each timed pass reads the clock at 0 and then at its sample
+            ticks = iter([t for s in samples + samples[::-1] for t in (0.0, s)])
+            monkeypatch.setattr(gnss_grnn.harness, "time",
+                                SimpleNamespace(perf_counter=lambda: next(ticks)))
+            timing = time_methods([station], GrnnConfig(training_size=5), repetitions=count)
+            assert timing["grnn_seconds"] == samples
+            assert timing["theta_seconds"] == samples[::-1]
             want = statistics.median(samples)
-            assert type(timing.grnn_median) is float
-            assert timing.grnn_median.hex() == want.hex()
-            assert timing.theta_median.hex() == want.hex()
+            for method in ("grnn", "theta"):
+                median = timing[f"{method}_median_s"]
+                assert type(median) is float
+                assert median.hex() == float(np.median(timing[f"{method}_seconds"])).hex()
+                assert median.hex() == want.hex()
 
     def test_rep_floor(self):
         with pytest.raises(DataError):

@@ -3,6 +3,7 @@
 import inspect
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import gnss_grnn
@@ -72,6 +73,15 @@ def test_a_station_result_has_one_form():
         assert not hasattr(gnss_grnn, name)
         assert not hasattr(gnss_grnn.harness, name)
     assert not hasattr(gnss_grnn.Criteria, "printed")
+
+
+def test_every_result_is_the_block_its_writer_prints():
+    for name in ("MetricsReport", "SweepRow", "MethodTiming"):
+        assert name not in gnss_grnn.__all__
+        for module in (gnss_grnn, gnss_grnn.harness, gnss_grnn.metrics):
+            assert not hasattr(module, name)
+    pairs = gnss_grnn.PredictionPairs(np.array([1.0, 2.0]), np.array([1.5, 2.5]))
+    assert list(gnss_grnn.compute_report(pairs)) == ["smape_percent", "std_m", "mabs_m", "n"]
 
 
 def test_one_value_basis():

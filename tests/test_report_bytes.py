@@ -3,20 +3,15 @@
 No backtest runs here, so the expected files under ``tests/golden/``
 depend on neither BLAS nor the kernel arithmetic: they pin how
 ``compare_methods`` aggregates and divides, and what the JSON and CSV
-writers print, including null ratios and a fixed timing record.
+writers print, including null ratios and a fixed timing block.
 """
 
 import io
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from gnss_grnn import (
-    MethodTiming,
-    MetricsReport,
-    Mode,
-    SweepRow,
     compare_methods,
     write_reports_csv,
     write_reports_json,
@@ -43,24 +38,30 @@ _CRITERIA = {
     ),
 }
 
-_TIMING = MethodTiming(grnn_seconds=(0.31, 0.29, 0.305), theta_seconds=(1.9, 2.1, 1.95),
-                       workload_predictions=270, theta_predictions=255)
+_TIMING = {
+    "grnn_seconds": [0.31, 0.29, 0.305],
+    "theta_seconds": [1.9, 2.1, 1.95],
+    "grnn_median_s": 0.305,
+    "theta_median_s": 1.95,
+    "workload_predictions": 270,
+    "theta_predictions": 255,
+}
 
 _SWEEP = (
-    (2, "X", Mode.RECURSIVE, 3.1e-08, 0.0123455, 0.0091, 48),
-    (2, "X", Mode.TEACHER_FORCED, 2.9e-08, 0.011, 0.0087, 48),
-    (2, "Y", Mode.RECURSIVE, 0.0, 0.0, 0.0, 48),
-    (3, "Z", Mode.TEACHER_FORCED, 1.23456789e-07, 1.234567891, 0.00000049, 47),
+    (2, "X", "recursive", 3.1e-08, 0.0123455, 0.0091, 48),
+    (2, "X", "teacher-forced", 2.9e-08, 0.011, 0.0087, 48),
+    (2, "Y", "recursive", 0.0, 0.0, 0.0, 48),
+    (3, "Z", "teacher-forced", 1.23456789e-07, 1.234567891, 0.00000049, 47),
 )
 
 
 def _metrics(smape_percent, std_m, mabs_m, n):
-    return MetricsReport(smape_percent=smape_percent, std_m=std_m, mabs_m=mabs_m, n=n)
+    return {"smape_percent": smape_percent, "std_m": std_m, "mabs_m": mabs_m, "n": n}
 
 
 def _sweep_row(v, component, mode, smape_percent, std_m, mabs_m, n):
-    return SweepRow(training_size=v, component=component, mode=mode,
-                    metrics=_metrics(smape_percent, std_m, mabs_m, n))
+    return {"v": v, "component": component, "mode": mode,
+            **_metrics(smape_percent, std_m, mabs_m, n)}
 
 
 def _settings(v, bandwidth, mode, theta_window, theta_fit, gap_factor):
@@ -90,8 +91,8 @@ def _reports():
             "state": state, "gap_count": gap_count, "largest_gap_days": largest,
             "n_predictions": n,
             "metrics": {
-                "grnn": {c: asdict(_metrics(*grnn[c], n)) for c in grnn},
-                "theta": {c: asdict(_metrics(*theta[c], n)) for c in theta},
+                "grnn": {c: _metrics(*grnn[c], n) for c in grnn},
+                "theta": {c: _metrics(*theta[c], n) for c in theta},
             },
             "settings": cfg,
         })
