@@ -30,8 +30,6 @@ not an integer of at least 1 is a usage error too.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -53,12 +51,14 @@ from .harness import (
     evaluate_stations,
     run_sweep,
     time_methods,
+    write_predictions_csv,
+    write_predictions_json,
     write_reports_csv,
     write_reports_json,
     write_sweep_csv,
 )
 from .metrics import RATIO_LABELS
-from .series import amplitude, detect_gaps, open_text, parse_series
+from .series import amplitude, detect_gaps, parse_series
 from .theta import ThetaFit
 
 
@@ -172,7 +172,7 @@ def build_parser() -> _Parser:
     p_inspect = sub.add_parser("inspect", help="summarize span, gaps and amplitudes")
     p_inspect.add_argument("paths", nargs="+", type=Path)
     p_inspect.add_argument("--gap-factor", type=_gap_factor, default=1.5,
-                           help="spacing beyond gap_factor * nominal interval is a gap")
+                           help="spacing beyond gap_factor days is a gap")
     p_inspect.set_defaults(func=cmd_inspect)
 
     p_predict = sub.add_parser("predict", help="one-step forecasts for every epoch "
@@ -218,7 +218,7 @@ def build_parser() -> _Parser:
                            default=ThetaFit.ROLLING,
                            help="refit the slope per origin, or once on the first window")
     p_compare.add_argument("--gap-factor", type=_gap_factor, default=1.5,
-                           help="spacing beyond gap_factor * nominal interval is a gap")
+                           help="spacing beyond gap_factor days is a gap")
     p_compare.add_argument("--seed", type=int, default=0,
                            help="seed written to report.json; nothing in the "
                                 "program is random")
@@ -294,17 +294,8 @@ def cmd_predict(args) -> int:
     rows = [row for station in stations
             for row in _predict_rows(station, config, mode, args.threshold,
                                      args.max_training_size)]
-    with open_text(args.output or sys.stdout) as stream:
-        if args.format == "json":
-            json.dump(rows, stream, indent=2, allow_nan=False)
-            stream.write("\n")
-        else:
-            fields = list(rows[0].keys())
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(fields)
-            for row in rows:
-                writer.writerow([repr(x) if isinstance(x, float) else x
-                                 for x in row.values()])
+    write = write_predictions_json if args.format == "json" else write_predictions_csv
+    write(rows, args.output or sys.stdout)
     return 0
 
 

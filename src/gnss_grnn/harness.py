@@ -62,7 +62,7 @@ class SyntheticKind(str, Enum):
 
 @dataclass(frozen=True)
 class SyntheticParams:
-    """Knobs for :func:`generate_synthetic`.
+    """Knobs for :func:`generate_synthetic`, which samples one epoch a day.
 
     ``base_m`` holds one offset per component at earth-centered coordinate
     magnitudes; ``gap_spans`` lists ``(start_day_offset, length_days)``
@@ -71,7 +71,6 @@ class SyntheticParams:
     """
 
     start_mjd: float = 55000.0
-    interval_days: float = 1.0
     base_m: tuple[float, float, float] = (4075000.0, 931000.0, 4801000.0)
     slope_m_per_day: float = 5e-5
     annual_amplitude_m: float = 0.005
@@ -80,8 +79,6 @@ class SyntheticParams:
     gap_spans: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.interval_days <= 0:
-            raise DataError("interval_days must be positive")
         if self.start_mjd <= 0:
             raise DataError("start_mjd must be positive")
         if self.noise_std_m < 0:
@@ -109,7 +106,7 @@ def generate_synthetic(
     if length < 10:
         raise DataError("synthetic series need length >= 10")
     params = params or SyntheticParams()
-    t = np.arange(length, dtype=np.float64) * params.interval_days
+    t = np.arange(length, dtype=np.float64)
     epochs = params.start_mjd + t
 
     rng = np.random.default_rng(seed)
@@ -129,9 +126,8 @@ def generate_synthetic(
     keep = np.ones(length, dtype=bool)
     if kind is SyntheticKind.GAPPED_TREND:
         spans = params.gap_spans or ((length // 2, 30),)
-        offsets = t / params.interval_days
         for start, ndays in spans:
-            keep &= ~((offsets >= start) & (offsets < start + ndays))
+            keep &= ~((t >= start) & (t < start + ndays))
     if keep.sum() < 3:
         raise DataError("gap spans removed nearly the whole series")
 
@@ -139,11 +135,7 @@ def generate_synthetic(
         ComponentSeries(comp, epochs[keep], values[ci][keep])
         for ci, comp in enumerate((Component.X, Component.Y, Component.Z))
     )
-    return StationSeries(
-        station_id=f"synthetic-{kind.value}-{seed}",
-        components=components,  # type: ignore[arg-type]
-        nominal_interval_days=params.interval_days,
-    )
+    return StationSeries(f"synthetic-{kind.value}-{seed}", components)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +165,13 @@ def run_sweep(
     series: StationSeries,
     v_values: Iterable[int],
     bandwidth: float | BandwidthRule = BandwidthRule.WINDOW_STD,
-    modes: Sequence[Mode] = (Mode.RECURSIVE, Mode.TEACHER_FORCED),
 ) -> tuple[dict, ...]:
     """Backtest each training size in ``v_values`` for every component,
     each with the kernel ``bandwidth`` (days, or a :class:`BandwidthRule`).
 
     Whether the window update should feed predictions back or stick to
-    observations is not obvious a priori, so the sweep runs the modes in
-    ``modes`` and reports each. Gives one row per (training size,
+    observations is not obvious a priori, so the sweep runs every
+    :class:`Mode` and reports each. Gives one row per (training size,
     component, mode), ordered by size, then component, then mode: a dict
     keyed like the header of :func:`write_sweep_csv`, ``v``,
     ``component``, ``mode`` (its string value), then the
@@ -188,11 +179,17 @@ def run_sweep(
     Each training size is one station walk: its kernel weights are
     computed once and serve every (component, mode) row of that size;
     nothing is reused across sizes. A series too short for the largest
-    size is refused with the station named, and an underflow names the
-    station and the training size it occurred at. Forecasts are scored
-    against the raw positions they were made from.
+    size is refused with the station named, before any size list is
+    built from a :class:`range`, and an underflow names the station and
+    the training size it occurred at. Forecasts are scored against the
+    raw positions they were made from.
     """
-    sizes = sorted(set(int(v) for v in v_values))
+    # a range is checked by its ends, so an oversized one is refused
+    # without listing its sizes
+    if isinstance(v_values, range):
+        sizes = v_values if v_values.step > 0 else v_values[::-1]
+    else:
+        sizes = sorted(set(int(v) for v in v_values))
     if not sizes:
         raise DataError("empty training-size range")
     if sizes[0] < 1:
@@ -203,6 +200,7 @@ def run_sweep(
             raise DataError(f"refused: v_max {sizes[-1]} must be < series length {p}")
         if p - sizes[-1] < 2:
             raise DataError("refused: largest training size leaves fewer than 2 predictions")
+    modes = tuple(Mode)
     rows = []
     for v in sizes:
         config = GrnnConfig(v, bandwidth)
@@ -214,7 +212,7 @@ def run_sweep(
                 rows.append({
                     "v": v,
                     "component": comp.component.value,
-                    "mode": Mode(mode).value,
+                    "mode": mode.value,
                     **compute_report(PredictionPairs(r.predicted_m, r.observed_m)),
                 })
     return tuple(rows)
@@ -250,10 +248,10 @@ def evaluate_station(
     on the raw positions.
 
     Gives the station's block of ``report.json``, as
-    :func:`write_reports_json` writes it: its id, country, span and gap
-    state, the number of shared predictions, the criteria of each method
-    by component under ``metrics``, and the ``settings`` that produced
-    them.
+    :func:`write_reports_json` writes it: its id, a null country, span
+    and gap state, the number of shared predictions, the criteria of each
+    method by component under ``metrics``, and the ``settings`` that
+    produced them.
     """
     grnn_config = grnn_config or GrnnConfig()
     if theta_window is None:
@@ -283,7 +281,8 @@ def evaluate_station(
     bw = grnn_config.bandwidth
     return {
         "station_id": series.station_id,
-        "country": series.country,
+        # schema 1 keeps the key; station files carry no country
+        "country": None,
         "span": {"first_mjd": first_mjd, "last_mjd": last_mjd,
                  "label": _span_label(first_mjd, last_mjd)},
         "state": gaps.state.value,
@@ -441,6 +440,14 @@ def compare_methods(
 # serialization
 # ---------------------------------------------------------------------------
 
+def _write_json(doc: dict | list, dest: str | Path | IO[str]) -> None:
+    """Write ``doc`` indented, floats in shortest round-trip form, with a
+    final newline; NaN and infinity are refused, since JSON has neither."""
+    with open_text(dest) as stream:
+        json.dump(doc, stream, indent=2, allow_nan=False)
+        stream.write("\n")
+
+
 def write_reports_json(
     reports: Sequence[dict],
     comparison: dict | None,
@@ -463,9 +470,7 @@ def write_reports_json(
         "stations": list(reports),
         "comparison": comparison,
     }
-    with open_text(dest) as stream:
-        json.dump(doc, stream, indent=2, allow_nan=False)
-        stream.write("\n")
+    _write_json(doc, dest)
 
 
 def write_reports_csv(reports: Sequence[dict], dest: str | Path | IO[str]) -> None:
@@ -491,3 +496,20 @@ def write_sweep_csv(rows: Iterable[dict], dest: str | Path | IO[str]) -> None:
         for row in rows:
             writer.writerow([row["v"], row["component"], row["mode"], *printed(row),
                              row["n"]])
+
+
+def write_predictions_json(rows: Iterable[dict], dest: str | Path | IO[str]) -> None:
+    """The forecast rows of ``gnss-grnn predict`` as a JSON list, in the
+    order given (floats in shortest round-trip form)."""
+    _write_json(list(rows), dest)
+
+
+def write_predictions_csv(rows: Sequence[dict], dest: str | Path | IO[str]) -> None:
+    """The forecast rows of ``gnss-grnn predict`` as CSV, in the order
+    given: the first row's keys head the columns, and floats are written
+    in shortest round-trip form."""
+    with open_text(dest) as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(list(rows[0].keys()))
+        for row in rows:
+            writer.writerow([repr(x) if isinstance(x, float) else x for x in row.values()])

@@ -120,8 +120,6 @@ class StationSeries:
 
     station_id: str
     components: tuple[ComponentSeries, ComponentSeries, ComponentSeries]
-    country: str | None = None
-    nominal_interval_days: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.components) != 3:
@@ -133,8 +131,6 @@ class StationSeries:
         for c in self.components[1:]:
             if not np.array_equal(c.epochs_mjd, axis):
                 raise DataError("components must share one epoch axis")
-        if not self.nominal_interval_days > 0:
-            raise DataError("nominal_interval_days must be positive")
         object.__setattr__(self, "components", tuple(self.components))
 
     @property
@@ -145,14 +141,6 @@ class StationSeries:
     @property
     def count(self) -> int:
         return self.components[0].count
-
-    def component(self, which: Component | str) -> ComponentSeries:
-        """Return one component by label."""
-        which = Component(which)
-        for c in self.components:
-            if c.component is which:
-                return c
-        raise KeyError(which)
 
     def __len__(self) -> int:
         return self.count
@@ -190,25 +178,24 @@ class GapReport:
 def detect_gaps(series: StationSeries, gap_factor: float = 1.5) -> GapReport:
     """Find holes in the epoch axis of ``series``.
 
-    A consecutive epoch pair is a gap when its spacing exceeds
-    ``gap_factor * nominal_interval_days``; the missing sample count is the
-    rounded number of whole nominal intervals skipped. The default factor
-    of 1.5 flags one missing day in a daily series while tolerating
-    sub-day jitter. Only epochs matter; values are never consulted.
+    Series are daily, as 24-hour solutions are. A consecutive epoch pair
+    is a gap when its spacing exceeds ``gap_factor`` days; the missing
+    sample count is the rounded number of whole days skipped. The default
+    factor of 1.5 flags one missing day while tolerating sub-day jitter.
+    Only epochs matter; values are never consulted.
     """
     # NaN compares false with everything and +inf exceeds every spacing:
     # either would report any series as continuous
     if not (math.isfinite(gap_factor) and gap_factor >= 1):
         raise DataError(f"gap_factor must be a finite number >= 1, got {gap_factor!r}")
     epochs = series.epochs_mjd
-    interval = series.nominal_interval_days
     deltas = np.diff(epochs)
-    holes = np.flatnonzero(deltas > gap_factor * interval)
+    holes = np.flatnonzero(deltas > gap_factor)
     gaps = tuple(
         GapSpan(
             start_mjd=float(epochs[i]),
             end_mjd=float(epochs[i + 1]),
-            missing_count=int(round(deltas[i] / interval)) - 1,
+            missing_count=int(round(deltas[i])) - 1,
         )
         for i in holes
     )
@@ -259,8 +246,6 @@ def parse_series(
     source: str | Path | IO[bytes] | IO[str],
     *,
     station_id: str | None = None,
-    country: str | None = None,
-    nominal_interval_days: float = 1.0,
 ) -> StationSeries:
     """Parse one station file into a validated :class:`StationSeries`.
 
@@ -340,12 +325,7 @@ def parse_series(
         ComponentSeries(comp, epochs, data[:, i + 1])
         for i, comp in enumerate((Component.X, Component.Y, Component.Z))
     )
-    return StationSeries(
-        station_id=station_id,
-        components=components,  # type: ignore[arg-type]
-        country=country,
-        nominal_interval_days=nominal_interval_days,
-    )
+    return StationSeries(station_id, components)  # type: ignore[arg-type]
 
 
 @contextmanager

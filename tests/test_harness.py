@@ -11,7 +11,6 @@ import pytest
 
 import gnss_grnn.harness
 from gnss_grnn import (
-    BandwidthRule,
     DataError,
     GrnnConfig,
     Mode,
@@ -41,11 +40,10 @@ class TestGenerateSynthetic:
         params = SyntheticParams(noise_std_m=0.002)
         a = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 200, 42, params)
         b = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 200, 42, params)
-        for comp in ("X", "Y", "Z"):
-            np.testing.assert_array_equal(a.component(comp).values_m,
-                                          b.component(comp).values_m)
+        for ca, cb in zip(a.components, b.components):
+            np.testing.assert_array_equal(ca.values_m, cb.values_m)
         c = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 200, 43, params)
-        assert not np.array_equal(a.component("X").values_m, c.component("X").values_m)
+        assert not np.array_equal(a.components[0].values_m, c.components[0].values_m)
 
     def test_constant_has_zero_amplitude_any_seed(self):
         for seed in (0, 1, 999):
@@ -89,25 +87,12 @@ class TestRunSweep:
             assert row["std_m"] == 0.0
             assert row["mabs_m"] == 0.0
 
-    def test_single_v_single_mode(self):
+    def test_single_v_runs_every_mode(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 50, 0)
-        rows = run_sweep(s, [1], modes=[Mode.TEACHER_FORCED])
-        assert len(rows) == 3
-        assert {r["component"] for r in rows} == {"X", "Y", "Z"}
-        assert all(r["v"] == 1 and r["mode"] == "teacher-forced" for r in rows)
-        assert all(r["n"] == 49 for r in rows)
-
-    def test_direction_on_trend_plus_annual(self):
-        params = SyntheticParams(slope_m_per_day=5e-5, annual_amplitude_m=0.005,
-                                 noise_std_m=0.001)
-        s = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 2000, 42, params)
-        rows = run_sweep(s, [1, 100], BandwidthRule.MEAN_SPACING, modes=[Mode.TEACHER_FORCED])
-        by_key = {(r["v"], r["component"]): r for r in rows}
-        for comp in ("X", "Y", "Z"):
-            small, large = by_key[(1, comp)], by_key[(100, comp)]
-            assert large["smape_percent"] < small["smape_percent"]
-            assert large["std_m"] < small["std_m"]
-            assert large["mabs_m"] < small["mabs_m"]
+        rows = run_sweep(s, [1])
+        assert [(r["component"], r["mode"]) for r in rows] == [
+            (c, m) for c in ("X", "Y", "Z") for m in ("recursive", "teacher-forced")]
+        assert all(r["v"] == 1 and r["n"] == 49 for r in rows)
 
     def test_refusals(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
@@ -128,6 +113,29 @@ class TestRunSweep:
             run_sweep(s, [v])
         assert type(exc.value) is DataError
         assert str(exc.value) == f"station synthetic-constant-0: {message}"
+
+    def test_oversized_range_refused_without_listing_its_sizes(self):
+        # listing 10**12 sizes would take about 100 TB; the range's last
+        # element alone decides the refusal
+        s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
+        with pytest.raises(DataError, match=r"refused: v_max 999999999999 must be < "
+                                            r"series length 20$"):
+            run_sweep(s, range(1, 10**12))
+
+    @pytest.mark.parametrize("sizes, message", [
+        (range(0), "empty training-size range"),
+        (range(6, -1, -3), "training sizes must be >= 1"),
+        (range(3, 25, 4), "refused: v_max 23 must be < series length 20"),
+    ])
+    def test_range_refused_as_a_list_of_its_sizes(self, sizes, message):
+        s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
+        for given in (sizes, list(sizes)):
+            with pytest.raises(DataError, match=message):
+                run_sweep(s, given)
+
+    def test_descending_range_sweeps_in_ascending_order(self):
+        s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
+        assert run_sweep(s, range(5, 0, -2)) == run_sweep(s, [1, 3, 5])
 
 
 @pytest.fixture
@@ -152,9 +160,8 @@ class TestOneWalkPerStation:
                                   SyntheticParams(noise_std_m=1e-3))
 
     def test_sweep_calls_once_per_training_size(self, kernel_calls):
-        modes = (Mode.RECURSIVE, Mode.TEACHER_FORCED)
-        run_sweep(self.station(), [2, 5, 9], modes=modes)
-        assert kernel_calls == [(StationSeries, v, modes) for v in (2, 5, 9)]
+        run_sweep(self.station(), [2, 5, 9])
+        assert kernel_calls == [(StationSeries, v, tuple(Mode)) for v in (2, 5, 9)]
 
     def test_evaluation_calls_once(self, kernel_calls):
         evaluate_station(self.station(), GrnnConfig(training_size=10))
@@ -488,9 +495,9 @@ class TestWriters:
 
     def test_sweep_csv_columns(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 60, 0)
-        rows = run_sweep(s, [1, 2], modes=[Mode.TEACHER_FORCED])
+        rows = run_sweep(s, [1, 2])
         buf = io.StringIO()
         write_sweep_csv(rows, buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert rows[0] == ["v", "component", "mode", "smape_percent", "std_m", "mabs_m", "n"]
-        assert len(rows) == 1 + 6
+        assert len(rows) == 1 + 2 * 3 * 2

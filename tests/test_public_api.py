@@ -43,16 +43,24 @@ def test_forecast_results_hold_only_what_outputs_read():
     assert [f.name for f in fields(gnss_grnn.StationForecast)] == ["results"]
 
 
+def parameters(function):
+    return list(inspect.signature(function).parameters)
+
+
+def test_every_setting_has_a_caller():
+    assert [f.name for f in fields(gnss_grnn.StationSeries)] == ["station_id", "components"]
+    assert parameters(gnss_grnn.parse_series) == ["source", "station_id"]
+    assert "interval_days" not in {f.name for f in fields(gnss_grnn.SyntheticParams)}
+    assert parameters(gnss_grnn.run_sweep) == ["series", "v_values", "bandwidth"]
+    assert not hasattr(gnss_grnn.StationSeries, "component")
+
+
 def test_each_walk_takes_only_the_settings_it_reads():
     assert [f.name for f in fields(gnss_grnn.GrnnConfig)] == ["training_size", "bandwidth"]
-
-    def parameters(function):
-        return list(inspect.signature(function).parameters)
-
     assert parameters(gnss_grnn.forecast_series) == ["station", "config", "modes"]
     assert parameters(gnss_grnn.adaptive_forecast_series) == [
         "station", "config", "threshold_m", "max_training_size"]
-    assert parameters(gnss_grnn.run_sweep) == ["series", "v_values", "bandwidth", "modes"]
+    assert parameters(gnss_grnn.run_sweep) == ["series", "v_values", "bandwidth"]
     for function in (gnss_grnn.evaluate_station, gnss_grnn.evaluate_stations,
                      gnss_grnn.time_methods):
         mode = inspect.signature(function).parameters["mode"]

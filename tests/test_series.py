@@ -50,7 +50,7 @@ class TestParse:
         assert s.station_id == "abc"
         assert detect_gaps(s).state is SeriesState.CONTINUOUS
         np.testing.assert_array_equal(s.epochs_mjd, [55000.0, 55001.0, 55002.0])
-        assert s.component("X").values_m[0] == 4075000.1
+        assert s.components[0].values_m[0] == 4075000.1
 
     def test_byte_stream(self):
         s = parse_series(io.BytesIO(CSV_MIN.encode()), station_id="abc")
@@ -91,7 +91,7 @@ class TestParse:
     def test_rows_sorted_by_epoch(self):
         text = "epoch_mjd,x_m,y_m,z_m\n55002,3,3,3\n55000,1,1,1\n55001,2,2,2\n"
         s = parse_series(io.StringIO(text))
-        np.testing.assert_array_equal(s.component("X").values_m, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(s.components[0].values_m, [1.0, 2.0, 3.0])
 
     def test_nan_rejected(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -108,7 +108,7 @@ class TestParse:
         text = "epoch_mjd,x_m,y_m,z_m\n55000,1.5,2.5,3.5\n55001,1.6,2.6,3.6\n55005,1.7,2.7,3.7\n"
         s = parse_series(io.StringIO(text))
         np.testing.assert_array_equal(s.epochs_mjd, [55000.0, 55001.0, 55005.0])
-        np.testing.assert_array_equal(s.component("Z").values_m, [3.5, 3.6, 3.7])
+        np.testing.assert_array_equal(s.components[2].values_m, [3.5, 3.6, 3.7])
         report = detect_gaps(s, 1.5)
         assert report.state is SeriesState.DISCONTINUOUS
         assert len(report.gaps) == 1
@@ -123,10 +123,8 @@ class TestParse:
         write_series_csv(station, buf)
         again = parse_series(io.StringIO(buf.getvalue()), station_id=station.station_id)
         np.testing.assert_array_equal(again.epochs_mjd, station.epochs_mjd)
-        for comp in ("X", "Y", "Z"):
-            np.testing.assert_array_equal(
-                again.component(comp).values_m, station.component(comp).values_m
-            )
+        for a, b in zip(again.components, station.components):
+            np.testing.assert_array_equal(a.values_m, b.values_m)
 
 
 def reference_parse(source_text, name="<stream>"):
@@ -378,11 +376,11 @@ class TestDetectGaps:
 class TestAmplitude:
     def test_constant_series(self):
         s = make_station([1.0, 2.0, 3.0], x=[5.0, 5.0, 5.0])
-        assert amplitude(s.component("X")) == 0.0
+        assert amplitude(s.components[0]) == 0.0
 
     def test_single_point(self):
         s = make_station([7.0], z=[7.3])
-        assert amplitude(s.component("Z")) == 0.0
+        assert amplitude(s.components[2]) == 0.0
 
     def test_amplitude_hand_value(self):
         c = ComponentSeries(Component.X, [1.0, 2.0, 3.0], [0.10, -0.10, 0.05])
