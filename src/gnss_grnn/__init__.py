@@ -39,8 +39,6 @@ from .harness import (
     write_sweep_csv,
 )
 from .metrics import (
-    Criteria,
-    PredictionPairs,
     compute_report,
     mean_abs_error,
     smape,
@@ -68,7 +66,6 @@ __all__ = [
     "BandwidthTooSmallError",
     "Component",
     "ComponentSeries",
-    "Criteria",
     "DataError",
     "ForecastResult",
     "GapReport",
@@ -77,7 +74,6 @@ __all__ = [
     "Mode",
     "NumericError",
     "ParseError",
-    "PredictionPairs",
     "SeriesState",
     "StationForecast",
     "StationSeries",

@@ -39,7 +39,11 @@ class BandwidthTooSmallError(NumericError):
 
 
 class UndefinedMetricError(NumericError):
-    """An accuracy criterion is undefined for the given prediction pairs."""
+    """An accuracy criterion is undefined for the given prediction pairs.
+
+    ``index`` is the position of the pair that left it undefined, when one
+    pair did; the harness names that pair by its epoch instead.
+    """
 
     def __init__(self, message: str, *, index: int | None = None) -> None:
         self.index = index

@@ -21,11 +21,10 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BandwidthTooSmallError, DataError
+from .errors import DataError, NumericError, UndefinedMetricError
 from .grnn import BandwidthRule, GrnnConfig, Mode, forecast_series
 from .metrics import (
     CRITERIA,
-    PredictionPairs,
     compute_report,
     criteria_ratios,
     mean_criteria,
@@ -43,8 +42,6 @@ from .series import (
 from .theta import ThetaFit, theta_backtest
 
 SCHEMA_VERSION = 1
-
-_COMPONENTS = ("X", "Y", "Z")
 
 
 # ---------------------------------------------------------------------------
@@ -143,22 +140,28 @@ def generate_synthetic(
 # ---------------------------------------------------------------------------
 
 @contextmanager
-def at_station(station_id: str, training_size: int | None = None) -> Iterator[None]:
-    """Re-raise a kernel underflow or a data error with the station it
-    occurred in.
+def at_station(station_id: str, *where: str,
+               epochs_mjd: np.ndarray | None = None) -> Iterator[None]:
+    """Re-raise a numeric failure or a data error with where it occurred.
 
-    The message gains a ``station <id>: `` prefix, followed by
-    ``training size <v>: `` when ``training_size`` is given; the class is
-    kept, so the failure still maps to its exit code (numeric failure or
-    data error), also when it crosses a worker process.
+    The message gains a ``station <id>: `` prefix, followed by each of
+    ``where`` (a training size, a component, a method or a mode) and
+    ``: ``. When ``epochs_mjd`` holds the epochs of the pairs being
+    scored, a pair that leaves a criterion undefined is named by its
+    epoch, ``at MJD <epoch>``, instead of its index. The class is kept,
+    so the failure still maps to its exit code (numeric failure or data
+    error), also when it crosses a worker process.
     """
     try:
         yield
-    except (BandwidthTooSmallError, DataError) as exc:
-        where = f"station {station_id}: "
-        if training_size is not None:
-            where += f"training size {training_size}: "
-        raise type(exc)(f"{where}{exc}") from None
+    except (NumericError, DataError) as exc:
+        message = str(exc)
+        if (isinstance(exc, UndefinedMetricError) and exc.index is not None
+                and epochs_mjd is not None):
+            message = message.replace(f"at index {exc.index}:",
+                                      f"at MJD {float(epochs_mjd[exc.index])!r}:", 1)
+        prefix = "".join(f"{w}: " for w in (f"station {station_id}", *where))
+        raise type(exc)(prefix + message) from None
 
 
 def run_sweep(
@@ -180,9 +183,10 @@ def run_sweep(
     computed once and serve every (component, mode) row of that size;
     nothing is reused across sizes. A series too short for the largest
     size is refused with the station named, before any size list is
-    built from a :class:`range`, and an underflow names the station and
-    the training size it occurred at. Forecasts are scored against the
-    raw positions they were made from.
+    built from a :class:`range`. An underflow names the station and the
+    training size it occurred at; a scoring failure also names the
+    component, the mode and, for an undefined term, the epoch. Forecasts
+    are scored against the raw positions they were made from.
     """
     # a range is checked by its ends, so an oversized one is refused
     # without listing its sizes
@@ -204,16 +208,20 @@ def run_sweep(
     rows = []
     for v in sizes:
         config = GrnnConfig(v, bandwidth)
-        with at_station(series.station_id, v):
+        size = f"training size {v}"
+        with at_station(series.station_id, size):
             walks = forecast_series(series, config, modes)
         for comp in series.components:
             for mode in modes:
                 r = walks[comp.component, mode]
+                with at_station(series.station_id, size, f"component {comp.component.value}",
+                                f"mode {mode.value}", epochs_mjd=r.epochs_mjd):
+                    report = compute_report(r.predicted_m, r.observed_m)
                 rows.append({
                     "v": v,
                     "component": comp.component.value,
                     "mode": mode.value,
-                    **compute_report(PredictionPairs(r.predicted_m, r.observed_m)),
+                    **report,
                 })
     return tuple(rows)
 
@@ -245,7 +253,9 @@ def evaluate_station(
     predicted, and that equality is checked before any criterion is
     computed. One station walk gives the kernel forecasts of all three
     components from shared weights. Both methods forecast and are scored
-    on the raw positions.
+    on the raw positions. A failure names the station; a scoring failure
+    also names the component, the method and, for an undefined term, the
+    epoch.
 
     Gives the station's block of ``report.json``, as
     :func:`write_reports_json` writes it: its id, a null country, span
@@ -275,8 +285,10 @@ def evaluate_station(
         if not np.array_equal(g.epochs_mjd[-keep:], t.epochs_mjd[-keep:]):
             raise RuntimeError("methods were about to be scored on different epochs")
         for method, r in (("grnn", g), ("theta", t)):
-            metrics[method][comp.component.value] = compute_report(
-                PredictionPairs(r.predicted_m[-keep:], r.observed_m[-keep:]))
+            with at_station(series.station_id, f"component {comp.component.value}",
+                            f"method {method}", epochs_mjd=r.epochs_mjd[-keep:]):
+                metrics[method][comp.component.value] = compute_report(
+                    r.predicted_m[-keep:], r.observed_m[-keep:])
     first_mjd, last_mjd = float(series.epochs_mjd[0]), float(series.epochs_mjd[-1])
     bw = grnn_config.bandwidth
     return {
@@ -415,8 +427,9 @@ def compare_methods(
     """
     if not reports:
         raise DataError("need at least one station report")
+    components = [c.value for c in Component]
     aggregated = {}
-    for comp in _COMPONENTS:
+    for comp in components:
         grnn = mean_criteria([r["metrics"]["grnn"][comp] for r in reports])
         theta = mean_criteria([r["metrics"]["theta"][comp] for r in reports])
         aggregated[comp] = {**criteria_ratios(grnn, theta), "grnn": grnn, "theta": theta}
@@ -424,7 +437,7 @@ def compare_methods(
         {
             "station_id": r["station_id"],
             **{comp: criteria_ratios(r["metrics"]["grnn"][comp], r["metrics"]["theta"][comp])
-               for comp in _COMPONENTS},
+               for comp in components},
         }
         for r in reports
     ]
@@ -479,7 +492,7 @@ def write_reports_csv(reports: Sequence[dict], dest: str | Path | IO[str]) -> No
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["station", "span", "state", "component", "method",
-                         *(f.name for f in CRITERIA)])
+                         *(key for key, *_ in CRITERIA)])
         for r in reports:
             for method, by_component in r["metrics"].items():
                 for comp, criteria in by_component.items():
@@ -492,7 +505,7 @@ def write_sweep_csv(rows: Iterable[dict], dest: str | Path | IO[str]) -> None:
     v, component, mode, the criteria (lossy floats), then n."""
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["v", "component", "mode", *(f.name for f in CRITERIA), "n"])
+        writer.writerow(["v", "component", "mode", *(key for key, *_ in CRITERIA), "n"])
         for row in rows:
             writer.writerow([row["v"], row["component"], row["mode"], *printed(row),
                              row["n"]])

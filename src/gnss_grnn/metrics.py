@@ -1,76 +1,35 @@
 """Accuracy criteria over prediction/truth pairs: sMAPE, StD, MAbs.
 
-Residuals are defined as truth minus prediction. sMAPE uses per-pair
-denominators ``|y| + |yhat|``, is averaged over the pairs and scaled to
-percent; the classical factor-2 variant is deliberately not used.
+Each criterion takes two aligned 1-d arrays, predictions and observed
+truths in meters, and leaves both as given. Residuals are defined as
+truth minus prediction. sMAPE uses per-pair denominators
+``|y| + |yhat|``, is averaged over the pairs and scaled to percent; the
+classical factor-2 variant is deliberately not used.
 :func:`compute_report` gives the three as a dict, the metrics block
-``report.json`` writes. :class:`Criteria` is the table of the three: its
-fields name the keys that averages, ratios and printed rows read from
-any such mapping.
+``report.json`` writes. :data:`CRITERIA` is the table of the three: its
+keys are the ones that averages, ratios and printed rows read from any
+such mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, UndefinedMetricError
 
-
-@dataclass(frozen=True)
-class PredictionPairs:
-    """Aligned predictions and observed truths, both in meters."""
-
-    predicted_m: np.ndarray
-    observed_m: np.ndarray
-
-    def __post_init__(self) -> None:
-        pred = np.asarray(self.predicted_m, dtype=np.float64)
-        obs = np.asarray(self.observed_m, dtype=np.float64)
-        if pred.ndim != 1 or pred.shape != obs.shape:
-            raise DataError("predicted and observed must be 1-d and equally long")
-        if pred.size < 1:
-            raise DataError("need at least one prediction pair")
-        if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(obs))):
-            raise DataError("prediction pairs must be finite")
-        for name, a in (("predicted_m", pred), ("observed_m", obs)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    @property
-    def n(self) -> int:
-        return int(self.predicted_m.size)
-
-    @property
-    def residuals_m(self) -> np.ndarray:
-        """Residuals, truth minus prediction."""
-        return self.observed_m - self.predicted_m
-
-
-def _criterion(label: str, ratio_key: str, fmt: str):
-    return field(metadata={"label": label, "ratio_key": ratio_key, "format": fmt})
-
-
-@dataclass(frozen=True)
-class Criteria:
-    """The table of the three accuracy criteria, in reporting order.
-
-    Each field names a criterion's key and carries the label the CLI
-    prints, the key of its kernel-over-Theta ratio and its CSV format.
-    """
-
-    smape_percent: float = _criterion("sMAPE", "smape_ratio", ".6e")
-    std_m: float = _criterion("StD", "std_ratio", ".6f")
-    mabs_m: float = _criterion("MAbs", "mabs_ratio", ".6f")
-
-
-#: The criterion fields, in reporting order.
-CRITERIA = fields(Criteria)
+#: The three criteria in reporting order. Each row is a criterion's key,
+#: the label the CLI prints, the key of its kernel-over-Theta ratio and
+#: its CSV format.
+CRITERIA = (
+    ("smape_percent", "sMAPE", "smape_ratio", ".6e"),
+    ("std_m", "StD", "std_ratio", ".6f"),
+    ("mabs_m", "MAbs", "mabs_ratio", ".6f"),
+)
 
 #: The printed label of each ratio key.
-RATIO_LABELS = {f.metadata["ratio_key"]: f.metadata["label"] for f in CRITERIA}
+RATIO_LABELS = {ratio_key: label for _, label, ratio_key, _ in CRITERIA}
 
 
 def printed(criteria: Mapping[str, float]) -> list[str]:
@@ -79,60 +38,78 @@ def printed(criteria: Mapping[str, float]) -> list[str]:
     sMAPE is in exponent form: fixed-point would print 0.000000 for
     earth-centered magnitudes.
     """
-    return [format(criteria[f.name], f.metadata["format"]) for f in CRITERIA]
+    return [format(criteria[key], fmt) for key, _, _, fmt in CRITERIA]
 
 
 def mean_criteria(items: Sequence[Mapping[str, float]]) -> dict[str, float]:
-    """Each criterion averaged over ``items``, by field name."""
-    return {f.name: float(np.mean([c[f.name] for c in items])) for f in CRITERIA}
+    """Each criterion averaged over ``items``, by key."""
+    return {key: float(np.mean([c[key] for c in items])) for key, *_ in CRITERIA}
 
 
 def criteria_ratios(num: Mapping[str, float],
                     den: Mapping[str, float]) -> dict[str, float | None]:
     """``num / den`` per criterion, by ratio key; ``None`` where ``den`` is 0."""
     return {
-        f.metadata["ratio_key"]: None if den[f.name] == 0.0 else num[f.name] / den[f.name]
-        for f in CRITERIA
+        ratio_key: None if den[key] == 0.0 else num[key] / den[key]
+        for key, _, ratio_key, _ in CRITERIA
     }
 
 
-def smape(pairs: PredictionPairs) -> float:
+def _pairs(predicted_m: np.ndarray, observed_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two arrays as float64, once they are checked to be 1-d, equally
+    long, non-empty and finite; the caller's arrays are not changed."""
+    pred = np.asarray(predicted_m, dtype=np.float64)
+    obs = np.asarray(observed_m, dtype=np.float64)
+    if pred.ndim != 1 or pred.shape != obs.shape:
+        raise DataError("predicted and observed must be 1-d and equally long")
+    if pred.size < 1:
+        raise DataError("need at least one prediction pair")
+    if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(obs))):
+        raise DataError("prediction pairs must be finite")
+    return pred, obs
+
+
+def smape(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
     """Symmetric mean absolute percentage error, in percent.
 
     Every term is bounded by 1 before scaling, so the result lies in
     [0, 100]. A pair with ``|y| + |yhat| == 0`` has no defined term and
     raises rather than being skipped: silently dropping terms would bias
-    the criterion.
+    the criterion. The error's ``index`` is that pair's position.
     """
-    denom = np.abs(pairs.observed_m) + np.abs(pairs.predicted_m)
+    pred, obs = _pairs(predicted_m, observed_m)
+    denom = np.abs(obs) + np.abs(pred)
     zero = np.flatnonzero(denom == 0.0)
     if zero.size:
         i = int(zero[0])
         raise UndefinedMetricError(
             f"undefined sMAPE term at index {i}: |y| + |yhat| is zero", index=i
         )
-    terms = np.abs(pairs.residuals_m) / denom
+    terms = np.abs(obs - pred) / denom
     return float(100.0 * terms.mean())
 
 
-def std_of_errors(pairs: PredictionPairs) -> float:
+def std_of_errors(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
     """Sample standard deviation of the residuals (N - 1 divisor), meters."""
-    if pairs.n < 2:
+    pred, obs = _pairs(predicted_m, observed_m)
+    if pred.size < 2:
         raise UndefinedMetricError("StD undefined for fewer than 2 pairs")
-    return float(np.std(pairs.residuals_m, ddof=1))
+    return float(np.std(obs - pred, ddof=1))
 
 
-def mean_abs_error(pairs: PredictionPairs) -> float:
+def mean_abs_error(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
     """Mean of absolute residuals, meters."""
-    return float(np.abs(pairs.residuals_m).mean())
+    pred, obs = _pairs(predicted_m, observed_m)
+    return float(np.abs(obs - pred).mean())
 
 
-def compute_report(pairs: PredictionPairs) -> dict[str, float | int]:
+def compute_report(predicted_m: np.ndarray, observed_m: np.ndarray) -> dict[str, float | int]:
     """All three criteria over one set of pairs, and how many pairs:
     ``smape_percent``, ``std_m``, ``mabs_m`` and ``n``, in that order."""
+    pred, obs = _pairs(predicted_m, observed_m)
     return {
-        "smape_percent": smape(pairs),
-        "std_m": std_of_errors(pairs),
-        "mabs_m": mean_abs_error(pairs),
-        "n": pairs.n,
+        "smape_percent": smape(pred, obs),
+        "std_m": std_of_errors(pred, obs),
+        "mabs_m": mean_abs_error(pred, obs),
+        "n": pred.size,
     }

@@ -24,7 +24,6 @@ from gnss_grnn import (
     ComponentSeries,
     GrnnConfig,
     Mode,
-    PredictionPairs,
     StationSeries,
     SyntheticKind,
     SyntheticParams,
@@ -209,19 +208,15 @@ def test_p6_timing_direction():
 
 def test_p7_metric_hand_arithmetic():
     """P7: the worked metric examples hold to hand arithmetic."""
-    assert smape(PredictionPairs(np.array([3.0]), np.array([1.0]))) == 50.0
-    two = smape(PredictionPairs(np.array([1.0, 0.5]), np.array([1.0, 1.0])))
+    assert smape(np.array([3.0]), np.array([1.0])) == 50.0
+    two = smape(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
     assert two == pytest.approx(100.0 / 6.0, rel=1e-12)
+    assert std_of_errors(np.array([1.0, -1.0]), np.array([0.0, 0.0])) == math.sqrt(2.0)
     assert std_of_errors(
-        PredictionPairs(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
-    ) == math.sqrt(2.0)
-    assert std_of_errors(
-        PredictionPairs(np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 3.0]))
+        np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 3.0])
     ) == math.sqrt(3.0)
-    assert mean_abs_error(
-        PredictionPairs(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
-    ) == 1.0
-    assert mean_abs_error(PredictionPairs(np.array([0.0]), np.array([0.03]))) == 0.03
+    assert mean_abs_error(np.array([1.0, -1.0]), np.array([0.0, 0.0])) == 1.0
+    assert mean_abs_error(np.array([0.0]), np.array([0.03])) == 0.03
     _ok("P7 PASS - hand-arithmetic metric examples exact")
 
 

@@ -35,6 +35,19 @@ def station_file(tmp_path):
     return _make
 
 
+@pytest.fixture
+def zero_x_file(tmp_path):
+    """60 daily epochs whose X column is all 0.0: an sMAPE term of X is
+    undefined at the first epoch scored."""
+    path = tmp_path / "Z0.csv"
+    lines = ["epoch_mjd,x_m,y_m,z_m"]
+    for day in range(60):
+        lines.append(f"{55000.0 + day!r},0.0,{931000.0 + 5e-5 * day!r},"
+                     f"{4801000.0 + 5e-5 * day!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
@@ -291,6 +304,14 @@ class TestSweep:
         assert run_cli("sweep", path, "--v-min", "1", "--v-max", "1") == 0
         assert run_cli("sweep", path, "--v-min", "3", "--v-max", "30") == 0
 
+    def test_undefined_criterion_names_size_and_mode(self, zero_x_file, capsys):
+        assert run_cli("sweep", zero_x_file, "--v-min", "3", "--v-max", "5") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gnss-grnn: numeric failure: station Z0: training size 3: component X: "
+            "mode recursive: undefined sMAPE term at MJD 55003.0: |y| + |yhat| is zero\n")
+
     @pytest.mark.parametrize("flag, value", [("--mode", "recursive"), ("-v", "7"),
                                              ("--training-size", "7")])
     def test_mode_flag_is_a_usage_error(self, station_file, capsys, flag, value):
@@ -453,6 +474,19 @@ class TestCompare:
         assert err.startswith("gnss-grnn: numeric failure: station gappy: "
                               "bandwidth too small: ")
         assert "predicting component X at MJD " in err
+        assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_undefined_criterion_names_station_component_and_epoch(
+            self, station_file, zero_x_file, tmp_path, capsys, jobs):
+        # two stations, so --jobs 2 scores Z0 in a worker process
+        good = station_file(name="good", length=60)
+        out_dir = tmp_path / "out"
+        assert run_cli("compare", good, zero_x_file, "-v", "10", "--jobs", jobs,
+                       "--output-dir", out_dir) == 3
+        assert capsys.readouterr().err == (
+            "gnss-grnn: numeric failure: station Z0: component X: method grnn: "
+            "undefined sMAPE term at MJD 55010.0: |y| + |yhat| is zero\n")
         assert not (out_dir / "report.json").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])

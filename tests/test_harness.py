@@ -11,6 +11,7 @@ import pytest
 
 import gnss_grnn.harness
 from gnss_grnn import (
+    ComponentSeries,
     DataError,
     GrnnConfig,
     Mode,
@@ -18,8 +19,10 @@ from gnss_grnn import (
     StationSeries,
     SyntheticKind,
     SyntheticParams,
+    UndefinedMetricError,
     amplitude,
     compare_methods,
+    compute_report,
     detect_gaps,
     evaluate_station,
     evaluate_stations,
@@ -247,6 +250,30 @@ class TestEvaluateStation:
             evaluate_station(s, GrnnConfig(training_size=11))
         assert str(exc.value) == (f"station {s.station_id}: series too short for "
                                   "evaluation: need at least 2 shared predictions")
+
+    def test_undefined_criterion_names_component_method_and_epoch(self):
+        s = _linear_station(60)
+        x = s.components[0]
+        zero_x = StationSeries("Z0", (ComponentSeries(x.component, x.epochs_mjd,
+                                                      np.zeros_like(x.values_m)),
+                                      *s.components[1:]))
+        with pytest.raises(UndefinedMetricError) as exc:
+            evaluate_station(zero_x, GrnnConfig(training_size=10))
+        assert str(exc.value) == ("station Z0: component X: method grnn: undefined sMAPE "
+                                  "term at MJD 55010.0: |y| + |yhat| is zero")
+        with pytest.raises(UndefinedMetricError) as exc:
+            run_sweep(zero_x, [3])
+        assert str(exc.value) == ("station Z0: training size 3: component X: mode "
+                                  "recursive: undefined sMAPE term at MJD 55003.0: "
+                                  "|y| + |yhat| is zero")
+
+    def test_non_finite_forecast_is_named_where_it_is_scored(self):
+        with pytest.raises(DataError) as exc:
+            with gnss_grnn.harness.at_station("S", "component Y", "method theta",
+                                              epochs_mjd=np.array([55000.0])):
+                compute_report(np.array([np.inf]), np.array([1.0]))
+        assert str(exc.value) == ("station S: component Y: method theta: "
+                                  "prediction pairs must be finite")
 
     @pytest.mark.parametrize("settings, message", [
         ({"theta_window": 2}, "theta window must be >= 3"),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gnss_grnn import (
     DataError,
-    PredictionPairs,
     UndefinedMetricError,
     compute_report,
     mean_abs_error,
@@ -21,27 +20,27 @@ from oracles import std_two_pass_fsum
 
 
 def pairs(pred, obs):
-    return PredictionPairs(np.asarray(pred, float), np.asarray(obs, float))
+    return np.asarray(pred, float), np.asarray(obs, float)
 
 
 class TestSmape:
     def test_perfect_predictions(self):
-        assert smape(pairs([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])) == 0.0
+        assert smape(*pairs([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])) == 0.0
 
     def test_single_pair_hand_value(self):
-        assert smape(pairs([3.0], [1.0])) == pytest.approx(50.0, rel=1e-15)
+        assert smape(*pairs([3.0], [1.0])) == pytest.approx(50.0, rel=1e-15)
 
     def test_two_pair_hand_value(self):
-        value = smape(pairs([1.0, 0.5], [1.0, 1.0]))
+        value = smape(*pairs([1.0, 0.5], [1.0, 1.0]))
         assert value == pytest.approx(100.0 * (0.0 + 0.5 / 1.5) / 2.0, rel=1e-14)
         assert value == pytest.approx(16.666666666666668, rel=1e-12)
 
     def test_zero_denominator_identifies_index(self):
         with pytest.raises(UndefinedMetricError, match="index 1"):
-            smape(pairs([1.0, 0.0, 2.0], [1.0, 0.0, 2.0]))
+            smape(*pairs([1.0, 0.0, 2.0], [1.0, 0.0, 2.0]))
 
     def test_bounded_by_100(self):
-        assert smape(pairs([-5.0], [5.0])) == pytest.approx(100.0)
+        assert smape(*pairs([-5.0], [5.0])) == pytest.approx(100.0)
 
     @given(
         scale=st.floats(min_value=1e-6, max_value=1e6),
@@ -52,49 +51,49 @@ class TestSmape:
         rng = np.random.default_rng(seed)
         obs = rng.uniform(1.0, 2.0, size=20)
         pred = obs + rng.uniform(-0.1, 0.1, size=20)
-        assert smape(pairs(pred * scale, obs * scale)) == pytest.approx(
-            smape(pairs(pred, obs)), rel=1e-9
+        assert smape(*pairs(pred * scale, obs * scale)) == pytest.approx(
+            smape(*pairs(pred, obs)), rel=1e-9
         )
 
 
 class TestStd:
     def test_equal_residuals(self):
-        assert std_of_errors(pairs([1.0, 2.0], [3.0, 4.0])) == 0.0
+        assert std_of_errors(*pairs([1.0, 2.0], [3.0, 4.0])) == 0.0
 
     def test_hand_values(self):
-        assert std_of_errors(pairs([1.0, -1.0], [0.0, 0.0])) == pytest.approx(
+        assert std_of_errors(*pairs([1.0, -1.0], [0.0, 0.0])) == pytest.approx(
             math.sqrt(2.0), rel=1e-14
         )
-        assert std_of_errors(pairs([0.0, 0.0, 0.0], [0.0, 0.0, 3.0])) == pytest.approx(
+        assert std_of_errors(*pairs([0.0, 0.0, 0.0], [0.0, 0.0, 3.0])) == pytest.approx(
             math.sqrt(3.0), rel=1e-14
         )
 
     def test_needs_two_pairs(self):
         with pytest.raises(UndefinedMetricError, match="StD undefined"):
-            std_of_errors(pairs([1.0], [2.0]))
+            std_of_errors(*pairs([1.0], [2.0]))
 
     def test_matches_compensated_two_pass_on_large_n(self):
         rng = np.random.default_rng(77)
         residuals = rng.normal(loc=0.3, scale=1e-3, size=1_000_000)
         p = pairs(np.zeros_like(residuals), residuals)
-        assert std_of_errors(p) == pytest.approx(std_two_pass_fsum(residuals), rel=1e-12)
+        assert std_of_errors(*p) == pytest.approx(std_two_pass_fsum(residuals), rel=1e-12)
 
 
 class TestMabs:
     def test_perfect(self):
-        assert mean_abs_error(pairs([2.0, 3.0], [2.0, 3.0])) == 0.0
+        assert mean_abs_error(*pairs([2.0, 3.0], [2.0, 3.0])) == 0.0
 
     def test_hand_values(self):
-        assert mean_abs_error(pairs([1.0, -1.0], [0.0, 0.0])) == pytest.approx(1.0)
-        assert mean_abs_error(pairs([0.0], [0.03])) == pytest.approx(0.03)
+        assert mean_abs_error(*pairs([1.0, -1.0], [0.0, 0.0])) == pytest.approx(1.0)
+        assert mean_abs_error(*pairs([0.0], [0.03])) == pytest.approx(0.03)
 
 
 class TestReportAndInvariances:
     def test_report_bundles_everything(self):
         p = pairs([1.0, 2.0, 2.5], [1.5, 2.0, 2.0])
-        report = compute_report(p)
-        assert report == {"smape_percent": smape(p), "std_m": std_of_errors(p),
-                          "mabs_m": mean_abs_error(p), "n": 3}
+        report = compute_report(*p)
+        assert report == {"smape_percent": smape(*p), "std_m": std_of_errors(*p),
+                          "mabs_m": mean_abs_error(*p), "n": 3}
 
     @given(
         c=st.floats(min_value=-1e3, max_value=1e3),
@@ -106,8 +105,8 @@ class TestReportAndInvariances:
         obs = rng.uniform(10.0, 20.0, size=15)
         pred = obs + rng.uniform(-0.5, 0.5, size=15)
         a, b = pairs(pred, obs), pairs(pred + c, obs + c)
-        assert std_of_errors(b) == pytest.approx(std_of_errors(a), rel=1e-9, abs=1e-12)
-        assert mean_abs_error(b) == pytest.approx(mean_abs_error(a), rel=1e-9, abs=1e-12)
+        assert std_of_errors(*b) == pytest.approx(std_of_errors(*a), rel=1e-9, abs=1e-12)
+        assert mean_abs_error(*b) == pytest.approx(mean_abs_error(*a), rel=1e-9, abs=1e-12)
 
     def test_prediction_only_shift(self):
         rng = np.random.default_rng(8)
@@ -116,8 +115,8 @@ class TestReportAndInvariances:
         c = 0.25
         base, shifted = pairs(pred, obs), pairs(pred + c, obs)
         # residuals shift uniformly: dispersion unchanged, bias moves by <= |c|
-        assert std_of_errors(shifted) == pytest.approx(std_of_errors(base), rel=1e-12)
-        assert abs(mean_abs_error(shifted) - mean_abs_error(base)) <= abs(c) + 1e-12
+        assert std_of_errors(*shifted) == pytest.approx(std_of_errors(*base), rel=1e-12)
+        assert abs(mean_abs_error(*shifted) - mean_abs_error(*base)) <= abs(c) + 1e-12
 
     @given(
         s=st.floats(min_value=1e-3, max_value=1e3),
@@ -129,14 +128,35 @@ class TestReportAndInvariances:
         obs = rng.uniform(1.0, 2.0, size=12)
         pred = obs + rng.uniform(-0.2, 0.2, size=12)
         a, b = pairs(pred, obs), pairs(pred * s, obs * s)
-        assert std_of_errors(b) == pytest.approx(s * std_of_errors(a), rel=1e-9)
-        assert mean_abs_error(b) == pytest.approx(s * mean_abs_error(a), rel=1e-9)
-        assert smape(b) == pytest.approx(smape(a), rel=1e-9)
+        assert std_of_errors(*b) == pytest.approx(s * std_of_errors(*a), rel=1e-9)
+        assert mean_abs_error(*b) == pytest.approx(s * mean_abs_error(*a), rel=1e-9)
+        assert smape(*b) == pytest.approx(smape(*a), rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(DataError):
-            PredictionPairs(np.array([]), np.array([]))
+            compute_report(np.array([]), np.array([]))
         with pytest.raises(DataError):
-            PredictionPairs(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
+            compute_report(np.array([1.0, np.nan]), np.array([1.0, 2.0]))
         with pytest.raises(DataError):
-            PredictionPairs(np.array([1.0]), np.array([1.0, 2.0]))
+            compute_report(np.array([1.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("criterion", [smape, std_of_errors, mean_abs_error,
+                                           compute_report])
+    @pytest.mark.parametrize("pred, obs, message", [
+        ([[1.0, 2.0]], [[1.0, 2.0]], "predicted and observed must be 1-d and equally long"),
+        ([1.0], [1.0, 2.0], "predicted and observed must be 1-d and equally long"),
+        ([], [], "need at least one prediction pair"),
+        ([1.0, np.inf], [1.0, 2.0], "prediction pairs must be finite"),
+        ([1.0, 2.0], [np.nan, 2.0], "prediction pairs must be finite"),
+    ])
+    def test_every_criterion_checks_its_pairs(self, criterion, pred, obs, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            criterion(np.array(pred), np.array(obs))
+
+    def test_scoring_leaves_its_inputs_alone(self):
+        a, b = np.array([1.0, 2.0, -0.5]), np.array([1.5, 2.5, 0.25])
+        before = a.view(np.int64).copy(), b.view(np.int64).copy()
+        compute_report(a, b)
+        for array, bits in zip((a, b), before):
+            assert array.flags.writeable
+            assert np.array_equal(array.view(np.int64), bits)

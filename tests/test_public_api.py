@@ -80,7 +80,8 @@ def test_a_station_result_has_one_form():
         assert name not in gnss_grnn.__all__
         assert not hasattr(gnss_grnn, name)
         assert not hasattr(gnss_grnn.harness, name)
-    assert not hasattr(gnss_grnn.Criteria, "printed")
+    # the criteria table is plain rows of key, label, ratio key and format
+    assert all(type(row) is tuple and len(row) == 4 for row in gnss_grnn.metrics.CRITERIA)
 
 
 def test_every_result_is_the_block_its_writer_prints():
@@ -88,8 +89,16 @@ def test_every_result_is_the_block_its_writer_prints():
         assert name not in gnss_grnn.__all__
         for module in (gnss_grnn, gnss_grnn.harness, gnss_grnn.metrics):
             assert not hasattr(module, name)
-    pairs = gnss_grnn.PredictionPairs(np.array([1.0, 2.0]), np.array([1.5, 2.5]))
-    assert list(gnss_grnn.compute_report(pairs)) == ["smape_percent", "std_m", "mabs_m", "n"]
+    report = gnss_grnn.compute_report(np.array([1.0, 2.0]), np.array([1.5, 2.5]))
+    assert list(report) == ["smape_percent", "std_m", "mabs_m", "n"]
+
+
+def test_scoring_takes_two_arrays():
+    for name in ("PredictionPairs", "Criteria"):
+        assert name not in gnss_grnn.__all__
+        for module in (gnss_grnn, gnss_grnn.metrics):
+            assert not hasattr(module, name)
+    assert parameters(gnss_grnn.compute_report) == ["predicted_m", "observed_m"]
 
 
 def test_one_value_basis():
