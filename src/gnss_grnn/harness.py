@@ -39,7 +39,7 @@ from .series import (
     mjd_to_decimal_year,
     open_text,
 )
-from .theta import ThetaFit, theta_backtest
+from .theta import ThetaFit, checked_window, theta_backtest
 
 SCHEMA_VERSION = 1
 
@@ -251,11 +251,11 @@ def evaluate_station(
     defaults to the kernel method's training size. When the two differ,
     both prediction lists are trimmed to the epochs both methods
     predicted, and that equality is checked before any criterion is
-    computed. One station walk gives the kernel forecasts of all three
-    components from shared weights. Both methods forecast and are scored
-    on the raw positions. A failure names the station; a scoring failure
-    also names the component, the method and, for an undefined term, the
-    epoch.
+    computed. The settings are checked before any walk runs, and one
+    station walk of each method gives the forecasts of all three
+    components. Both methods forecast and are scored on the raw
+    positions. A failure names the station; a scoring failure also names
+    the component, the method and, for an undefined term, the epoch.
 
     Gives the station's block of ``report.json``, as
     :func:`write_reports_json` writes it: its id, a null country, span
@@ -264,12 +264,11 @@ def evaluate_station(
     produced them.
     """
     grnn_config = grnn_config or GrnnConfig()
-    if theta_window is None:
-        theta_window = grnn_config.training_size
-    # first: a bad theta window or gap factor is rejected before the
-    # station's length is checked or any backtest runs
-    if theta_window < 3:
-        raise DataError("theta window must be >= 3")
+    # first: a bad setting is rejected before the station's length is
+    # checked or any backtest runs
+    theta_window = checked_window(
+        grnn_config.training_size if theta_window is None else theta_window)
+    mode, theta_fit = Mode(mode), ThetaFit(theta_fit)
     gaps: GapReport = detect_gaps(series, gap_factor)
     keep = series.count - max(grnn_config.training_size, theta_window)
     with at_station(series.station_id):
@@ -278,10 +277,11 @@ def evaluate_station(
                 "series too short for evaluation: need at least 2 shared predictions"
             )
         walks = forecast_series(series, grnn_config, (mode,))
+        thetas = theta_backtest(series, theta_window, fit=theta_fit)
     metrics: dict[str, dict[str, dict]] = {"grnn": {}, "theta": {}}
     for comp in series.components:
         g = walks[comp.component, mode]
-        t = theta_backtest(comp, theta_window, fit=theta_fit)
+        t = thetas[comp.component, Mode.TEACHER_FORCED]
         if not np.array_equal(g.epochs_mjd[-keep:], t.epochs_mjd[-keep:]):
             raise RuntimeError("methods were about to be scored on different epochs")
         for method, r in (("grnn", g), ("theta", t)):
@@ -309,9 +309,9 @@ def evaluate_station(
                 # schema 1 keeps these keys; an evaluation never runs the adaptive search
                 "threshold_m": None,
                 "max_training_size": None,
-                "mode": Mode(mode).value,
+                "mode": mode.value,
             },
-            "theta": {"window": theta_window, "fit": ThetaFit(theta_fit).value},
+            "theta": {"window": theta_window, "fit": theta_fit.value},
             "gap_factor": gap_factor,
         },
     }
@@ -364,7 +364,7 @@ def time_methods(
     serialized inside the timed spans. A kernel sample is one station
     walk per station, all three components from shared weights in
     window-update ``mode``, as :func:`evaluate_station` does; a Theta
-    sample is one walk per component.
+    sample is one station walk per station too, X, Y and Z together.
 
     Gives the ``timing`` block of ``report.json``: the samples
     ``grnn_seconds`` and ``theta_seconds``, their medians
@@ -376,22 +376,21 @@ def time_methods(
     if repetitions < 3:
         raise DataError("need at least 3 repetitions for a stable median")
     grnn_config = grnn_config or GrnnConfig()
-    if theta_window is None:
-        theta_window = grnn_config.training_size
-    # before the warmup: a bad theta window would otherwise fail only after it
-    if theta_window < 3:
-        raise DataError("theta window must be >= 3")
-    components = [c for s in stations for c in s.components]
-    workload = sum(c.count - grnn_config.training_size for c in components)
-    theta_workload = sum(c.count - theta_window for c in components)
+    # before the warmup: a bad setting would otherwise fail only after it
+    theta_window = checked_window(
+        grnn_config.training_size if theta_window is None else theta_window)
+    mode, theta_fit = Mode(mode), ThetaFit(theta_fit)
+    workload = sum(len(s.components) * (s.count - grnn_config.training_size)
+                   for s in stations)
+    theta_workload = sum(len(s.components) * (s.count - theta_window) for s in stations)
 
     def run_grnn() -> None:
         for station in stations:
             forecast_series(station, grnn_config, (mode,))
 
     def run_theta() -> None:
-        for comp in components:
-            theta_backtest(comp, theta_window, fit=theta_fit)
+        for station in stations:
+            theta_backtest(station, theta_window, fit=theta_fit)
 
     samples: dict[str, list[float]] = {"grnn": [], "theta": []}
     for method, runner in (("grnn", run_grnn), ("theta", run_theta)):

@@ -16,9 +16,9 @@ only as a test reference, which the backtest must match bit for bit and
 exact rational arithmetic checks.
 
 The backtest refits at every origin, but a window's second differences
-are those of the whole series, so they are formed once per series; each
-origin then costs two dot products, one for the curvature sum and one
-for the slope.
+are those of the whole series, so they are formed once per station, for
+X, Y and Z together; each origin then costs two stacked matmuls over the
+three components, one for the curvature sums and one for the slopes.
 
 This is the two-term variant only, not the full multi-line decomposition
 with exponential-smoothing recombination found elsewhere in the
@@ -32,8 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .grnn import ForecastResult
-from .series import ComponentSeries
+from .grnn import ForecastResult, Mode, StationForecast
+from .series import StationSeries
 
 
 class ThetaFit(str, Enum):
@@ -43,13 +43,23 @@ class ThetaFit(str, Enum):
     GLOBAL = "global"      # fit once on the first window, reuse everywhere
 
 
+def checked_window(window: int) -> int:
+    """``window`` as an ``int``, refused unless it is an integer >= 3."""
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)):
+        raise DataError(f"theta window must be an integer; got {window!r}")
+    if window < 3:
+        raise DataError("theta window must be >= 3")
+    return int(window)
+
+
 def theta_backtest(
-    series: ComponentSeries,
+    station: StationSeries,
     window: int,
     *,
     fit: ThetaFit = ThetaFit.ROLLING,
-) -> ForecastResult:
-    """Rolling-origin one-step backtest over every post-window epoch.
+) -> StationForecast:
+    """Rolling-origin one-step backtest over every post-window epoch of
+    a station's X, Y and Z, in one walk.
 
     For each target the model is fitted on the ``p = window`` most recent
     observed values (re-indexed ``t = 1..p``) and forecasts position
@@ -61,45 +71,46 @@ def theta_backtest(
     Observed values only are ever used for fitting; epochs inside gaps
     are skipped exactly like the kernel walk, so the first post-gap
     forecast leans on pre-gap values. With ``fit=GLOBAL`` the slope from
-    the first window is reused at every origin.
+    each component's first window is reused at every origin.
 
-    Per origin ``i`` (window ``y = values[i:i + p]``) the loop computes
-    two dot products: the curvature sum ``lags @ d2[i:i + p - 2]``, over
-    the series' second differences ``d2`` formed once before the loop,
-    and the slope numerator ``tc @ (y - np.add.reduce(y) / p)``. That
-    mean is what ``y.mean()`` computes (a pairwise sum, then a true
-    divide by the count), so it has the same bits, without the Python
-    wrapper that dominated the loop. The forecasts are assembled
-    elementwise after the loop in the per-origin order of operations,
-    ``y1 + (k - 1)(y2 - y1) + (slope / tc.tc) * curvature``.
+    The components' second differences ``d2`` are formed once. Per origin
+    ``i`` (windows ``y = values[:, i:i + p]``) the loop runs two stacked
+    ``(1, L) @ (L, 1)`` matmuls, a row per component: the curvature sums
+    ``d2[:, i:i + p - 2] @ lags`` and the slope numerators
+    ``(y - np.add.reduce(y, axis=-1) / p) @ tc``. Each row runs the 1-d
+    dot, and that mean is ``y.mean()``'s (a pairwise sum, then a true
+    divide), so every forecast has the bits of its component walked alone.
+    The forecasts are assembled elementwise after the loop in the
+    per-origin order ``y1 + (k - 1)(y2 - y1) + (slope / tc.tc) * curvature``.
+    Gives a :class:`StationForecast` keyed by ``Mode.TEACHER_FORCED``, as
+    every origin fits observed values.
     """
+    p = checked_window(window)
     fit = ThetaFit(fit)
-    n = series.count
-    if window < 3:
-        raise DataError("theta window must be >= 3")
-    if n <= window:
-        raise DataError(f"nothing to predict: {n} samples with window {window}")
-    values = series.values_m
-    p, k, m = window, window + 1, n - window
+    n = station.count
+    if n <= p:
+        raise DataError(f"nothing to predict: {n} samples with window {p}")
+    values = np.stack([c.values_m for c in station.components])
+    k, m = p + 1, n - p
     t = np.arange(1.0, p + 1.0)
     tc = t - t.mean()
     tctc = tc @ tc
-    lags = k - np.arange(2.0, p)
-    # second differences y[j+2] - 2 y[j+1] + y[j]; window i uses d2[i:i + p - 2]
-    d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
+    lags, tcol = (k - np.arange(2.0, p))[:, None], tc[:, None]
+    # second differences y[j+2] - 2 y[j+1] + y[j]; window i uses d2[:, i:i + p - 2]
+    d2 = values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]
     rolling = fit is ThetaFit.ROLLING
-    # slope numerators: one per origin, or the first window's alone (broadcast)
-    slopes = np.empty(m if rolling else 1, dtype=np.float64)
-    curvature = np.empty(m, dtype=np.float64)
+    # one (component, 1, 1) matmul result per origin; GLOBAL keeps the
+    # first window's slope numerators alone, which broadcast
+    slopes = np.empty((m if rolling else 1, len(values), 1, 1))
+    curvature = np.empty((m, len(values), 1, 1))
     for i in range(m):
-        curvature[i] = lags @ d2[i:i + p - 2]
+        np.matmul(d2[:, None, i:i + p - 2], lags, out=curvature[i])
         if rolling or i == 0:
-            y = values[i:i + p]
-            slopes[i] = tc @ (y - np.add.reduce(y) / p)
-    predicted = (values[:m] + (k - 1) * (values[1:m + 1] - values[:m])
-                 + slopes / tctc * curvature)
-    return ForecastResult(
-        epochs_mjd=series.epochs_mjd[p:],
-        predicted_m=predicted,
-        observed_m=values[p:],
-    )
+            y = values[:, None, i:i + p]
+            np.matmul(y - np.add.reduce(y, axis=-1, keepdims=True) / p, tcol, out=slopes[i])
+    predicted = (values[:, :m] + (k - 1) * (values[:, 1:m + 1] - values[:, :m])
+                 + slopes[..., 0, 0].T / tctc * curvature[..., 0, 0].T)
+    return StationForecast({
+        (c.component.value, Mode.TEACHER_FORCED): ForecastResult(
+            epochs_mjd=c.epochs_mjd[p:], predicted_m=row, observed_m=c.values_m[p:])
+        for c, row in zip(station.components, predicted)})

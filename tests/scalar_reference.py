@@ -8,6 +8,8 @@ Theta: the textbook pieces the backtest fuses into one loop. A slope
 estimate, a model holding the slope and its window, and the forecast at
 any ordinal position ``3 <= k <= p + 1``; ``theta_walk`` refits them at
 every origin the way the backtest did before its loop was fused.
+``component_theta_walk`` is that fused loop for one component, the way
+the backtest ran before it walked X, Y and Z together.
 
 The walks must reproduce these bit for bit; the mpmath and ``Fraction``
 oracles in ``oracles.py`` check the arithmetic itself. Slow and simple
@@ -182,3 +184,24 @@ def theta_walk(series, window, fit=ThetaFit.ROLLING) -> np.ndarray:
             model = ThetaModel(theta=theta_global, values_m=train)
         predicted[i - window] = theta_forecast(model, k)
     return predicted
+
+
+def component_theta_walk(series, window, fit=ThetaFit.ROLLING) -> np.ndarray:
+    """``theta_backtest``'s forecasts of one component: per origin, two 1-d
+    dot products over the component's second differences."""
+    values = series.values_m
+    p, k, m = window, window + 1, series.count - window
+    t = np.arange(1.0, p + 1.0)
+    tc = t - t.mean()
+    lags = k - np.arange(2.0, p)
+    d2 = values[2:] - 2.0 * values[1:-1] + values[:-2]
+    rolling = fit is ThetaFit.ROLLING
+    slopes = np.empty(m if rolling else 1, dtype=np.float64)
+    curvature = np.empty(m, dtype=np.float64)
+    for i in range(m):
+        curvature[i] = lags @ d2[i:i + p - 2]
+        if rolling or i == 0:
+            y = values[i:i + p]
+            slopes[i] = tc @ (y - np.add.reduce(y) / p)
+    return (values[:m] + (k - 1) * (values[1:m + 1] - values[:m])
+            + slopes / (tc @ tc) * curvature)

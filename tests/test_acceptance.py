@@ -146,10 +146,14 @@ def test_p3_theta_linear_exactness():
             y = a + b * t_axis
             theta = estimate_theta(y[:20])
             assert theta == pytest.approx(b, rel=1e-10, abs=1e-12)
-            series = ComponentSeries(Component.X, 55000.0 + t_axis, y)
-            res = theta_backtest(series, 20)
-            scale = np.maximum(1.0, np.abs(res.observed_m))
-            assert np.all(np.abs(res.observed_m - res.predicted_m) <= 1e-9 * scale)
+            station = StationSeries("P3", tuple(
+                ComponentSeries(c, 55000.0 + t_axis, sign * y)
+                for c, sign in zip(Component, (1.0, -1.0, 2.0))))
+            walks = theta_backtest(station, 20)
+            for c in Component:
+                res = walks[c, Mode.TEACHER_FORCED]
+                scale = np.maximum(1.0, np.abs(res.observed_m))
+                assert np.all(np.abs(res.observed_m - res.predicted_m) <= 1e-9 * scale)
     _ok("P3 PASS - 20 slopes x 5 intercepts recovered and backtested exactly")
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import statistics
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from gnss_grnn import (
     StationSeries,
     SyntheticKind,
     SyntheticParams,
+    ThetaFit,
     UndefinedMetricError,
     amplitude,
     compare_methods,
@@ -29,6 +31,7 @@ from gnss_grnn import (
     forecast_series,
     generate_synthetic,
     run_sweep,
+    theta_backtest,
     time_methods,
     write_reports_csv,
     write_reports_json,
@@ -155,6 +158,19 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """``(series type, window, fit)`` of every Theta walk the harness asks for."""
+    calls = []
+
+    def traced(station, window, *, fit):
+        calls.append((type(station), window, fit))
+        return theta_backtest(station, window, fit=fit)
+
+    monkeypatch.setattr(gnss_grnn.harness, "theta_backtest", traced)
+    return calls
+
+
 class TestOneWalkPerStation:
     """The harness walks X, Y, Z (and every sweep mode) from one kernel pass."""
 
@@ -180,12 +196,39 @@ class TestOneWalkPerStation:
             time_methods([self.station()], GrnnConfig(training_size=10), theta_window=2)
         assert kernel_calls == []
 
-    def test_timing_calls_once_per_station_and_pass(self, kernel_calls):
+    def test_timing_calls_once_per_station_and_pass(self, kernel_calls, theta_calls):
         timing = time_methods([self.station(), self.station()],
-                              GrnnConfig(training_size=10), repetitions=3)
+                              GrnnConfig(training_size=10), theta_fit="global",
+                              repetitions=3)
         # one warmup pass and three timed passes over two stations
         assert kernel_calls == 8 * [(StationSeries, 10, (Mode.RECURSIVE,))]
+        assert theta_calls == 8 * [(StationSeries, 10, ThetaFit.GLOBAL)]
         assert timing["workload_predictions"] == 2 * 3 * 110
+        assert timing["theta_predictions"] == 2 * 3 * 110
+
+    def test_evaluation_walks_theta_once(self, theta_calls):
+        evaluate_station(self.station(), GrnnConfig(training_size=10), theta_window=12,
+                         theta_fit="global")
+        assert theta_calls == [(StationSeries, 12, ThetaFit.GLOBAL)]
+
+    @pytest.mark.parametrize("setting", ["mode", "theta_fit"])
+    def test_bad_mode_or_fit_walks_nothing(self, kernel_calls, theta_calls, setting):
+        config = GrnnConfig(training_size=10)
+        with pytest.raises(ValueError, match="'bogus' is not a valid"):
+            evaluate_station(self.station(), config, **{setting: "bogus"})
+        with pytest.raises(ValueError, match="'bogus' is not a valid"):
+            time_methods([self.station()], config, **{setting: "bogus"})
+        assert kernel_calls == [] and theta_calls == []
+
+    @pytest.mark.parametrize("window", [100.0, 3.5, True])
+    def test_non_integer_theta_window_walks_nothing(self, kernel_calls, theta_calls, window):
+        message = re.escape(f"theta window must be an integer; got {window!r}")
+        config = GrnnConfig(training_size=10)
+        with pytest.raises(DataError, match=message):
+            evaluate_station(self.station(), config, theta_window=window)
+        with pytest.raises(DataError, match=message):
+            time_methods([self.station()], config, theta_window=window)
+        assert kernel_calls == [] and theta_calls == []
 
 
 def _linear_station(n=120, slope=0.001):
@@ -235,6 +278,16 @@ class TestEvaluateStation:
         for comp in ("X", "Y", "Z"):
             assert (b["metrics"]["grnn"][comp]["smape_percent"]
                     >= a["metrics"]["grnn"][comp]["smape_percent"])
+
+    def test_numpy_integer_theta_window_is_written(self):
+        s = _linear_station(150)
+        report = evaluate_station(s, GrnnConfig(training_size=10), theta_window=np.int64(50))
+        assert type(report["settings"]["theta"]["window"]) is int
+        buf = io.StringIO()
+        write_reports_json([report], None, buf)
+        doc = json.loads(buf.getvalue())
+        assert doc["stations"][0]["settings"]["theta"] == {"window": 50, "fit": "rolling"}
+        assert doc["stations"][0]["n_predictions"] == 100
 
     def test_differing_windows_are_aligned(self):
         s = _linear_station(150)

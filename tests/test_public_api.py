@@ -61,6 +61,7 @@ def test_each_walk_takes_only_the_settings_it_reads():
     assert parameters(gnss_grnn.adaptive_forecast_series) == [
         "station", "config", "threshold_m", "max_training_size"]
     assert parameters(gnss_grnn.run_sweep) == ["series", "v_values", "bandwidth"]
+    assert parameters(gnss_grnn.theta_backtest) == ["station", "window", "fit"]
     for function in (gnss_grnn.evaluate_station, gnss_grnn.evaluate_stations,
                      gnss_grnn.time_methods):
         mode = inspect.signature(function).parameters["mode"]

@@ -1,5 +1,7 @@
 """Trend-plus-curvature (Theta) forecaster."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,8 @@ from gnss_grnn import (
     Component,
     ComponentSeries,
     DataError,
+    Mode,
+    StationSeries,
     SyntheticKind,
     SyntheticParams,
     ThetaFit,
@@ -19,6 +23,7 @@ from gnss_grnn import (
 from oracles import ols_slope, theta_forecast_fraction, theta_slope_fraction
 from scalar_reference import (
     ThetaModel,
+    component_theta_walk,
     estimate_theta,
     fit_theta_model,
     theta_forecast,
@@ -26,11 +31,24 @@ from scalar_reference import (
 )
 
 
-def comp_series(values, epochs=None):
-    values = np.asarray(values, dtype=float)
+def station_of(x, y=None, z=None, epochs=None):
+    """A station whose X values are ``x``; Y and Z default to X's."""
+    x = np.asarray(x, dtype=float)
     if epochs is None:
-        epochs = np.arange(1.0, values.size + 1.0)
-    return ComponentSeries(Component.X, epochs, values)
+        epochs = np.arange(1.0, x.size + 1.0)
+    columns = (x, x if y is None else y, x if z is None else z)
+    return StationSeries("T", tuple(ComponentSeries(c, epochs, np.asarray(v, dtype=float))
+                                    for c, v in zip(Component, columns)))
+
+
+def walks(station, window, fit=ThetaFit.ROLLING):
+    """The X, Y and Z results of one station walk."""
+    res = theta_backtest(station, window, fit=fit)
+    return [res[c, Mode.TEACHER_FORCED] for c in Component]
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
 class TestEstimateTheta:
@@ -117,12 +135,12 @@ class TestThetaForecast:
 class TestThetaBacktest:
     def test_linear_one_step_errors_vanish(self):
         y = 5.0 + 0.3 * np.arange(200.0)
-        res = theta_backtest(comp_series(y), 12)
-        np.testing.assert_allclose(res.predicted_m, res.observed_m, rtol=1e-9)
+        for res in walks(station_of(y, -y, 2.0 * y - 7.0), 12):
+            np.testing.assert_allclose(res.predicted_m, res.observed_m, rtol=1e-9)
 
     def test_constant_zero_metrics(self):
-        res = theta_backtest(comp_series(np.full(50, 1.25)), 5)
-        np.testing.assert_allclose(res.predicted_m, 1.25, rtol=1e-12)
+        for res in walks(station_of(np.full(50, 1.25)), 5):
+            np.testing.assert_allclose(res.predicted_m, 1.25, rtol=1e-12)
 
     def test_quadratic_matches_reference(self):
         t = np.arange(20.0)
@@ -130,38 +148,59 @@ class TestThetaBacktest:
         # rolling: the oracle fits each window itself; global: the first window's slope
         first_slope = theta_slope_fraction(y[:5])
         for fit, theta in ((ThetaFit.ROLLING, None), (ThetaFit.GLOBAL, first_slope)):
-            res = theta_backtest(comp_series(y), 5, fit=fit)
-            for i in range(len(res)):
-                window = y[i:i + 5]
-                expected = float(theta_forecast_fraction(window, 6, theta))
-                assert res.predicted_m[i] == pytest.approx(expected, rel=1e-10)
+            for res in walks(station_of(y), 5, fit):
+                for i in range(len(res)):
+                    window = y[i:i + 5]
+                    expected = float(theta_forecast_fraction(window, 6, theta))
+                    assert res.predicted_m[i] == pytest.approx(expected, rel=1e-10)
 
     def test_window_bounds(self):
-        series = comp_series(np.arange(10.0))
+        station = station_of(np.arange(10.0))
         with pytest.raises(DataError, match="theta window must be >= 3"):
-            theta_backtest(series, 2)
+            theta_backtest(station, 2)
         with pytest.raises(DataError, match="nothing to predict"):
-            theta_backtest(series, 10)
+            theta_backtest(station, 10)
+
+    @pytest.mark.parametrize("window", [3.5, 100.0, True, "7", None])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(DataError, match=re.escape(
+                f"theta window must be an integer; got {window!r}")):
+            theta_backtest(station_of(np.arange(200.0)), window)
+
+    def test_numpy_integer_window(self):
+        station = station_of(np.sin(np.arange(60.0) / 5.0))
+        for a, b in zip(walks(station, np.int64(8)), walks(station, 8)):
+            assert same_bits(a.predicted_m, b.predicted_m)
+
+    def test_keyed_teacher_forced_and_counted_together(self):
+        res = theta_backtest(station_of(np.arange(30.0)), 5)
+        assert list(res.results) == [(c.value, Mode.TEACHER_FORCED) for c in Component]
+        assert len(res) == 3 * 25
 
     def test_global_fit_matches_rolling_on_linear(self):
         y = 3.0 + 0.125 * np.arange(60.0)
-        rolling = theta_backtest(comp_series(y), 8, fit=ThetaFit.ROLLING)
-        fixed = theta_backtest(comp_series(y), 8, fit=ThetaFit.GLOBAL)
-        np.testing.assert_allclose(rolling.predicted_m, fixed.predicted_m, rtol=1e-9)
+        station = station_of(y, -y, 0.5 * y)
+        rolling = walks(station, 8, ThetaFit.ROLLING)
+        fixed = walks(station, 8, ThetaFit.GLOBAL)
+        for a, b in zip(rolling, fixed):
+            np.testing.assert_allclose(a.predicted_m, b.predicted_m, rtol=1e-9)
 
     def test_global_fit_differs_on_curved(self):
         t = np.arange(60.0)
-        y = np.sin(t / 5.0)
-        rolling = theta_backtest(comp_series(y), 8, fit=ThetaFit.ROLLING)
-        fixed = theta_backtest(comp_series(y), 8, fit=ThetaFit.GLOBAL)
-        assert not np.allclose(rolling.predicted_m, fixed.predicted_m)
+        station = station_of(np.sin(t / 5.0), np.cos(t / 5.0), np.sin(t / 3.0))
+        rolling = walks(station, 8, ThetaFit.ROLLING)
+        fixed = walks(station, 8, ThetaFit.GLOBAL)
+        for a, b in zip(rolling, fixed):
+            assert not np.allclose(a.predicted_m, b.predicted_m)
 
     def test_gaps_do_not_fabricate_targets(self):
         epochs = np.concatenate([np.arange(1.0, 21.0), np.arange(51.0, 71.0)])
         y = 0.1 * epochs
-        res = theta_backtest(comp_series(y, epochs), 5)
-        assert len(res) == 35
-        np.testing.assert_array_equal(res.epochs_mjd, epochs[5:])
+        station = station_of(y, epochs=epochs)
+        assert len(theta_backtest(station, 5)) == 3 * 35
+        for res in walks(station, 5):
+            assert len(res) == 35
+            np.testing.assert_array_equal(res.epochs_mjd, epochs[5:])
 
     @given(
         c=st.floats(min_value=-1e3, max_value=1e3),
@@ -170,10 +209,12 @@ class TestThetaBacktest:
     @settings(max_examples=60, deadline=None)
     def test_shift_equivariance(self, c, seed):
         rng = np.random.default_rng(seed)
-        y = rng.normal(size=30)
-        base = theta_backtest(comp_series(y), 6).predicted_m
-        shifted = theta_backtest(comp_series(y + c), 6).predicted_m
-        np.testing.assert_allclose(shifted, base + c, rtol=0, atol=1e-9 * max(1.0, abs(c)))
+        y = rng.normal(size=(3, 30))
+        base = walks(station_of(*y), 6)
+        shifted = walks(station_of(*(y + c)), 6)
+        for a, b in zip(base, shifted):
+            np.testing.assert_allclose(b.predicted_m, a.predicted_m + c, rtol=0,
+                                       atol=1e-9 * max(1.0, abs(c)))
 
 
 # earth-centered magnitudes, a 30-day hole and millimetre noise
@@ -181,9 +222,13 @@ _GAPPED = generate_synthetic(SyntheticKind.GAPPED_TREND, 700, 11,
                              SyntheticParams(noise_std_m=0.002))
 # the same components less their means: millimetre values, where a
 # reordered sum shows in the last bits
-_CENTERED = tuple(
-    ComponentSeries(c.component, c.epochs_mjd, c.values_m - c.values_m.mean())
-    for c in _GAPPED.components)
+_CENTERED = station_of(*(c.values_m - c.values_m.mean() for c in _GAPPED.components),
+                       epochs=_GAPPED.epochs_mjd)
+# components six orders of magnitude apart: earth-centered X, then Y and Z
+# scaled down by 1e6 and 1e12
+_SPREAD = station_of(*(c.values_m * scale for c, scale in zip(_GAPPED.components,
+                                                              (1.0, 1e-6, 1e-12))),
+                     epochs=_GAPPED.epochs_mjd)
 
 
 class TestBacktestMatchesReference:
@@ -191,11 +236,9 @@ class TestBacktestMatchesReference:
 
     @pytest.mark.parametrize("fit", list(ThetaFit))
     @pytest.mark.parametrize("p", [3, 4, 7, 100, 300])
-    @pytest.mark.parametrize("components", [_GAPPED.components, _CENTERED],
-                             ids=["raw", "centered"])
-    def test_bit_identical(self, components, p, fit):
-        for comp in components:
-            res = theta_backtest(comp, p, fit=fit)
+    @pytest.mark.parametrize("station", [_GAPPED, _CENTERED], ids=["raw", "centered"])
+    def test_bit_identical(self, station, p, fit):
+        for comp, res in zip(station.components, walks(station, p, fit)):
             assert np.array_equal(res.predicted_m, theta_walk(comp, p, fit))
 
 
@@ -221,7 +264,33 @@ class TestBacktestMatchesReferenceDrawn:
     @settings(max_examples=200, deadline=None)
     def test_bit_identical(self, p, extra, fit, offset, sign, seed):
         rng = np.random.default_rng(seed)
-        values = sign * offset + rng.normal(scale=0.001, size=p + extra)
-        comp = comp_series(values)
-        res = theta_backtest(comp, p, fit=fit)
-        assert np.array_equal(res.predicted_m, theta_walk(comp, p, fit))
+        station = station_of(*(sign * offset + rng.normal(scale=0.001, size=(3, p + extra))))
+        for comp, res in zip(station.components, walks(station, p, fit)):
+            assert np.array_equal(res.predicted_m, theta_walk(comp, p, fit))
+
+
+class TestStationWalkMatchesComponentLoops:
+    """One walk over X, Y and Z has the bits of the per-component loop it
+    replaced, compared as int64 views (so a -0.0 or a NaN payload counts)."""
+
+    @staticmethod
+    def assert_matches(station, p, fit):
+        for comp, res in zip(station.components, walks(station, p, fit)):
+            assert same_bits(res.predicted_m, component_theta_walk(comp, p, fit))
+            assert same_bits(res.epochs_mjd, comp.epochs_mjd[p:])
+            assert same_bits(res.observed_m, comp.values_m[p:])
+
+    @pytest.mark.parametrize("fit", list(ThetaFit))
+    @pytest.mark.parametrize("p", [3, 4, 7, 100, 300])
+    @pytest.mark.parametrize("kind", list(SyntheticKind))
+    def test_every_kind_and_window(self, kind, p, fit):
+        for seed in range(3):
+            station = generate_synthetic(kind, 700, seed, SyntheticParams(noise_std_m=0.002))
+            self.assert_matches(station, p, fit)
+
+    @pytest.mark.parametrize("fit", list(ThetaFit))
+    @pytest.mark.parametrize("p", [3, 4, 7, 100, 300])
+    @pytest.mark.parametrize("station", [_GAPPED, _CENTERED, _SPREAD],
+                             ids=["gapped", "centered", "six-orders-apart"])
+    def test_gapped_and_spread_stations(self, station, p, fit):
+        self.assert_matches(station, p, fit)
