@@ -15,9 +15,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .grnn import (
-    AdaptiveForecastResult,
     BandwidthRule,
-    ForecastResult,
     GrnnConfig,
     Mode,
     StationForecast,
@@ -61,13 +59,11 @@ from .series import (
 from .theta import ThetaFit, theta_backtest
 
 __all__ = [
-    "AdaptiveForecastResult",
     "BandwidthRule",
     "BandwidthTooSmallError",
     "Component",
     "ComponentSeries",
     "DataError",
-    "ForecastResult",
     "GapReport",
     "GapSpan",
     "GrnnConfig",

@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 usage error, 2 data
 error (unparseable or contract-violating input), 3 numeric failure
-(kernel underflow, undefined criterion). Output ordering is
-deterministic regardless of how many workers run.
+(kernel underflow, a forecast that is not finite, an undefined
+criterion, or one that overflows). Output ordering is deterministic
+regardless of how many workers run.
 
 No flag is silently ignored. Each command checks its own flag rules
 before it reads any file, and a broken rule is a usage error:
@@ -261,22 +262,23 @@ def _predict_rows(station, config, mode, threshold_m, max_training_size):
     with at_station(station.station_id):
         walks = (adaptive_forecast_series(station, config, threshold_m, max_training_size)
                  if adaptive else forecast_series(station, config, (mode,)))
-    for comp in station.components:
-        res = walks[comp.component, mode]
-        for i in range(len(res)):
-            yhat = float(res.predicted_m[i])
-            y = float(res.observed_m[i])
+    epochs = station.epochs_mjd[walks.start:]
+    for c, comp in enumerate(station.components):
+        predicted, observed = walks.predicted_m[mode][c], comp.values_m[walks.start:]
+        for i in range(epochs.size):
+            yhat = float(predicted[i])
+            y = float(observed[i])
             row = {
                 "station": station.station_id,
-                "epoch_mjd": float(res.epochs_mjd[i]),
+                "epoch_mjd": float(epochs[i]),
                 "component": comp.component.value,
                 "predicted_m": yhat,
                 "observed_m": y,
                 "abs_error_m": abs(y - yhat),
             }
             if adaptive:
-                row["training_size_used"] = int(res.training_size_used[i])
-                row["threshold_met"] = bool(res.threshold_met[i])
+                row["training_size_used"] = int(walks.training_size_used[c, i])
+                row["threshold_met"] = bool(walks.threshold_met[c, i])
             yield row
 
 

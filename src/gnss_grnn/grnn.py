@@ -47,7 +47,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BandwidthTooSmallError, DataError
+from .errors import BandwidthTooSmallError, DataError, NumericError
 from .series import Component, StationSeries
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -86,6 +86,15 @@ class BandwidthRule(str, Enum):
     MEAN_SPACING = "mean-spacing"
 
 
+def checked_training_size(v: int) -> int:
+    """``v`` as an ``int``, refused unless it is an integer >= 1."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise DataError(f"training_size must be an integer; got {v!r}")
+    if v < 1:
+        raise DataError(f"training_size must be >= 1; got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class GrnnConfig:
     """The kernel model's two settings, as in Specht's GRNN; how a walk
@@ -100,12 +109,7 @@ class GrnnConfig:
     bandwidth: float | BandwidthRule = BandwidthRule.WINDOW_STD
 
     def __post_init__(self) -> None:
-        v = self.training_size
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise DataError(f"training_size must be an integer; got {v!r}")
-        if v < 1:
-            raise DataError("training_size must be >= 1")
-        object.__setattr__(self, "training_size", int(v))
+        object.__setattr__(self, "training_size", checked_training_size(self.training_size))
         bw = self.bandwidth
         if isinstance(bw, str) and bw in {r.value for r in BandwidthRule}:
             object.__setattr__(self, "bandwidth", BandwidthRule(bw))
@@ -231,59 +235,51 @@ def _weight_blocks(
 
 
 @dataclass(frozen=True)
-class ForecastResult:
-    """Rolling one-step forecasts over every post-window epoch of a series.
-
-    Columnar: ``predicted_m[i]`` is the forecast for ``epochs_mjd[i]``
-    whose truth is ``observed_m[i]``.
-    """
-
-    epochs_mjd: np.ndarray
-    predicted_m: np.ndarray
-    observed_m: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.epochs_mjd.size)
-
-
-@dataclass(frozen=True)
-class AdaptiveForecastResult(ForecastResult):
-    """A :class:`ForecastResult` of the adaptive search, with the window
-    size each forecast used and whether it met the threshold."""
-
-    training_size_used: np.ndarray
-    threshold_met: np.ndarray
-
-
-@dataclass(frozen=True)
 class StationForecast:
-    """The walks of one station: a :class:`ForecastResult` per (component, mode).
+    """The forecasts of one station walk, in the station's shape.
 
-    Index it by ``(component, mode)``; the adaptive search keys its
-    :class:`AdaptiveForecastResult` values by ``Mode.TEACHER_FORCED``.
-    ``len()`` counts the one-step forecasts of every walk together.
+    ``predicted_m[mode]`` has rows X, Y, Z; its column ``j`` forecasts the
+    station's epoch ``start + j``. Theta and the adaptive search key theirs
+    by ``Mode.TEACHER_FORCED``; the search also gives each forecast's window
+    size and threshold flag in that shape. ``len()`` counts every forecast.
     """
 
-    results: dict[tuple[str, Mode], ForecastResult]
-
-    def __getitem__(self, key: tuple[Component | str, Mode | str]) -> ForecastResult:
-        component, mode = key
-        return self.results[Component(component).value, Mode(mode)]
+    start: int
+    predicted_m: dict[Mode, np.ndarray]
+    training_size_used: np.ndarray | None = None
+    threshold_met: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return sum(len(r) for r in self.results.values())
+        return sum(a.size for a in self.predicted_m.values())
 
 
+def finite_forecasts(station: StationSeries, start: int, predicted: np.ndarray,
+                     method: str) -> np.ndarray:
+    """``predicted``, a ``method`` walk's ``(3, n - start)`` forecasts; a
+    :class:`NumericError` names the component and the MJD of the first one
+    that is not finite, taking the components in X, Y, Z order."""
+    finite = np.isfinite(predicted)
+    if not finite.all():
+        c, j = np.argwhere(~finite)[0]
+        raise NumericError(
+            f"{method} forecast is not finite ({float(predicted[c, j])!r}) predicting component "
+            f"{station.components[c].component.value} at MJD "
+            f"{float(station.epochs_mjd[start + j])!r}")
+    return predicted
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def forecast_series(
     station: StationSeries, config: GrnnConfig, modes: Sequence[Mode] = (Mode.RECURSIVE,)
 ) -> StationForecast:
     """Walk a station: seed the window with the first ``v`` observed values,
     then predict every later epoch present in the series.
 
-    Gives a :class:`StationForecast` with one result per component and
-    mode of ``modes`` (default: recursive alone), all from one pass
-    of kernel weights over the shared epoch axis: each weight block serves
-    every (component, mode) before the next block is computed.
+    Gives a :class:`StationForecast` that starts at ``v``, with a
+    ``(3, n - v)`` array of forecasts for each mode of ``modes`` (default:
+    recursive alone), all from one pass of kernel weights over the shared
+    epoch axis: each weight block serves every (component, mode) before
+    the next block is computed.
     Teacher-forced forecasts are made a block at a time; recursive ones
     step through the block, one component after the other, since each
     forecast feeds the next of its component.
@@ -303,8 +299,8 @@ def forecast_series(
     temporaries.
 
     A recursive walk becomes a constant after roughly 1-3 ``v`` steps.
-    Once a component's window holds ``v`` equal nonzero finite values
-    ``c``, every later forecast is ``c + 0.0``, which is ``c``: the
+    Once a component's window holds ``v`` equal nonzero values ``c``,
+    every later forecast is ``c + 0.0``, which is ``c``: the
     component stops stepping there and its remaining forecasts are ``c``,
     with unchanged bits. Recursive-mode criteria over a long walk
     therefore mostly score a flat line. The weights still come for every
@@ -314,6 +310,7 @@ def forecast_series(
     ``tests/scalar_reference.py`` bit for bit, and an underflow is
     reported for the first target in walk order that underflows, for
     component X, the first of the components that share the weights.
+    A forecast that is not finite is refused by :func:`finite_forecasts`.
     """
     modes = tuple(Mode(m) for m in modes)
     if not modes:
@@ -322,27 +319,25 @@ def forecast_series(
     n = station.count
     if n <= v:
         raise DataError(f"nothing to predict: {n} samples with training_size {v}")
-    components = station.components
     epochs = station.epochs_mjd
+    observed = np.stack([c.values_m for c in station.components])
     # row j of a block is target v + j, whose observed window is row j here
-    value_windows = [sliding_window_view(c.values_m, v) for c in components]
+    value_windows = sliding_window_view(observed, v, axis=1)
     # forecasts overwrite these working copies as they are produced; in
     # recursive mode they become training data for the following steps
-    buffers = {mode: [c.values_m.copy() for c in components] for mode in modes}
+    buffers = {mode: observed.copy() for mode in modes}
     deviations = np.empty(v, dtype=np.float64)
     # per component, the length of the run of equal values that ends the
     # recursive buffer so far (the seed window's to begin with), and whether
     # the rest of the walk is already written
-    runs = [int(np.append(c.values_m[v - 1::-1] != c.values_m[v - 1], True).argmax())
-            for c in components]
-    settled = [False] * len(components)
+    runs = [int(np.append(row[v - 1::-1] != row[v - 1], True).argmax()) for row in observed]
+    settled = [False] * len(observed)
     for rows, weights, pattern, underflows in _weight_blocks(epochs, np.arange(v, n), v,
                                                              config.bandwidth):
         if underflows:
             # shared weights: the first component is the first to fail
             j, h, nearest = underflows[0]
-            raise _at_target(_underflow_error(h, nearest), components[0].component,
-                             epochs[v + j])
+            raise _at_target(_underflow_error(h, nearest), Component.X, epochs[v + j])
         targets = rows + v
         for mode, buffer in buffers.items():
             if mode is Mode.TEACHER_FORCED:
@@ -367,25 +362,20 @@ def forecast_series(
                     np.subtract(values[k - v:k], base, out=deviations)
                     y = values[k] = base + row.dot(deviations)
                     run = run + 1 if y == values[k - 1] else 1
-                    if run >= v and y != 0.0 and math.isfinite(y):
+                    if run >= v and y != 0.0:
                         # every later window is v copies of y: each deviation is
                         # +0.0, so each forecast is y + 0.0, which is y exactly;
-                        # not so for -0.0 (-0.0 + 0.0 is +0.0) or an infinity
+                        # not so for -0.0 (-0.0 + 0.0 is +0.0); an infinite y
+                        # is refused below all the same
                         values[k + 1:] = y
                         settled[c] = True
                         break
                 runs[c] = run
-    return StationForecast({
-        (comp.component.value, mode): ForecastResult(
-            epochs_mjd=comp.epochs_mjd[v:],
-            predicted_m=values[v:],
-            observed_m=comp.values_m[v:],
-        )
-        for mode, buffer in buffers.items()
-        for comp, values in zip(components, buffer)
-    })
+    return StationForecast(v, {mode: finite_forecasts(station, v, buffer[:, v:], "kernel")
+                               for mode, buffer in buffers.items()})
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def adaptive_forecast_series(
     station: StationSeries,
     config: GrnnConfig,
@@ -401,8 +391,9 @@ def adaptive_forecast_series(
     ``max_training_size``); the attempt with the smallest error stands
     when none passes. Needs the truth at the target, so this is a
     backtest-time procedure only, and teacher-forced. Gives a
-    :class:`StationForecast` with one :class:`AdaptiveForecastResult` per
-    component, keyed by ``Mode.TEACHER_FORCED``.
+    :class:`StationForecast` that starts at ``config.training_size``: its
+    ``(3, m)`` forecasts keyed by ``Mode.TEACHER_FORCED``, with the window
+    size each used and whether it met the threshold in the same shape.
 
     Batched over targets: the outer loop walks the candidate sizes, and
     each size computes the weights of every target still open in any
@@ -414,7 +405,8 @@ def adaptive_forecast_series(
     gets bit for bit the forecast, size and flag of the per-target loop
     in ``tests/scalar_reference.py``, and an underflow is reported for
     the target that loop stops at first, taking the components in X, Y,
-    Z order.
+    Z order. A forecast that is not finite is refused by
+    :func:`finite_forecasts`.
     """
     v0 = config.training_size
     if not threshold_m > 0:
@@ -474,13 +466,6 @@ def adaptive_forecast_series(
         if failed:
             p = min(failed)
             raise _at_target(_underflow_error(*failed[p]), comp.component, epochs[targets[p]])
-    return StationForecast({
-        (comp.component.value, Mode.TEACHER_FORCED): AdaptiveForecastResult(
-            epochs_mjd=epochs[v0:],
-            predicted_m=predicted[c],
-            observed_m=comp.values_m[v0:],
-            training_size_used=used[c],
-            threshold_met=met[c],
-        )
-        for c, comp in enumerate(components)
-    })
+    predicted = finite_forecasts(station, v0, predicted, "kernel")
+    return StationForecast(v0, {Mode.TEACHER_FORCED: predicted},
+                           training_size_used=used, threshold_met=met)

@@ -22,7 +22,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError, UndefinedMetricError
-from .grnn import BandwidthRule, GrnnConfig, Mode, forecast_series
+from .grnn import BandwidthRule, GrnnConfig, Mode, checked_training_size, forecast_series
 from .metrics import (
     CRITERIA,
     compute_report,
@@ -179,25 +179,26 @@ def run_sweep(
     keyed like the header of :func:`write_sweep_csv`, ``v``,
     ``component``, ``mode`` (its string value), then the
     :func:`compute_report` criteria and ``n``.
-    Each training size is one station walk: its kernel weights are
+    Each training size ``v`` is one station walk: its kernel weights are
     computed once and serve every (component, mode) row of that size;
-    nothing is reused across sizes. A series too short for the largest
-    size is refused with the station named, before any size list is
-    built from a :class:`range`. An underflow names the station and the
-    training size it occurred at; a scoring failure also names the
-    component, the mode and, for an undefined term, the epoch. Forecasts
-    are scored against the raw positions they were made from.
+    nothing is reused across sizes. Row ``c`` of each mode's ``(3, n - v)``
+    forecasts is scored against component ``c``'s raw positions from
+    epoch ``v`` on. Every size is checked as :class:`GrnnConfig` checks it
+    before any walk; a :class:`range` is checked by its ends, so a series
+    too short for its largest size is refused, with the station named,
+    without listing its sizes. A walk's failure names the station and the
+    training size; a scoring failure also names the component, the mode
+    and, for an undefined term, the epoch.
     """
     # a range is checked by its ends, so an oversized one is refused
-    # without listing its sizes
+    # without listing its sizes; its elements are integers already
     if isinstance(v_values, range):
         sizes = v_values if v_values.step > 0 else v_values[::-1]
     else:
-        sizes = sorted(set(int(v) for v in v_values))
+        sizes = sorted({checked_training_size(v) for v in v_values})
     if not sizes:
         raise DataError("empty training-size range")
-    if sizes[0] < 1:
-        raise DataError("training sizes must be >= 1")
+    checked_training_size(sizes[0])
     p = series.count
     with at_station(series.station_id):
         if sizes[-1] >= p:
@@ -211,12 +212,13 @@ def run_sweep(
         size = f"training size {v}"
         with at_station(series.station_id, size):
             walks = forecast_series(series, config, modes)
-        for comp in series.components:
+        epochs = series.epochs_mjd[walks.start:]
+        for c, comp in enumerate(series.components):
             for mode in modes:
-                r = walks[comp.component, mode]
                 with at_station(series.station_id, size, f"component {comp.component.value}",
-                                f"mode {mode.value}", epochs_mjd=r.epochs_mjd):
-                    report = compute_report(r.predicted_m, r.observed_m)
+                                f"mode {mode.value}", epochs_mjd=epochs):
+                    report = compute_report(walks.predicted_m[mode][c],
+                                            comp.values_m[walks.start:])
                 rows.append({
                     "v": v,
                     "component": comp.component.value,
@@ -248,14 +250,14 @@ def evaluate_station(
     """Backtest both methods on one station and score them identically.
 
     The kernel walk runs in window-update ``mode``. The Theta window
-    defaults to the kernel method's training size. When the two differ,
-    both prediction lists are trimmed to the epochs both methods
-    predicted, and that equality is checked before any criterion is
-    computed. The settings are checked before any walk runs, and one
-    station walk of each method gives the forecasts of all three
-    components. Both methods forecast and are scored on the raw
-    positions. A failure names the station; a scoring failure also names
-    the component, the method and, for an undefined term, the epoch.
+    defaults to the kernel method's training size. The settings are
+    checked before any walk runs, and one station walk of each method
+    gives the ``(3, m)`` forecasts of all three components. Both methods
+    are scored on the station's last ``n - max(v, theta window)`` epochs:
+    the last columns of each method's forecasts, against the same epochs
+    of the raw positions, so the two are aligned when the windows differ
+    too. A failure names the station; a scoring failure also names the
+    component, the method and, for an undefined term, the epoch.
 
     Gives the station's block of ``report.json``, as
     :func:`write_reports_json` writes it: its id, a null country, span
@@ -278,17 +280,15 @@ def evaluate_station(
             )
         walks = forecast_series(series, grnn_config, (mode,))
         thetas = theta_backtest(series, theta_window, fit=theta_fit)
-    metrics: dict[str, dict[str, dict]] = {"grnn": {}, "theta": {}}
-    for comp in series.components:
-        g = walks[comp.component, mode]
-        t = thetas[comp.component, Mode.TEACHER_FORCED]
-        if not np.array_equal(g.epochs_mjd[-keep:], t.epochs_mjd[-keep:]):
-            raise RuntimeError("methods were about to be scored on different epochs")
-        for method, r in (("grnn", g), ("theta", t)):
+    predicted = {"grnn": walks.predicted_m[mode],
+                 "theta": thetas.predicted_m[Mode.TEACHER_FORCED]}
+    metrics: dict[str, dict[str, dict]] = {method: {} for method in predicted}
+    for c, comp in enumerate(series.components):
+        for method, forecasts in predicted.items():
             with at_station(series.station_id, f"component {comp.component.value}",
-                            f"method {method}", epochs_mjd=r.epochs_mjd[-keep:]):
+                            f"method {method}", epochs_mjd=series.epochs_mjd[-keep:]):
                 metrics[method][comp.component.value] = compute_report(
-                    r.predicted_m[-keep:], r.observed_m[-keep:])
+                    forecasts[c, -keep:], comp.values_m[-keep:])
     first_mjd, last_mjd = float(series.epochs_mjd[0]), float(series.epochs_mjd[-1])
     bw = grnn_config.bandwidth
     return {

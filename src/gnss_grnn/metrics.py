@@ -2,7 +2,8 @@
 
 Each criterion takes two aligned 1-d arrays, predictions and observed
 truths in meters, and leaves both as given. Residuals are defined as
-truth minus prediction. sMAPE uses per-pair denominators
+truth minus prediction, and a criterion whose float64 arithmetic
+overflows is refused. sMAPE uses per-pair denominators
 ``|y| + |yhat|``, is averaged over the pairs and scaled to percent; the
 classical factor-2 variant is deliberately not used.
 :func:`compute_report` gives the three as a dict, the metrics block
@@ -69,6 +70,16 @@ def _pairs(predicted_m: np.ndarray, observed_m: np.ndarray) -> tuple[np.ndarray,
     return pred, obs
 
 
+def _finite(label: str, value: float) -> float:
+    """``value``, the criterion ``label``, as a float once it is finite;
+    the pairs are finite, so only their residuals can have overflowed."""
+    if not np.isfinite(value):
+        raise UndefinedMetricError(
+            f"{label} is not finite ({float(value)!r}): the residuals overflow float64")
+    return float(value)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def smape(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
     """Symmetric mean absolute percentage error, in percent.
 
@@ -86,26 +97,29 @@ def smape(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
             f"undefined sMAPE term at index {i}: |y| + |yhat| is zero", index=i
         )
     terms = np.abs(obs - pred) / denom
-    return float(100.0 * terms.mean())
+    return _finite("sMAPE", 100.0 * terms.mean())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def std_of_errors(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
     """Sample standard deviation of the residuals (N - 1 divisor), meters."""
     pred, obs = _pairs(predicted_m, observed_m)
     if pred.size < 2:
         raise UndefinedMetricError("StD undefined for fewer than 2 pairs")
-    return float(np.std(obs - pred, ddof=1))
+    return _finite("StD", np.std(obs - pred, ddof=1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mean_abs_error(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
     """Mean of absolute residuals, meters."""
     pred, obs = _pairs(predicted_m, observed_m)
-    return float(np.abs(obs - pred).mean())
+    return _finite("MAbs", np.abs(obs - pred).mean())
 
 
 def compute_report(predicted_m: np.ndarray, observed_m: np.ndarray) -> dict[str, float | int]:
     """All three criteria over one set of pairs, and how many pairs:
-    ``smape_percent``, ``std_m``, ``mabs_m`` and ``n``, in that order."""
+    ``smape_percent``, ``std_m``, ``mabs_m`` and ``n``, in that order.
+    A criterion that is undefined or not finite is refused by name."""
     pred, obs = _pairs(predicted_m, observed_m)
     return {
         "smape_percent": smape(pred, obs),

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .grnn import ForecastResult, Mode, StationForecast
+from .grnn import Mode, StationForecast, finite_forecasts
 from .series import StationSeries
 
 
@@ -52,6 +52,7 @@ def checked_window(window: int) -> int:
     return int(window)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def theta_backtest(
     station: StationSeries,
     window: int,
@@ -82,8 +83,10 @@ def theta_backtest(
     divide), so every forecast has the bits of its component walked alone.
     The forecasts are assembled elementwise after the loop in the
     per-origin order ``y1 + (k - 1)(y2 - y1) + (slope / tc.tc) * curvature``.
-    Gives a :class:`StationForecast` keyed by ``Mode.TEACHER_FORCED``, as
-    every origin fits observed values.
+    Gives a :class:`StationForecast` that starts at ``p``, its ``(3, n - p)``
+    forecasts keyed by ``Mode.TEACHER_FORCED``, as every origin fits
+    observed values. A forecast that is not finite is refused by
+    :func:`~gnss_grnn.grnn.finite_forecasts`.
     """
     p = checked_window(window)
     fit = ThetaFit(fit)
@@ -110,7 +113,5 @@ def theta_backtest(
             np.matmul(y - np.add.reduce(y, axis=-1, keepdims=True) / p, tcol, out=slopes[i])
     predicted = (values[:, :m] + (k - 1) * (values[:, 1:m + 1] - values[:, :m])
                  + slopes[..., 0, 0].T / tctc * curvature[..., 0, 0].T)
-    return StationForecast({
-        (c.component.value, Mode.TEACHER_FORCED): ForecastResult(
-            epochs_mjd=c.epochs_mjd[p:], predicted_m=row, observed_m=c.values_m[p:])
-        for c, row in zip(station.components, predicted)})
+    predicted = finite_forecasts(station, p, predicted, "Theta")
+    return StationForecast(p, {Mode.TEACHER_FORCED: predicted})

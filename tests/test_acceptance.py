@@ -114,8 +114,8 @@ def test_p2_oracle_equivalence():
                             for c, row in zip(Component, rows)))
                         walks = forecast_series(station,
                                                 GrnnConfig(training_size=size, bandwidth=h))
-                        for c, row in zip(Component, rows):
-                            yhat = walks[c, Mode.RECURSIVE].predicted_m[0]
+                        for yhats, row in zip(walks.predicted_m[Mode.RECURSIVE], rows):
+                            yhat = yhats[0]
                             ref = nw_predict_mp(epochs, row, target, h)
                             assert yhat == pytest.approx(ref, rel=1e-10, abs=1e-12)
                         cases += 1
@@ -150,10 +150,11 @@ def test_p3_theta_linear_exactness():
                 ComponentSeries(c, 55000.0 + t_axis, sign * y)
                 for c, sign in zip(Component, (1.0, -1.0, 2.0))))
             walks = theta_backtest(station, 20)
-            for c in Component:
-                res = walks[c, Mode.TEACHER_FORCED]
-                scale = np.maximum(1.0, np.abs(res.observed_m))
-                assert np.all(np.abs(res.observed_m - res.predicted_m) <= 1e-9 * scale)
+            for comp, predicted in zip(station.components,
+                                       walks.predicted_m[Mode.TEACHER_FORCED]):
+                observed = comp.values_m[walks.start:]
+                scale = np.maximum(1.0, np.abs(observed))
+                assert np.all(np.abs(observed - predicted) <= 1e-9 * scale)
     _ok("P3 PASS - 20 slopes x 5 intercepts recovered and backtested exactly")
 
 

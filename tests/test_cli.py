@@ -48,6 +48,30 @@ def zero_x_file(tmp_path):
     return path
 
 
+def _write_station(path, x_values):
+    """A daily epoch per value of ``x_values``, which X holds; Y and Z are gentle lines."""
+    lines = ["epoch_mjd,x_m,y_m,z_m"]
+    for day, x in enumerate(x_values):
+        lines.append(f"{55000.0 + day!r},{x!r},{931000.0 + 5e-5 * day!r},"
+                     f"{4801000.0 + 5e-5 * day!r}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.fixture
+def huge_x_file(tmp_path):
+    """X alternates between +1e308 and -1e308: the kernel's deviations
+    overflow, so its first forecast is not finite."""
+    return _write_station(tmp_path / "huge.csv", [1e308, -1e308] * 20)
+
+
+@pytest.fixture
+def one_huge_x_file(tmp_path):
+    """X is 1.0 but for one 1.5e308: the kernel's forecasts stay finite,
+    while their StD and Theta's second differences overflow."""
+    return _write_station(tmp_path / "one.csv", [1.0] * 10 + [1.5e308] + [1.0] * 29)
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
@@ -255,6 +279,21 @@ class TestPredict:
             "at MJD 55051.0\n")
 
 
+    @pytest.mark.parametrize("flags", [(), ("--format", "json"), ("--threshold", "0.01")])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_forecast_is_a_numeric_failure(self, huge_x_file, tmp_path, capsys,
+                                                      flags, to_file):
+        out = tmp_path / "p.out"
+        output = ("--output", out) if to_file else ()
+        assert run_cli("predict", huge_x_file, "-v", "5", *flags, *output) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gnss-grnn: numeric failure: station huge: kernel forecast is not finite (-inf) "
+            "predicting component X at MJD 55005.0\n")
+        assert not out.exists()
+
+
 class TestSweep:
     def test_v_max_one(self, station_file, capsys):
         path = station_file(length=60)
@@ -311,6 +350,17 @@ class TestSweep:
         assert captured.err == (
             "gnss-grnn: numeric failure: station Z0: training size 3: component X: "
             "mode recursive: undefined sMAPE term at MJD 55003.0: |y| + |yhat| is zero\n")
+
+    def test_overflowing_criterion_is_a_numeric_failure(self, one_huge_x_file, tmp_path,
+                                                        capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", one_huge_x_file, "--v-max", "3", "--output", out) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gnss-grnn: numeric failure: station one: training size 1: component X: mode "
+            "recursive: StD is not finite (inf): the residuals overflow float64\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--mode", "recursive"), ("-v", "7"),
                                              ("--training-size", "7")])
@@ -490,6 +540,23 @@ class TestCompare:
         assert not (out_dir / "report.json").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("bad, message", [
+        ("huge_x_file", "station huge: kernel forecast is not finite (-inf) predicting "
+                        "component X at MJD 55005.0"),
+        ("one_huge_x_file", "station one: Theta forecast is not finite (inf) predicting "
+                            "component X at MJD 55011.0"),
+    ])
+    def test_non_finite_forecast_is_a_numeric_failure(self, station_file, tmp_path, capsys,
+                                                      request, jobs, bad, message):
+        # two stations, so --jobs 2 walks the bad one in a worker process
+        good = station_file(name="good", length=60)
+        out_dir = tmp_path / "out"
+        assert run_cli("compare", good, request.getfixturevalue(bad), "-v", "5",
+                       "--jobs", jobs, "--output-dir", out_dir) == 3
+        assert capsys.readouterr().err == f"gnss-grnn: numeric failure: {message}\n"
+        assert not (out_dir / "report.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_short_station_is_named(self, station_file, tmp_path, capsys, jobs):
         long = station_file(name="long", length=150)
         short = station_file(name="short", length=40)
@@ -597,6 +664,25 @@ def test_import_does_not_load_process_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_non_finite_forecast_fails_in_one_line(huge_x_file, tmp_path):
+    # a fresh process with Python's default warning filters: the walk's
+    # overflows print no RuntimeWarning, and the failure no traceback
+    src = str(Path(gnss_grnn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    out = tmp_path / "p.json"
+    done = subprocess.run([sys.executable, "-m", "gnss_grnn.cli", "predict", str(huge_x_file),
+                           "-v", "5", "--format", "json", "--output", str(out)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == (
+        "gnss-grnn: numeric failure: station huge: kernel forecast is not finite (-inf) "
+        "predicting component X at MJD 55005.0\n")
+    assert not out.exists()
 
 
 def test_default_jobs_env(monkeypatch):

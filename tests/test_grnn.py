@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnss_grnn import (
-    AdaptiveForecastResult,
     BandwidthRule,
     BandwidthTooSmallError,
     Component,
     ComponentSeries,
     DataError,
-    ForecastResult,
     GrnnConfig,
     Mode,
+    NumericError,
     StationForecast,
     StationSeries,
     adaptive_forecast_series,
@@ -45,17 +44,18 @@ def station_of(epochs, values, station_id="S"):
 
 
 def walk_x(epochs, values, cfg, mode=Mode.RECURSIVE):
-    """Component X of the ``mode`` walk of a station whose components all
-    hold ``values``."""
-    return forecast_series(station_of(epochs, values), cfg, (mode,))[Component.X, mode]
+    """Component X's forecasts in the ``mode`` walk of a station whose
+    components all hold ``values``."""
+    return forecast_series(station_of(epochs, values), cfg, (mode,)).predicted_m[mode][0]
 
 
 def search_x(epochs, values, cfg, threshold_m, max_training_size=None):
-    """Component X of the adaptive search on a station whose components all
-    hold ``values``."""
+    """Component X's forecasts, window sizes and threshold flags in the
+    adaptive search on a station whose components all hold ``values``."""
     walks = adaptive_forecast_series(station_of(epochs, values), cfg, threshold_m,
                                      max_training_size)
-    return walks[Component.X, Mode.TEACHER_FORCED]
+    return (walks.predicted_m[Mode.TEACHER_FORCED][0], walks.training_size_used[0],
+            walks.threshold_met[0])
 
 
 def one_target_blocks(epochs, target, bandwidth):
@@ -76,7 +76,7 @@ def weights_at(epochs, target, bandwidth):
 def predict_at(epochs, values, target, bandwidth):
     """The one-target ``forecast_series`` from the window ``epochs``/``values``."""
     cfg = GrnnConfig(training_size=len(values), bandwidth=bandwidth)
-    return float(walk_x(np.append(epochs, target), np.append(values, 0.0), cfg).predicted_m[0])
+    return float(walk_x(np.append(epochs, target), np.append(values, 0.0), cfg)[0])
 
 
 def row_bandwidth(epochs, target, bandwidth):
@@ -270,36 +270,39 @@ class TestWindowUpdate:
     def test_recursive_appends_prediction(self):
         res = self.walk(Mode.RECURSIVE)
         # epoch 5 is predicted from {11, 12, forecast at epoch 4}
-        window = np.array([11.0, 12.0, res.predicted_m[0]])
-        assert res.predicted_m[1] == predict(5.0 - self.EPOCHS[1:4], window, 1.0)[0]
-        assert res.predicted_m[1] != predict(5.0 - self.EPOCHS[1:4], self.VALUES[1:4], 1.0)[0]
+        window = np.array([11.0, 12.0, res[0]])
+        assert res[1] == predict(5.0 - self.EPOCHS[1:4], window, 1.0)[0]
+        assert res[1] != predict(5.0 - self.EPOCHS[1:4], self.VALUES[1:4], 1.0)[0]
 
     def test_teacher_forced_appends_observation(self):
         res = self.walk(Mode.TEACHER_FORCED)
         # epoch 5 is predicted from {11, 12, 12.5}: the truth, not the forecast
-        assert res.predicted_m[1] == predict(5.0 - self.EPOCHS[1:4], self.VALUES[1:4], 1.0)[0]
-        np.testing.assert_array_equal(res.observed_m, [12.5, 13.0])
+        assert res[1] == predict(5.0 - self.EPOCHS[1:4], self.VALUES[1:4], 1.0)[0]
+        # one forecast for each of epochs 4 and 5
+        assert res.shape == (2,)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_gap_epochs_are_never_forecast(self, mode):
         epochs = np.array([1.0, 2.0, 3.0, 7.0, 8.0, 9.0])
         cfg = GrnnConfig(training_size=2, bandwidth=2.0)
-        res = walk_x(epochs, 0.5 * epochs, cfg, mode)
-        np.testing.assert_array_equal(res.epochs_mjd, [3.0, 7.0, 8.0, 9.0])
+        walks = forecast_series(station_of(epochs, 0.5 * epochs), cfg, (mode,))
+        # a column per epoch after the seed window, none for the gap's days
+        assert walks.predicted_m[mode].shape == (3, 4)
+        np.testing.assert_array_equal(epochs[walks.start:], [3.0, 7.0, 8.0, 9.0])
 
     def test_length_one_window_recursive(self):
         res = self.walk(Mode.RECURSIVE, v=1)
         # a single weight of 1 repeats the seed value along the whole walk
-        np.testing.assert_array_equal(res.predicted_m, np.full(4, 10.0))
+        np.testing.assert_array_equal(res, np.full(4, 10.0))
 
     def test_length_one_window_teacher_forced(self):
         res = self.walk(Mode.TEACHER_FORCED, v=1)
-        np.testing.assert_array_equal(res.predicted_m, self.VALUES[:-1])
+        np.testing.assert_array_equal(res, self.VALUES[:-1])
 
     def test_window_seeded_with_first_observations(self):
         for mode in Mode:
             res = self.walk(mode)
-            assert res.predicted_m[0] == predict(4.0 - self.EPOCHS[:3], self.VALUES[:3], 1.0)[0]
+            assert res[0] == predict(4.0 - self.EPOCHS[:3], self.VALUES[:3], 1.0)[0]
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -354,18 +357,19 @@ def test_adaptive_search_rejects(threshold_m, max_training_size, message):
 
 class TestAdaptiveAtOneTarget:
     def test_constant_accepts_first_size(self):
-        walk = search_x(np.arange(20.0) + 1.0, np.full(20, 7.0), GrnnConfig(training_size=3),
-                        0.1)
+        predicted, used, met = search_x(np.arange(20.0) + 1.0, np.full(20, 7.0),
+                                        GrnnConfig(training_size=3), 0.1)
         i = 10 - 3
-        assert walk.threshold_met[i]
-        assert walk.training_size_used[i] == 3
-        assert walk.observed_m[i] - walk.predicted_m[i] == 0.0
+        assert met[i]
+        assert used[i] == 3
+        assert 7.0 - predicted[i] == 0.0
 
     def test_linear_with_tight_threshold_exhausts(self):
         epochs = np.arange(30.0) + 1.0
-        walk = search_x(epochs, epochs.copy(), GrnnConfig(training_size=2, bandwidth=1.0), 1e-9)
+        predicted, used, met = search_x(epochs, epochs.copy(),
+                                        GrnnConfig(training_size=2, bandwidth=1.0), 1e-9)
         i = 20 - 2
-        assert not walk.threshold_met[i]
+        assert not met[i]
         # reference loop over the same admissible sizes, keeping the best
         best = None
         for v in range(2, 21):
@@ -374,34 +378,34 @@ class TestAdaptiveAtOneTarget:
             err = float(epochs[20]) - ref
             if best is None or abs(err) < abs(best[1]):
                 best = (v, err, ref)
-        assert walk.training_size_used[i] == best[0]
-        assert walk.predicted_m[i] == pytest.approx(best[2], rel=1e-12)
+        assert used[i] == best[0]
+        assert predicted[i] == pytest.approx(best[2], rel=1e-12)
 
     def test_huge_threshold_accepts_immediately(self):
-        walk = search_x(np.arange(30.0) + 1.0, np.arange(30.0) ** 1.5,
-                        GrnnConfig(training_size=4), 1e12)
+        _, used, met = search_x(np.arange(30.0) + 1.0, np.arange(30.0) ** 1.5,
+                                GrnnConfig(training_size=4), 1e12)
         i = 10 - 4
-        assert walk.threshold_met[i] and walk.training_size_used[i] == 4
+        assert met[i] and used[i] == 4
 
     def test_growth_respects_cap(self):
         cfg = GrnnConfig(training_size=2, bandwidth=1.0)
-        walk = search_x(np.arange(30.0) + 1.0, np.arange(30.0), cfg, 1e-12, 5)
-        assert walk.training_size_used[20 - 2] <= 5
+        _, used, _ = search_x(np.arange(30.0) + 1.0, np.arange(30.0), cfg, 1e-12, 5)
+        assert used[20 - 2] <= 5
 
     def test_insufficient_history(self):
         # no threshold is met, so each target grows its window as far as the
         # history before it allows: index k has exactly k values behind it
         cfg = GrnnConfig(training_size=5, bandwidth=1.0)
-        walk = search_x(np.arange(10.0) + 1.0, np.arange(10.0) ** 2, cfg, 1e-12)
-        assert not walk.threshold_met.any()
-        assert walk.training_size_used[0] == 5
-        assert np.all(walk.training_size_used <= np.arange(5, 10))
+        _, used, met = search_x(np.arange(10.0) + 1.0, np.arange(10.0) ** 2, cfg, 1e-12)
+        assert not met.any()
+        assert used[0] == 5
+        assert np.all(used <= np.arange(5, 10))
 
     def test_walk_shape(self):
-        walk = search_x(np.arange(15.0) + 1.0, np.sin(np.arange(15.0)),
-                        GrnnConfig(training_size=4), 0.5)
-        assert len(walk) == 11
-        assert walk.training_size_used.min() >= 4
+        predicted, used, met = search_x(np.arange(15.0) + 1.0, np.sin(np.arange(15.0)),
+                                        GrnnConfig(training_size=4), 0.5)
+        assert predicted.shape == used.shape == met.shape == (11,)
+        assert used.min() >= 4
 
 
 def loop_reference(series, cfg, threshold_m, max_training_size=None):
@@ -424,15 +428,16 @@ def assert_station_walks_step(station, cfg, modes=tuple(Mode)):
         assert str(exc).startswith(f"{step_exc.value} predicting component X at MJD ")
         return False
     assert isinstance(walks, StationForecast)
+    assert walks.start == cfg.training_size
     assert len(walks) == len(modes) * 3 * (station.count - cfg.training_size)
-    for comp in station.components:
-        for mode in modes:
-            walk = walks[comp.component, mode]
+    assert list(walks.predicted_m) == list(modes)
+    assert walks.training_size_used is None and walks.threshold_met is None
+    for mode in modes:
+        assert walks.predicted_m[mode].shape == (3, station.count - cfg.training_size)
+        for comp, walk in zip(station.components, walks.predicted_m[mode]):
             predicted = stepping_walk(comp, cfg, mode)
             # as int64 views, so that -0.0 and +0.0 differ
-            assert np.array_equal(walk.predicted_m.view(np.int64), predicted.view(np.int64))
-            np.testing.assert_array_equal(walk.epochs_mjd, comp.epochs_mjd[cfg.training_size:])
-            np.testing.assert_array_equal(walk.observed_m, comp.values_m[cfg.training_size:])
+            assert np.array_equal(walk.view(np.int64), predicted.view(np.int64))
     return True
 
 
@@ -494,24 +499,27 @@ class TestAdaptiveForecastSeries:
         cfg = GrnnConfig(training_size=training_size, bandwidth=bandwidth)
         walks = adaptive_forecast_series(station, cfg, 4e-4, cap)
         assert isinstance(walks, StationForecast)
+        assert walks.start == training_size
         assert len(walks) == 3 * (epochs.size - training_size)
-        for comp in station.components:
-            walk = walks[comp.component, Mode.TEACHER_FORCED]
-            assert isinstance(walk, AdaptiveForecastResult) and isinstance(walk, ForecastResult)
-            predicted, used, met = loop_reference(comp, cfg, 4e-4, cap)
-            assert np.array_equal(walk.predicted_m, predicted)
-            assert np.array_equal(walk.training_size_used, used)
-            assert np.array_equal(walk.threshold_met, met)
-            assert walk.training_size_used.dtype == np.int64
-            assert walk.threshold_met.dtype == bool
+        assert list(walks.predicted_m) == [Mode.TEACHER_FORCED]
+        shape = (3, epochs.size - training_size)
+        assert walks.predicted_m[Mode.TEACHER_FORCED].shape == shape
+        assert walks.training_size_used.shape == walks.threshold_met.shape == shape
+        assert walks.training_size_used.dtype == np.int64
+        assert walks.threshold_met.dtype == bool
+        for comp, predicted, used, met in zip(station.components,
+                                              walks.predicted_m[Mode.TEACHER_FORCED],
+                                              walks.training_size_used, walks.threshold_met):
+            want_predicted, want_used, want_met = loop_reference(comp, cfg, 4e-4, cap)
+            assert np.array_equal(predicted, want_predicted)
+            assert np.array_equal(used, want_used)
+            assert np.array_equal(met, want_met)
             if layout == "staggered" and comp.component is Component.X:
-                assert walk.threshold_met.all()
-                np.testing.assert_array_equal(walk.training_size_used, training_size)
+                assert met.all()
+                np.testing.assert_array_equal(used, training_size)
             else:
                 # both outcomes occur, so the test exercises passing and exhausted targets
-                assert walk.threshold_met.any() and not walk.threshold_met.all()
-            np.testing.assert_array_equal(walk.epochs_mjd, epochs[training_size:])
-            np.testing.assert_array_equal(walk.observed_m, comp.values_m[training_size:])
+                assert met.any() and not met.all()
 
     def test_underflow_names_the_target_the_loop_stops_at(self):
         # a dense block, then spacings doubling up to target A; B lies far after A
@@ -658,8 +666,8 @@ class TestForecastSeries:
     def test_constant_series_recursive_exact(self):
         res = walk_x(np.arange(50.0) + 1.0, np.full(50, 2.75),
                      GrnnConfig(training_size=5), Mode.RECURSIVE)
-        np.testing.assert_allclose(res.predicted_m, 2.75, rtol=1e-15)
-        np.testing.assert_array_equal(res.observed_m - res.predicted_m, np.zeros(45))
+        np.testing.assert_allclose(res, 2.75, rtol=1e-15)
+        np.testing.assert_array_equal(2.75 - res, np.zeros(45))
 
     def test_nothing_to_predict(self):
         station = station_of([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -672,7 +680,7 @@ class TestForecastSeries:
         cfg = GrnnConfig(training_size=5, bandwidth=1.0)
         rec = walk_x(epochs, values, cfg, Mode.RECURSIVE)
         tf = walk_x(epochs, values, cfg, Mode.TEACHER_FORCED)
-        assert not np.allclose(rec.predicted_m, tf.predicted_m)
+        assert not np.allclose(rec, tf)
 
     def test_matches_manual_stepping_walk(self):
         rng = np.random.default_rng(3)
@@ -691,19 +699,19 @@ class TestForecastSeries:
         res = walk_x(epochs, values, cfg, Mode.TEACHER_FORCED)
         assert len(res) == 8
         # the prediction at epoch 10 must come from the pre-gap window {3..6}
-        i = int(np.flatnonzero(res.epochs_mjd == 10.0)[0])
+        i = int(np.flatnonzero(epochs[4:] == 10.0)[0])
         w = weights_at(epochs[2:6], 10.0, 2.0)
-        assert res.predicted_m[i] == pytest.approx(float(w @ values[2:6]), rel=1e-14)
+        assert res[i] == pytest.approx(float(w @ values[2:6]), rel=1e-14)
         # step-by-step: the window holding epochs {5,6,10,11} predicts epoch 12
-        j = int(np.flatnonzero(res.epochs_mjd == 12.0)[0])
+        j = int(np.flatnonzero(epochs[4:] == 12.0)[0])
         w2 = weights_at(epochs[4:8], 12.0, 2.0)
-        assert res.predicted_m[j] == pytest.approx(float(w2 @ values[4:8]), rel=1e-14)
+        assert res[j] == pytest.approx(float(w2 @ values[4:8]), rel=1e-14)
 
     def test_recursive_error_accumulates_on_ramp(self):
         epochs = np.arange(30.0) + 1.0
         res = walk_x(epochs, epochs.copy(), GrnnConfig(training_size=5, bandwidth=1.0),
                      Mode.RECURSIVE)
-        errors = np.abs(res.observed_m - res.predicted_m)[:10]
+        errors = np.abs(epochs[5:] - res)[:10]
         assert np.all(np.diff(errors) >= -1e-12)
 
     @pytest.mark.parametrize("axis", ["irregular", "daily", "two-gap", "jittered",
@@ -789,11 +797,10 @@ class TestStationWalk:
         # recursive by default, else each mode alone
         for mode, walks in [(Mode.RECURSIVE, forecast_series(station, cfg)),
                             *((m, forecast_series(station, cfg, (m,))) for m in Mode)]:
-            assert set(walks.results) == {(c, mode) for c in ("X", "Y", "Z")}
+            assert list(walks.predicted_m) == [mode]
             assert len(walks) == 3 * 35
-            for comp in station.components:
-                predicted = stepping_walk(comp, cfg, mode)
-                assert np.array_equal(walks[comp.component.value, mode].predicted_m, predicted)
+            for comp, predicted in zip(station.components, walks.predicted_m[mode]):
+                assert np.array_equal(predicted, stepping_walk(comp, cfg, mode))
 
     def test_refusals(self):
         epochs = _axis("daily", length=20)
@@ -901,16 +908,23 @@ class TestFixedPoint:
         assert settling_steps(station, cfg) == [0, 0, 0]
         assert assert_station_walks_step(station, cfg)
 
-    def test_overflowing_walk_is_stepped(self):
-        # the seed's span overflows: the walk reaches two equal infinities,
-        # and inf - inf makes the next forecast NaN, not inf
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_overflowing_walk_is_refused(self, mode):
+        # the seed's span overflows: the stepping walk reaches two equal
+        # infinities, and inf - inf makes the next forecast NaN; the station
+        # walk refuses its first forecast, whether it settles on the
+        # infinities or steps
         epochs = 55000.0 + np.arange(12.0)
-        values = np.tile([-1e308, 1e308], 6)
+        station = station_of(epochs, np.tile([-1e308, 1e308], 6))
+        cfg = GrnnConfig(training_size=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            station = station_of(epochs, values)
-            predicted = stepping_walk(station.components[0], GrnnConfig(training_size=2))
-            assert np.isinf(predicted[:2]).all() and np.isnan(predicted[2:]).all()
-            assert assert_station_walks_step(station, GrnnConfig(training_size=2))
+            predicted = stepping_walk(station.components[0], cfg, mode)
+        assert np.isinf(predicted[:2]).all()
+        with pytest.raises(NumericError) as exc:
+            forecast_series(station, cfg, (mode,))
+        assert type(exc.value) is NumericError
+        assert str(exc.value) == (f"kernel forecast is not finite ({float(predicted[0])!r}) "
+                                  "predicting component X at MJD 55002.0")
 
 
 class TestStationUnderflow:
@@ -957,3 +971,64 @@ class TestStationUnderflow:
         with pytest.raises(BandwidthTooSmallError) as eval_exc:
             evaluate_station(self.station(), cfg)
         assert str(eval_exc.value) == f"station GAPPY: {first}"
+
+
+def huge_station(rows):
+    """40 daily epochs; the components in ``rows`` alternate between +1e308
+    and -1e308, so a window's deviations from its first value overflow,
+    and the others are a gentle line."""
+    values = np.tile(1.0 + 1e-3 * np.arange(40.0), (3, 1))
+    values[list(rows)] = np.tile([1e308, -1e308], 20)
+    return station_of(55000.0 + np.arange(40.0), values, station_id="HUGE")
+
+
+def first_non_finite(predicted):
+    """The index and value of the first forecast that is not finite."""
+    j = int(np.flatnonzero(~np.isfinite(predicted))[0])
+    return j, float(predicted[j])
+
+
+class TestNonFiniteForecast:
+    """A kernel walk refuses its first forecast that is not finite, taking
+    the components in X, Y, Z order, and its overflows stay silent: a
+    warning would fail these tests before the error is seen."""
+
+    ROWS = [(0,), (1,), (2,), (1, 2)]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_forecast_series(self, rows, mode):
+        station = huge_station(rows)
+        comp = station.components[rows[0]]
+        cfg = GrnnConfig(training_size=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            j, value = first_non_finite(stepping_walk(comp, cfg, mode))
+        with pytest.raises(NumericError) as exc:
+            forecast_series(station, cfg, (mode,))
+        assert str(exc.value) == (
+            f"kernel forecast is not finite ({value!r}) predicting component "
+            f"{comp.component.value} at MJD {55005.0 + j!r}")
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_adaptive_search(self, rows):
+        station = huge_station(rows)
+        comp = station.components[rows[0]]
+        cfg = GrnnConfig(training_size=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            predicted, _, _ = loop_reference(comp, cfg, 1e-3, 8)
+        j, value = first_non_finite(np.array(predicted))
+        with pytest.raises(NumericError) as exc:
+            adaptive_forecast_series(station, cfg, 1e-3, 8)
+        assert str(exc.value) == (
+            f"kernel forecast is not finite ({value!r}) predicting component "
+            f"{comp.component.value} at MJD {55005.0 + j!r}")
+
+    def test_named_with_the_station(self):
+        with pytest.raises(NumericError) as sweep_exc:
+            run_sweep(huge_station((1,)), [5])
+        assert str(sweep_exc.value).startswith(
+            "station HUGE: training size 5: kernel forecast is not finite (")
+        with pytest.raises(NumericError) as eval_exc:
+            evaluate_station(huge_station((1,)), GrnnConfig(training_size=5))
+        assert str(eval_exc.value).startswith("station HUGE: kernel forecast is not finite (")
+        assert str(eval_exc.value).endswith(" predicting component Y at MJD 55005.0")

@@ -16,6 +16,7 @@ from gnss_grnn import (
     DataError,
     GrnnConfig,
     Mode,
+    NumericError,
     SeriesState,
     StationSeries,
     SyntheticKind,
@@ -38,7 +39,7 @@ from gnss_grnn import (
     write_sweep_csv,
 )
 
-from scalar_reference import estimate_theta
+from scalar_reference import estimate_theta, stepping_walk, theta_walk
 
 
 class TestGenerateSynthetic:
@@ -130,7 +131,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("sizes, message", [
         (range(0), "empty training-size range"),
-        (range(6, -1, -3), "training sizes must be >= 1"),
+        (range(6, -1, -3), "training_size must be >= 1; got 0$"),
         (range(3, 25, 4), "refused: v_max 23 must be < series length 20"),
     ])
     def test_range_refused_as_a_list_of_its_sizes(self, sizes, message):
@@ -142,6 +143,35 @@ class TestRunSweep:
     def test_descending_range_sweeps_in_ascending_order(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
         assert run_sweep(s, range(5, 0, -2)) == run_sweep(s, [1, 3, 5])
+
+    @pytest.mark.parametrize("sizes, bad", [
+        ([2.5, 3], 2.5),
+        ([True], True),
+        # equal to 3, so de-duplication would have hidden it
+        ([3, 3.0], 3.0),
+        ([np.float64(2.0)], np.float64(2.0)),
+        (["7"], "7"),
+    ])
+    def test_non_integer_sizes_are_refused_before_any_walk(self, kernel_calls, sizes, bad):
+        s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
+        with pytest.raises(DataError) as exc:
+            run_sweep(s, sizes)
+        assert str(exc.value) == f"training_size must be an integer; got {bad!r}"
+        assert kernel_calls == []
+
+    def test_sizes_below_one_name_the_value(self, kernel_calls):
+        s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
+        for sizes in ([3, -2, 0], range(-2, 4)):
+            with pytest.raises(DataError) as exc:
+                run_sweep(s, sizes)
+            assert str(exc.value) == "training_size must be >= 1; got -2"
+        assert kernel_calls == []
+
+    def test_numpy_integer_sizes_are_swept_as_int(self):
+        s = generate_synthetic(SyntheticKind.CONSTANT, 20, 0)
+        rows = run_sweep(s, [np.int64(3), np.int32(2), 3])
+        assert rows == run_sweep(s, [2, 3])
+        assert {type(row["v"]) for row in rows} == {int}
 
 
 @pytest.fixture
@@ -236,7 +266,58 @@ def _linear_station(n=120, slope=0.001):
                               SyntheticParams(slope_m_per_day=slope))
 
 
+def _one_huge_x(n=40):
+    """A station whose X is 1.0 but for one 1.5e308 at index 10: the
+    kernel's forecasts stay finite, Theta's second differences overflow."""
+    s = _linear_station(n)
+    x = s.components[0]
+    values = np.ones(n)
+    values[10] = 1.5e308
+    return StationSeries("ONE", (ComponentSeries(x.component, x.epochs_mjd, values),
+                                 *s.components[1:]))
+
+
 class TestEvaluateStation:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("v, theta_window", [(10, 25), (30, 7)])
+    def test_both_methods_score_the_stations_last_epochs(self, monkeypatch, mode, v,
+                                                         theta_window):
+        # the windows differ, so the walks start at different epochs; both are
+        # scored on the station's last keep epochs and their truths
+        station = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 120, 1,
+                                     SyntheticParams(noise_std_m=1e-3))
+        scored = []
+
+        def recording(predicted, observed):
+            scored.append((predicted.copy(), observed.copy()))
+            return compute_report(predicted, observed)
+
+        monkeypatch.setattr(gnss_grnn.harness, "compute_report", recording)
+        cfg = GrnnConfig(training_size=v)
+        report = evaluate_station(station, cfg, theta_window, mode=mode)
+        keep = station.count - max(v, theta_window)
+        assert report["n_predictions"] == keep
+        want = []
+        for comp in station.components:
+            want.append((stepping_walk(comp, cfg, mode)[-keep:], comp.values_m[-keep:]))
+            want.append((theta_walk(comp, theta_window)[-keep:], comp.values_m[-keep:]))
+        assert len(scored) == len(want) == 6
+        for (predicted, observed), (want_predicted, want_observed) in zip(scored, want):
+            assert np.array_equal(predicted.view(np.int64), want_predicted.view(np.int64))
+            assert np.array_equal(observed.view(np.int64), want_observed.view(np.int64))
+
+    def test_non_finite_theta_forecast_names_station_and_method(self):
+        s = _one_huge_x()
+        with np.errstate(over="ignore", invalid="ignore"):
+            predicted = theta_walk(s.components[0], 5)
+        j = int(np.flatnonzero(~np.isfinite(predicted))[0])
+        with pytest.raises(NumericError) as exc:
+            evaluate_station(s, GrnnConfig(training_size=5))
+        assert type(exc.value) is NumericError
+        assert str(exc.value) == (
+            f"station ONE: Theta forecast is not finite ({float(predicted[j])!r}) "
+            f"predicting component X at MJD {float(s.epochs_mjd[5 + j])!r}")
+
     def test_constant_all_metrics_zero(self):
         s = generate_synthetic(SyntheticKind.CONSTANT, 120, 0)
         report = evaluate_station(s, GrnnConfig(training_size=10))
@@ -319,6 +400,13 @@ class TestEvaluateStation:
         assert str(exc.value) == ("station Z0: training size 3: component X: mode "
                                   "recursive: undefined sMAPE term at MJD 55003.0: "
                                   "|y| + |yhat| is zero")
+
+    def test_overflowing_criterion_names_size_component_and_mode(self):
+        with pytest.raises(UndefinedMetricError) as exc:
+            run_sweep(_one_huge_x(), [1, 2])
+        assert str(exc.value) == ("station ONE: training size 1: component X: mode "
+                                  "recursive: StD is not finite (inf): the residuals "
+                                  "overflow float64")
 
     def test_non_finite_forecast_is_named_where_it_is_scored(self):
         with pytest.raises(DataError) as exc:

@@ -160,3 +160,29 @@ class TestReportAndInvariances:
         for array, bits in zip((a, b), before):
             assert array.flags.writeable
             assert np.array_equal(array.view(np.int64), bits)
+
+
+@pytest.mark.parametrize("criterion, label, pred, obs, value, first", [
+    # |y - yhat| overflows, and so does |y| + |yhat|: inf / inf
+    (smape, "sMAPE", [-1e308, 1.0], [1e308, 1.0], "nan", "sMAPE"),
+    # the squared deviations overflow
+    (std_of_errors, "StD", [0.0, 0.0, 0.0], [1.5e308, -1.5e308, 1.0], "inf", "StD"),
+    # each residual is finite, their sum is not; the mean in StD overflows first
+    (mean_abs_error, "MAbs", [0.0, 0.0], [1.5e308, 1.5e308], "inf", "StD"),
+])
+def test_a_criterion_that_overflows_is_refused(criterion, label, pred, obs, value, first):
+    # the overflow itself stays silent: a warning would fail this test first
+    with pytest.raises(UndefinedMetricError) as exc:
+        criterion(np.array(pred), np.array(obs))
+    assert str(exc.value) == f"{label} is not finite ({value}): the residuals overflow float64"
+    assert exc.value.index is None
+    # the report is refused at the first criterion, in report order, that is not finite
+    with pytest.raises(UndefinedMetricError, match=f"^{first} is not finite "):
+        compute_report(np.array(pred), np.array(obs))
+
+
+def test_large_finite_criteria_are_kept():
+    report = compute_report(np.array([0.0, 0.0]), np.array([1e150, -1e150]))
+    assert report["smape_percent"] == 100.0
+    assert report["mabs_m"] == 1e150
+    assert report["std_m"] == pytest.approx(math.sqrt(2.0) * 1e150, rel=1e-15)

@@ -36,11 +36,14 @@ def test_sweep_rows_have_no_wrapper():
 
 
 def test_forecast_results_hold_only_what_outputs_read():
-    assert [f.name for f in fields(gnss_grnn.ForecastResult)] == [
-        "epochs_mjd", "predicted_m", "observed_m"]
-    assert [f.name for f in fields(gnss_grnn.AdaptiveForecastResult)] == [
-        "epochs_mjd", "predicted_m", "observed_m", "training_size_used", "threshold_met"]
-    assert [f.name for f in fields(gnss_grnn.StationForecast)] == ["results"]
+    # a walk gives arrays in the station's shape; epochs and truths stay the station's
+    assert [f.name for f in fields(gnss_grnn.StationForecast)] == [
+        "start", "predicted_m", "training_size_used", "threshold_met"]
+    assert not hasattr(gnss_grnn.StationForecast, "__getitem__")
+    for name in ("ForecastResult", "AdaptiveForecastResult"):
+        assert name not in gnss_grnn.__all__
+        assert not hasattr(gnss_grnn, name)
+        assert not hasattr(gnss_grnn.grnn, name)
 
 
 def parameters(function):

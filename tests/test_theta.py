@@ -12,6 +12,7 @@ from gnss_grnn import (
     ComponentSeries,
     DataError,
     Mode,
+    NumericError,
     StationSeries,
     SyntheticKind,
     SyntheticParams,
@@ -42,9 +43,8 @@ def station_of(x, y=None, z=None, epochs=None):
 
 
 def walks(station, window, fit=ThetaFit.ROLLING):
-    """The X, Y and Z results of one station walk."""
-    res = theta_backtest(station, window, fit=fit)
-    return [res[c, Mode.TEACHER_FORCED] for c in Component]
+    """The ``(3, m)`` forecasts of one station walk, rows X, Y and Z."""
+    return theta_backtest(station, window, fit=fit).predicted_m[Mode.TEACHER_FORCED]
 
 
 def same_bits(a, b):
@@ -135,12 +135,13 @@ class TestThetaForecast:
 class TestThetaBacktest:
     def test_linear_one_step_errors_vanish(self):
         y = 5.0 + 0.3 * np.arange(200.0)
-        for res in walks(station_of(y, -y, 2.0 * y - 7.0), 12):
-            np.testing.assert_allclose(res.predicted_m, res.observed_m, rtol=1e-9)
+        station = station_of(y, -y, 2.0 * y - 7.0)
+        for comp, res in zip(station.components, walks(station, 12)):
+            np.testing.assert_allclose(res, comp.values_m[12:], rtol=1e-9)
 
     def test_constant_zero_metrics(self):
         for res in walks(station_of(np.full(50, 1.25)), 5):
-            np.testing.assert_allclose(res.predicted_m, 1.25, rtol=1e-12)
+            np.testing.assert_allclose(res, 1.25, rtol=1e-12)
 
     def test_quadratic_matches_reference(self):
         t = np.arange(20.0)
@@ -152,7 +153,7 @@ class TestThetaBacktest:
                 for i in range(len(res)):
                     window = y[i:i + 5]
                     expected = float(theta_forecast_fraction(window, 6, theta))
-                    assert res.predicted_m[i] == pytest.approx(expected, rel=1e-10)
+                    assert res[i] == pytest.approx(expected, rel=1e-10)
 
     def test_window_bounds(self):
         station = station_of(np.arange(10.0))
@@ -169,12 +170,14 @@ class TestThetaBacktest:
 
     def test_numpy_integer_window(self):
         station = station_of(np.sin(np.arange(60.0) / 5.0))
-        for a, b in zip(walks(station, np.int64(8)), walks(station, 8)):
-            assert same_bits(a.predicted_m, b.predicted_m)
+        assert same_bits(walks(station, np.int64(8)), walks(station, 8))
 
     def test_keyed_teacher_forced_and_counted_together(self):
         res = theta_backtest(station_of(np.arange(30.0)), 5)
-        assert list(res.results) == [(c.value, Mode.TEACHER_FORCED) for c in Component]
+        assert res.start == 5
+        assert list(res.predicted_m) == [Mode.TEACHER_FORCED]
+        assert res.predicted_m[Mode.TEACHER_FORCED].shape == (3, 25)
+        assert res.training_size_used is None and res.threshold_met is None
         assert len(res) == 3 * 25
 
     def test_global_fit_matches_rolling_on_linear(self):
@@ -182,8 +185,7 @@ class TestThetaBacktest:
         station = station_of(y, -y, 0.5 * y)
         rolling = walks(station, 8, ThetaFit.ROLLING)
         fixed = walks(station, 8, ThetaFit.GLOBAL)
-        for a, b in zip(rolling, fixed):
-            np.testing.assert_allclose(a.predicted_m, b.predicted_m, rtol=1e-9)
+        np.testing.assert_allclose(rolling, fixed, rtol=1e-9)
 
     def test_global_fit_differs_on_curved(self):
         t = np.arange(60.0)
@@ -191,16 +193,38 @@ class TestThetaBacktest:
         rolling = walks(station, 8, ThetaFit.ROLLING)
         fixed = walks(station, 8, ThetaFit.GLOBAL)
         for a, b in zip(rolling, fixed):
-            assert not np.allclose(a.predicted_m, b.predicted_m)
+            assert not np.allclose(a, b)
 
     def test_gaps_do_not_fabricate_targets(self):
         epochs = np.concatenate([np.arange(1.0, 21.0), np.arange(51.0, 71.0)])
         y = 0.1 * epochs
         station = station_of(y, epochs=epochs)
-        assert len(theta_backtest(station, 5)) == 3 * 35
-        for res in walks(station, 5):
-            assert len(res) == 35
-            np.testing.assert_array_equal(res.epochs_mjd, epochs[5:])
+        res = theta_backtest(station, 5)
+        # a column per epoch after the window, none for the gap's days
+        assert res.start == 5
+        assert res.predicted_m[Mode.TEACHER_FORCED].shape == (3, 35)
+        assert len(res) == 3 * 35
+
+    @pytest.mark.parametrize("fit", list(ThetaFit))
+    @pytest.mark.parametrize("rows", [(0,), (1,), (2,), (1, 2)])
+    def test_non_finite_forecast_is_refused(self, rows, fit):
+        # components alternating between +1e308 and -1e308 overflow the second
+        # differences; the walk refuses its first forecast that is not finite,
+        # taking the components in X, Y, Z order, and stays silent before it
+        y = 1.0 + 1e-3 * np.arange(40.0)
+        columns = [y, y, y]
+        for r in rows:
+            columns[r] = np.tile([1e308, -1e308], 20)
+        station = station_of(*columns, epochs=55000.0 + np.arange(40.0))
+        comp = station.components[rows[0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            predicted = component_theta_walk(comp, 5, fit)
+        j = int(np.flatnonzero(~np.isfinite(predicted))[0])
+        with pytest.raises(NumericError) as exc:
+            theta_backtest(station, 5, fit=fit)
+        assert str(exc.value) == (
+            f"Theta forecast is not finite ({float(predicted[j])!r}) predicting component "
+            f"{comp.component.value} at MJD {55005.0 + j!r}")
 
     @given(
         c=st.floats(min_value=-1e3, max_value=1e3),
@@ -212,9 +236,7 @@ class TestThetaBacktest:
         y = rng.normal(size=(3, 30))
         base = walks(station_of(*y), 6)
         shifted = walks(station_of(*(y + c)), 6)
-        for a, b in zip(base, shifted):
-            np.testing.assert_allclose(b.predicted_m, a.predicted_m + c, rtol=0,
-                                       atol=1e-9 * max(1.0, abs(c)))
+        np.testing.assert_allclose(shifted, base + c, rtol=0, atol=1e-9 * max(1.0, abs(c)))
 
 
 # earth-centered magnitudes, a 30-day hole and millimetre noise
@@ -239,7 +261,7 @@ class TestBacktestMatchesReference:
     @pytest.mark.parametrize("station", [_GAPPED, _CENTERED], ids=["raw", "centered"])
     def test_bit_identical(self, station, p, fit):
         for comp, res in zip(station.components, walks(station, p, fit)):
-            assert np.array_equal(res.predicted_m, theta_walk(comp, p, fit))
+            assert np.array_equal(res, theta_walk(comp, p, fit))
 
 
 class TestBacktestMatchesReferenceDrawn:
@@ -266,7 +288,7 @@ class TestBacktestMatchesReferenceDrawn:
         rng = np.random.default_rng(seed)
         station = station_of(*(sign * offset + rng.normal(scale=0.001, size=(3, p + extra))))
         for comp, res in zip(station.components, walks(station, p, fit)):
-            assert np.array_equal(res.predicted_m, theta_walk(comp, p, fit))
+            assert np.array_equal(res, theta_walk(comp, p, fit))
 
 
 class TestStationWalkMatchesComponentLoops:
@@ -275,10 +297,12 @@ class TestStationWalkMatchesComponentLoops:
 
     @staticmethod
     def assert_matches(station, p, fit):
-        for comp, res in zip(station.components, walks(station, p, fit)):
-            assert same_bits(res.predicted_m, component_theta_walk(comp, p, fit))
-            assert same_bits(res.epochs_mjd, comp.epochs_mjd[p:])
-            assert same_bits(res.observed_m, comp.values_m[p:])
+        res = theta_backtest(station, p, fit=fit)
+        assert res.start == p
+        predicted = res.predicted_m[Mode.TEACHER_FORCED]
+        assert predicted.shape == (3, station.count - p)
+        for comp, row in zip(station.components, predicted):
+            assert same_bits(row, component_theta_walk(comp, p, fit))
 
     @pytest.mark.parametrize("fit", list(ThetaFit))
     @pytest.mark.parametrize("p", [3, 4, 7, 100, 300])
