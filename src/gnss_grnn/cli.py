@@ -37,6 +37,8 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import __version__
 from .errors import DataError, NumericError
 from .grnn import (
@@ -44,6 +46,7 @@ from .grnn import (
     GrnnConfig,
     Mode,
     adaptive_forecast_series,
+    finite_forecasts,
     forecast_series,
 )
 from .harness import (
@@ -262,19 +265,22 @@ def _predict_rows(station, config, mode, threshold_m, max_training_size):
     with at_station(station.station_id):
         walks = (adaptive_forecast_series(station, config, threshold_m, max_training_size)
                  if adaptive else forecast_series(station, config, (mode,)))
-    epochs = station.epochs_mjd[walks.start:]
+        predicted, observed = walks.predicted_m[mode], station.values_m[:, walks.start:]
+        # a finite forecast far from a finite truth can still overflow its error
+        with np.errstate(over="ignore"):
+            errors = np.abs(observed - predicted)
+        finite_forecasts(station, walks.start, errors, "absolute error of the kernel")
+    epochs = station.epochs_mjd[walks.start:].tolist()
     for c, comp in enumerate(station.components):
-        predicted, observed = walks.predicted_m[mode][c], comp.values_m[walks.start:]
-        for i in range(epochs.size):
-            yhat = float(predicted[i])
-            y = float(observed[i])
+        columns = zip(epochs, predicted[c].tolist(), observed[c].tolist(), errors[c].tolist())
+        for i, (epoch, yhat, y, error) in enumerate(columns):
             row = {
                 "station": station.station_id,
-                "epoch_mjd": float(epochs[i]),
+                "epoch_mjd": epoch,
                 "component": comp.component.value,
                 "predicted_m": yhat,
                 "observed_m": y,
-                "abs_error_m": abs(y - yhat),
+                "abs_error_m": error,
             }
             if adaptive:
                 row["training_size_used"] = int(walks.training_size_used[c, i])

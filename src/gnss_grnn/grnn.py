@@ -255,7 +255,8 @@ class StationForecast:
 
 def finite_forecasts(station: StationSeries, start: int, predicted: np.ndarray,
                      method: str) -> np.ndarray:
-    """``predicted``, a ``method`` walk's ``(3, n - start)`` forecasts; a
+    """``predicted``, a ``method`` walk's ``(3, n - start)`` forecasts (or
+    values derived from them, such as their errors); a
     :class:`NumericError` names the component and the MJD of the first one
     that is not finite, taking the components in X, Y, Z order."""
     finite = np.isfinite(predicted)
@@ -320,7 +321,7 @@ def forecast_series(
     if n <= v:
         raise DataError(f"nothing to predict: {n} samples with training_size {v}")
     epochs = station.epochs_mjd
-    observed = np.stack([c.values_m for c in station.components])
+    observed = station.values_m
     # row j of a block is target v + j, whose observed window is row j here
     value_windows = sliding_window_view(observed, v, axis=1)
     # forecasts overwrite these working copies as they are produced; in
@@ -416,13 +417,13 @@ def adaptive_forecast_series(
     n = station.count
     if n <= v0:
         raise DataError(f"nothing to predict: {n} samples with training_size {v0}")
-    components = station.components
+    observed = station.values_m
     epochs = station.epochs_mjd
     targets = np.arange(v0, n)
     caps = targets
     if max_training_size is not None:
         caps = np.minimum(caps, max_training_size)
-    shape = (len(components), targets.size)
+    shape = (3, targets.size)
     predicted = np.empty(shape, dtype=np.float64)
     used = np.empty(shape, dtype=np.int64)
     met = np.zeros(shape, dtype=bool)
@@ -430,11 +431,11 @@ def adaptive_forecast_series(
     is_open = np.ones(shape, dtype=bool)
     # per component: target position -> (h, nearest distance) at the first
     # size it underflowed
-    underflows: list[dict[int, tuple[float, float]]] = [{} for _ in components]
+    underflows: list[dict[int, tuple[float, float]]] = [{} for _ in observed]
     open_pos = np.arange(targets.size)
     v = v0
     while open_pos.size:
-        value_windows = [sliding_window_view(c.values_m, v) for c in components]
+        value_windows = sliding_window_view(observed, v, axis=1)
         for rows, weights, pattern, underflowed in _weight_blocks(epochs, targets[open_pos], v,
                                                                   config.bandwidth):
             for j, h, nearest in underflowed:
@@ -443,14 +444,14 @@ def adaptive_forecast_series(
                     underflows[c][p] = (h, nearest)
                 is_open[:, p] = False
             block_pos = open_pos[rows]
-            for c, (comp, windows) in enumerate(zip(components, value_windows)):
+            for c, (values, windows) in enumerate(zip(observed, value_windows)):
                 mine = is_open[c, block_pos]
                 pos = block_pos[mine]
                 k = targets[pos]
                 # a single run's row broadcasts over every open target
                 own = weights if len(weights) == 1 else weights[pattern[mine]]
                 yhat = _convex_combinations(own, windows[k - v])
-                abs_err = np.abs(comp.values_m[k] - yhat)
+                abs_err = np.abs(values[k] - yhat)
                 passed = abs_err < threshold_m
                 # v0 is every target's first try; later sizes must be strictly
                 # better, so the earliest size wins ties (a pass is always better)
@@ -462,10 +463,10 @@ def adaptive_forecast_series(
                 is_open[c, pos] = ~passed & (v < caps[pos])
         open_pos = np.flatnonzero(is_open.any(axis=0))
         v += 1
-    for comp, failed in zip(components, underflows):
+    for component, failed in zip(Component, underflows):
         if failed:
             p = min(failed)
-            raise _at_target(_underflow_error(*failed[p]), comp.component, epochs[targets[p]])
+            raise _at_target(_underflow_error(*failed[p]), component, epochs[targets[p]])
     predicted = finite_forecasts(station, v0, predicted, "kernel")
     return StationForecast(v0, {Mode.TEACHER_FORCED: predicted},
                            training_size_used=used, threshold_met=met)

@@ -32,7 +32,6 @@ from .metrics import (
 )
 from .series import (
     Component,
-    ComponentSeries,
     GapReport,
     StationSeries,
     detect_gaps,
@@ -107,7 +106,7 @@ def generate_synthetic(
     epochs = params.start_mjd + t
 
     rng = np.random.default_rng(seed)
-    values = []
+    values = np.empty((3, length), dtype=np.float64)
     for ci in range(3):
         y = np.full(length, params.base_m[ci], dtype=np.float64)
         if kind is not SyntheticKind.CONSTANT:
@@ -118,7 +117,7 @@ def generate_synthetic(
                 )
             if params.noise_std_m > 0:
                 y = y + params.noise_std_m * rng.standard_normal(length)
-        values.append(y)
+        values[ci] = y
 
     keep = np.ones(length, dtype=bool)
     if kind is SyntheticKind.GAPPED_TREND:
@@ -128,11 +127,7 @@ def generate_synthetic(
     if keep.sum() < 3:
         raise DataError("gap spans removed nearly the whole series")
 
-    components = tuple(
-        ComponentSeries(comp, epochs[keep], values[ci][keep])
-        for ci, comp in enumerate((Component.X, Component.Y, Component.Z))
-    )
-    return StationSeries(f"synthetic-{kind.value}-{seed}", components)  # type: ignore[arg-type]
+    return StationSeries(f"synthetic-{kind.value}-{seed}", epochs[keep], values[:, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +375,8 @@ def time_methods(
     theta_window = checked_window(
         grnn_config.training_size if theta_window is None else theta_window)
     mode, theta_fit = Mode(mode), ThetaFit(theta_fit)
-    workload = sum(len(s.components) * (s.count - grnn_config.training_size)
-                   for s in stations)
-    theta_workload = sum(len(s.components) * (s.count - theta_window) for s in stations)
+    workload = sum(3 * (s.count - grnn_config.training_size) for s in stations)
+    theta_workload = sum(3 * (s.count - theta_window) for s in stations)
 
     def run_grnn() -> None:
         for station in stations:
@@ -454,10 +448,12 @@ def compare_methods(
 
 def _write_json(doc: dict | list, dest: str | Path | IO[str]) -> None:
     """Write ``doc`` indented, floats in shortest round-trip form, with a
-    final newline; NaN and infinity are refused, since JSON has neither."""
+    final newline; NaN and infinity are refused, since JSON has neither.
+    The whole document is serialized first, so a refused one leaves
+    ``dest`` untouched."""
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     with open_text(dest) as stream:
-        json.dump(doc, stream, indent=2, allow_nan=False)
-        stream.write("\n")
+        stream.write(text)
 
 
 def write_reports_json(

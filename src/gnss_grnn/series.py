@@ -5,8 +5,11 @@ indexed by decimal year are converted on ingest with a fixed 365.25-day
 year anchored at MJD 51544.5 = 2000.0, so kernel distances are always in
 days regardless of the source format.
 
-All containers are immutable after construction (their arrays are marked
-read-only) and safe to share across workers.
+A station is one epoch axis and one ``(3, n)`` array of X, Y and Z
+values, checked once when it is built; :class:`ComponentSeries` is a
+labeled view of one row. A parsed file's epochs and values live in one
+``(4, n)`` array. All containers are immutable after construction (their
+arrays are marked read-only) and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -76,71 +79,57 @@ def _check_epochs(epochs: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ComponentSeries:
-    """One coordinate component sampled on a strictly increasing epoch axis.
+    """One row of a station's values, labeled: a view that shares memory
+    with :attr:`StationSeries.values_m` and is checked there.
 
     Attributes:
         component: which coordinate this is (X, Y or Z).
-        epochs_mjd: epoch of each sample, MJD days.
-        values_m: coordinate value of each sample, meters, as read: every
-            method forecasts and scores the raw positions.
+        values_m: coordinate value at each of the station's epochs, meters.
     """
 
     component: Component
+    values_m: np.ndarray
+
+
+@dataclass(frozen=True)
+class StationSeries:
+    """Position series of one permanent station on one epoch axis.
+
+    Attributes:
+        station_id: the station's name.
+        epochs_mjd: epoch of each sample, MJD days, strictly increasing;
+            missing days are absent epochs, never sentinel values.
+        values_m: a read-only, C-contiguous ``(3, n)`` array whose rows
+            are X, Y and Z in meters, as read: every method forecasts and
+            scores the raw positions.
+    """
+
+    station_id: str
     epochs_mjd: np.ndarray
     values_m: np.ndarray
 
     def __post_init__(self) -> None:
         epochs = np.asarray(self.epochs_mjd, dtype=np.float64)
-        values = np.asarray(self.values_m, dtype=np.float64)
-        if epochs.shape != values.shape:
-            raise DataError("epochs and values must have the same length")
         _check_epochs(epochs)
+        values = np.ascontiguousarray(self.values_m, dtype=np.float64)
+        if values.shape != (3, epochs.size):
+            raise DataError(f"values must have shape (3, {epochs.size}) to match the "
+                            f"epochs, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise DataError("values must be finite")
-        object.__setattr__(self, "component", Component(self.component))
         object.__setattr__(self, "epochs_mjd", _readonly(epochs))
         object.__setattr__(self, "values_m", _readonly(values))
 
     @property
+    def components(self) -> tuple[ComponentSeries, ComponentSeries, ComponentSeries]:
+        """The rows of ``values_m`` labeled X, Y and Z."""
+        return tuple(ComponentSeries(c, row)  # type: ignore[return-value]
+                     for c, row in zip(Component, self.values_m))
+
+    @property
     def count(self) -> int:
-        """Number of samples (the total input count)."""
+        """Number of epochs (the total input count)."""
         return int(self.epochs_mjd.size)
-
-    def __len__(self) -> int:
-        return self.count
-
-
-@dataclass(frozen=True)
-class StationSeries:
-    """Three-component position series of one permanent station.
-
-    The X, Y and Z components share a single epoch axis; missing days are
-    absent rows, never sentinel values.
-    """
-
-    station_id: str
-    components: tuple[ComponentSeries, ComponentSeries, ComponentSeries]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != 3:
-            raise DataError("a station series needs exactly three components")
-        labels = tuple(c.component for c in self.components)
-        if labels != (Component.X, Component.Y, Component.Z):
-            raise DataError("components must be ordered X, Y, Z")
-        axis = self.components[0].epochs_mjd
-        for c in self.components[1:]:
-            if not np.array_equal(c.epochs_mjd, axis):
-                raise DataError("components must share one epoch axis")
-        object.__setattr__(self, "components", tuple(self.components))
-
-    @property
-    def epochs_mjd(self) -> np.ndarray:
-        """The shared epoch axis, MJD days."""
-        return self.components[0].epochs_mjd
-
-    @property
-    def count(self) -> int:
-        return self.components[0].count
 
     def __len__(self) -> int:
         return self.count
@@ -204,9 +193,9 @@ def detect_gaps(series: StationSeries, gap_factor: float = 1.5) -> GapReport:
 
 def amplitude(series: ComponentSeries) -> float:
     """Peak-to-peak amplitude of the component, meters (max - min)."""
-    if series.count < 1:
-        raise DataError("amplitude needs at least one sample")
     values = series.values_m
+    if values.size < 1:
+        raise DataError("amplitude needs at least one sample")
     return float(values.max() - values.min())
 
 
@@ -311,8 +300,9 @@ def parse_series(
     data = np.array(rows, dtype=np.float64)
     # stable, so rows sharing an epoch keep their file order
     order = np.argsort(data[:, 0], kind="stable")
-    data = data[order]
-    epochs = data[:, 0]
+    # one (4, n) array: row 0 holds the epochs, rows 1-3 the station's values
+    data = np.ascontiguousarray(data[order].T)
+    epochs = data[0]
     repeats = np.flatnonzero(np.diff(epochs) <= 0)
     if repeats.size:
         i = int(repeats[0])
@@ -321,11 +311,7 @@ def parse_series(
             source=name, line=linenos[order[i + 1]],
         )
 
-    components = tuple(
-        ComponentSeries(comp, epochs, data[:, i + 1])
-        for i, comp in enumerate((Component.X, Component.Y, Component.Z))
-    )
-    return StationSeries(station_id, components)  # type: ignore[arg-type]
+    return StationSeries(station_id, epochs, data[1:])
 
 
 @contextmanager
@@ -352,7 +338,7 @@ def write_series_csv(series: StationSeries, dest: str | Path | IO[str]) -> None:
     with open_text(dest) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_HEADER_MJD)
-        x, y, z = (c.values_m for c in series.components)
+        x, y, z = series.values_m
         for i, epoch in enumerate(series.epochs_mjd):
             writer.writerow([repr(float(epoch)), repr(float(x[i])),
                              repr(float(y[i])), repr(float(z[i]))])

@@ -93,7 +93,7 @@ def theta_backtest(
     n = station.count
     if n <= p:
         raise DataError(f"nothing to predict: {n} samples with window {p}")
-    values = np.stack([c.values_m for c in station.components])
+    values = station.values_m
     k, m = p + 1, n - p
     t = np.arange(1.0, p + 1.0)
     tc = t - t.mean()

@@ -54,27 +54,28 @@ def predict(distances, values, bandwidth) -> tuple[float, np.ndarray]:
     return float(base + weights @ (values - base)), weights
 
 
-def stepping_walk(series, config, mode=Mode.RECURSIVE) -> np.ndarray:
-    """``forecast_series`` of one component in one ``mode``, one target at
-    a time: the forecasts."""
+def stepping_walk(epochs, series, config, mode=Mode.RECURSIVE) -> np.ndarray:
+    """``forecast_series`` of one component on ``epochs`` in one ``mode``,
+    one target at a time: the forecasts."""
     v = config.training_size
-    epochs, observed = series.epochs_mjd, series.values_m
+    observed = series.values_m
     recursive = Mode(mode) is Mode.RECURSIVE
     window = observed[:v].copy()
     predicted = []
-    for k in range(v, series.count):
+    for k in range(v, epochs.size):
         yhat, _ = predict(epochs[k] - epochs[k - v:k], window, config.bandwidth)
         predicted.append(yhat)
         window = np.append(window[1:], yhat if recursive else observed[k])
     return np.array(predicted)
 
 
-def adaptive_predict(series, k, config, threshold_m,
+def adaptive_predict(epochs, series, k, config, threshold_m,
                      max_training_size=None) -> tuple[float, int, bool]:
-    """``adaptive_forecast_series`` at index ``k`` of one component alone:
-    the forecast, the window size it used and whether it met the threshold."""
+    """``adaptive_forecast_series`` at index ``k`` of one component on
+    ``epochs`` alone: the forecast, the window size it used and whether it
+    met the threshold."""
     cap = k if max_training_size is None else min(k, max_training_size)
-    epochs, values = series.epochs_mjd, series.values_m
+    values = series.values_m
     v, best = config.training_size, None
     while True:
         try:
@@ -175,8 +176,8 @@ def theta_walk(series, window, fit=ThetaFit.ROLLING) -> np.ndarray:
     values = series.values_m
     k = window + 1
     theta_global = estimate_theta(values[:window]) if fit is ThetaFit.GLOBAL else None
-    predicted = np.empty(series.count - window, dtype=np.float64)
-    for i in range(window, series.count):
+    predicted = np.empty(values.size - window, dtype=np.float64)
+    for i in range(window, values.size):
         train = values[i - window:i]
         if theta_global is None:
             model = fit_theta_model(train)
@@ -190,7 +191,7 @@ def component_theta_walk(series, window, fit=ThetaFit.ROLLING) -> np.ndarray:
     """``theta_backtest``'s forecasts of one component: per origin, two 1-d
     dot products over the component's second differences."""
     values = series.values_m
-    p, k, m = window, window + 1, series.count - window
+    p, k, m = window, window + 1, values.size - window
     t = np.arange(1.0, p + 1.0)
     tc = t - t.mean()
     lags = k - np.arange(2.0, p)

@@ -20,8 +20,6 @@ import pytest
 
 from gnss_grnn import (
     BandwidthRule,
-    Component,
-    ComponentSeries,
     GrnnConfig,
     Mode,
     StationSeries,
@@ -109,9 +107,8 @@ def test_p2_oracle_equivalence():
                         # a one-target walk: the window, then the target;
                         # Y and Z carry the window mirrored and shifted
                         rows = (values, -values, values + 0.5)
-                        station = StationSeries("P2", tuple(
-                            ComponentSeries(c, np.append(epochs, target), np.append(row, 0.0))
-                            for c, row in zip(Component, rows)))
+                        station = StationSeries("P2", np.append(epochs, target),
+                                                [np.append(row, 0.0) for row in rows])
                         walks = forecast_series(station,
                                                 GrnnConfig(training_size=size, bandwidth=h))
                         for yhats, row in zip(walks.predicted_m[Mode.RECURSIVE], rows):
@@ -146,9 +143,8 @@ def test_p3_theta_linear_exactness():
             y = a + b * t_axis
             theta = estimate_theta(y[:20])
             assert theta == pytest.approx(b, rel=1e-10, abs=1e-12)
-            station = StationSeries("P3", tuple(
-                ComponentSeries(c, 55000.0 + t_axis, sign * y)
-                for c, sign in zip(Component, (1.0, -1.0, 2.0))))
+            station = StationSeries("P3", 55000.0 + t_axis,
+                                    [sign * y for sign in (1.0, -1.0, 2.0)])
             walks = theta_backtest(station, 20)
             for comp, predicted in zip(station.components,
                                        walks.predicted_m[Mode.TEACHER_FORCED]):

@@ -293,6 +293,35 @@ class TestPredict:
             "predicting component X at MJD 55005.0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [(), ("--format", "json"), ("--threshold", "0.01")])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_overflowing_error_is_a_numeric_failure(self, huge_x_file, tmp_path, capsys,
+                                                    flags, to_file):
+        # with one-value windows every forecast is the previous +-1e308, which
+        # is finite; its distance from the truth is not
+        out = tmp_path / "p.out"
+        output = ("--output", out) if to_file else ()
+        assert run_cli("predict", huge_x_file, "-v", "1", *flags, *output) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gnss-grnn: numeric failure: station huge: absolute error of the kernel forecast "
+            "is not finite (inf) predicting component X at MJD 55001.0\n")
+        assert not out.exists()
+
+    def test_error_of_a_later_component_names_it(self, tmp_path, capsys):
+        # X and Y are gentle; Z alternates, so its first error overflows
+        path = tmp_path / "late.csv"
+        lines = ["epoch_mjd,x_m,y_m,z_m"]
+        for day in range(12):
+            z = 1e308 if day % 2 else -1e308
+            lines.append(f"{55000.0 + day!r},1.0,{2.0 + day!r},{z!r}")
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("predict", path, "-v", "1", "--mode", "teacher-forced") == 3
+        assert capsys.readouterr().err == (
+            "gnss-grnn: numeric failure: station late: absolute error of the kernel forecast "
+            "is not finite (inf) predicting component Z at MJD 55001.0\n")
+
 
 class TestSweep:
     def test_v_max_one(self, station_file, capsys):
@@ -682,6 +711,25 @@ def test_non_finite_forecast_fails_in_one_line(huge_x_file, tmp_path):
     assert done.stderr == (
         "gnss-grnn: numeric failure: station huge: kernel forecast is not finite (-inf) "
         "predicting component X at MJD 55005.0\n")
+    assert not out.exists()
+
+
+def test_overflowing_error_fails_in_one_line(huge_x_file, tmp_path):
+    # a fresh process with Python's default warning filters: the error's
+    # overflow prints no RuntimeWarning, and the failure no traceback
+    src = str(Path(gnss_grnn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    out = tmp_path / "p.json"
+    done = subprocess.run([sys.executable, "-m", "gnss_grnn.cli", "predict", str(huge_x_file),
+                           "-v", "1", "--format", "json", "--output", str(out)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == (
+        "gnss-grnn: numeric failure: station huge: absolute error of the kernel forecast "
+        "is not finite (inf) predicting component X at MJD 55001.0\n")
     assert not out.exists()
 
 

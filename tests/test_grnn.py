@@ -12,7 +12,6 @@ from gnss_grnn import (
     BandwidthRule,
     BandwidthTooSmallError,
     Component,
-    ComponentSeries,
     DataError,
     GrnnConfig,
     Mode,
@@ -38,9 +37,8 @@ def station_of(epochs, values, station_id="S"):
     """A station on the shared ``epochs``: ``values`` holds its X, Y, Z
     rows, or one row that all three components share."""
     epochs = np.asarray(epochs, float)
-    rows = np.broadcast_to(np.asarray(values, float), (3, epochs.size))
-    return StationSeries(station_id, tuple(
-        ComponentSeries(c, epochs, row) for c, row in zip(Component, rows)))
+    return StationSeries(station_id, epochs,
+                         np.broadcast_to(np.asarray(values, float), (3, epochs.size)))
 
 
 def walk_x(epochs, values, cfg, mode=Mode.RECURSIVE):
@@ -408,11 +406,11 @@ class TestAdaptiveAtOneTarget:
         assert used.min() >= 4
 
 
-def loop_reference(series, cfg, threshold_m, max_training_size=None):
+def loop_reference(epochs, series, cfg, threshold_m, max_training_size=None):
     """The per-target loop the batched adaptive walk replaces: its
     forecasts, window sizes and threshold flags."""
-    outcomes = [adaptive_predict(series, k, cfg, threshold_m, max_training_size)
-                for k in range(cfg.training_size, series.count)]
+    outcomes = [adaptive_predict(epochs, series, k, cfg, threshold_m, max_training_size)
+                for k in range(cfg.training_size, epochs.size)]
     return [list(column) for column in zip(*outcomes)]
 
 
@@ -424,7 +422,7 @@ def assert_station_walks_step(station, cfg, modes=tuple(Mode)):
         walks = forecast_series(station, cfg, modes)
     except BandwidthTooSmallError as exc:
         with pytest.raises(BandwidthTooSmallError) as step_exc:
-            stepping_walk(station.components[0], cfg, modes[0])
+            stepping_walk(station.epochs_mjd, station.components[0], cfg, modes[0])
         assert str(exc).startswith(f"{step_exc.value} predicting component X at MJD ")
         return False
     assert isinstance(walks, StationForecast)
@@ -435,7 +433,7 @@ def assert_station_walks_step(station, cfg, modes=tuple(Mode)):
     for mode in modes:
         assert walks.predicted_m[mode].shape == (3, station.count - cfg.training_size)
         for comp, walk in zip(station.components, walks.predicted_m[mode]):
-            predicted = stepping_walk(comp, cfg, mode)
+            predicted = stepping_walk(station.epochs_mjd, comp, cfg, mode)
             # as int64 views, so that -0.0 and +0.0 differ
             assert np.array_equal(walk.view(np.int64), predicted.view(np.int64))
     return True
@@ -510,7 +508,7 @@ class TestAdaptiveForecastSeries:
         for comp, predicted, used, met in zip(station.components,
                                               walks.predicted_m[Mode.TEACHER_FORCED],
                                               walks.training_size_used, walks.threshold_met):
-            want_predicted, want_used, want_met = loop_reference(comp, cfg, 4e-4, cap)
+            want_predicted, want_used, want_met = loop_reference(station.epochs_mjd, comp, cfg, 4e-4, cap)
             assert np.array_equal(predicted, want_predicted)
             assert np.array_equal(used, want_used)
             assert np.array_equal(met, want_met)
@@ -535,13 +533,13 @@ class TestAdaptiveForecastSeries:
         # B underflows at the first size; A only once its window reaches the
         # dense block, so the loop stops at A
         with pytest.raises(BandwidthTooSmallError) as loop_exc:
-            loop_reference(s, cfg, 0.5)
+            loop_reference(epochs, s, cfg, 0.5)
         assert f"at MJD {float(epochs[a])!r}" in str(loop_exc.value)
         # capped at the first size
-        _, _, met = adaptive_predict(s, a, cfg, 0.5, 2)
+        _, _, met = adaptive_predict(epochs, s, a, cfg, 0.5, 2)
         assert not met
         with pytest.raises(BandwidthTooSmallError):
-            adaptive_predict(s, a + 1, cfg, 0.5, 2)
+            adaptive_predict(epochs, s, a + 1, cfg, 0.5, 2)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
             adaptive_forecast_series(station, cfg, 0.5)
         assert str(walk_exc.value) == str(loop_exc.value)
@@ -555,10 +553,10 @@ class TestAdaptiveForecastSeries:
         station = station_of(epochs, [np.zeros(epochs.size), curve, -curve])
         cfg = GrnnConfig(training_size=1)
         x, y, _ = station.components
-        _, used, met = loop_reference(x, cfg, 1e-3, 5)
+        _, used, met = loop_reference(epochs, x, cfg, 1e-3, 5)
         assert all(met) and set(used) == {1}
         with pytest.raises(BandwidthTooSmallError) as loop_exc:
-            loop_reference(y, cfg, 1e-3, 5)
+            loop_reference(epochs, y, cfg, 1e-3, 5)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
             adaptive_forecast_series(station, cfg, 1e-3, 5)
         assert str(walk_exc.value) == str(loop_exc.value) == (
@@ -641,7 +639,7 @@ class TestUnderflowMessage:
         station = station_of(epochs, np.linspace(0.0, 1.0, epochs.size))
         cfg = GrnnConfig(training_size=100, bandwidth=1.0)
         with pytest.raises(BandwidthTooSmallError) as step_exc:
-            stepping_walk(station.components[0], cfg, mode)
+            stepping_walk(station.epochs_mjd, station.components[0], cfg, mode)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
             forecast_series(station, cfg, (mode,))
         assert str(walk_exc.value) == (
@@ -651,7 +649,8 @@ class TestUnderflowMessage:
     def test_adaptive_paths(self):
         cfg = GrnnConfig(training_size=5, bandwidth=1.0)
         with pytest.raises(BandwidthTooSmallError) as loop_exc:
-            adaptive_predict(self.station().components[0], 20, cfg, 1e-3)
+            station = self.station()
+            adaptive_predict(station.epochs_mjd, station.components[0], 20, cfg, 1e-3)
         with pytest.raises(BandwidthTooSmallError) as walk_exc:
             adaptive_forecast_series(self.station(), cfg, 1e-3)
         assert str(loop_exc.value) == str(walk_exc.value) == self.expected()
@@ -800,7 +799,7 @@ class TestStationWalk:
             assert list(walks.predicted_m) == [mode]
             assert len(walks) == 3 * 35
             for comp, predicted in zip(station.components, walks.predicted_m[mode]):
-                assert np.array_equal(predicted, stepping_walk(comp, cfg, mode))
+                assert np.array_equal(predicted, stepping_walk(station.epochs_mjd, comp, cfg, mode))
 
     def test_refusals(self):
         epochs = _axis("daily", length=20)
@@ -816,7 +815,7 @@ def settling_steps(station, cfg):
     forecast that closes a window of ``v`` equal nonzero values, or None."""
     v, steps = cfg.training_size, []
     for comp in station.components:
-        buffer = np.concatenate([comp.values_m[:v], stepping_walk(comp, cfg)])
+        buffer = np.concatenate([comp.values_m[:v], stepping_walk(station.epochs_mjd, comp, cfg)])
         settled = [j for j in range(buffer.size - v)
                    if buffer[j + v] != 0.0 and np.all(buffer[j + 1:j + v + 1] == buffer[j + v])]
         steps.append(settled[0] if settled else None)
@@ -896,7 +895,7 @@ class TestFixedPoint:
             head = np.nextafter(head, 2.0 if first < 1.0 else 0.0)
         station = station_of(55000.0 + np.arange(30.0), np.append([head, 1.5], np.ones(28)))
         cfg = GrnnConfig(training_size=3, bandwidth=2.0)
-        predicted = stepping_walk(station.components[0], cfg)
+        predicted = stepping_walk(station.epochs_mjd, station.components[0], cfg)
         assert predicted[0] == 1.0 != predicted[1]
         assert assert_station_walks_step(station, cfg)
 
@@ -918,7 +917,7 @@ class TestFixedPoint:
         station = station_of(epochs, np.tile([-1e308, 1e308], 6))
         cfg = GrnnConfig(training_size=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            predicted = stepping_walk(station.components[0], cfg, mode)
+            predicted = stepping_walk(station.epochs_mjd, station.components[0], cfg, mode)
         assert np.isinf(predicted[:2]).all()
         with pytest.raises(NumericError) as exc:
             forecast_series(station, cfg, (mode,))
@@ -943,9 +942,10 @@ class TestStationUnderflow:
     def first_component_error(self, cfg, mode=Mode.RECURSIVE):
         """The first stepping-walk error, in X, Y, Z order, as a station walk
         words it: every walk stops at the first target after the 60-day gap."""
-        for comp in self.station().components:
+        station = self.station()
+        for comp in station.components:
             try:
-                stepping_walk(comp, cfg, mode)
+                stepping_walk(station.epochs_mjd, comp, cfg, mode)
             except BandwidthTooSmallError as exc:
                 return BandwidthTooSmallError(
                     f"{exc} predicting component {comp.component.value} at MJD 55460.0")
@@ -1002,7 +1002,7 @@ class TestNonFiniteForecast:
         comp = station.components[rows[0]]
         cfg = GrnnConfig(training_size=5)
         with np.errstate(over="ignore", invalid="ignore"):
-            j, value = first_non_finite(stepping_walk(comp, cfg, mode))
+            j, value = first_non_finite(stepping_walk(station.epochs_mjd, comp, cfg, mode))
         with pytest.raises(NumericError) as exc:
             forecast_series(station, cfg, (mode,))
         assert str(exc.value) == (
@@ -1015,7 +1015,7 @@ class TestNonFiniteForecast:
         comp = station.components[rows[0]]
         cfg = GrnnConfig(training_size=5)
         with np.errstate(over="ignore", invalid="ignore"):
-            predicted, _, _ = loop_reference(comp, cfg, 1e-3, 8)
+            predicted, _, _ = loop_reference(station.epochs_mjd, comp, cfg, 1e-3, 8)
         j, value = first_non_finite(np.array(predicted))
         with pytest.raises(NumericError) as exc:
             adaptive_forecast_series(station, cfg, 1e-3, 8)

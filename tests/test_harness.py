@@ -12,7 +12,6 @@ import pytest
 
 import gnss_grnn.harness
 from gnss_grnn import (
-    ComponentSeries,
     DataError,
     GrnnConfig,
     Mode,
@@ -38,6 +37,7 @@ from gnss_grnn import (
     write_reports_json,
     write_sweep_csv,
 )
+from gnss_grnn.harness import write_predictions_json
 
 from scalar_reference import estimate_theta, stepping_walk, theta_walk
 
@@ -270,11 +270,10 @@ def _one_huge_x(n=40):
     """A station whose X is 1.0 but for one 1.5e308 at index 10: the
     kernel's forecasts stay finite, Theta's second differences overflow."""
     s = _linear_station(n)
-    x = s.components[0]
-    values = np.ones(n)
-    values[10] = 1.5e308
-    return StationSeries("ONE", (ComponentSeries(x.component, x.epochs_mjd, values),
-                                 *s.components[1:]))
+    values = s.values_m.copy()
+    values[0] = 1.0
+    values[0, 10] = 1.5e308
+    return StationSeries("ONE", s.epochs_mjd, values)
 
 
 class TestEvaluateStation:
@@ -299,7 +298,7 @@ class TestEvaluateStation:
         assert report["n_predictions"] == keep
         want = []
         for comp in station.components:
-            want.append((stepping_walk(comp, cfg, mode)[-keep:], comp.values_m[-keep:]))
+            want.append((stepping_walk(station.epochs_mjd, comp, cfg, mode)[-keep:], comp.values_m[-keep:]))
             want.append((theta_walk(comp, theta_window)[-keep:], comp.values_m[-keep:]))
         assert len(scored) == len(want) == 6
         for (predicted, observed), (want_predicted, want_observed) in zip(scored, want):
@@ -387,10 +386,9 @@ class TestEvaluateStation:
 
     def test_undefined_criterion_names_component_method_and_epoch(self):
         s = _linear_station(60)
-        x = s.components[0]
-        zero_x = StationSeries("Z0", (ComponentSeries(x.component, x.epochs_mjd,
-                                                      np.zeros_like(x.values_m)),
-                                      *s.components[1:]))
+        values = s.values_m.copy()
+        values[0] = 0.0
+        zero_x = StationSeries("Z0", s.epochs_mjd, values)
         with pytest.raises(UndefinedMetricError) as exc:
             evaluate_station(zero_x, GrnnConfig(training_size=10))
         assert str(exc.value) == ("station Z0: component X: method grnn: undefined sMAPE "
@@ -649,6 +647,40 @@ class TestWriters:
         doc = json.loads(buf.getvalue())
         assert doc["stations"][0]["metrics"]["grnn"]["X"]["smape_percent"] == \
             report["metrics"]["grnn"]["X"]["smape_percent"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refused_json_leaves_the_path_untouched(self, tmp_path, existing, bad):
+        # the value that JSON cannot hold comes late in each document, after
+        # much that it could
+        report = self._station_report()
+        report["metrics"]["theta"]["Z"]["mabs_m"] = bad
+        rows = [{"station": "s", "predicted_m": 1.0}] * 50 + [{"station": "s",
+                                                                "predicted_m": bad}]
+        writers = {"report.json": lambda dest: write_reports_json([report], None, dest),
+                   "predict.json": lambda dest: write_predictions_json(rows, dest)}
+        for name, write in writers.items():
+            dest = tmp_path / name
+            if existing:
+                dest.write_text("kept\n")
+            with pytest.raises(ValueError, match="^Out of range float values are not JSON"):
+                write(dest)
+            if existing:
+                assert dest.read_text() == "kept\n"
+            else:
+                assert not dest.exists()
+
+    def test_json_replaces_an_existing_file(self, tmp_path):
+        report = self._station_report()
+        buf = io.StringIO()
+        write_reports_json([report], None, buf)
+        dest = tmp_path / "report.json"
+        dest.write_text("x" * (2 * len(buf.getvalue())))
+        write_reports_json([report], None, dest)
+        assert dest.read_text(encoding="utf-8") == buf.getvalue()
+        rows = [{"station": "s", "predicted_m": 0.5}]
+        write_predictions_json(rows, dest)
+        assert dest.read_bytes() == b'[\n  {\n    "station": "s",\n    "predicted_m": 0.5\n  }\n]\n'
 
     def test_stations_csv_columns(self):
         report = self._station_report()

@@ -51,7 +51,8 @@ def parameters(function):
 
 
 def test_every_setting_has_a_caller():
-    assert [f.name for f in fields(gnss_grnn.StationSeries)] == ["station_id", "components"]
+    assert [f.name for f in fields(gnss_grnn.StationSeries)] == [
+        "station_id", "epochs_mjd", "values_m"]
     assert parameters(gnss_grnn.parse_series) == ["source", "station_id"]
     assert "interval_days" not in {f.name for f in fields(gnss_grnn.SyntheticParams)}
     assert parameters(gnss_grnn.run_sweep) == ["series", "v_values", "bandwidth"]
@@ -105,9 +106,16 @@ def test_scoring_takes_two_arrays():
     assert parameters(gnss_grnn.compute_report) == ["predicted_m", "observed_m"]
 
 
+def test_a_station_is_one_array():
+    # a component is a labeled row of the station's values: the epochs and
+    # the checks live on the station alone
+    for name in ("epochs_mjd", "count", "__len__", "__post_init__"):
+        assert not hasattr(gnss_grnn.ComponentSeries, name)
+    assert isinstance(gnss_grnn.StationSeries.components, property)
+
+
 def test_one_value_basis():
-    assert [f.name for f in fields(gnss_grnn.ComponentSeries)] == [
-        "component", "epochs_mjd", "values_m"]
+    assert [f.name for f in fields(gnss_grnn.ComponentSeries)] == ["component", "values_m"]
     assert "mean_center" not in gnss_grnn.__all__
     assert not hasattr(gnss_grnn, "mean_center")
     assert not hasattr(gnss_grnn.series, "mean_center")

@@ -18,9 +18,11 @@ from gnss_grnn import (
     ParseError,
     SeriesState,
     StationSeries,
+    SyntheticKind,
     amplitude,
     decimal_year_to_mjd,
     detect_gaps,
+    generate_synthetic,
     parse_series,
     write_series_csv,
 )
@@ -29,11 +31,8 @@ from gnss_grnn import (
 def make_station(epochs, x=None, y=None, z=None, **kwargs):
     epochs = np.asarray(epochs, dtype=float)
     default = np.zeros_like(epochs)
-    comps = tuple(
-        ComponentSeries(c, epochs, default if v is None else np.asarray(v, dtype=float))
-        for c, v in ((Component.X, x), (Component.Y, y), (Component.Z, z))
-    )
-    return StationSeries(station_id="test", components=comps, **kwargs)
+    values = np.array([default if v is None else np.asarray(v, dtype=float) for v in (x, y, z)])
+    return StationSeries(station_id="test", epochs_mjd=epochs, values_m=values, **kwargs)
 
 
 CSV_MIN = """epoch_mjd,x_m,y_m,z_m
@@ -300,27 +299,92 @@ class TestDecoding:
 
 class TestValidation:
     def test_non_monotonic_epochs(self):
-        with pytest.raises(DataError):
-            ComponentSeries(Component.X, [2.0, 1.0], [0.0, 0.0])
+        with pytest.raises(DataError, match="^epochs must be strictly increasing$"):
+            StationSeries("s", [2.0, 1.0], np.zeros((3, 2)))
 
     def test_negative_mjd(self):
-        with pytest.raises(DataError):
-            ComponentSeries(Component.X, [-1.0, 2.0], [0.0, 0.0])
+        with pytest.raises(DataError, match="^MJD epochs must be positive$"):
+            StationSeries("s", [-1.0, 2.0], np.zeros((3, 2)))
 
-    def test_mismatched_axes(self):
-        e = np.array([1.0, 2.0, 3.0])
-        comps = (
-            ComponentSeries(Component.X, e, np.zeros(3)),
-            ComponentSeries(Component.Y, e + 1, np.zeros(3)),
-            ComponentSeries(Component.Z, e, np.zeros(3)),
-        )
-        with pytest.raises(DataError, match="share one epoch axis"):
-            StationSeries(station_id="s", components=comps)
+    def test_non_finite_epochs(self):
+        with pytest.raises(DataError, match="^epochs must be finite$"):
+            StationSeries("s", [1.0, np.inf], np.zeros((3, 2)))
+
+    def test_two_dimensional_epochs(self):
+        with pytest.raises(DataError, match="^epochs must be one-dimensional$"):
+            StationSeries("s", [[1.0, 2.0]], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 5), (4, 3), (4,), (3, 4, 1)])
+    def test_values_must_be_three_rows_on_the_epochs(self, shape):
+        with pytest.raises(DataError) as exc:
+            StationSeries("s", [1.0, 2.0, 3.0, 4.0], np.zeros(shape))
+        assert str(exc.value) == (
+            f"values must have shape (3, 4) to match the epochs, got {shape}")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_non_finite_values(self, bad, row):
+        values = np.zeros((3, 3))
+        values[row, 1] = bad
+        with pytest.raises(DataError, match="^values must be finite$"):
+            StationSeries("s", [1.0, 2.0, 3.0], values)
 
     def test_arrays_read_only(self):
         s = make_station([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             s.epochs_mjd[0] = 9.0
+        with pytest.raises(ValueError):
+            s.values_m[1, 0] = 9.0
+        with pytest.raises(ValueError):
+            s.components[2].values_m[0] = 9.0
+
+
+class TestStationLayout:
+    @staticmethod
+    def assert_one_array(s):
+        assert s.values_m.shape == (3, s.count)
+        assert s.values_m.dtype == np.float64
+        assert s.values_m.flags.c_contiguous
+        assert not s.values_m.flags.writeable
+        assert not s.epochs_mjd.flags.writeable
+
+    def test_parsed_mjd_file(self):
+        s = parse_series(io.StringIO(CSV_MIN))
+        self.assert_one_array(s)
+        np.testing.assert_array_equal(s.values_m, [[4075000.1, 4075000.2, 4075000.3],
+                                                   [931000.2, 931000.3, 931000.4],
+                                                   [4801000.3, 4801000.4, 4801000.5]])
+
+    def test_parsed_decimal_year_file(self):
+        text = "epoch_year,x_m,y_m,z_m\n2002.0,7,8,9\n2000.0,1,2,3\n2001.0,4,5,6\n"
+        s = parse_series(io.StringIO(text))
+        self.assert_one_array(s)
+        np.testing.assert_array_equal(s.values_m, [[1, 4, 7], [2, 5, 8], [3, 6, 9]])
+
+    def test_parsed_epochs_and_values_share_one_array(self):
+        s = parse_series(io.StringIO(CSV_MIN))
+        assert s.values_m.base is not None and s.values_m.base is s.epochs_mjd.base
+        assert s.values_m.base.shape == (4, 3)
+
+    @pytest.mark.parametrize("kind", list(SyntheticKind))
+    def test_synthetic(self, kind):
+        self.assert_one_array(generate_synthetic(kind, 60, 1))
+
+    def test_a_caller_array_is_made_contiguous(self):
+        values = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        s = StationSeries("s", [1.0, 2.0, 3.0, 4.0], values)
+        assert s.values_m.flags.c_contiguous
+        np.testing.assert_array_equal(s.values_m, values)
+
+    def test_components_are_labeled_row_views(self):
+        s = make_station([1.0, 2.0, 3.0], x=[1.0, 2.0, 3.0], y=[4.0, 5.0, 6.0],
+                         z=[7.0, 8.0, 9.0])
+        comps = s.components
+        assert [c.component for c in comps] == [Component.X, Component.Y, Component.Z]
+        for row, comp in zip(s.values_m, comps):
+            assert isinstance(comp, ComponentSeries)
+            assert np.shares_memory(comp.values_m, s.values_m)
+            np.testing.assert_array_equal(comp.values_m, row)
 
 
 class TestDetectGaps:
@@ -383,5 +447,5 @@ class TestAmplitude:
         assert amplitude(s.components[2]) == 0.0
 
     def test_amplitude_hand_value(self):
-        c = ComponentSeries(Component.X, [1.0, 2.0, 3.0], [0.10, -0.10, 0.05])
+        c = ComponentSeries(Component.X, np.array([0.10, -0.10, 0.05]))
         assert amplitude(c) == pytest.approx(0.20, abs=1e-15)

@@ -8,8 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnss_grnn import (
-    Component,
-    ComponentSeries,
     DataError,
     Mode,
     NumericError,
@@ -38,8 +36,7 @@ def station_of(x, y=None, z=None, epochs=None):
     if epochs is None:
         epochs = np.arange(1.0, x.size + 1.0)
     columns = (x, x if y is None else y, x if z is None else z)
-    return StationSeries("T", tuple(ComponentSeries(c, epochs, np.asarray(v, dtype=float))
-                                    for c, v in zip(Component, columns)))
+    return StationSeries("T", epochs, np.array([np.asarray(v, dtype=float) for v in columns]))
 
 
 def walks(station, window, fit=ThetaFit.ROLLING):
