@@ -62,7 +62,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .metrics import RATIO_LABELS
-from .series import amplitude, detect_gaps, parse_series
+from .series import Component, amplitude, detect_gaps, parse_series
 from .theta import ThetaFit
 
 
@@ -271,13 +271,13 @@ def _predict_rows(station, config, mode, threshold_m, max_training_size):
             errors = np.abs(observed - predicted)
         finite_forecasts(station, walks.start, errors, "absolute error of the kernel")
     epochs = station.epochs_mjd[walks.start:].tolist()
-    for c, comp in enumerate(station.components):
+    for c, component in enumerate(Component):
         columns = zip(epochs, predicted[c].tolist(), observed[c].tolist(), errors[c].tolist())
         for i, (epoch, yhat, y, error) in enumerate(columns):
             row = {
                 "station": station.station_id,
                 "epoch_mjd": epoch,
-                "component": comp.component.value,
+                "component": component.value,
                 "predicted_m": yhat,
                 "observed_m": y,
                 "abs_error_m": error,

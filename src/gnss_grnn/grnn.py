@@ -264,7 +264,7 @@ def finite_forecasts(station: StationSeries, start: int, predicted: np.ndarray,
         c, j = np.argwhere(~finite)[0]
         raise NumericError(
             f"{method} forecast is not finite ({float(predicted[c, j])!r}) predicting component "
-            f"{station.components[c].component.value} at MJD "
+            f"{tuple(Component)[c].value} at MJD "
             f"{float(station.epochs_mjd[start + j])!r}")
     return predicted
 

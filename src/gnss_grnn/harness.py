@@ -127,7 +127,10 @@ def generate_synthetic(
     if keep.sum() < 3:
         raise DataError("gap spans removed nearly the whole series")
 
-    return StationSeries(f"synthetic-{kind.value}-{seed}", epochs[keep], values[:, keep])
+    epochs, values = epochs[keep], values.compress(keep, axis=1)
+    # owned, C-contiguous and read-only: the station keeps them without a copy
+    epochs.flags.writeable = values.flags.writeable = False
+    return StationSeries(f"synthetic-{kind.value}-{seed}", epochs, values)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +211,15 @@ def run_sweep(
         with at_station(series.station_id, size):
             walks = forecast_series(series, config, modes)
         epochs = series.epochs_mjd[walks.start:]
-        for c, comp in enumerate(series.components):
+        for c, (component, values) in enumerate(zip(Component, series.values_m)):
             for mode in modes:
-                with at_station(series.station_id, size, f"component {comp.component.value}",
+                with at_station(series.station_id, size, f"component {component.value}",
                                 f"mode {mode.value}", epochs_mjd=epochs):
                     report = compute_report(walks.predicted_m[mode][c],
-                                            comp.values_m[walks.start:])
+                                            values[walks.start:])
                 rows.append({
                     "v": v,
-                    "component": comp.component.value,
+                    "component": component.value,
                     "mode": mode.value,
                     **report,
                 })
@@ -278,12 +281,12 @@ def evaluate_station(
     predicted = {"grnn": walks.predicted_m[mode],
                  "theta": thetas.predicted_m[Mode.TEACHER_FORCED]}
     metrics: dict[str, dict[str, dict]] = {method: {} for method in predicted}
-    for c, comp in enumerate(series.components):
+    for c, (component, values) in enumerate(zip(Component, series.values_m)):
         for method, forecasts in predicted.items():
-            with at_station(series.station_id, f"component {comp.component.value}",
+            with at_station(series.station_id, f"component {component.value}",
                             f"method {method}", epochs_mjd=series.epochs_mjd[-keep:]):
-                metrics[method][comp.component.value] = compute_report(
-                    forecasts[c, -keep:], comp.values_m[-keep:])
+                metrics[method][component.value] = compute_report(
+                    forecasts[c, -keep:], values[-keep:])
     first_mjd, last_mjd = float(series.epochs_mjd[0]), float(series.epochs_mjd[-1])
     bw = grnn_config.bandwidth
     return {

@@ -9,7 +9,16 @@ A station is one epoch axis and one ``(3, n)`` array of X, Y and Z
 values, checked once when it is built; :class:`ComponentSeries` is a
 labeled view of one row. A parsed file's epochs and values live in one
 ``(4, n)`` array. All containers are immutable after construction (their
-arrays are marked read-only) and safe to share across workers.
+arrays are read-only, copied first when a caller could still write them)
+and safe to share across workers.
+
+A station file is read in one bulk :func:`np.loadtxt` pass when its
+header is line 1 and every later line is a row of four finite numbers.
+A comment or blank line, a quote, a field loadtxt cannot convert, a
+wrong column count, a non-finite value or an epoch that is not a
+positive MJD sends the file to a line-by-line loop, which reads it or
+raises the :class:`ParseError` of the line at fault. Both paths accept
+the same text and give the same bits.
 """
 
 from __future__ import annotations
@@ -66,6 +75,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(checked: np.ndarray, given: object) -> np.ndarray:
+    """``checked``, the array made from ``given``, as a read-only array no
+    caller can write: a copy when it is the caller's own writeable memory,
+    which is left writeable."""
+    if (checked.flags.writeable and isinstance(given, np.ndarray)
+            and np.shares_memory(checked, given)):
+        checked = checked.copy()
+    return _readonly(checked)
+
+
 def _check_epochs(epochs: np.ndarray) -> None:
     if epochs.ndim != 1:
         raise DataError("epochs must be one-dimensional")
@@ -117,8 +136,8 @@ class StationSeries:
                             f"epochs, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise DataError("values must be finite")
-        object.__setattr__(self, "epochs_mjd", _readonly(epochs))
-        object.__setattr__(self, "values_m", _readonly(values))
+        object.__setattr__(self, "epochs_mjd", _owned(epochs, self.epochs_mjd))
+        object.__setattr__(self, "values_m", _owned(values, self.values_m))
 
     @property
     def components(self) -> tuple[ComponentSeries, ComponentSeries, ComponentSeries]:
@@ -231,33 +250,39 @@ def _header_is_year_based(fields: list[str], name: str, lineno: int) -> bool:
     )
 
 
-def parse_series(
-    source: str | Path | IO[bytes] | IO[str],
-    *,
-    station_id: str | None = None,
-) -> StationSeries:
-    """Parse one station file into a validated :class:`StationSeries`.
+def _read_bulk(lines: list[str], name: str) -> np.ndarray | None:
+    """The ``(n, 4)`` rows, epochs in MJD, that one loadtxt pass reads
+    from a file whose header is line 1, or None to send it to the loop.
 
-    The CSV schema is ``epoch_mjd,x_m,y_m,z_m`` (or ``epoch_year,...``,
-    detected by the header's first column name). The source must be
-    UTF-8. Blank lines and lines starting with ``#`` are skipped, and
-    whitespace around a line or a field is ignored. A line that contains
-    a double quote is read by the :mod:`csv` module (Excel dialect); any
-    other line is split on commas, which reads it identically. Rows are
-    sorted by epoch; exact duplicate epochs are rejected rather
-    than averaged, since silently merging rows would corrupt any
-    backtest run on the result.
-
-    Raises:
-        ParseError: input that is not UTF-8, a malformed header or row,
-            a duplicate epoch (these report the 1-based line number, as
-            counted by :meth:`str.splitlines`; a duplicate names the
-            later line and the earlier one), or fewer than 3 data rows.
+    loadtxt skips empty lines, which would shift the line numbers, and
+    by default ends a line at its first ``#``; both are ruled out here.
+    It converts fields with the routine ``float()`` is built on and
+    refuses ``1_0`` and non-ASCII digits, which the loop reads.
     """
-    name, lines = _decode_lines(source)
-    if station_id is None:
-        station_id = Path(name).stem or "station"
+    header = lines[0].strip() if len(lines) > 1 else ""
+    if not header or header[0] == "#" or '"' in header or "" in lines:
+        return None
+    year_based = _header_is_year_based(header.split(","), name, 1)
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape != (len(lines) - 1, 4) or not np.isfinite(data).all():
+        return None
+    if year_based:
+        # decimal_year_to_mjd, elementwise: the same operations, the same
+        # bits, and like it no warning when a huge year overflows
+        with np.errstate(over="ignore"):
+            data[:, 0] = MJD_AT_2000 + (data[:, 0] - 2000.0) * DAYS_PER_YEAR
+    if not (data[:, 0] > 0).all():
+        return None
+    return data
 
+
+def _read_lines(lines: list[str], name: str) -> tuple[np.ndarray, list[int]]:
+    """The ``(n, 4)`` rows of a file read line by line, epochs in MJD, and
+    the line number of each; a line it cannot read raises its
+    :class:`ParseError`."""
     isfinite = math.isfinite
     year_based: bool | None = None  # None until the header is read
     rows: list[tuple[float, float, float, float]] = []
@@ -294,14 +319,58 @@ def parse_series(
 
     if year_based is None:
         raise ParseError("empty file", source=name)
-    if len(rows) < 3:
-        raise ParseError(f"series too short: {len(rows)} rows, need at least 3", source=name)
+    return np.array(rows, dtype=np.float64), linenos
 
-    data = np.array(rows, dtype=np.float64)
+
+def parse_series(
+    source: str | Path | IO[bytes] | IO[str],
+    *,
+    station_id: str | None = None,
+) -> StationSeries:
+    """Parse one station file into a validated :class:`StationSeries`.
+
+    The CSV schema is ``epoch_mjd,x_m,y_m,z_m`` (or ``epoch_year,...``,
+    detected by the header's first column name). The source must be
+    UTF-8. Blank lines and lines starting with ``#`` are skipped, and
+    whitespace around a line or a field is ignored. A line that contains
+    a double quote is read by the :mod:`csv` module (Excel dialect); any
+    other line is split on commas, which reads it identically. Rows are
+    sorted by epoch; exact duplicate epochs are rejected rather
+    than averaged, since silently merging rows would corrupt any
+    backtest run on the result.
+
+    A file whose header is line 1 and every later line a row is read in
+    one bulk :func:`np.loadtxt` pass. A file that pass refuses (a comment
+    or blank line, a quote, a field it cannot convert, a wrong column
+    count, a non-finite value or an epoch that is not a positive MJD)
+    is read again line by line, which either reads it or raises the
+    error below with its line. Both paths accept the same text and give
+    the same bits.
+
+    Raises:
+        ParseError: input that is not UTF-8, a malformed header or row,
+            a duplicate epoch (these report the 1-based line number, as
+            counted by :meth:`str.splitlines`; a duplicate names the
+            later line and the earlier one), or fewer than 3 data rows.
+    """
+    name, lines = _decode_lines(source)
+    if station_id is None:
+        station_id = Path(name).stem or "station"
+
+    data = _read_bulk(lines, name)
+    if data is None:
+        data, linenos = _read_lines(lines, name)
+    else:
+        # no line is skipped on the bulk path: row j is on line 2 + j
+        linenos = range(2, len(data) + 2)
+    if len(data) < 3:
+        raise ParseError(f"series too short: {len(data)} rows, need at least 3", source=name)
+
     # stable, so rows sharing an epoch keep their file order
     order = np.argsort(data[:, 0], kind="stable")
-    # one (4, n) array: row 0 holds the epochs, rows 1-3 the station's values
-    data = np.ascontiguousarray(data[order].T)
+    # one (4, n) array: row 0 holds the epochs, rows 1-3 the station's values;
+    # read-only before it is handed over, so the station makes no copy
+    data = _readonly(np.ascontiguousarray(data[order].T))
     epochs = data[0]
     repeats = np.flatnonzero(np.diff(epochs) <= 0)
     if repeats.size:

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gnss_grnn import (
     parse_series,
     write_series_csv,
 )
+from gnss_grnn import series as series_module
 
 
 def make_station(epochs, x=None, y=None, z=None, **kwargs):
@@ -193,14 +195,26 @@ def parse_outcome(parse, text):
     return ("ok", result)
 
 
-def assert_same_as_reference(text):
-    got = parse_outcome(lambda t: parse_series(io.StringIO(t)), text)
-    want = parse_outcome(reference_parse, text)
+def assert_same_outcome(got, want):
+    """Equal bits (as int64 views), or the same message and line."""
     assert got[0] == want[0], (got, want)
     if got[0] == "ok":
-        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
     else:
         assert got[1:] == want[1:]
+
+
+def line_by_line(text):
+    """``parse_series`` with its bulk pass refusing every file."""
+    with mock.patch.object(series_module, "_read_bulk", return_value=None):
+        return parse_series(io.StringIO(text))
+
+
+def assert_same_as_reference(text):
+    got = parse_outcome(lambda t: parse_series(io.StringIO(t)), text)
+    assert_same_outcome(got, parse_outcome(reference_parse, text))
+    # the bulk pass and the loop it falls back to agree as well
+    assert_same_outcome(got, parse_outcome(line_by_line, text))
     return got
 
 
@@ -240,6 +254,85 @@ _PARSE_CASES = {
     "header_only": "epoch_mjd,x_m,y_m,z_m\n",
 }
 
+#: A clean file the bulk pass reads, as rows of fields; each case below
+#: changes one field of it (or adds one line).
+_CLEAN_ROWS = (("55002", "3.25", "-1.5", "0.125"), ("55000", "1.0", "2.0", "3.0"),
+               ("55001", "1.5", "2.5", "3.5"))
+_CLEAN_YEAR_ROWS = (("2009.4661", "1", "2", "3"), ("2009.4606", "4", "5", "6"),
+                    ("2009.4634", "7", "8", "9"))
+
+
+def _clean_file(row=None, col=None, field=None, *, year=False, extra_line=None):
+    rows = [list(r) for r in (_CLEAN_YEAR_ROWS if year else _CLEAN_ROWS)]
+    if row is not None:
+        rows[row][col] = field
+    lines = ["epoch_year,x_m,y_m,z_m" if year else "epoch_mjd,x_m,y_m,z_m"]
+    lines += [",".join(r) for r in rows]
+    if extra_line is not None:
+        lines.insert(2, extra_line)
+    return "\n".join(lines) + "\n"
+
+
+_PARSE_CASES.update({
+    "clean_mjd": _clean_file(),
+    "clean_year": _clean_file(year=True),
+    "field_underscore": _clean_file(1, 1, "1_0"),
+    "field_arabic_indic_digit": _clean_file(1, 2, "\u0661"),
+    "field_unit_separator_first": _clean_file(0, 3, "\x1f0.125"),
+    "field_unit_separator_last": _clean_file(2, 0, "55001\x1f"),
+    "field_nul": _clean_file(2, 1, "1\x005"),
+    "field_mid_line_hash": _clean_file(1, 2, "2#5"),
+    "field_trailing_hash": _clean_file(0, 3, "0.125 # note"),
+    "field_quoted": _clean_file(0, 1, '"3.25"'),
+    "blank_line": _clean_file(extra_line=""),
+    "whitespace_only_line": _clean_file(extra_line=" \t "),
+    "trailing_comma": _clean_file(2, 3, "3.5,"),
+    "field_nan": _clean_file(1, 3, "nan"),
+    "field_1e999": _clean_file(2, 2, "1e999"),
+    "year_before_mjd_zero": _clean_file(1, 0, "1858.8", year=True),
+    "duplicate_epoch_in_clean_file": _clean_file(2, 0, "55002"),
+    "duplicate_epoch_after_blank_line": _clean_file(2, 0, "55002", extra_line=""),
+    "header_then_blank_lines": "epoch_mjd,x_m,y_m,z_m\n\n\n",
+})
+
+#: Fields the mutation strategy writes into a clean file: ones ``float()``
+#: reads and loadtxt does not, ones neither reads, quotes, comment marks,
+#: non-finite and out-of-range values, and epochs that repeat.
+_MUTATIONS = ["1_0", "\u0661", "\u0661.5", "\x1f1.5", "2.5\x1f", "1\x002", "#", "3#4", "# 5",
+              '"7"', '"8', "", " ", "nan", "1e999", "-inf", " 9 ", "\t10", "0", "-3", "1,2",
+              "1858.8", "55001", "2009.4634", "0x10", "1e5", "+.5"]
+#: Text the strategy appends to a clean field; a ``#`` after the last
+#: field is the trap of loadtxt's default ``comments``.
+_SUFFIXES = ["#4", " # note", "_0", "\x1f", "\x00", '"', "e999", ","]
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid MJD or decimal-year file, often with one field replaced
+    from ``_MUTATIONS``, extended from ``_SUFFIXES`` or set to the next
+    row's epoch, and often with one blank, whitespace or comment line
+    added. An unchanged file is read by the bulk pass."""
+    year = draw(st.booleans())
+    n = draw(st.integers(3, 8))
+    ticks = draw(st.lists(st.integers(0, 9999), min_size=n, max_size=n, unique=True))
+    epochs = ([f"{2009 + t / 10000:.4f}" for t in ticks] if year
+              else [repr(55000 + t / 4) for t in ticks])
+    values = draw(st.lists(st.floats(-1e7, 1e7), min_size=3 * n, max_size=3 * n))
+    rows = [[e, *map(repr, values[3 * i:3 * i + 3])] for i, e in enumerate(epochs)]
+    i, col = draw(st.integers(0, n - 1)), draw(st.integers(0, 3))
+    change = draw(st.sampled_from(["none", "replace", "append", "repeat epoch"]))
+    if change == "replace":
+        rows[i][col] = draw(st.sampled_from(_MUTATIONS))
+    elif change == "append":
+        rows[i][col] += draw(st.sampled_from(_SUFFIXES))
+    elif change == "repeat epoch":
+        rows[i][0] = rows[(i + 1) % n][0]
+    lines = ["epoch_year,x_m,y_m,z_m" if year else "epoch_mjd,x_m,y_m,z_m"]
+    lines += [",".join(r) for r in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, n + 1)), draw(st.sampled_from(["", "  ", "\t", "#"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
 
 class TestParseMatchesReference:
     @pytest.mark.parametrize("case", sorted(_PARSE_CASES))
@@ -271,6 +364,82 @@ class TestParseMatchesReference:
     def test_random_files(self, rows, header, newline):
         text = newline.join([header] + [",".join(fields) for fields in rows])
         assert_same_as_reference(text)
+
+    @given(mutated_files())
+    @settings(max_examples=500, deadline=None)
+    def test_mutated_valid_files(self, text):
+        assert_same_as_reference(text)
+
+    def test_clean_cases_read_and_mutations_fall_back_or_fail(self):
+        ok = {case for case, text in _PARSE_CASES.items()
+              if parse_outcome(reference_parse, text)[0] == "ok"}
+        assert {"clean_mjd", "clean_year", "field_underscore", "field_arabic_indic_digit",
+                "field_unit_separator_first", "field_unit_separator_last", "field_quoted",
+                "blank_line", "whitespace_only_line"} <= ok
+        assert not {"field_nul", "field_mid_line_hash", "field_trailing_hash",
+                    "trailing_comma", "field_nan", "field_1e999", "year_before_mjd_zero",
+                    "duplicate_epoch_in_clean_file", "duplicate_epoch_after_blank_line",
+                    "header_then_blank_lines"} & ok
+
+    def test_duplicate_in_clean_file_names_both_lines(self):
+        with pytest.raises(ParseError) as exc:
+            parse_series(io.StringIO(_PARSE_CASES["duplicate_epoch_in_clean_file"]))
+        assert exc.value.line == 4
+        assert str(exc.value) == "<stream>: line 4: duplicate epoch 55002.0 (also on line 2)"
+        with pytest.raises(ParseError) as exc:
+            parse_series(io.StringIO(_PARSE_CASES["duplicate_epoch_after_blank_line"]))
+        assert str(exc.value) == "<stream>: line 5: duplicate epoch 55002.0 (also on line 2)"
+
+
+    def test_an_overflowing_year_fails_alike_on_both_paths(self):
+        # the year is finite, its MJD is not: no ParseError catches it
+        text = "epoch_year,x_m,y_m,z_m\n2001,1,2,3\n2002,1,2,3\n1e306,1,2,3\n"
+        for parse in (lambda t: parse_series(io.StringIO(t)), line_by_line):
+            with pytest.raises(DataError, match="^epochs must be finite$"):
+                parse(text)
+
+
+class TestBulkPass:
+    """Files the program writes, or that look like public series, must be
+    read by the bulk pass: a silent fall back to the loop loses its speed."""
+
+    @pytest.fixture
+    def no_loop(self, monkeypatch):
+        def refuse(lines, name):
+            raise AssertionError(f"{name} was read line by line")
+        monkeypatch.setattr(series_module, "_read_lines", refuse)
+
+    @pytest.mark.parametrize("kind", list(SyntheticKind))
+    def test_written_series(self, kind, no_loop):
+        station = generate_synthetic(kind, 400, 3)
+        buf = io.StringIO()
+        write_series_csv(station, buf)
+        again = parse_series(io.StringIO(buf.getvalue()), station_id=station.station_id)
+        assert np.array_equal(again.epochs_mjd.view(np.int64), station.epochs_mjd.view(np.int64))
+        assert np.array_equal(again.values_m.view(np.int64), station.values_m.view(np.int64))
+
+    def test_written_file_on_disk(self, tmp_path, no_loop):
+        station = generate_synthetic(SyntheticKind.GAPPED_TREND, 400, 1)
+        write_series_csv(station, tmp_path / "STAT.csv")
+        assert parse_series(tmp_path / "STAT.csv").count == station.count
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_decimal_year_file(self, seed, no_loop):
+        # 4-decimal years and shortest round-trip values, as public
+        # decimal-year series ship
+        station = generate_synthetic(SyntheticKind.TREND_PLUS_ANNUAL, 900, seed)
+        lines = ["epoch_year,x_m,y_m,z_m"]
+        for mjd, (x, y, z) in zip(station.epochs_mjd.tolist(), station.values_m.T.tolist()):
+            lines.append(f"{2000.0 + (mjd - 51544.5) / 365.25:.4f},{x!r},{y!r},{z!r}")
+        text = "\n".join(lines) + "\n"
+        got = parse_outcome(lambda t: parse_series(io.StringIO(t)), text)
+        assert_same_outcome(got, parse_outcome(reference_parse, text))
+
+    def test_a_comment_goes_to_the_loop(self):
+        with mock.patch.object(series_module, "_read_lines",
+                               wraps=series_module._read_lines) as loop:
+            parse_series(io.StringIO("# station\n" + _clean_file()))
+        assert loop.call_count == 1
 
 
 class TestDecoding:
@@ -328,6 +497,20 @@ class TestValidation:
         values[row, 1] = bad
         with pytest.raises(DataError, match="^values must be finite$"):
             StationSeries("s", [1.0, 2.0, 3.0], values)
+
+    def test_caller_arrays_stay_writeable(self):
+        epochs, values = np.array([1.0, 2.0, 3.0]), np.zeros((3, 3))
+        s = StationSeries("s", epochs, values)
+        assert epochs.flags.writeable and values.flags.writeable
+        assert not s.epochs_mjd.flags.writeable and not s.values_m.flags.writeable
+        epochs[0], values[0, 0] = 0.5, 9.0
+        assert s.epochs_mjd[0] == 1.0 and s.values_m[0, 0] == 0.0
+
+    def test_read_only_arrays_are_kept_without_a_copy(self):
+        epochs, values = np.array([1.0, 2.0, 3.0]), np.zeros((3, 3))
+        epochs.flags.writeable = values.flags.writeable = False
+        s = StationSeries("s", epochs, values)
+        assert s.epochs_mjd is epochs and s.values_m is values
 
     def test_arrays_read_only(self):
         s = make_station([1.0, 2.0, 3.0])
