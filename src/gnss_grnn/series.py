@@ -274,7 +274,8 @@ def _read_bulk(lines: list[str], name: str) -> np.ndarray | None:
         # bits, and like it no warning when a huge year overflows
         with np.errstate(over="ignore"):
             data[:, 0] = MJD_AT_2000 + (data[:, 0] - 2000.0) * DAYS_PER_YEAR
-    if not (data[:, 0] > 0).all():
+    # a huge year maps to an infinite MJD, which the loop refuses by line
+    if not ((data[:, 0] > 0) & (data[:, 0] < np.inf)).all():
         return None
     return data
 
@@ -314,6 +315,8 @@ def _read_lines(lines: list[str], name: str) -> tuple[np.ndarray, list[int]]:
             epoch = decimal_year_to_mjd(epoch)
         if epoch <= 0:
             raise ParseError("epoch must map to a positive MJD", source=name, line=lineno)
+        if not isfinite(epoch):
+            raise ParseError("epoch must map to a finite MJD", source=name, line=lineno)
         rows.append((epoch, x, y, z))
         linenos.append(lineno)
 

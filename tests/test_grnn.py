@@ -563,6 +563,28 @@ class TestAdaptiveForecastSeries:
             "bandwidth too small: every kernel value underflowed (h=0.5, "
             "nearest distance 32.0 days) predicting component Y at MJD 55051.0")
 
+    def test_underflows_are_reported_in_component_order(self):
+        # two 31-day gaps: Y curves from the first and underflows at the first
+        # target after it; X is zero until it curves after the second gap. The
+        # per-target loop finishes X before it starts Y, so X is the one named
+        epochs = np.concatenate([55000.0 + np.arange(20.0), 55051.0 + np.arange(20.0),
+                                 55102.0 + np.arange(10.0)])
+        curve = 1e-3 * (epochs - 55000.0) ** 2
+        station = station_of(epochs, [np.where(epochs > 55100.0, curve, 0.0),
+                                      np.where(epochs > 55050.0, curve, 0.0),
+                                      np.zeros(epochs.size)])
+        cfg = GrnnConfig(1)
+        x, y, _ = station.components
+        with pytest.raises(BandwidthTooSmallError, match=r"component Y at MJD 55051\.0$"):
+            loop_reference(epochs, y, cfg, 1e-3, 5)
+        with pytest.raises(BandwidthTooSmallError) as loop_exc:
+            loop_reference(epochs, x, cfg, 1e-3, 5)
+        with pytest.raises(BandwidthTooSmallError) as walk_exc:
+            adaptive_forecast_series(station, cfg, 1e-3, 5)
+        assert str(walk_exc.value) == str(loop_exc.value) == (
+            "bandwidth too small: every kernel value underflowed (h=0.5, "
+            "nearest distance 32.0 days) predicting component X at MJD 55102.0")
+
     def test_nothing_to_predict(self):
         station = station_of(np.arange(3.0) + 1.0, np.zeros(3))
         with pytest.raises(DataError, match="nothing to predict"):

@@ -170,6 +170,8 @@ def reference_parse(source_text, name="<stream>"):
         epoch = decimal_year_to_mjd(numbers[0]) if year_based else numbers[0]
         if epoch <= 0:
             raise ParseError("epoch must map to a positive MJD", source=name, line=lineno)
+        if not np.isfinite(epoch):
+            raise ParseError("epoch must map to a finite MJD", source=name, line=lineno)
         rows.append((epoch, numbers[1], numbers[2], numbers[3], lineno))
     if header is None:
         raise ParseError("empty file", source=name)
@@ -246,6 +248,8 @@ _PARSE_CASES = {
     "overflow_to_inf": "epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\n55001,1e999,2,3\n",
     "zero_epoch": "epoch_mjd,x_m,y_m,z_m\n0,1,2,3\n55001,1,2,3\n55002,1,2,3\n",
     "negative_year_epoch": "epoch_year,x_m,y_m,z_m\n1800,1,2,3\n",
+    # the year is finite, its MJD is not
+    "overflowing_year": "epoch_year,x_m,y_m,z_m\n2001,1,2,3\n2002,1,2,3\n1e306,1,2,3\n",
     "duplicate_epoch": "epoch_mjd,x_m,y_m,z_m\n55001,1,2,3\n55000,1,2,3\n55001,4,5,6\n",
     "too_few_rows": "epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\n# 55001,1,2,3\n55002,1,2,3\n",
     "empty_file": "",
@@ -300,7 +304,7 @@ _PARSE_CASES.update({
 #: non-finite and out-of-range values, and epochs that repeat.
 _MUTATIONS = ["1_0", "\u0661", "\u0661.5", "\x1f1.5", "2.5\x1f", "1\x002", "#", "3#4", "# 5",
               '"7"', '"8', "", " ", "nan", "1e999", "-inf", " 9 ", "\t10", "0", "-3", "1,2",
-              "1858.8", "55001", "2009.4634", "0x10", "1e5", "+.5"]
+              "1858.8", "1e306", "55001", "2009.4634", "0x10", "1e5", "+.5"]
 #: Text the strategy appends to a clean field; a ``#`` after the last
 #: field is the trap of loadtxt's default ``comments``.
 _SUFFIXES = ["#4", " # note", "_0", "\x1f", "\x00", '"', "e999", ","]
@@ -346,8 +350,8 @@ class TestParseMatchesReference:
         }
         messages = " ".join(e[1] for e in errors.values() if e[0] == "error")
         for fragment in ("expected 4 columns", "could not convert", "non-finite",
-                         "positive MJD", "duplicate epoch", "too short", "empty file",
-                         "unrecognized header"):
+                         "positive MJD", "finite MJD", "duplicate epoch", "too short",
+                         "empty file", "unrecognized header"):
             assert fragment in messages
         assert errors["unsorted_rows"][0] == "ok"
         assert errors["unbalanced_quote"][0] == "ok"
@@ -392,11 +396,13 @@ class TestParseMatchesReference:
 
 
     def test_an_overflowing_year_fails_alike_on_both_paths(self):
-        # the year is finite, its MJD is not: no ParseError catches it
-        text = "epoch_year,x_m,y_m,z_m\n2001,1,2,3\n2002,1,2,3\n1e306,1,2,3\n"
+        # the year is finite, its MJD is not: the error names the file and the line
+        text = _PARSE_CASES["overflowing_year"]
         for parse in (lambda t: parse_series(io.StringIO(t)), line_by_line):
-            with pytest.raises(DataError, match="^epochs must be finite$"):
+            with pytest.raises(ParseError) as exc:
                 parse(text)
+            assert exc.value.line == 4
+            assert str(exc.value) == "<stream>: line 4: epoch must map to a finite MJD"
 
 
 class TestBulkPass:
