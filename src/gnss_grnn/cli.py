@@ -13,7 +13,7 @@ before it reads any file, and a broken rule is a usage error:
 * ``compare --theta-window`` below 3;
 * ``compare -v`` below 3 without ``--theta-window``, which defaults to ``-v``;
 * ``predict --threshold`` that is not a positive number (NaN included);
-* ``predict --max-training-size`` without ``--threshold``;
+* ``predict --max-training-size`` without ``--threshold``, or below ``-v``;
 * ``predict --threshold`` with an explicit ``--mode recursive`` (the
   window search is teacher-forced, which ``--threshold`` implies);
 * ``sweep`` with more than one station;
@@ -289,8 +289,11 @@ def _predict_rows(station, config, mode, threshold_m, max_training_size):
 
 
 def cmd_predict(args) -> int:
-    if args.max_training_size is not None and args.threshold is None:
-        args.usage_error("--max-training-size requires --threshold")
+    if args.max_training_size is not None:
+        if args.threshold is None:
+            args.usage_error("--max-training-size requires --threshold")
+        if args.max_training_size < args.training_size:
+            args.usage_error("--max-training-size must be at least -v")
     mode = args.mode or Mode.RECURSIVE
     if args.threshold is not None:
         if args.mode is Mode.RECURSIVE:

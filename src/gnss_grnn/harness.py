@@ -8,7 +8,6 @@ epochs, so their criteria are comparable term by term.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -34,9 +33,10 @@ from .series import (
     Component,
     GapReport,
     StationSeries,
+    csv_text,
     detect_gaps,
     mjd_to_decimal_year,
-    open_text,
+    write_text,
 )
 from .theta import ThetaFit, checked_window, theta_backtest
 
@@ -449,16 +449,6 @@ def compare_methods(
 # serialization
 # ---------------------------------------------------------------------------
 
-def _write_json(doc: dict | list, dest: str | Path | IO[str]) -> None:
-    """Write ``doc`` indented, floats in shortest round-trip form, with a
-    final newline; NaN and infinity are refused, since JSON has neither.
-    The whole document is serialized first, so a refused one leaves
-    ``dest`` untouched."""
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    with open_text(dest) as stream:
-        stream.write(text)
-
-
 def write_reports_json(
     reports: Sequence[dict],
     comparison: dict | None,
@@ -471,8 +461,9 @@ def write_reports_json(
     ``reports``, the station blocks of :func:`evaluate_station`, and
     ``comparison`` are written as given, normally what :func:`compare_methods`
     returns. ``run``, when given, is written as the ``"run"`` block right
-    after the schema version. Floats serialize in shortest round-trip
-    form; given identical inputs the output is byte-identical run to run.
+    after the schema version. Floats serialize in shortest round-trip form,
+    and NaN and infinity are refused, since JSON has neither; given identical
+    inputs the output is byte-identical run to run.
     """
     doc = {"schema_version": SCHEMA_VERSION}
     if run is not None:
@@ -481,46 +472,36 @@ def write_reports_json(
         "stations": list(reports),
         "comparison": comparison,
     }
-    _write_json(doc, dest)
+    write_text(dest, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def write_reports_csv(reports: Sequence[dict], dest: str | Path | IO[str]) -> None:
     """One summary row per station/method/component of the station blocks
     of :func:`evaluate_station`, in their ``metrics`` order (lossy floats)."""
-    with open_text(dest) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["station", "span", "state", "component", "method",
-                         *(key for key, *_ in CRITERIA)])
-        for r in reports:
-            for method, by_component in r["metrics"].items():
-                for comp, criteria in by_component.items():
-                    writer.writerow([r["station_id"], r["span"]["label"], r["state"], comp,
-                                     method, *printed(criteria)])
+    write_text(dest, csv_text(
+        ["station", "span", "state", "component", "method", *(key for key, *_ in CRITERIA)],
+        ([r["station_id"], r["span"]["label"], r["state"], comp, method, *printed(criteria)]
+         for r in reports
+         for method, by_component in r["metrics"].items()
+         for comp, criteria in by_component.items())))
 
 
 def write_sweep_csv(rows: Iterable[dict], dest: str | Path | IO[str]) -> None:
     """The rows of :func:`run_sweep` as plot-ready CSV, in the order given:
     v, component, mode, the criteria (lossy floats), then n."""
-    with open_text(dest) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["v", "component", "mode", *(key for key, *_ in CRITERIA), "n"])
-        for row in rows:
-            writer.writerow([row["v"], row["component"], row["mode"], *printed(row),
-                             row["n"]])
+    write_text(dest, csv_text(
+        ["v", "component", "mode", *(key for key, *_ in CRITERIA), "n"],
+        ([row["v"], row["component"], row["mode"], *printed(row), row["n"]] for row in rows)))
 
 
 def write_predictions_json(rows: Iterable[dict], dest: str | Path | IO[str]) -> None:
     """The forecast rows of ``gnss-grnn predict`` as a JSON list, in the
-    order given (floats in shortest round-trip form)."""
-    _write_json(list(rows), dest)
+    order given, as :func:`write_reports_json` writes its document."""
+    write_text(dest, json.dumps(list(rows), indent=2, allow_nan=False) + "\n")
 
 
 def write_predictions_csv(rows: Sequence[dict], dest: str | Path | IO[str]) -> None:
     """The forecast rows of ``gnss-grnn predict`` as CSV, in the order
     given: the first row's keys head the columns, and floats are written
     in shortest round-trip form."""
-    with open_text(dest) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(list(rows[0].keys()))
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row.values()])
+    write_text(dest, csv_text(rows[0].keys(), (row.values() for row in rows)))

@@ -2,8 +2,9 @@
 
 Each criterion takes two aligned 1-d arrays, predictions and observed
 truths in meters, and leaves both as given. Residuals are defined as
-truth minus prediction, and a criterion whose float64 arithmetic
-overflows is refused. sMAPE uses per-pair denominators
+truth minus prediction. A criterion is refused when a residual, or the
+criterion itself, overflows float64; StD and MAbs rescale finite
+residuals whose squares or sum overflow. sMAPE uses per-pair denominators
 ``|y| + |yhat|``, is averaged over the pairs and scaled to percent; the
 classical factor-2 variant is deliberately not used.
 :func:`compute_report` gives the three as a dict, the metrics block
@@ -14,7 +15,7 @@ such mapping.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,9 +71,17 @@ def _pairs(predicted_m: np.ndarray, observed_m: np.ndarray) -> tuple[np.ndarray,
     return pred, obs
 
 
-def _finite(label: str, value: float) -> float:
-    """``value``, the criterion ``label``, as a float once it is finite;
-    the pairs are finite, so only their residuals can have overflowed."""
+def _criterion(label: str, measure: Callable[[np.ndarray], float],
+               terms: np.ndarray) -> float:
+    """``measure(terms)``, the criterion ``label``, as a float once it is
+    finite. ``measure`` scales with its terms, so when it overflows on
+    finite terms it is taken on them divided by their largest magnitude
+    and scaled back; a finite result keeps its bits. The pairs are
+    finite, so only arithmetic on them can have overflowed."""
+    value = measure(terms)
+    if not np.isfinite(value) and np.all(np.isfinite(terms)):
+        scale = np.abs(terms).max()
+        value = measure(terms / scale) * scale
     if not np.isfinite(value):
         raise UndefinedMetricError(
             f"{label} is not finite ({float(value)!r}): the residuals overflow float64")
@@ -96,8 +105,7 @@ def smape(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
         raise UndefinedMetricError(
             f"undefined sMAPE term at index {i}: |y| + |yhat| is zero", index=i
         )
-    terms = np.abs(obs - pred) / denom
-    return _finite("sMAPE", 100.0 * terms.mean())
+    return _criterion("sMAPE", lambda t: 100.0 * t.mean(), np.abs(obs - pred) / denom)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -106,14 +114,14 @@ def std_of_errors(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
     pred, obs = _pairs(predicted_m, observed_m)
     if pred.size < 2:
         raise UndefinedMetricError("StD undefined for fewer than 2 pairs")
-    return _finite("StD", np.std(obs - pred, ddof=1))
+    return _criterion("StD", lambda r: np.std(r, ddof=1), obs - pred)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def mean_abs_error(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
     """Mean of absolute residuals, meters."""
     pred, obs = _pairs(predicted_m, observed_m)
-    return _finite("MAbs", np.abs(obs - pred).mean())
+    return _criterion("MAbs", lambda r: np.abs(r).mean(), obs - pred)
 
 
 def compute_report(predicted_m: np.ndarray, observed_m: np.ndarray) -> dict[str, float | int]:

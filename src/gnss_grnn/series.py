@@ -1,4 +1,4 @@
-"""Station position series: ingestion, validation, gaps, and amplitudes.
+"""Station position series: ingestion, validation, gaps, amplitudes and output.
 
 The internal time axis is the Modified Julian Date (MJD) in days. Files
 indexed by decimal year are converted on ingest with a fixed 365.25-day
@@ -19,17 +19,20 @@ wrong column count, a non-finite value or an epoch that is not a
 positive MJD sends the file to a line-by-line loop, which reads it or
 raises the :class:`ParseError` of the line at fault. Both paths accept
 the same text and give the same bits.
+
+Every file the package writes is one string handed to :func:`write_text`
+(end of this module); :func:`csv_text` beside it holds the one CSV dialect.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -61,7 +64,7 @@ class SeriesState(str, Enum):
 
 
 def decimal_year_to_mjd(year: float) -> float:
-    """Convert a decimal year to MJD days (365.25-day years)."""
+    """Convert decimal years to MJD days (365.25-day years), elementwise on arrays."""
     return MJD_AT_2000 + (year - 2000.0) * DAYS_PER_YEAR
 
 
@@ -270,10 +273,9 @@ def _read_bulk(lines: list[str], name: str) -> np.ndarray | None:
     if data.shape != (len(lines) - 1, 4) or not np.isfinite(data).all():
         return None
     if year_based:
-        # decimal_year_to_mjd, elementwise: the same operations, the same
-        # bits, and like it no warning when a huge year overflows
+        # the loop's conversion, which overflows silently there too
         with np.errstate(over="ignore"):
-            data[:, 0] = MJD_AT_2000 + (data[:, 0] - 2000.0) * DAYS_PER_YEAR
+            data[:, 0] = decimal_year_to_mjd(data[:, 0])
     # a huge year maps to an infinite MJD, which the loop refuses by line
     if not ((data[:, 0] > 0) & (data[:, 0] < np.inf)).all():
         return None
@@ -386,19 +388,25 @@ def parse_series(
     return StationSeries(station_id, epochs, data[1:])
 
 
-@contextmanager
-def open_text(dest: str | Path | IO[str]) -> Iterator[IO[str]]:
-    """Yield a text stream to write ``dest``.
-
-    A path is opened as UTF-8 with ``newline=""`` (writers choose their
-    own line endings) and closed on exit; a stream is used as is and
-    left open for its owner.
-    """
+def write_text(dest: str | Path | IO[str], text: str) -> None:
+    """Write the finished ``text`` to ``dest``. A path is opened only now, as
+    UTF-8 with ``newline=""``, so a writer that fails while it builds its
+    text leaves the path as it was; a stream is written to and left open."""
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as stream:
-            yield stream
+        Path(dest).write_text(text, encoding="utf-8", newline="")
     else:
-        yield dest
+        dest.write(text)
+
+
+def csv_text(header: Iterable[object], rows: Iterable[Iterable[object]]) -> str:
+    """``header`` and ``rows`` as CSV with ``\\n`` line endings, the package's
+    one dialect. A Python float, as ``tolist()`` gives it, is written in
+    shortest round-trip form; a numpy scalar would be written as its repr."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def write_series_csv(series: StationSeries, dest: str | Path | IO[str]) -> None:
@@ -407,10 +415,5 @@ def write_series_csv(series: StationSeries, dest: str | Path | IO[str]) -> None:
     Floats are written in shortest round-trip form, so parsing the output
     reproduces every epoch and every value bit for bit.
     """
-    with open_text(dest) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(_HEADER_MJD)
-        x, y, z = series.values_m
-        for i, epoch in enumerate(series.epochs_mjd):
-            writer.writerow([repr(float(epoch)), repr(float(x[i])),
-                             repr(float(y[i])), repr(float(z[i]))])
+    write_text(dest, csv_text(_HEADER_MJD,
+                              zip(series.epochs_mjd.tolist(), *series.values_m.tolist())))

@@ -68,7 +68,7 @@ def huge_x_file(tmp_path):
 @pytest.fixture
 def one_huge_x_file(tmp_path):
     """X is 1.0 but for one 1.5e308: the kernel's forecasts stay finite,
-    while their StD and Theta's second differences overflow."""
+    while Theta's second differences overflow."""
     return _write_station(tmp_path / "one.csv", [1.0] * 10 + [1.5e308] + [1.0] * 29)
 
 
@@ -217,15 +217,18 @@ class TestPredict:
                        "--mode", "teacher-forced") == 0
         assert capsys.readouterr().out == default
 
-    def test_bad_search_argument_names_the_station(self, station_file, capsys):
-        # the search checks its own arguments, inside the station's walk
+    def test_a_cap_below_the_window_is_a_usage_error(self, station_file, capsys):
+        # refused by the command before the station is read, not by the
+        # search inside the station's walk
         path = station_file(name="a", length=60)
-        assert run_cli("predict", path, "-v", "5", "--threshold", "0.001",
-                       "--max-training-size", "2") == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("predict", path, "-v", "5", "--threshold", "0.001",
+                    "--max-training-size", "2")
+        assert exc.value.code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("gnss-grnn: data error: station a: "
-                                "max_training_size must be >= training_size\n")
+        assert captured.err.endswith(
+            "gnss-grnn predict: error: --max-training-size must be at least -v\n")
 
     def test_threshold_adds_adaptive_columns(self, station_file, capsys):
         path = station_file(length=80)
@@ -380,15 +383,17 @@ class TestSweep:
             "gnss-grnn: numeric failure: station Z0: training size 3: component X: "
             "mode recursive: undefined sMAPE term at MJD 55003.0: |y| + |yhat| is zero\n")
 
-    def test_overflowing_criterion_is_a_numeric_failure(self, one_huge_x_file, tmp_path,
-                                                        capsys):
+    def test_overflowing_criterion_is_a_numeric_failure(self, tmp_path, capsys):
+        # a one-value recursive walk forecasts X's first value, -1e308, at
+        # every epoch, so its residual at the +1e308 overflows
+        path = _write_station(tmp_path / "one.csv", [-1e308] + [1.0] * 9 + [1e308] + [1.0] * 29)
         out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", one_huge_x_file, "--v-max", "3", "--output", out) == 3
+        assert run_cli("sweep", path, "--v-max", "3", "--output", out) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             "gnss-grnn: numeric failure: station one: training size 1: component X: mode "
-            "recursive: StD is not finite (inf): the residuals overflow float64\n")
+            "recursive: sMAPE is not finite (nan): the residuals overflow float64\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--mode", "recursive"), ("-v", "7"),
@@ -787,6 +792,8 @@ def test_bad_jobs_env_is_a_usage_error(station_file, tmp_path, capsys, monkeypat
     (["predict", "-v", "0"], None, "argument -v/--training-size: must be at least 1"),
     (["predict", "--threshold", "0.01", "--max-training-size", "0"], None,
      "argument --max-training-size: must be at least 1"),
+    (["predict", "-v", "100", "--threshold", "0.001", "--max-training-size", "50"], None,
+     "--max-training-size must be at least -v"),
     (["compare", "--training-size", "-3"], None,
      "argument -v/--training-size: must be at least 1"),
     (["compare", "--theta-window", "2"], None, "argument --theta-window: must be at least 3"),

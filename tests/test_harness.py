@@ -37,7 +37,7 @@ from gnss_grnn import (
     write_reports_json,
     write_sweep_csv,
 )
-from gnss_grnn.harness import write_predictions_json
+from gnss_grnn.harness import write_predictions_csv, write_predictions_json
 
 from scalar_reference import estimate_theta, stepping_walk, theta_walk
 
@@ -400,10 +400,15 @@ class TestEvaluateStation:
                                   "|y| + |yhat| is zero")
 
     def test_overflowing_criterion_names_size_component_and_mode(self):
+        # a one-value recursive walk forecasts X's first value, -1e308, at
+        # every epoch, so its residual at the +1e308 overflows
+        s = _one_huge_x()
+        values = s.values_m.copy()
+        values[0, 0], values[0, 10] = -1e308, 1e308
         with pytest.raises(UndefinedMetricError) as exc:
-            run_sweep(_one_huge_x(), [1, 2])
+            run_sweep(StationSeries("ONE", s.epochs_mjd, values), [1, 2])
         assert str(exc.value) == ("station ONE: training size 1: component X: mode "
-                                  "recursive: StD is not finite (inf): the residuals "
+                                  "recursive: sMAPE is not finite (nan): the residuals "
                                   "overflow float64")
 
     def test_non_finite_forecast_is_named_where_it_is_scored(self):
@@ -667,6 +672,32 @@ class TestWriters:
                 write(dest)
             if existing:
                 assert dest.read_text() == "kept\n"
+            else:
+                assert not dest.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_unwritable_csv_row_leaves_the_path_untouched(self, tmp_path, existing):
+        # the row that cannot be formatted comes after rows that can
+        report = self._station_report()
+        spanless = {key: value for key, value in report.items() if key != "span"}
+        sweep = run_sweep(generate_synthetic(SyntheticKind.CONSTANT, 60, 0), [1, 2])
+        sizeless = {key: value for key, value in sweep[0].items() if key != "n"}
+        rows = [{"station": "s", "predicted_m": 1.0}] * 50
+        writers = {
+            "stations.csv": (lambda dest: write_reports_csv([report, spanless], dest),
+                             KeyError),
+            "sweep.csv": (lambda dest: write_sweep_csv([*sweep, sizeless], dest), KeyError),
+            "predict.csv": (lambda dest: write_predictions_csv([*rows, None], dest),
+                            AttributeError),
+        }
+        for name, (write, error) in writers.items():
+            dest = tmp_path / name
+            if existing:
+                dest.write_bytes(b"kept\n")
+            with pytest.raises(error):
+                write(dest)
+            if existing:
+                assert dest.read_bytes() == b"kept\n"
             else:
                 assert not dest.exists()
 

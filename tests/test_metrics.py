@@ -165,10 +165,10 @@ class TestReportAndInvariances:
 @pytest.mark.parametrize("criterion, label, pred, obs, value, first", [
     # |y - yhat| overflows, and so does |y| + |yhat|: inf / inf
     (smape, "sMAPE", [-1e308, 1.0], [1e308, 1.0], "nan", "sMAPE"),
-    # the squared deviations overflow
-    (std_of_errors, "StD", [0.0, 0.0, 0.0], [1.5e308, -1.5e308, 1.0], "inf", "StD"),
-    # each residual is finite, their sum is not; the mean in StD overflows first
-    (mean_abs_error, "MAbs", [0.0, 0.0], [1.5e308, 1.5e308], "inf", "StD"),
+    # a residual itself overflows, so no scaling can recover the criterion;
+    # sMAPE's term at that pair is inf / inf, so the report stops there first
+    (std_of_errors, "StD", [-1e308, 1.0], [1e308, 1.0], "nan", "sMAPE"),
+    (mean_abs_error, "MAbs", [-1e308, 1.0], [1e308, 1.0], "inf", "sMAPE"),
 ])
 def test_a_criterion_that_overflows_is_refused(criterion, label, pred, obs, value, first):
     # the overflow itself stays silent: a warning would fail this test first
@@ -186,3 +186,13 @@ def test_large_finite_criteria_are_kept():
     assert report["smape_percent"] == 100.0
     assert report["mabs_m"] == 1e150
     assert report["std_m"] == pytest.approx(math.sqrt(2.0) * 1e150, rel=1e-15)
+    # finite residuals whose squares or sum overflow: the criterion is taken
+    # on the residuals scaled by their largest magnitude
+    report = compute_report(np.array([0.0, 0.0]), np.array([1e300, -1e300]))
+    assert report["mabs_m"] == 1e300
+    assert report["std_m"] == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+    report = compute_report(np.zeros(2), np.array([1.5e308, 1.5e308]))
+    assert report["mabs_m"] == 1.5e308
+    assert report["std_m"] == 0.0
+    assert std_of_errors(np.zeros(3), np.array([1.5e308, -1.5e308, 1.0])) == \
+        pytest.approx(1.5e308, rel=1e-15)
