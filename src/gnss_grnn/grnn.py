@@ -31,11 +31,19 @@ component and forecasts a block's open (component, target) pairs at once
 The weights of a target depend only on its distances to the window
 epochs, so targets with bit-identical distances share them. IGS final
 solutions are daily, and on such an axis every target whose window holds
-no gap has the same distances. :func:`_weight_blocks` therefore computes
-one weight row per run of adjacent targets with identical distances, plus
-an index from targets to rows: a block of a gap-free daily series costs
-one kernel row, while an irregular axis, where every run is one target,
-pays only the comparison that finds the runs.
+no gap has the same distances. Both walks therefore compute one weight row
+per run of adjacent targets with identical distances, through
+:func:`_kernel_rows`, plus an index from targets to rows.
+:func:`_weight_blocks`, for the one size of :func:`forecast_series`,
+compares whole rows inside each block: a block of a gap-free daily series
+costs one kernel row, while an irregular axis, where every run is one
+target, pays only the comparison that finds the runs. The adaptive search
+instead carries its runs from one size to the next. A target's distance
+row at size ``v + 1`` is its row at ``v`` plus one older column, so runs
+only ever split as the windows grow: the search keeps, per epoch, whether
+its row equals the one before it, and each size ANDs in the comparison
+at its own lag, one O(n) pass. Its runs do not break at block edges, so
+a gap-free daily search costs one kernel row per size.
 """
 
 from __future__ import annotations
@@ -179,20 +187,42 @@ def _convex_combinations(weights: np.ndarray, windows: np.ndarray) -> np.ndarray
     return base + np.matmul(weights[:, None, :], deviations)[:, 0, 0]
 
 
+def _kernel_rows(
+    distances: np.ndarray, bandwidth: float | BandwidthRule
+) -> tuple[np.ndarray, dict[int, tuple[float, float]]]:
+    """Normalized kernel weights per row of target-to-window ``distances``.
+
+    Each row gets its bandwidth, its Gaussian kernels and one normalizing
+    sum, and has the bits of the single-target weights in
+    ``tests/scalar_reference.py``. Gives the weights, a row per distance
+    row, and ``{row: (h, nearest distance)}`` for each row whose every
+    kernel underflowed; such a row has no weights and is left all zero.
+    """
+    h = _row_bandwidths(distances, bandwidth)
+    kernels = gaussian_kernel(distances / h[:, None])
+    total = kernels.sum(axis=1)
+    failed = np.flatnonzero(total == 0.0).tolist()
+    # an underflowed row is divided by 1: its zero sum would only warn
+    total[failed] = 1.0
+    weights = kernels / total[:, None]
+    sums = weights.sum(axis=1)
+    sums[failed] = 1.0
+    assert np.all(np.abs(sums - 1.0) < 1e-12)
+    return weights, {r: (float(h[r]), float(distances[r].min())) for r in failed}
+
+
 def _weight_blocks(
     epochs: np.ndarray, targets: np.ndarray, v: int, bandwidth: float | BandwidthRule
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, float, float]]]]:
     """Normalized kernel weights for ``targets``, a block at a time.
 
     Target ``j`` weighs the ``v`` epochs before ``epochs[targets[j]]`` by
-    its distances to them: row bandwidth, Gaussian kernels, one
-    normalizing sum. Adjacent targets whose distance rows are bit-identical
-    form a run, and each run gets its weight row once: on a regular axis a
-    whole block is one run, on an irregular one every target is its own.
-    Each row has the bits of the single-target weights in
-    ``tests/scalar_reference.py``. A block holds at most ``_BLOCK_ELEMENTS``
-    window elements, which bounds the working memory whatever the number
-    of targets.
+    its distances to them, through :func:`_kernel_rows`. Adjacent targets
+    whose distance rows are bit-identical form a run, and each run gets
+    its weight row once: on a regular axis a whole block is one run, on
+    an irregular one every target is its own. A block holds at most
+    ``_BLOCK_ELEMENTS`` window elements, which bounds the working memory
+    whatever the number of targets.
 
     Yields ``(rows, weights, pattern, underflows)`` per block: the indices
     into ``targets`` whose kernels kept a nonzero sum, one weight row per
@@ -211,21 +241,18 @@ def _weight_blocks(
         pattern = np.cumsum(starts) - 1
         if pattern[-1] + 1 < k.size:
             distances = distances[starts]
-        h = _row_bandwidths(distances, bandwidth)
-        kernels = gaussian_kernel(distances / h[:, None])
-        total = kernels.sum(axis=1)
-        # drop underflowed runs before dividing: a zero row sum would only warn
-        ok = total != 0.0
-        failed = ~ok[pattern]
-        underflows = [(start + j, float(h[r]), float(distances[r].min()))
-                      for j, r in zip(np.flatnonzero(failed).tolist(),
-                                      pattern[failed].tolist())]
-        if underflows:
-            kernels, total = kernels[ok], total[ok]
-            pattern = (np.cumsum(ok) - 1)[pattern[~failed]]
-        weights = kernels / total[:, None]
-        assert np.all(np.abs(weights.sum(axis=1) - 1.0) < 1e-12)
-        yield start + np.flatnonzero(~failed), weights, pattern, underflows
+        weights, failed = _kernel_rows(distances, bandwidth)
+        kept = np.ones(k.size, dtype=bool)
+        underflows = []
+        if failed:
+            ok = np.ones(len(weights), dtype=bool)
+            ok[list(failed)] = False
+            kept = ok[pattern]
+            underflows = [(start + j, *failed[r])
+                          for j, r in zip(np.flatnonzero(~kept).tolist(),
+                                          pattern[~kept].tolist())]
+            weights, pattern = weights[ok], (np.cumsum(ok) - 1)[pattern[kept]]
+        yield start + np.flatnonzero(kept), weights, pattern, underflows
 
 
 @dataclass(frozen=True)
@@ -391,18 +418,25 @@ def adaptive_forecast_series(
     size each used and whether it met the threshold in the same shape.
 
     Batched over targets: the outer loop walks the candidate sizes, and
-    each size computes the weights of every target still open in any
-    component in one pass of :func:`_weight_blocks`. Each block then
+    each size weighs every target still open in any component. Runs of
+    targets with identical distance rows are carried from size to size:
+    ``same[k]``, whether epoch ``k``'s row equals epoch ``k - 1``'s, is
+    built from lags ``1..v0`` at the first size, and each later size ANDs
+    in its own lag alone, until no equal pair is left. Two open targets
+    share a run only if every target between them does, so a run may span
+    closed targets and block edges. Blocks of ``_BLOCK_ELEMENTS // v``
+    open targets bound the working memory: each computes one kernel row,
+    through :func:`_kernel_rows`, per run that starts in it, and a run that
+    crosses into the next block keeps its row there. Each block then
     forecasts all of its open (component, target) pairs at once, each pair
-    weighted by its target's row, or by the one row of a block that is one
-    run of identical rows. A (component, target) pair closes at the first
-    size that passes the threshold, at the size that underflows, or once
-    the next size exceeds its cap. Every index
-    gets bit for bit the forecast, size and flag of the per-target loop
-    in ``tests/scalar_reference.py``, and an underflow is reported for
-    the target that loop stops at first, taking the components in X, Y,
-    Z order. A forecast that is not finite is refused by
-    :func:`finite_forecasts`.
+    weighted by its run's row, or by the one row of a block that is one
+    run. A (component, target) pair closes at the first size that passes
+    the threshold, at the size that underflows, or once the next size
+    exceeds its cap. Every index gets bit for bit the forecast, size and
+    flag of the per-target loop in ``tests/scalar_reference.py``, and an
+    underflow is reported for the target that loop stops at first, taking
+    the components in X, Y, Z order. A forecast that is not finite is
+    refused by :func:`finite_forecasts`.
     """
     v0 = config.training_size
     if not threshold_m > 0:
@@ -429,18 +463,48 @@ def adaptive_forecast_series(
     # loop, which finishes each component before the next
     underflows: dict[tuple[int, int], tuple[float, float]] = {}
     open_pos = np.arange(targets.size)
+    # same[k]: epoch k's distance row equals epoch k - 1's at the size being
+    # tried; False where epoch k - 1 has no row, which only splits a run
+    same = np.arange(n) > v0
     v = v0
     while open_pos.size:
+        same[v] = False
+        if same.any():  # once none is left, none can come back
+            for lag in range(1 if v == v0 else v, v + 1):
+                d = epochs[lag:] - epochs[:-lag]
+                same[lag + 1:] &= d[1:] == d[:-1]
+        runs = np.cumsum(~same)[targets[open_pos]]
+        epoch_windows = sliding_window_view(epochs, v)
         value_windows = sliding_window_view(observed, v, axis=1)
-        for rows, weights, pattern, underflowed in _weight_blocks(epochs, targets[open_pos], v,
-                                                                  config.bandwidth):
-            for j, h, nearest in underflowed:
-                p = int(open_pos[j])
-                # of the components still open at p, only the first can hold
-                # the smallest key
-                underflows[int(is_open[:, p].argmax()), p] = (h, nearest)
-                is_open[:, p] = False
-            block_pos = open_pos[rows]
+        size = max(1, _BLOCK_ELEMENTS // v)
+        # run -> (h, nearest distance) of the runs whose kernels underflowed
+        failed_runs: dict[int, tuple[float, float]] = {}
+        for start in range(0, open_pos.size, size):
+            block_pos = open_pos[start:start + size]
+            run = runs[start:start + size]
+            # a run starts at every target whose run differs from the one
+            # before it; the run that crosses the block edge keeps its row
+            starts = np.empty(run.size, dtype=bool)
+            starts[0] = start == 0 or run[0] != runs[start - 1]
+            np.not_equal(run[1:], run[:-1], out=starts[1:])
+            pattern = np.cumsum(starts) - int(starts[0])
+            if starts.any():
+                first = targets[block_pos[starts]]
+                weights, failed = _kernel_rows(epochs[first][:, None] - epoch_windows[first - v],
+                                               config.bandwidth)
+                failed_runs.update((int(run[starts][r]), f) for r, f in failed.items())
+                if not starts[0]:
+                    weights = np.concatenate([carried, weights])
+            else:
+                weights = carried
+            carried = weights[-1:]
+            if failed_runs:
+                for j in np.flatnonzero(np.isin(run, list(failed_runs))).tolist():
+                    p = int(block_pos[j])
+                    # of the components still open at p, only the first can
+                    # hold the smallest key
+                    underflows[int(is_open[:, p].argmax()), p] = failed_runs[int(run[j])]
+                    is_open[:, p] = False
             c, j = np.nonzero(is_open[:, block_pos])
             pos = block_pos[j]
             k = targets[pos]

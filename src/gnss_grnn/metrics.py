@@ -76,15 +76,17 @@ def _criterion(label: str, measure: Callable[[np.ndarray], float],
     """``measure(terms)``, the criterion ``label``, as a float once it is
     finite. ``measure`` scales with its terms, so when it overflows on
     finite terms it is taken on them divided by their largest magnitude
-    and scaled back; a finite result keeps its bits. The pairs are
-    finite, so only arithmetic on them can have overflowed."""
+    and scaled back; a finite result keeps its bits. The refusal blames
+    the residuals when one of them is not finite, and the criterion
+    itself otherwise."""
     value = measure(terms)
-    if not np.isfinite(value) and np.all(np.isfinite(terms)):
+    finite_terms = bool(np.all(np.isfinite(terms)))
+    if not np.isfinite(value) and finite_terms:
         scale = np.abs(terms).max()
         value = measure(terms / scale) * scale
     if not np.isfinite(value):
-        raise UndefinedMetricError(
-            f"{label} is not finite ({float(value)!r}): the residuals overflow float64")
+        cause = f"{label} itself exceeds" if finite_terms else "the residuals overflow"
+        raise UndefinedMetricError(f"{label} is not finite ({float(value)!r}): {cause} float64")
     return float(value)
 
 
@@ -93,9 +95,11 @@ def smape(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
     """Symmetric mean absolute percentage error, in percent.
 
     Every term is bounded by 1 before scaling, so the result lies in
-    [0, 100]. A pair with ``|y| + |yhat| == 0`` has no defined term and
-    raises rather than being skipped: silently dropping terms would bias
-    the criterion. The error's ``index`` is that pair's position.
+    [0, 100]; a pair whose ``|y| + |yhat|`` overflows is taken halved,
+    which leaves its term unchanged. A pair with ``|y| + |yhat| == 0``
+    has no defined term and raises rather than being skipped: silently
+    dropping terms would bias the criterion. The error's ``index`` is
+    that pair's position.
     """
     pred, obs = _pairs(predicted_m, observed_m)
     denom = np.abs(obs) + np.abs(pred)
@@ -105,7 +109,14 @@ def smape(predicted_m: np.ndarray, observed_m: np.ndarray) -> float:
         raise UndefinedMetricError(
             f"undefined sMAPE term at index {i}: |y| + |yhat| is zero", index=i
         )
-    return _criterion("sMAPE", lambda t: 100.0 * t.mean(), np.abs(obs - pred) / denom)
+    terms = np.abs(obs - pred) / denom
+    over = np.isinf(denom)
+    if over.any():
+        # the pair halved has the same term: halving is exact for every
+        # value that can change a term whose |y| + |yhat| overflows
+        y, yhat = 0.5 * obs[over], 0.5 * pred[over]
+        terms[over] = np.abs(y - yhat) / (np.abs(y) + np.abs(yhat))
+    return _criterion("sMAPE", lambda t: 100.0 * t.mean(), terms)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -385,7 +385,8 @@ class TestSweep:
 
     def test_overflowing_criterion_is_a_numeric_failure(self, tmp_path, capsys):
         # a one-value recursive walk forecasts X's first value, -1e308, at
-        # every epoch, so its residual at the +1e308 overflows
+        # every epoch, so its residual at the +1e308 overflows; sMAPE takes
+        # that pair halved and stays finite, so StD is the one refused
         path = _write_station(tmp_path / "one.csv", [-1e308] + [1.0] * 9 + [1e308] + [1.0] * 29)
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", path, "--v-max", "3", "--output", out) == 3
@@ -393,7 +394,7 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == (
             "gnss-grnn: numeric failure: station one: training size 1: component X: mode "
-            "recursive: sMAPE is not finite (nan): the residuals overflow float64\n")
+            "recursive: StD is not finite (nan): the residuals overflow float64\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--mode", "recursive"), ("-v", "7"),

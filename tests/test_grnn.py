@@ -2,10 +2,11 @@
 
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnss_grnn import (
@@ -461,6 +462,53 @@ def _axis(kind, length=160):
     return daily + rng.uniform(-0.01, 0.01, daily.size)  # jittered
 
 
+@st.composite
+def adaptive_searches(draw):
+    """An adaptive search on a generated station: ``(epochs, values, v0,
+    bandwidth, threshold_m, cap, block)``. The axis is daily and may hold a
+    gap, be rounded to 4-decimal years or have epochs moved by 6 hours. The
+    values walk in whole millimetres, so targets that pass at once sit
+    between targets that stay open. ``block`` stands in for
+    ``_BLOCK_ELEMENTS``: small ones make runs longer than a block."""
+    n = draw(st.integers(min_value=3, max_value=48))
+    v0 = draw(st.sampled_from([v for v in (1, 2, 3, 7, 20) if v < n]))
+    epochs = 55000.0 + np.arange(float(n))
+    epochs[draw(st.integers(min_value=1, max_value=n - 1)):] += draw(
+        st.sampled_from([0.0, 3.0, 14.0]))
+    shape = draw(st.sampled_from(["daily", "decimal-year", "moved"]))
+    if shape == "decimal-year":
+        epochs = decimal_year_to_mjd(np.round(mjd_to_decimal_year(epochs), 4))
+    elif shape == "moved":
+        epochs[draw(st.integers(min_value=0, max_value=n - 1))::
+               draw(st.integers(min_value=2, max_value=9))] += 0.25
+    steps = draw(st.lists(st.integers(min_value=-1, max_value=1),
+                          min_size=3 * n, max_size=3 * n))
+    values = 1e-3 * np.cumsum(np.reshape(steps, (3, n)), axis=1)
+    bandwidth = draw(st.sampled_from([BandwidthRule.WINDOW_STD,
+                                      BandwidthRule.MEAN_SPACING, 2.5, 0.3]))
+    threshold_m = draw(st.sampled_from([5e-4, 2.5e-3]))
+    # caps below and above the history
+    cap = draw(st.sampled_from([None, v0 + 2, n + 5]))
+    block = draw(st.sampled_from([_BLOCK_ELEMENTS, 16, 1]))
+    return epochs, values, v0, bandwidth, threshold_m, cap, block
+
+
+def _gap_entering_windows():
+    """A 14-day gap that enters the windows after it as they grow: the
+    runs of daily rows split mid-search, in blocks of 16 window elements."""
+    epochs = np.concatenate([55000.0 + np.arange(20.0), 55034.0 + np.arange(20.0)])
+    steps = np.random.default_rng(3).integers(-1, 2, (3, 40))
+    return (epochs, 1e-3 * np.cumsum(steps, axis=1), 2, BandwidthRule.WINDOW_STD,
+            5e-4, 45, 16)
+
+
+def _closed_between_open():
+    """Target 10 repeats target 9 in every component, so it passes at the
+    first size, between open targets 9 and 11 whose rows are equal."""
+    values = np.insert(1e-3 * (np.arange(29.0) % 2), 10, 1e-3)
+    return 55000.0 + np.arange(30.0), np.stack([values] * 3), 1, 2.5, 5e-4, 4, 1
+
+
 class TestAdaptiveForecastSeries:
     @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered", "decimal-year", "runs"])
     @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
@@ -481,6 +529,33 @@ class TestAdaptiveForecastSeries:
         epochs = _axis(axis, length=640)
         assert epochs.size - 100 > 3 * (_BLOCK_ELEMENTS // 100)
         self.check_against_loop(epochs, 100, bandwidth, 140, layout)
+
+    @given(adaptive_searches())
+    @example(_gap_entering_windows())
+    @example(_closed_between_open())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_per_target_loop_on_generated_axes(self, search):
+        epochs, values, v0, bandwidth, threshold_m, cap, block = search
+        station = station_of(epochs, values)
+        cfg = GrnnConfig(training_size=v0, bandwidth=bandwidth)
+        try:
+            want = [loop_reference(epochs, comp, cfg, threshold_m, cap)
+                    for comp in station.components]
+        except BandwidthTooSmallError as exc:
+            want = str(exc)
+        with mock.patch.object(grnn, "_BLOCK_ELEMENTS", block):
+            try:
+                walks = adaptive_forecast_series(station, cfg, threshold_m, cap)
+            except BandwidthTooSmallError as exc:
+                assert str(exc) == want
+                return
+        assert not isinstance(want, str), want
+        predicted, used, met = (np.array(rows) for rows in zip(*want))
+        # as int64 views, so that -0.0 and +0.0 differ
+        assert np.array_equal(walks.predicted_m[Mode.TEACHER_FORCED].view(np.int64),
+                              predicted.view(np.int64))
+        assert np.array_equal(walks.training_size_used, used)
+        assert np.array_equal(walks.threshold_met, met)
 
     @staticmethod
     def check_against_loop(epochs, training_size, bandwidth, cap, layout):
@@ -593,43 +668,41 @@ class TestAdaptiveForecastSeries:
 
 class TestKernelRows:
     """The adaptive search evaluates one kernel row per run of identical
-    distance rows: a wrapped ``gaussian_kernel`` counts the rows it gets."""
+    distance rows and size, with runs that cross block edges: a wrapped
+    ``gaussian_kernel`` counts the rows it gets at each window size."""
 
     @staticmethod
     def search(monkeypatch, axis):
-        """The rows of each kernel call and ``(size, targets)`` of each weight
-        pass of an adaptive search over 41 sizes on ``axis``."""
-        kernel_rows, passes = [], []
+        """The kernel rows evaluated and the targets open at each size of an
+        adaptive search over the 41 sizes 100..140 on ``axis``."""
+        kernel_rows = dict.fromkeys(range(100, 141), 0)
 
         def gaussian_kernel(a):
-            kernel_rows.append(a.shape[0])
+            kernel_rows[a.shape[1]] += a.shape[0]
             return kernel(a)
-
-        def weight_blocks(epochs, targets, v, bandwidth):
-            passes.append((v, targets.size))
-            return _weight_blocks(epochs, targets, v, bandwidth)
 
         kernel = grnn.gaussian_kernel
         monkeypatch.setattr(grnn, "gaussian_kernel", gaussian_kernel)
-        monkeypatch.setattr(grnn, "_weight_blocks", weight_blocks)
         epochs = _axis(axis, length=640)
         values = np.cumsum(np.random.default_rng(11).normal(0.0, 1e-3, (3, epochs.size)),
                            axis=1)
-        adaptive_forecast_series(station_of(epochs, values), GrnnConfig(training_size=100),
-                                 4e-4, 140)
-        assert [v for v, _ in passes] == list(range(100, 141))
-        return kernel_rows, passes
+        walks = adaptive_forecast_series(station_of(epochs, values),
+                                         GrnnConfig(training_size=100), 4e-4, 140)
+        # a pair tries every size up to the one that passed, or up to its cap
+        caps = np.minimum(np.arange(100, epochs.size), 140)
+        last = np.where(walks.threshold_met, walks.training_size_used, caps).max(axis=0)
+        return kernel_rows, {v: int(np.sum(last >= v)) for v in kernel_rows}
 
-    def test_one_row_per_block_on_a_daily_axis(self, monkeypatch):
-        kernel_rows, passes = self.search(monkeypatch, "daily")
-        blocks = sum(-(-n // (_BLOCK_ELEMENTS // v)) for v, n in passes)
-        assert blocks > len(passes)
-        assert kernel_rows == [1] * blocks
+    def test_one_row_per_size_on_a_daily_axis(self, monkeypatch):
+        kernel_rows, open_targets = self.search(monkeypatch, "daily")
+        # the open targets fill more than one block at every size
+        assert all(n > _BLOCK_ELEMENTS // v for v, n in open_targets.items())
+        assert kernel_rows == dict.fromkeys(open_targets, 1)
 
-    def test_one_row_per_target_on_decimal_years(self, monkeypatch):
+    def test_one_row_per_open_target_on_decimal_years(self, monkeypatch):
         # rounded epochs make every distance row differ from its neighbours
-        kernel_rows, passes = self.search(monkeypatch, "decimal-year")
-        assert sum(kernel_rows) == sum(n for _, n in passes)
+        kernel_rows, open_targets = self.search(monkeypatch, "decimal-year")
+        assert kernel_rows == open_targets
 
 
 class TestUnderflowMessage:

@@ -401,14 +401,15 @@ class TestEvaluateStation:
 
     def test_overflowing_criterion_names_size_component_and_mode(self):
         # a one-value recursive walk forecasts X's first value, -1e308, at
-        # every epoch, so its residual at the +1e308 overflows
+        # every epoch, so its residual at the +1e308 overflows; sMAPE takes
+        # that pair halved and stays finite, so StD is the one refused
         s = _one_huge_x()
         values = s.values_m.copy()
         values[0, 0], values[0, 10] = -1e308, 1e308
         with pytest.raises(UndefinedMetricError) as exc:
             run_sweep(StationSeries("ONE", s.epochs_mjd, values), [1, 2])
         assert str(exc.value) == ("station ONE: training size 1: component X: mode "
-                                  "recursive: sMAPE is not finite (nan): the residuals "
+                                  "recursive: StD is not finite (nan): the residuals "
                                   "overflow float64")
 
     def test_non_finite_forecast_is_named_where_it_is_scored(self):

@@ -42,6 +42,15 @@ class TestSmape:
     def test_bounded_by_100(self):
         assert smape(*pairs([-5.0], [5.0])) == pytest.approx(100.0)
 
+    def test_pairs_whose_denominator_overflows(self):
+        # |y| + |yhat| overflows; the pair halved gives the term of the
+        # same pair scaled down by 10, and -1e308 vs 1e308 its bound of 1
+        assert smape(*pairs([1e308, 1.0], [1.5e308, 1.0])) == 10.0
+        assert smape(*pairs([1e307, 0.1], [1.5e307, 0.1])) == 10.0
+        assert smape(*pairs([-1e308, 1.0], [1e308, 1.0])) == 50.0
+        # a term that does not overflow keeps its bits
+        assert smape(*pairs([1e308, 1.0], [1.5e308, 3.0])) == 100.0 * np.mean([0.2, 0.5])
+
     @given(
         scale=st.floats(min_value=1e-6, max_value=1e6),
         seed=st.integers(min_value=0, max_value=2**31),
@@ -163,12 +172,10 @@ class TestReportAndInvariances:
 
 
 @pytest.mark.parametrize("criterion, label, pred, obs, value, first", [
-    # |y - yhat| overflows, and so does |y| + |yhat|: inf / inf
-    (smape, "sMAPE", [-1e308, 1.0], [1e308, 1.0], "nan", "sMAPE"),
     # a residual itself overflows, so no scaling can recover the criterion;
-    # sMAPE's term at that pair is inf / inf, so the report stops there first
-    (std_of_errors, "StD", [-1e308, 1.0], [1e308, 1.0], "nan", "sMAPE"),
-    (mean_abs_error, "MAbs", [-1e308, 1.0], [1e308, 1.0], "inf", "sMAPE"),
+    # sMAPE takes that pair halved and stays finite, so the report stops at StD
+    (std_of_errors, "StD", [-1e308, 1.0], [1e308, 1.0], "nan", "StD"),
+    (mean_abs_error, "MAbs", [-1e308, 1.0], [1e308, 1.0], "inf", "StD"),
 ])
 def test_a_criterion_that_overflows_is_refused(criterion, label, pred, obs, value, first):
     # the overflow itself stays silent: a warning would fail this test first
@@ -179,6 +186,14 @@ def test_a_criterion_that_overflows_is_refused(criterion, label, pred, obs, valu
     # the report is refused at the first criterion, in report order, that is not finite
     with pytest.raises(UndefinedMetricError, match=f"^{first} is not finite "):
         compute_report(np.array(pred), np.array(obs))
+
+
+def test_a_criterion_beyond_float64_on_finite_residuals_is_refused():
+    # the residuals are finite, but their StD, sqrt(2) * 1.7e308, is not
+    with pytest.raises(UndefinedMetricError) as exc:
+        std_of_errors(np.zeros(2), np.array([1.7e308, -1.7e308]))
+    assert str(exc.value) == "StD is not finite (inf): StD itself exceeds float64"
+    assert exc.value.index is None
 
 
 def test_large_finite_criteria_are_kept():
