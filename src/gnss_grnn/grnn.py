@@ -23,27 +23,26 @@ station share one epoch axis, so, as in Specht's GRNN, one pattern layer
 and one denominator serve every output. Both walks therefore take a whole
 station: :func:`forecast_series` computes each block of weights once and
 applies it to every component and every requested mode before it moves
-on to the next block, and :func:`adaptive_forecast_series` computes the
-weights of each window size once for the targets still open in any
-component and forecasts a block's open (component, target) pairs at once
-(stacking the three rows of the teacher-forced walk measured slower).
+on to the next block (stacking the three teacher-forced rows measured
+slower), and :func:`adaptive_forecast_series` computes each window size's
+weights once for every (component, target) pair still open.
 
 The weights of a target depend only on its distances to the window
 epochs, so targets with bit-identical distances share them. IGS final
 solutions are daily, and on such an axis every target whose window holds
 no gap has the same distances. Both walks therefore compute one weight row
 per run of adjacent targets with identical distances, through
-:func:`_kernel_rows`, plus an index from targets to rows.
-:func:`_weight_blocks`, for the one size of :func:`forecast_series`,
-compares whole rows inside each block: a block of a gap-free daily series
-costs one kernel row, while an irregular axis, where every run is one
-target, pays only the comparison that finds the runs. The adaptive search
-instead carries its runs from one size to the next. A target's distance
-row at size ``v + 1`` is its row at ``v`` plus one older column, so runs
-only ever split as the windows grow: the search keeps, per epoch, whether
-its row equals the one before it, and each size ANDs in the comparison
-at its own lag, one O(n) pass. Its runs do not break at block edges, so
-a gap-free daily search costs one kernel row per size.
+:func:`_kernel_rows`. :func:`_weight_blocks`, for the one size of
+:func:`forecast_series`, compares whole rows inside each block: a block of
+a gap-free daily series costs one kernel row, while an irregular axis,
+where every run is one target, pays only the comparison that finds them.
+
+The adaptive search carries its runs from one size to the next: a
+target's distance row at ``v + 1`` is its row at ``v`` plus one older
+column, so runs only split as the windows grow, and each size ANDs one
+lag's comparison, an O(n) pass, into a per-epoch "equals the row before"
+flag. It does its bookkeeping once per size, its blocks only gather,
+weigh and forecast, and a gap-free daily search costs one row per size.
 """
 
 from __future__ import annotations
@@ -172,19 +171,21 @@ def _underflow_error(h: float, nearest_days: float, component: Component,
         f"{component.value} at MJD {float(epoch)!r}")
 
 
-def _convex_combinations(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """``weights @ window`` per row, evaluated about the window's first value.
+def _convex_combinations(weights: np.ndarray, windows: np.ndarray, rows) -> np.ndarray:
+    """``weights @ window`` per window of ``windows[rows]``, about its first value.
 
-    ``weights`` holds a row per window, or one row that every window
-    shares. Algebraically identical because the weights sum to 1, but
-    exact on a constant window and far better conditioned when values are
-    large coordinates with sub-meter variation. A stacked ``(1, v) @ (v, 1)``
-    matmul runs the same dot as the 1-d product, so every row gets the
-    bits of the single-target forecast in ``tests/scalar_reference.py``.
+    ``rows`` is a fancy index, so the gather is a copy, shifted in place;
+    the arguments are never written. ``weights`` holds a row per window, or
+    one row that every window shares. Algebraically identical because the
+    weights sum to 1, but exact on a constant window and far better
+    conditioned for large coordinates with sub-meter variation. A stacked
+    ``(1, v) @ (v, 1)`` matmul runs the 1-d product's dot, so every row has
+    the bits of the single-target forecast in ``tests/scalar_reference.py``.
     """
-    base = windows[:, 0]
-    deviations = (windows - base[:, None])[:, :, None]
-    return base + np.matmul(weights[:, None, :], deviations)[:, 0, 0]
+    deviations = windows[rows]
+    base = deviations[:, 0].copy()
+    deviations -= base[:, None]
+    return base + np.matmul(weights[:, None, :], deviations[:, :, None])[:, 0, 0]
 
 
 def _kernel_rows(
@@ -366,7 +367,7 @@ def forecast_series(
                 # a single run's row broadcasts; one run per target needs no gather
                 per_target = weights if len(weights) in (1, rows.size) else weights[pattern]
                 for values, windows in zip(buffer, value_windows):
-                    values[targets] = _convex_combinations(per_target, windows[rows])
+                    values[targets] = _convex_combinations(per_target, windows, rows)
                 continue
             steps = targets.tolist()
             if len(weights) == rows.size:  # every target its own run
@@ -417,26 +418,23 @@ def adaptive_forecast_series(
     ``(3, m)`` forecasts keyed by ``Mode.TEACHER_FORCED``, with the window
     size each used and whether it met the threshold in the same shape.
 
-    Batched over targets: the outer loop walks the candidate sizes, and
-    each size weighs every target still open in any component. Runs of
-    targets with identical distance rows are carried from size to size:
-    ``same[k]``, whether epoch ``k``'s row equals epoch ``k - 1``'s, is
-    built from lags ``1..v0`` at the first size, and each later size ANDs
-    in its own lag alone, until no equal pair is left. Two open targets
-    share a run only if every target between them does, so a run may span
-    closed targets and block edges. Blocks of ``_BLOCK_ELEMENTS // v``
-    open targets bound the working memory: each computes one kernel row,
-    through :func:`_kernel_rows`, per run that starts in it, and a run that
-    crosses into the next block keeps its row there. Each block then
-    forecasts all of its open (component, target) pairs at once, each pair
-    weighted by its run's row, or by the one row of a block that is one
-    run. A (component, target) pair closes at the first size that passes
-    the threshold, at the size that underflows, or once the next size
-    exceeds its cap. Every index gets bit for bit the forecast, size and
-    flag of the per-target loop in ``tests/scalar_reference.py``, and an
-    underflow is reported for the target that loop stops at first, taking
-    the components in X, Y, Z order. A forecast that is not finite is
-    refused by :func:`finite_forecasts`.
+    Batched over pairs: the outer loop walks the candidate sizes, and the
+    open (component, target) pairs are two index arrays, by target, then
+    component. ``same[k]``, whether epoch ``k``'s distance row equals epoch
+    ``k - 1``'s, is built from lags ``1..v0`` at the first size and ANDs in
+    one lag per later size; one cumulative sum over it numbers the open
+    pairs' runs (two open targets share a run only if every target between
+    them does). Blocks of ``_BLOCK_ELEMENTS // v`` pairs bound the working
+    memory: each computes one kernel row, through :func:`_kernel_rows`, per
+    run that starts in it (a run that crosses into the next block keeps its
+    row there) and forecasts its pairs in one :func:`_convex_combinations`
+    call. One update per size then keeps each pair's best forecast and
+    closes it at the first size that passes the threshold, at the size that
+    underflows, or once the next size exceeds its cap. Every index gets bit
+    for bit the forecast, size and flag of the per-target loop in
+    ``tests/scalar_reference.py``, and an underflow is reported for the
+    target that loop stops at first, taking the components in X, Y, Z
+    order. A forecast that is not finite is refused by :func:`finite_forecasts`.
     """
     v0 = config.training_size
     if not threshold_m > 0:
@@ -448,85 +446,86 @@ def adaptive_forecast_series(
         raise DataError(f"nothing to predict: {n} samples with training_size {v0}")
     observed = station.values_m
     epochs = station.epochs_mjd
-    targets = np.arange(v0, n)
-    caps = targets
+    caps = np.arange(v0, n)
     if max_training_size is not None:
         caps = np.minimum(caps, max_training_size)
-    shape = (3, targets.size)
+    shape = (3, n - v0)
     predicted = np.empty(shape, dtype=np.float64)
     used = np.empty(shape, dtype=np.int64)
     met = np.zeros(shape, dtype=bool)
     best_abs = np.empty(shape, dtype=np.float64)
-    is_open = np.ones(shape, dtype=bool)
+    # the open (component, target position) pairs, by position, then component
+    pos = np.repeat(np.arange(n - v0), 3)
+    c = np.tile(np.arange(3), n - v0)
     # (component, target position) -> (h, nearest distance) at the size it
     # underflowed; the smallest key is the first failure of the per-target
     # loop, which finishes each component before the next
     underflows: dict[tuple[int, int], tuple[float, float]] = {}
-    open_pos = np.arange(targets.size)
     # same[k]: epoch k's distance row equals epoch k - 1's at the size being
     # tried; False where epoch k - 1 has no row, which only splits a run
     same = np.arange(n) > v0
     v = v0
-    while open_pos.size:
+    while pos.size:
         same[v] = False
         if same.any():  # once none is left, none can come back
             for lag in range(1 if v == v0 else v, v + 1):
                 d = epochs[lag:] - epochs[:-lag]
                 same[lag + 1:] &= d[1:] == d[:-1]
-        runs = np.cumsum(~same)[targets[open_pos]]
+        k = pos + v0
+        # the ids ascend from 1: starts marks the first pair of each run, and
+        # run[i] numbers pair i's run among this size's runs
+        ids = np.cumsum(~same)[k]
+        starts = ids != np.concatenate(([0], ids[:-1]))
+        run = np.cumsum(starts) - 1
+        first = k[starts]
         epoch_windows = sliding_window_view(epochs, v)
         value_windows = sliding_window_view(observed, v, axis=1)
-        size = max(1, _BLOCK_ELEMENTS // v)
+        rows = k - v
+        yhat = np.empty(pos.size)
         # run -> (h, nearest distance) of the runs whose kernels underflowed
         failed_runs: dict[int, tuple[float, float]] = {}
-        for start in range(0, open_pos.size, size):
-            block_pos = open_pos[start:start + size]
-            run = runs[start:start + size]
-            # a run starts at every target whose run differs from the one
-            # before it; the run that crosses the block edge keeps its row
-            starts = np.empty(run.size, dtype=bool)
-            starts[0] = start == 0 or run[0] != runs[start - 1]
-            np.not_equal(run[1:], run[:-1], out=starts[1:])
-            pattern = np.cumsum(starts) - int(starts[0])
-            if starts.any():
-                first = targets[block_pos[starts]]
-                weights, failed = _kernel_rows(epochs[first][:, None] - epoch_windows[first - v],
+        size = max(1, _BLOCK_ELEMENTS // v)
+        for start in range(0, pos.size, size):
+            block = slice(start, start + size)
+            r = run[block]
+            # rows of the runs that start in the block; a run crossing in keeps its row
+            fresh = int(r[0]) + (not starts[start])
+            if fresh <= r[-1]:
+                f = first[fresh:r[-1] + 1]
+                weights, failed = _kernel_rows(epochs[f][:, None] - epoch_windows[f - v],
                                                config.bandwidth)
-                failed_runs.update((int(run[starts][r]), f) for r, f in failed.items())
-                if not starts[0]:
+                failed_runs.update((fresh + j, info) for j, info in failed.items())
+                if fresh > r[0]:
                     weights = np.concatenate([carried, weights])
             else:
                 weights = carried
             carried = weights[-1:]
-            if failed_runs:
-                for j in np.flatnonzero(np.isin(run, list(failed_runs))).tolist():
-                    p = int(block_pos[j])
-                    # of the components still open at p, only the first can
-                    # hold the smallest key
-                    underflows[int(is_open[:, p].argmax()), p] = failed_runs[int(run[j])]
-                    is_open[:, p] = False
-            c, j = np.nonzero(is_open[:, block_pos])
-            pos = block_pos[j]
-            k = targets[pos]
-            # a single run's row broadcasts over every open pair
-            own = weights if len(weights) == 1 else weights[pattern[j]]
-            yhat = _convex_combinations(own, value_windows[c, k - v])
-            abs_err = np.abs(observed[c, k] - yhat)
-            passed = abs_err < threshold_m
-            # v0 is every target's first try; later sizes must be strictly
-            # better, so the earliest size wins ties (a pass is always better)
-            better = abs_err < best_abs[c, pos] if v > v0 else np.ones(pos.size, dtype=bool)
-            improved = c[better], pos[better]
-            predicted[improved] = yhat[better]
-            used[improved] = v
-            best_abs[improved] = abs_err[better]
-            met[c, pos] = passed
-            is_open[c, pos] = ~passed & (v < caps[pos])
-        open_pos = np.flatnonzero(is_open.any(axis=0))
+            # a single run's row broadcasts over the block's pairs
+            own = weights if len(weights) == 1 else weights[r - r[0]]
+            yhat[block] = _convex_combinations(own, value_windows, (c[block], rows[block]))
+        abs_err = np.abs(observed[c, k] - yhat)
+        passed = abs_err < threshold_m
+        # v0 is every pair's first try; later sizes must be strictly better,
+        # so the earliest size wins ties (a pass is always better)
+        better = abs_err < best_abs[c, pos] if v > v0 else np.ones(pos.size, dtype=bool)
+        improved = c[better], pos[better]
+        predicted[improved] = yhat[better]
+        used[improved] = v
+        best_abs[improved] = abs_err[better]
+        met[c, pos] = passed
+        keep = ~passed & (v < caps[pos])
+        if failed_runs:
+            # a target's open pairs share a run; the first, the smallest key,
+            # records the underflow (the search raises, so their updates go unread)
+            failing = np.flatnonzero(np.isin(run, list(failed_runs)))
+            for i in failing[np.unique(pos[failing], return_index=True)[1]].tolist():
+                underflows[int(c[i]), int(pos[i])] = failed_runs[int(run[i])]
+            keep[failing] = False
+        pos, c = pos[keep], c[keep]
         v += 1
     if underflows:
         c, p = min(underflows)
-        raise _underflow_error(*underflows[c, p], tuple(Component)[c], epochs[targets[p]])
+        raise _underflow_error(*underflows[c, p], tuple(Component)[c], epochs[v0 + p])
     predicted = finite_forecasts(station, v0, predicted, "kernel")
     return StationForecast(v0, {Mode.TEACHER_FORCED: predicted},
                            training_size_used=used, threshold_met=met)

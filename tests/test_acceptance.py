@@ -64,7 +64,7 @@ def test_p1_weight_normalization_and_convexity():
         ((rows, weights, pattern, _),) = _weight_blocks(np.append(epochs, target),
                                                         np.array([size]), size, h)
         assert rows.tolist() == [0] and pattern.tolist() == [0]
-        yhat = _convex_combinations(weights, values[None, :])[0]
+        yhat = _convex_combinations(weights, values[None, :], [0])[0]
         weights = weights[0]
         assert abs(float(weights.sum()) - 1.0) < 1e-12
         assert np.all(weights >= 0.0)

@@ -509,6 +509,35 @@ def _closed_between_open():
     return 55000.0 + np.arange(30.0), np.stack([values] * 3), 1, 2.5, 5e-4, 4, 1
 
 
+def _spaced_gap(start):
+    """14 daily epochs, 7 more 10 days apart, then a target 300 days later.
+    Under the mean-spacing rule the target's 7-value window has h = 10, and
+    each daily value that enters it shrinks h, until every kernel
+    underflows at the 9-value window (h = 7.75)."""
+    head = start + np.concatenate([np.arange(14.0), 14.0 + 10.0 * np.arange(7)])
+    return np.append(head, head[-1] + 300.0)
+
+
+def _underflow_across_pair_blocks():
+    """Target 21 stays open in every component until its run underflows
+    at size 9; blocks of 16 window elements hold 2 pairs at size 7 and 1
+    from size 9, so their edges split the target's open components."""
+    epochs = np.concatenate([_spaced_gap(55000.0), 55375.0 + np.arange(4.0)])
+    values = np.zeros((3, epochs.size))
+    values[:, 21] = 1e-3
+    return epochs, values, 7, BandwidthRule.MEAN_SPACING, 5e-4, None, 16
+
+
+def _y_underflow_before_an_x_underflow():
+    """Target 21's X passes at size 7 and its Y underflows at size 9; X
+    underflows only at target 43, which the per-target loop reaches first."""
+    epochs = np.concatenate([_spaced_gap(55000.0), _spaced_gap(55400.0),
+                             55775.0 + np.arange(2.0)])
+    values = np.zeros((3, epochs.size))
+    values[1, 21] = values[0, 43] = 1e-3
+    return epochs, values, 7, BandwidthRule.MEAN_SPACING, 5e-4, None, _BLOCK_ELEMENTS
+
+
 class TestAdaptiveForecastSeries:
     @pytest.mark.parametrize("axis", ["daily", "two-gap", "jittered", "decimal-year", "runs"])
     @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
@@ -533,6 +562,8 @@ class TestAdaptiveForecastSeries:
     @given(adaptive_searches())
     @example(_gap_entering_windows())
     @example(_closed_between_open())
+    @example(_underflow_across_pair_blocks())
+    @example(_y_underflow_before_an_x_underflow())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_matches_per_target_loop_on_generated_axes(self, search):
         epochs, values, v0, bandwidth, threshold_m, cap, block = search
@@ -556,6 +587,13 @@ class TestAdaptiveForecastSeries:
                               predicted.view(np.int64))
         assert np.array_equal(walks.training_size_used, used)
         assert np.array_equal(walks.threshold_met, met)
+
+    def test_an_x_underflow_at_a_later_target_is_named(self):
+        epochs, values, v0, bandwidth, threshold_m, cap, _ = _y_underflow_before_an_x_underflow()
+        with pytest.raises(BandwidthTooSmallError) as exc:
+            adaptive_forecast_series(station_of(epochs, values), GrnnConfig(v0, bandwidth),
+                                     threshold_m, cap)
+        assert str(exc.value).endswith(f"component X at MJD {float(epochs[43])!r}")
 
     @staticmethod
     def check_against_loop(epochs, training_size, bandwidth, cap, layout):
@@ -703,6 +741,64 @@ class TestKernelRows:
         # rounded epochs make every distance row differ from its neighbours
         kernel_rows, open_targets = self.search(monkeypatch, "decimal-year")
         assert kernel_rows == open_targets
+
+
+class TestBlockBound:
+    """With ``_BLOCK_ELEMENTS`` at 64, no call of either walk gathers more
+    than ``max(v, 64)`` window elements: wrapped ``_convex_combinations``
+    and ``gaussian_kernel`` record each call's elements and ``v``."""
+
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "decimal-year"])
+    def test_no_call_exceeds_the_block(self, monkeypatch, axis):
+        calls = {"combinations": [], "kernel": []}
+
+        def convex_combinations(weights, windows, rows):
+            calls["combinations"].append((windows[rows].size, windows.shape[-1]))
+            return combine(weights, windows, rows)
+
+        def gaussian_kernel(a):
+            calls["kernel"].append((a.size, a.shape[-1]))
+            return kernel(a)
+
+        combine, kernel = grnn._convex_combinations, grnn.gaussian_kernel
+        monkeypatch.setattr(grnn, "_BLOCK_ELEMENTS", 64)
+        monkeypatch.setattr(grnn, "_convex_combinations", convex_combinations)
+        monkeypatch.setattr(grnn, "gaussian_kernel", gaussian_kernel)
+        epochs = _axis(axis)
+        values = np.cumsum(np.random.default_rng(11).normal(0.0, 1e-3, (3, epochs.size)),
+                           axis=1)
+        station = station_of(epochs, values)
+        walks = {
+            "forecast_series": lambda: forecast_series(station, GrnnConfig(20), tuple(Mode)),
+            # sizes 20..90, past the block's 64 elements
+            "adaptive_forecast_series": lambda: adaptive_forecast_series(
+                station, GrnnConfig(20), 4e-4, 90),
+        }
+        for name, walk in walks.items():
+            for seen in calls.values():
+                seen.clear()
+            walk()
+            for function, seen in calls.items():
+                assert seen, (name, function)
+                assert all(size <= max(v, 64) for size, v in seen), (name, function)
+
+
+class TestConvexCombinations:
+    def test_leaves_its_arguments_and_matches_the_1d_dot(self):
+        rng = np.random.default_rng(7)
+        # coordinate-sized windows, as (component, window) rows of a station
+        windows = 4.0e6 + rng.uniform(-1.0, 1.0, (3, 6, 9))
+        weights = rng.dirichlet(np.ones(9), 4)
+        rows = np.array([0, 2, 2, 1]), np.array([5, 0, 3, 3])
+        kept = windows.copy(), weights.copy()
+        for shared in (False, True):
+            w = weights[:1] if shared else weights
+            got = grnn._convex_combinations(w, windows, rows)
+            assert np.array_equal(windows, kept[0]) and np.array_equal(weights, kept[1])
+            for j, (c, k) in enumerate(zip(*rows)):
+                x = windows[c, k]
+                want = x[0] + w[0 if shared else j] @ (x - x[0])
+                assert got[j].view(np.int64) == np.float64(want).view(np.int64)
 
 
 class TestUnderflowMessage:
