@@ -28,21 +28,16 @@ slower), and :func:`adaptive_forecast_series` computes each window size's
 weights once for every (component, target) pair still open.
 
 The weights of a target depend only on its distances to the window
-epochs, so targets with bit-identical distances share them. IGS final
-solutions are daily, and on such an axis every target whose window holds
-no gap has the same distances. Both walks therefore compute one weight row
-per run of adjacent targets with identical distances, through
-:func:`_kernel_rows`. :func:`_weight_blocks`, for the one size of
-:func:`forecast_series`, compares whole rows inside each block: a block of
-a gap-free daily series costs one kernel row, while an irregular axis,
-where every run is one target, pays only the comparison that finds them.
-
-The adaptive search carries its runs from one size to the next: a
-target's distance row at ``v + 1`` is its row at ``v`` plus one older
-column, so runs only split as the windows grow, and each size ANDs one
-lag's comparison, an O(n) pass, into a per-epoch "equals the row before"
-flag. It does its bookkeeping once per size, its blocks only gather,
-weigh and forecast, and a gap-free daily search costs one row per size.
+epochs, so adjacent targets with bit-identical distance rows form a run
+that shares one weight row, computed once through :func:`_kernel_rows`
+and carried across block edges. The runs come from the epoch spacings in
+O(n), for any window size: when ``0 < epochs[0]`` and ``epochs[-1] <= 2 *
+epochs[0]``, every epoch difference is exact (Sterbenz 1974), so a
+target's row equals the one before it iff the ``v + 1`` spacings ending
+at the target are equal. IGS final solutions are daily MJD, well inside
+that guard: a gap-free stretch is one run, at every size the adaptive
+search tries. Outside the guard no target shares a row; the bits are the
+same, only the sharing is lost.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import BandwidthTooSmallError, DataError, NumericError
 from .series import Component, StationSeries
@@ -138,7 +133,10 @@ def gaussian_kernel(a):
     or arrays.
     """
     a = np.asarray(a, dtype=np.float64)
-    out = np.exp(-0.5 * np.square(a)) / _SQRT_2PI
+    out = np.square(a, out=np.empty_like(a))
+    out *= -0.5
+    np.exp(out, out)
+    out /= _SQRT_2PI
     return float(out) if out.ndim == 0 else out
 
 
@@ -158,7 +156,10 @@ def _row_bandwidths(distances: np.ndarray, bandwidth: float | BandwidthRule) -> 
         spacing = (distances[:, 0] - distances[:, -1]) / (v - 1)
     if BandwidthRule(bandwidth) is BandwidthRule.MEAN_SPACING:
         return spacing
-    h = np.std(distances, axis=1)
+    # np.std's own steps, in its order, without its Python-level wrapper
+    deviations = distances - np.add.reduce(distances, axis=1, keepdims=True) / v
+    np.multiply(deviations, deviations, out=deviations)
+    h = np.sqrt(np.add.reduce(deviations, axis=1) / v)
     return np.where(h > 0.0, h, spacing)
 
 
@@ -200,60 +201,86 @@ def _kernel_rows(
     kernel underflowed; such a row has no weights and is left all zero.
     """
     h = _row_bandwidths(distances, bandwidth)
-    kernels = gaussian_kernel(distances / h[:, None])
-    total = kernels.sum(axis=1)
+    weights = gaussian_kernel(distances / h[:, None])
+    total = weights.sum(axis=1)
     failed = np.flatnonzero(total == 0.0).tolist()
     # an underflowed row is divided by 1: its zero sum would only warn
     total[failed] = 1.0
-    weights = kernels / total[:, None]
+    weights /= total[:, None]
     sums = weights.sum(axis=1)
     sums[failed] = 1.0
     assert np.all(np.abs(sums - 1.0) < 1e-12)
     return weights, {r: (float(h[r]), float(distances[r].min())) for r in failed}
 
 
+def _windows(a: np.ndarray, v: int) -> np.ndarray:
+    """``sliding_window_view(a, v, axis=-1)``, read-only, without its argument
+    checks, which the adaptive search would pay twice per window size."""
+    return as_strided(a, (*a.shape[:-1], a.shape[-1] - v + 1, v), (*a.strides, a.strides[-1]),
+                      writeable=False)
+
+
+def _same_rows(epochs: np.ndarray, v: int) -> np.ndarray:
+    """``same[k]``: epoch ``k``'s distance row at size ``v`` has the bits of
+    epoch ``k - 1``'s, from the spacings (see the module docstring); False
+    wherever epoch ``k - 1`` has no row, and everywhere outside the guard."""
+    same = np.zeros(epochs.size, dtype=bool)
+    if 0 < epochs[0] and epochs[-1] <= 2 * epochs[0]:
+        s = epochs[1:] - epochs[:-1]
+        # changes[i]: how often the spacing changed up to spacing i
+        changes = np.zeros(s.size, dtype=np.intp)
+        np.cumsum(s[1:] != s[:-1], out=changes[1:])
+        same[v + 1:] = changes[v:] == changes[:changes.size - v]
+    return same
+
+
 def _weight_blocks(
     epochs: np.ndarray, targets: np.ndarray, v: int, bandwidth: float | BandwidthRule
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, float, float]]]]:
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, list[tuple[int, float, float]]]]:
     """Normalized kernel weights for ``targets``, a block at a time.
 
-    Target ``j`` weighs the ``v`` epochs before ``epochs[targets[j]]`` by
-    its distances to them, through :func:`_kernel_rows`. Adjacent targets
-    whose distance rows are bit-identical form a run, and each run gets
-    its weight row once: on a regular axis a whole block is one run, on
-    an irregular one every target is its own. A block holds at most
-    ``_BLOCK_ELEMENTS`` window elements, which bounds the working memory
-    whatever the number of targets.
+    ``targets`` ascend and may repeat. Target ``k`` weighs the ``v`` epochs
+    before ``epochs[k]`` by its distances to them, through
+    :func:`_kernel_rows`, once per run: targets share one when
+    :func:`_same_rows` joins every epoch from one to the next, and a run
+    that crosses a block edge keeps its row. A block holds at most
+    ``_BLOCK_ELEMENTS`` window elements (or one target), which bounds the
+    working memory whatever the number of targets.
 
-    Yields ``(rows, weights, pattern, underflows)`` per block: the indices
-    into ``targets`` whose kernels kept a nonzero sum, one weight row per
-    run of them, the index from those targets to their rows
-    (``weights[pattern[i]]`` weighs target ``rows[i]``), and ``(row, h,
-    nearest distance)`` for each target that underflowed.
+    Yields ``(block, weights, pattern, underflows)`` per block: the slice of
+    ``targets`` it covers, one weight row per run among them, the index from
+    those targets to their rows (``weights[pattern[i]]`` weighs
+    ``targets[block][i]``), and ``(i, h, nearest distance)`` for each
+    ``targets[i]`` whose every kernel underflowed; its weight row is zero.
     """
-    epoch_windows = sliding_window_view(epochs, v)
+    ids = np.cumsum(~_same_rows(epochs, v))[targets]
+    starts = np.ones(targets.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+    run = np.cumsum(starts) - 1
+    first = targets[starts]
+    epoch_windows = _windows(epochs, v)
+    # run -> (h, nearest distance) of the runs whose kernels underflowed
+    failed: dict[int, tuple[float, float]] = {}
     size = max(1, _BLOCK_ELEMENTS // v)
+    # each target's row among its block's: its run less the block's first run
+    pattern = run - np.repeat(run[::size], size)[:targets.size]
     for start in range(0, targets.size, size):
-        k = targets[start:start + size]
-        distances = epochs[k][:, None] - epoch_windows[k - v]
-        # a run starts at every row that differs from the row before it
-        starts = np.ones(k.size, dtype=bool)
-        np.any(distances[1:] != distances[:-1], axis=1, out=starts[1:])
-        pattern = np.cumsum(starts) - 1
-        if pattern[-1] + 1 < k.size:
-            distances = distances[starts]
-        weights, failed = _kernel_rows(distances, bandwidth)
-        kept = np.ones(k.size, dtype=bool)
+        r = run[start:start + size]
+        fresh = int(r[0]) + (not starts[start])
+        if fresh > r[-1]:
+            weights = carried
+        else:
+            f = first[fresh:r[-1] + 1]
+            weights, new = _kernel_rows(epochs[f][:, None] - epoch_windows[f - v], bandwidth)
+            failed.update((fresh + j, info) for j, info in new.items())
+            if fresh > r[0]:
+                weights = np.concatenate([carried, weights])
+        carried = weights[-1:]
         underflows = []
         if failed:
-            ok = np.ones(len(weights), dtype=bool)
-            ok[list(failed)] = False
-            kept = ok[pattern]
-            underflows = [(start + j, *failed[r])
-                          for j, r in zip(np.flatnonzero(~kept).tolist(),
-                                          pattern[~kept].tolist())]
-            weights, pattern = weights[ok], (np.cumsum(ok) - 1)[pattern[kept]]
-        yield start + np.flatnonzero(kept), weights, pattern, underflows
+            underflows = [(start + i, *failed[int(r[i])])
+                          for i in np.flatnonzero(np.isin(r, list(failed))).tolist()]
+        yield slice(start, start + r.size), weights, pattern[start:start + size], underflows
 
 
 @dataclass(frozen=True)
@@ -345,7 +372,7 @@ def forecast_series(
     epochs = station.epochs_mjd
     observed = station.values_m
     # row j of a block is target v + j, whose observed window is row j here
-    value_windows = sliding_window_view(observed, v, axis=1)
+    value_windows = _windows(observed, v)
     # forecasts overwrite these working copies as they are produced; in
     # recursive mode they become training data for the following steps
     buffers = {mode: observed.copy() for mode in modes}
@@ -355,12 +382,13 @@ def forecast_series(
     # the rest of the walk is already written
     runs = [int(np.append(row[v - 1::-1] != row[v - 1], True).argmax()) for row in observed]
     settled = [False] * len(observed)
-    for rows, weights, pattern, underflows in _weight_blocks(epochs, np.arange(v, n), v,
-                                                             config.bandwidth):
+    for block, weights, pattern, underflows in _weight_blocks(epochs, np.arange(v, n), v,
+                                                              config.bandwidth):
         if underflows:
             # shared weights: the first component is the first to fail
             j, h, nearest = underflows[0]
             raise _underflow_error(h, nearest, Component.X, epochs[v + j])
+        rows = np.arange(block.start, block.stop)
         targets = rows + v
         for mode, buffer in buffers.items():
             if mode is Mode.TEACHER_FORCED:
@@ -420,14 +448,10 @@ def adaptive_forecast_series(
 
     Batched over pairs: the outer loop walks the candidate sizes, and the
     open (component, target) pairs are two index arrays, by target, then
-    component. ``same[k]``, whether epoch ``k``'s distance row equals epoch
-    ``k - 1``'s, is built from lags ``1..v0`` at the first size and ANDs in
-    one lag per later size; one cumulative sum over it numbers the open
-    pairs' runs (two open targets share a run only if every target between
-    them does). Blocks of ``_BLOCK_ELEMENTS // v`` pairs bound the working
-    memory: each computes one kernel row, through :func:`_kernel_rows`, per
-    run that starts in it (a run that crosses into the next block keeps its
-    row there) and forecasts its pairs in one :func:`_convex_combinations`
+    component. Each size takes the pairs' weights from :func:`_weight_blocks`
+    (blocks of ``_BLOCK_ELEMENTS // v`` pairs, one kernel row per run of
+    identical distance rows, so a gap-free daily stretch costs one row per
+    size) and forecasts each block's pairs in one :func:`_convex_combinations`
     call. One update per size then keeps each pair's best forecast and
     closes it at the first size that passes the threshold, at the size that
     underflows, or once the next size exceeds its cap. Every index gets bit
@@ -461,48 +485,20 @@ def adaptive_forecast_series(
     # underflowed; the smallest key is the first failure of the per-target
     # loop, which finishes each component before the next
     underflows: dict[tuple[int, int], tuple[float, float]] = {}
-    # same[k]: epoch k's distance row equals epoch k - 1's at the size being
-    # tried; False where epoch k - 1 has no row, which only splits a run
-    same = np.arange(n) > v0
     v = v0
     while pos.size:
-        same[v] = False
-        if same.any():  # once none is left, none can come back
-            for lag in range(1 if v == v0 else v, v + 1):
-                d = epochs[lag:] - epochs[:-lag]
-                same[lag + 1:] &= d[1:] == d[:-1]
         k = pos + v0
-        # the ids ascend from 1: starts marks the first pair of each run, and
-        # run[i] numbers pair i's run among this size's runs
-        ids = np.cumsum(~same)[k]
-        starts = ids != np.concatenate(([0], ids[:-1]))
-        run = np.cumsum(starts) - 1
-        first = k[starts]
-        epoch_windows = sliding_window_view(epochs, v)
-        value_windows = sliding_window_view(observed, v, axis=1)
+        value_windows = _windows(observed, v)
         rows = k - v
         yhat = np.empty(pos.size)
-        # run -> (h, nearest distance) of the runs whose kernels underflowed
-        failed_runs: dict[int, tuple[float, float]] = {}
-        size = max(1, _BLOCK_ELEMENTS // v)
-        for start in range(0, pos.size, size):
-            block = slice(start, start + size)
-            r = run[block]
-            # rows of the runs that start in the block; a run crossing in keeps its row
-            fresh = int(r[0]) + (not starts[start])
-            if fresh <= r[-1]:
-                f = first[fresh:r[-1] + 1]
-                weights, failed = _kernel_rows(epochs[f][:, None] - epoch_windows[f - v],
-                                               config.bandwidth)
-                failed_runs.update((fresh + j, info) for j, info in failed.items())
-                if fresh > r[0]:
-                    weights = np.concatenate([carried, weights])
-            else:
-                weights = carried
-            carried = weights[-1:]
+        # (open pair, h, nearest distance) of the pairs whose kernels underflowed
+        lost: list[tuple[int, float, float]] = []
+        for block, weights, pattern, underflowed in _weight_blocks(epochs, k, v,
+                                                                   config.bandwidth):
             # a single run's row broadcasts over the block's pairs
-            own = weights if len(weights) == 1 else weights[r - r[0]]
+            own = weights if len(weights) == 1 else weights[pattern]
             yhat[block] = _convex_combinations(own, value_windows, (c[block], rows[block]))
+            lost += underflowed
         abs_err = np.abs(observed[c, k] - yhat)
         passed = abs_err < threshold_m
         # v0 is every pair's first try; later sizes must be strictly better,
@@ -514,12 +510,13 @@ def adaptive_forecast_series(
         best_abs[improved] = abs_err[better]
         met[c, pos] = passed
         keep = ~passed & (v < caps[pos])
-        if failed_runs:
+        if lost:
             # a target's open pairs share a run; the first, the smallest key,
             # records the underflow (the search raises, so their updates go unread)
-            failing = np.flatnonzero(np.isin(run, list(failed_runs)))
+            failed = {i: (h, nearest) for i, h, nearest in lost}
+            failing = np.fromiter(failed, dtype=np.intp)
             for i in failing[np.unique(pos[failing], return_index=True)[1]].tolist():
-                underflows[int(c[i]), int(pos[i])] = failed_runs[int(run[i])]
+                underflows[int(c[i]), int(pos[i])] = failed[i]
             keep[failing] = False
         pos, c = pos[keep], c[keep]
         v += 1

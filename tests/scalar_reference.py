@@ -2,7 +2,8 @@
 
 Kernel: each forecast takes its own bandwidth, Gaussian kernels, one
 normalizing sum, and the convex combination about the window's first
-value, in the order the walks repeat in bulk.
+value, in the order the walks repeat in bulk. ``same_rows`` compares
+whole distance rows, where the walks read the epoch spacings.
 
 Theta: the textbook pieces the backtest fuses into one loop. A slope
 estimate, a model holding the slope and its window, and the forecast at
@@ -52,6 +53,16 @@ def predict(distances, values, bandwidth) -> tuple[float, np.ndarray]:
     weights = kernels / total
     base = values[0]
     return float(base + weights @ (values - base)), weights
+
+
+def same_rows(epochs, v) -> np.ndarray:
+    """``same[k]``: epoch ``k``'s distance row at window size ``v`` equals
+    epoch ``k - 1``'s, compared whole; False where epoch ``k - 1`` has none."""
+    same = np.zeros(epochs.size, dtype=bool)
+    for k in range(v + 1, epochs.size):
+        same[k] = np.array_equal(epochs[k] - epochs[k - v:k],
+                                 epochs[k - 1] - epochs[k - 1 - v:k - 1])
+    return same
 
 
 def stepping_walk(epochs, series, config, mode=Mode.RECURSIVE) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,10 +29,10 @@ from gnss_grnn import (
     run_sweep,
 )
 from gnss_grnn import grnn
-from gnss_grnn.grnn import _BLOCK_ELEMENTS, _row_bandwidths, _weight_blocks
+from gnss_grnn.grnn import _BLOCK_ELEMENTS, _row_bandwidths, _same_rows, _weight_blocks
 
 from oracles import nw_predict_mp, nw_weights_mp, window_std_mp
-from scalar_reference import adaptive_predict, predict, stepping_walk
+from scalar_reference import adaptive_predict, predict, same_rows, stepping_walk
 
 
 def station_of(epochs, values, station_id="S"):
@@ -58,7 +59,7 @@ def search_x(epochs, values, cfg, threshold_m, max_training_size=None):
 
 
 def one_target_blocks(epochs, target, bandwidth):
-    """The single ``(rows, weights, pattern, underflows)`` block of one
+    """The single ``(block, weights, pattern, underflows)`` block of one
     target after the window ``epochs``."""
     axis = np.append(np.asarray(epochs, float), target)
     v = axis.size - 1
@@ -67,8 +68,8 @@ def one_target_blocks(epochs, target, bandwidth):
 
 
 def weights_at(epochs, target, bandwidth):
-    rows, weights, pattern, underflows = one_target_blocks(epochs, target, bandwidth)
-    assert rows.tolist() == [0] and pattern.tolist() == [0] and not underflows
+    block, weights, pattern, underflows = one_target_blocks(epochs, target, bandwidth)
+    assert block == slice(0, 1) and pattern.tolist() == [0] and not underflows
     return weights[0]
 
 
@@ -84,29 +85,32 @@ def row_bandwidth(epochs, target, bandwidth):
 
 def assert_blocks_weigh_each_target(epochs, v, bandwidth):
     """``_weight_blocks`` over every target after the first ``v`` epochs
-    gives each target the bits of its scalar-reference weights, or reports
-    the reference's underflow, and keeps one weight row per run of
-    adjacent targets with identical distance rows. Returns the blocks."""
+    gives each target the bits of its scalar-reference weights, or an
+    all-zero row and the reference's underflow, and keeps one weight row
+    per run of adjacent targets with identical distance rows, carried
+    across block edges. Returns the blocks."""
     targets = np.arange(v, epochs.size)
     size = max(1, _BLOCK_ELEMENTS // v)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         blocks = list(_weight_blocks(epochs, targets, v, bandwidth))
     assert len(blocks) == -(-targets.size // size)
-    for b, (rows, weights, pattern, underflows) in enumerate(blocks):
-        block = list(range(b * size, min((b + 1) * size, targets.size)))
-        distances = [epochs[k] - epochs[k - v:k] for k in targets[block].tolist()]
-        run = np.cumsum([True] + [not np.array_equal(d, e)
-                                  for d, e in zip(distances[1:], distances)])
-        assert sorted(rows.tolist() + [j for j, _, _ in underflows]) == block
-        kept = rows - block[0]
-        assert np.array_equal(pattern, np.unique(run[kept], return_inverse=True)[1])
-        assert len(weights) == np.unique(run[kept]).size
-        for j, r in zip(kept.tolist(), pattern.tolist()):
-            assert np.array_equal(weights[r], predict(distances[j], np.zeros(v), bandwidth)[1])
-        for j, h, nearest in underflows:
+    run = np.cumsum(~same_rows(epochs, v)[targets])
+    for b, (block, weights, pattern, underflows) in enumerate(blocks):
+        assert block == slice(b * size, min((b + 1) * size, targets.size))
+        rows = np.arange(targets.size)[block]
+        assert np.array_equal(pattern, run[rows] - run[rows[0]])
+        assert len(weights) == pattern[-1] + 1
+        lost = {j: (h, nearest) for j, h, nearest in underflows}
+        for j, r in zip(rows.tolist(), pattern.tolist()):
+            distances = epochs[targets[j]] - epochs[targets[j] - v:targets[j]]
+            if j not in lost:
+                assert np.array_equal(weights[r], predict(distances, np.zeros(v), bandwidth)[1])
+                continue
+            assert not weights[r].any()
             with pytest.raises(BandwidthTooSmallError) as exc:
-                predict(distances[j - block[0]], np.zeros(v), bandwidth)
+                predict(distances, np.zeros(v), bandwidth)
+            h, nearest = lost[j]
             assert str(exc.value) == ("bandwidth too small: every kernel value underflowed "
                                       f"(h={h!r}, nearest distance {nearest!r} days)")
     return blocks
@@ -143,9 +147,9 @@ class TestWeightBlocks:
         np.testing.assert_array_equal(weights_at([1.0], 5.0, 2.0), [1.0])
 
     def test_underflow_is_reported_not_weighted(self):
-        rows, weights, pattern, underflows = one_target_blocks([0.0], 100.0, 0.5)
-        assert rows.size == 0 and weights.shape == (0, 1) and pattern.size == 0
-        assert underflows == [(0, 0.5, 100.0)]
+        block, weights, pattern, underflows = one_target_blocks([0.0], 100.0, 0.5)
+        assert block == slice(0, 1) and pattern.tolist() == [0]
+        assert np.array_equal(weights, [[0.0]]) and underflows == [(0, 0.5, 100.0)]
 
     def test_decay_with_distance(self):
         w = weights_at(np.arange(0.0, 10.0), 10.0, 3.0)
@@ -170,27 +174,29 @@ class TestWeightBlocks:
             assert all(len(weights) == 1 for _, weights, _, _ in blocks)
         if axis == "runs" and v < 36:
             # windows that miss every moved epoch form runs inside the block
-            ((rows, weights, _, _),) = blocks
-            assert 1 < len(weights) < rows.size
+            ((block, weights, _, _),) = blocks
+            assert 1 < len(weights) < block.stop - block.start
 
     def test_underflow_inside_one_run(self):
-        # each daily block is one run; at h=0.01 its nearest epoch lies 100
-        # bandwidths out, so every kernel of every row underflows
+        # the daily walk is one run, its row carried through every block; at
+        # h=0.01 its nearest epoch lies 100 bandwidths out, so every kernel
+        # of that row underflows
         epochs = _axis("daily", length=640)
         blocks = assert_blocks_weigh_each_target(epochs, 100, 0.01)
         assert len(blocks) > 1
-        for rows, weights, pattern, underflows in blocks:
-            assert rows.size == pattern.size == 0 and weights.shape == (0, 100)
+        for block, weights, pattern, underflows in blocks:
+            assert [j for j, _, _ in underflows] == list(range(block.start, block.stop))
+            assert weights.shape == (1, 100) and not weights.any()
             assert {(h, nearest) for _, h, nearest in underflows} == {(0.01, 1.0)}
         assert sum(len(underflows) for *_, underflows in blocks) == epochs.size - 100
 
     def test_underflow_between_runs(self):
         # at h=0.2 only the targets right after the 7- and 20-day gaps
-        # underflow; the runs around them keep their rows
+        # underflow; the runs around them keep their rows, theirs are zero
         blocks = assert_blocks_weigh_each_target(_axis("two-gap"), 2, 0.2)
-        ((rows, weights, _, underflows),) = blocks
+        ((_, weights, _, underflows),) = blocks
         assert [j for j, _, _ in underflows] == [58, 101]
-        assert len(weights) == 5
+        assert len(weights) == 7 and np.sum(~weights.any(axis=1)) == 2
 
 
 class TestRowBandwidths:
@@ -741,6 +747,138 @@ class TestKernelRows:
         # rounded epochs make every distance row differ from its neighbours
         kernel_rows, open_targets = self.search(monkeypatch, "decimal-year")
         assert kernel_rows == open_targets
+
+
+def count_kernel_rows(monkeypatch):
+    """A list that a wrapped ``gaussian_kernel`` extends by the number of
+    rows of each call."""
+    rows = []
+
+    def gaussian_kernel(a):
+        rows.append(a.shape[0])
+        return kernel(a)
+
+    kernel = grnn.gaussian_kernel
+    monkeypatch.setattr(grnn, "gaussian_kernel", gaussian_kernel)
+    return rows
+
+
+class TestWalkKernelRows:
+    """``forecast_series`` evaluates one kernel row per run of identical
+    distance rows, with runs that cross block edges."""
+
+    @staticmethod
+    def walk(monkeypatch, epochs, v):
+        rows = count_kernel_rows(monkeypatch)
+        values = np.cumsum(np.random.default_rng(11).normal(0.0, 1e-3, (3, epochs.size)),
+                           axis=1)
+        forecast_series(station_of(epochs, values), GrnnConfig(training_size=v), tuple(Mode))
+        return sum(rows)
+
+    def test_one_row_on_a_daily_axis(self, monkeypatch):
+        epochs = _axis("daily", length=640)
+        # the targets fill more than three blocks
+        assert epochs.size - 100 > 3 * (_BLOCK_ELEMENTS // 100)
+        assert self.walk(monkeypatch, epochs, 100) == 1
+
+    @pytest.mark.parametrize("v", [1, 7, 100])
+    def test_one_row_per_run_on_a_two_gap_axis(self, monkeypatch, v):
+        epochs = _axis("two-gap", length=640)
+        runs = int(np.sum(~same_rows(epochs, v)[v:]))
+        assert 1 < runs < epochs.size - v
+        assert self.walk(monkeypatch, epochs, v) == runs
+
+
+@st.composite
+def gapped_daily_axes(draw):
+    """``(epochs, v)``: a daily MJD axis with up to four gaps, up to six
+    epochs moved by hours or by a last-bit amount, and a window size."""
+    n = draw(st.integers(min_value=2, max_value=120))
+    spacings = np.ones(n - 1)
+    for i in draw(st.lists(st.integers(min_value=0, max_value=n - 2), max_size=4)):
+        spacings[i] = draw(st.integers(min_value=2, max_value=40))
+    epochs = draw(st.integers(min_value=44000, max_value=60000)) + np.append(0.0,
+                                                                            np.cumsum(spacings))
+    for i in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=6)):
+        epochs[i] += draw(st.sampled_from([0.25, -0.25, 1.0 / 24.0, 1e-3, -1e-9]))
+    return epochs, draw(st.integers(min_value=1, max_value=max(1, n - 1)))
+
+
+class TestSameRows:
+    """The run finder reads the epoch spacings; the reference compares whole
+    distance rows, row by row."""
+
+    @pytest.mark.parametrize("axis", ["daily", "two-gap", "decimal-year", "irregular",
+                                      "runs", "jittered"])
+    @pytest.mark.parametrize("v", [1, 2, 7, 100])
+    def test_matches_the_row_comparison(self, axis, v):
+        epochs = _axis(axis, length=320)
+        assert np.array_equal(_same_rows(epochs, v), same_rows(epochs, v))
+
+    @given(gapped_daily_axes())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_row_comparison_on_generated_axes(self, axis):
+        epochs, v = axis
+        assert np.array_equal(_same_rows(epochs, v), same_rows(epochs, v))
+
+
+def unchecked_station(epochs, values):
+    """What the walks and the scalar references read of a station, on
+    ``epochs`` that :class:`StationSeries` may refuse (MJD <= 0)."""
+    epochs = np.asarray(epochs, float)
+    values = np.broadcast_to(np.asarray(values, float), (3, epochs.size))
+    return SimpleNamespace(
+        count=epochs.size, epochs_mjd=epochs, values_m=values,
+        components=[SimpleNamespace(component=c, values_m=row)
+                    for c, row in zip(Component, values)])
+
+
+# a daily axis with a 10-day gap, over 210 days
+_GAP_AXIS = np.concatenate([np.arange(120.0), 130.0 + np.arange(80.0)])
+
+
+class TestSpacingGuard:
+    """Outside ``0 < epochs[0]`` and ``epochs[-1] <= 2 * epochs[0]`` no
+    target shares a weight row, and both walks keep the scalar references'
+    bits; on the boundary the runs are shared again."""
+
+    OUTSIDE = {"from 0": 0.0, "from 1": 1.0, "negative": -500.0, "span over 2x": 150.0}
+    BOUNDARY = 209.0  # epochs[-1] == 418.0 == 2 * epochs[0]
+
+    @pytest.mark.parametrize("v", [1, 2, 7, 100])
+    def test_the_finder(self, v):
+        boundary = self.BOUNDARY + _GAP_AXIS
+        assert boundary[-1] == 2 * boundary[0]
+        assert np.array_equal(_same_rows(boundary, v), same_rows(boundary, v))
+        assert _same_rows(boundary, v).any()
+        for offset in self.OUTSIDE.values():
+            epochs = offset + _GAP_AXIS
+            # the rows are identical, but the finder shares none of them
+            assert same_rows(epochs, v).any() and not _same_rows(epochs, v).any()
+
+    @pytest.mark.parametrize("offset", [*OUTSIDE.values(), BOUNDARY],
+                             ids=[*OUTSIDE, "boundary"])
+    def test_walks_keep_the_reference_bits(self, monkeypatch, offset):
+        epochs = offset + _GAP_AXIS
+        values = np.cumsum(np.random.default_rng(11).normal(0.0, 1e-3, (3, epochs.size)),
+                           axis=1)
+        station = unchecked_station(epochs, values)
+        rows = count_kernel_rows(monkeypatch)
+        for v, bandwidth in itertools.product((1, 7), (BandwidthRule.WINDOW_STD, 2.5)):
+            rows.clear()
+            assert assert_station_walks_step(station, GrnnConfig(v, bandwidth))
+            shared = offset == self.BOUNDARY
+            runs = int(np.sum(~same_rows(epochs, v)[v:])) if shared else epochs.size - v
+            assert sum(rows) == runs
+        cfg = GrnnConfig(7)
+        walks = adaptive_forecast_series(station, cfg, 4e-4, 40)
+        for comp, predicted, used, met in zip(station.components,
+                                              walks.predicted_m[Mode.TEACHER_FORCED],
+                                              walks.training_size_used, walks.threshold_met):
+            want_predicted, want_used, want_met = loop_reference(epochs, comp, cfg, 4e-4, 40)
+            assert np.array_equal(predicted.view(np.int64),
+                                  np.array(want_predicted).view(np.int64))
+            assert np.array_equal(used, want_used) and np.array_equal(met, want_met)
 
 
 class TestBlockBound:
