@@ -37,11 +37,15 @@ target's row equals the one before it iff the ``v + 1`` spacings ending
 at the target are equal. IGS final solutions are daily MJD, well inside
 that guard: a gap-free stretch is one run, at every size the adaptive
 search tries. Outside the guard no target shares a row; the bits are the
-same, only the sharing is lost.
+same, only the sharing is lost. A target whose every kernel underflows
+gets an all-NaN row, which the walks find and refuse with a
+:class:`BandwidthTooSmallError` that recomputes the bandwidth and the
+nearest distance from the target's own row, bit-identical to its run's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -163,13 +167,16 @@ def _row_bandwidths(distances: np.ndarray, bandwidth: float | BandwidthRule) -> 
     return np.where(h > 0.0, h, spacing)
 
 
-def _underflow_error(h: float, nearest_days: float, component: Component,
-                     epoch: float) -> BandwidthTooSmallError:
-    """Every kernel of ``component``'s target at ``epoch`` underflowed."""
+def _underflow_error(epochs: np.ndarray, k: int, v: int, bandwidth: float | BandwidthRule,
+                     component: Component) -> BandwidthTooSmallError:
+    """Every kernel of ``component``'s target ``k`` underflowed at window size
+    ``v``; names the bandwidth and nearest distance of ``k``'s distance row."""
+    distances = epochs[k] - epochs[k - v:k]
+    h = _row_bandwidths(distances[None, :], bandwidth)[0]
     return BandwidthTooSmallError(
         f"bandwidth too small: every kernel value underflowed (h={float(h)!r}, "
-        f"nearest distance {float(nearest_days)!r} days) predicting component "
-        f"{component.value} at MJD {float(epoch)!r}")
+        f"nearest distance {float(distances.min())!r} days) predicting component "
+        f"{component.value} at MJD {float(epochs[k])!r}")
 
 
 def _convex_combinations(weights: np.ndarray, windows: np.ndarray, rows) -> np.ndarray:
@@ -189,28 +196,23 @@ def _convex_combinations(weights: np.ndarray, windows: np.ndarray, rows) -> np.n
     return base + np.matmul(weights[:, None, :], deviations[:, :, None])[:, 0, 0]
 
 
-def _kernel_rows(
-    distances: np.ndarray, bandwidth: float | BandwidthRule
-) -> tuple[np.ndarray, dict[int, tuple[float, float]]]:
+def _kernel_rows(distances: np.ndarray, bandwidth: float | BandwidthRule) -> np.ndarray:
     """Normalized kernel weights per row of target-to-window ``distances``.
 
     Each row gets its bandwidth, its Gaussian kernels and one normalizing
     sum, and has the bits of the single-target weights in
-    ``tests/scalar_reference.py``. Gives the weights, a row per distance
-    row, and ``{row: (h, nearest distance)}`` for each row whose every
-    kernel underflowed; such a row has no weights and is left all zero.
+    ``tests/scalar_reference.py``. A row whose every kernel underflowed has
+    no weights: it is divided by NaN, not by its zero sum, which would
+    warn, so it is all NaN.
     """
     h = _row_bandwidths(distances, bandwidth)
     weights = gaussian_kernel(distances / h[:, None])
     total = weights.sum(axis=1)
-    failed = np.flatnonzero(total == 0.0).tolist()
-    # an underflowed row is divided by 1: its zero sum would only warn
-    total[failed] = 1.0
-    weights /= total[:, None]
-    sums = weights.sum(axis=1)
-    sums[failed] = 1.0
-    assert np.all(np.abs(sums - 1.0) < 1e-12)
-    return weights, {r: (float(h[r]), float(distances[r].min())) for r in failed}
+    underflowed = total == 0.0
+    weights /= np.where(underflowed, np.nan, total)[:, None]
+    # every other row sums to 1; a NaN from any other cause fails this
+    assert np.all(np.abs(weights.sum(axis=1)[~underflowed] - 1.0) < 1e-12)
+    return weights
 
 
 def _windows(a: np.ndarray, v: int) -> np.ndarray:
@@ -236,7 +238,7 @@ def _same_rows(epochs: np.ndarray, v: int) -> np.ndarray:
 
 def _weight_blocks(
     epochs: np.ndarray, targets: np.ndarray, v: int, bandwidth: float | BandwidthRule
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, list[tuple[int, float, float]]]]:
+) -> Iterator[tuple[slice, np.ndarray]]:
     """Normalized kernel weights for ``targets``, a block at a time.
 
     ``targets`` ascend and may repeat. Target ``k`` weighs the ``v`` epochs
@@ -247,11 +249,11 @@ def _weight_blocks(
     ``_BLOCK_ELEMENTS`` window elements (or one target), which bounds the
     working memory whatever the number of targets.
 
-    Yields ``(block, weights, pattern, underflows)`` per block: the slice of
-    ``targets`` it covers, one weight row per run among them, the index from
-    those targets to their rows (``weights[pattern[i]]`` weighs
-    ``targets[block][i]``), and ``(i, h, nearest distance)`` for each
-    ``targets[i]`` whose every kernel underflowed; its weight row is zero.
+    Yields ``(block, weights)`` per block: the slice of ``targets`` it
+    covers and a weight row per target, all NaN where every kernel
+    underflowed, or one row for all when the block is a single run, which
+    :func:`_convex_combinations` broadcasts. Rows are gathered per target
+    only in a block that mixes runs of several targets.
     """
     ids = np.cumsum(~_same_rows(epochs, v))[targets]
     starts = np.ones(targets.size, dtype=bool)
@@ -259,11 +261,7 @@ def _weight_blocks(
     run = np.cumsum(starts) - 1
     first = targets[starts]
     epoch_windows = _windows(epochs, v)
-    # run -> (h, nearest distance) of the runs whose kernels underflowed
-    failed: dict[int, tuple[float, float]] = {}
     size = max(1, _BLOCK_ELEMENTS // v)
-    # each target's row among its block's: its run less the block's first run
-    pattern = run - np.repeat(run[::size], size)[:targets.size]
     for start in range(0, targets.size, size):
         r = run[start:start + size]
         fresh = int(r[0]) + (not starts[start])
@@ -271,16 +269,13 @@ def _weight_blocks(
             weights = carried
         else:
             f = first[fresh:r[-1] + 1]
-            weights, new = _kernel_rows(epochs[f][:, None] - epoch_windows[f - v], bandwidth)
-            failed.update((fresh + j, info) for j, info in new.items())
+            weights = _kernel_rows(epochs[f][:, None] - epoch_windows[f - v], bandwidth)
             if fresh > r[0]:
                 weights = np.concatenate([carried, weights])
         carried = weights[-1:]
-        underflows = []
-        if failed:
-            underflows = [(start + i, *failed[int(r[i])])
-                          for i in np.flatnonzero(np.isin(r, list(failed))).tolist()]
-        yield slice(start, start + r.size), weights, pattern[start:start + size], underflows
+        if 1 < len(weights) < r.size:
+            weights = weights[r - r[0]]
+        yield slice(start, start + r.size), weights
 
 
 @dataclass(frozen=True)
@@ -338,12 +333,9 @@ def forecast_series(
     hole simply reaches forward from the pre-gap window, so its kernel
     distances are larger than usual. The weights depend on the epochs
     alone, so they come from :func:`_weight_blocks` a block of targets at
-    a time, one row per run of targets with identical distances. The
-    teacher-forced matmul broadcasts the row of a block that is one run,
-    takes the rows as they are when every target is its own run, and
-    gathers per-target rows only otherwise. Each recursive step finds its
-    row through the block's index, subtracts the window's first value into
-    one deviation buffer reused for the whole walk and takes
+    a time, one row per run of targets with identical distances. Each
+    recursive step takes its target's row, subtracts the window's first
+    value into one deviation buffer reused for the whole walk and takes
     ``ndarray.dot`` of the weight row with it: the operations, in the
     order, of :func:`_convex_combinations` for one row, without its
     temporaries.
@@ -382,27 +374,21 @@ def forecast_series(
     # the rest of the walk is already written
     runs = [int(np.append(row[v - 1::-1] != row[v - 1], True).argmax()) for row in observed]
     settled = [False] * len(observed)
-    for block, weights, pattern, underflows in _weight_blocks(epochs, np.arange(v, n), v,
-                                                              config.bandwidth):
-        if underflows:
+    for block, weights in _weight_blocks(epochs, np.arange(v, n), v, config.bandwidth):
+        lost = np.isnan(weights[:, 0])
+        if lost.any():
             # shared weights: the first component is the first to fail
-            j, h, nearest = underflows[0]
-            raise _underflow_error(h, nearest, Component.X, epochs[v + j])
+            k = v + block.start + int(lost.argmax())
+            raise _underflow_error(epochs, k, v, config.bandwidth, Component.X)
         rows = np.arange(block.start, block.stop)
         targets = rows + v
         for mode, buffer in buffers.items():
             if mode is Mode.TEACHER_FORCED:
-                # a single run's row broadcasts; one run per target needs no gather
-                per_target = weights if len(weights) in (1, rows.size) else weights[pattern]
                 for values, windows in zip(buffer, value_windows):
-                    values[targets] = _convex_combinations(per_target, windows, rows)
+                    values[targets] = _convex_combinations(weights, windows, rows)
                 continue
             steps = targets.tolist()
-            if len(weights) == rows.size:  # every target its own run
-                step_rows = weights
-            else:
-                weight_rows = list(weights)
-                step_rows = [weight_rows[r] for r in pattern.tolist()]
+            step_rows = itertools.repeat(weights[0]) if len(weights) == 1 else weights
             for c, values in enumerate(buffer):
                 if settled[c]:
                     continue
@@ -481,24 +467,18 @@ def adaptive_forecast_series(
     # the open (component, target position) pairs, by position, then component
     pos = np.repeat(np.arange(n - v0), 3)
     c = np.tile(np.arange(3), n - v0)
-    # (component, target position) -> (h, nearest distance) at the size it
-    # underflowed; the smallest key is the first failure of the per-target
-    # loop, which finishes each component before the next
-    underflows: dict[tuple[int, int], tuple[float, float]] = {}
+    # the size at which each pair's kernels underflowed, 0 where none did
+    failed_at = np.zeros(shape, dtype=np.int64)
     v = v0
     while pos.size:
         k = pos + v0
         value_windows = _windows(observed, v)
         rows = k - v
         yhat = np.empty(pos.size)
-        # (open pair, h, nearest distance) of the pairs whose kernels underflowed
-        lost: list[tuple[int, float, float]] = []
-        for block, weights, pattern, underflowed in _weight_blocks(epochs, k, v,
-                                                                   config.bandwidth):
-            # a single run's row broadcasts over the block's pairs
-            own = weights if len(weights) == 1 else weights[pattern]
-            yhat[block] = _convex_combinations(own, value_windows, (c[block], rows[block]))
-            lost += underflowed
+        lost = np.empty(pos.size, dtype=bool)
+        for block, weights in _weight_blocks(epochs, k, v, config.bandwidth):
+            yhat[block] = _convex_combinations(weights, value_windows, (c[block], rows[block]))
+            lost[block] = np.isnan(weights[:, 0])
         abs_err = np.abs(observed[c, k] - yhat)
         passed = abs_err < threshold_m
         # v0 is every pair's first try; later sizes must be strictly better,
@@ -509,20 +489,19 @@ def adaptive_forecast_series(
         used[improved] = v
         best_abs[improved] = abs_err[better]
         met[c, pos] = passed
-        keep = ~passed & (v < caps[pos])
-        if lost:
-            # a target's open pairs share a run; the first, the smallest key,
-            # records the underflow (the search raises, so their updates go unread)
-            failed = {i: (h, nearest) for i, h, nearest in lost}
-            failing = np.fromiter(failed, dtype=np.intp)
-            for i in failing[np.unique(pos[failing], return_index=True)[1]].tolist():
-                underflows[int(c[i]), int(pos[i])] = failed[i]
-            keep[failing] = False
+        # an underflow closes its pair; the search raises below, so the
+        # updates of a lost pair go unread
+        failed_at[c[lost], pos[lost]] = v
+        keep = ~passed & ~lost & (v < caps[pos])
         pos, c = pos[keep], c[keep]
         v += 1
-    if underflows:
-        c, p = min(underflows)
-        raise _underflow_error(*underflows[c, p], tuple(Component)[c], epochs[v0 + p])
+    if failed_at.any():
+        # C order is (component, position) order: the first pair that the
+        # per-target loop, which finishes each component before the next,
+        # finds underflowing
+        c, p = np.argwhere(failed_at)[0]
+        raise _underflow_error(epochs, v0 + int(p), int(failed_at[c, p]), config.bandwidth,
+                               tuple(Component)[c])
     predicted = finite_forecasts(station, v0, predicted, "kernel")
     return StationForecast(v0, {Mode.TEACHER_FORCED: predicted},
                            training_size_used=used, threshold_met=met)

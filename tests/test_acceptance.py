@@ -61,9 +61,9 @@ def test_p1_weight_normalization_and_convexity():
         max_distance = target - float(epochs[0])
         h = float(rng.uniform(max_distance / 35.0, max_distance * 10.0))
         # one target after the window, through the arithmetic the walks run
-        ((block, weights, pattern, _),) = _weight_blocks(np.append(epochs, target),
-                                                         np.array([size]), size, h)
-        assert block == slice(0, 1) and pattern.tolist() == [0]
+        ((block, weights),) = _weight_blocks(np.append(epochs, target), np.array([size]),
+                                             size, h)
+        assert block == slice(0, 1) and weights.shape == (1, size)
         yhat = _convex_combinations(weights, values[None, :], [0])[0]
         weights = weights[0]
         assert abs(float(weights.sum()) - 1.0) < 1e-12

@@ -59,8 +59,8 @@ def search_x(epochs, values, cfg, threshold_m, max_training_size=None):
 
 
 def one_target_blocks(epochs, target, bandwidth):
-    """The single ``(block, weights, pattern, underflows)`` block of one
-    target after the window ``epochs``."""
+    """The single ``(block, weights)`` block of one target after the window
+    ``epochs``; its one weight row is all NaN if every kernel underflowed."""
     axis = np.append(np.asarray(epochs, float), target)
     v = axis.size - 1
     (block,) = _weight_blocks(axis, np.array([v]), v, bandwidth)
@@ -68,8 +68,9 @@ def one_target_blocks(epochs, target, bandwidth):
 
 
 def weights_at(epochs, target, bandwidth):
-    block, weights, pattern, underflows = one_target_blocks(epochs, target, bandwidth)
-    assert block == slice(0, 1) and pattern.tolist() == [0] and not underflows
+    block, weights = one_target_blocks(epochs, target, bandwidth)
+    assert block == slice(0, 1) and weights.shape == (1, len(epochs))
+    assert not np.isnan(weights).any()
     return weights[0]
 
 
@@ -83,36 +84,35 @@ def row_bandwidth(epochs, target, bandwidth):
     return float(_row_bandwidths((target - np.asarray(epochs, float))[None, :], bandwidth)[0])
 
 
-def assert_blocks_weigh_each_target(epochs, v, bandwidth):
+def assert_blocks_weigh_each_target(monkeypatch, epochs, v, bandwidth):
     """``_weight_blocks`` over every target after the first ``v`` epochs
     gives each target the bits of its scalar-reference weights, or an
-    all-zero row and the reference's underflow, and keeps one weight row
-    per run of adjacent targets with identical distance rows, carried
-    across block edges. Returns the blocks."""
+    all-NaN row where the reference underflows, and evaluates one kernel
+    row per run of adjacent targets with identical distance rows, carried
+    across block edges. A block that is one run yields one row, any other
+    a row per target. Returns the blocks."""
     targets = np.arange(v, epochs.size)
     size = max(1, _BLOCK_ELEMENTS // v)
+    kernel_rows = count_kernel_rows(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         blocks = list(_weight_blocks(epochs, targets, v, bandwidth))
     assert len(blocks) == -(-targets.size // size)
     run = np.cumsum(~same_rows(epochs, v)[targets])
-    for b, (block, weights, pattern, underflows) in enumerate(blocks):
+    assert sum(kernel_rows) == run[-1] - run[0] + 1
+    for b, (block, weights) in enumerate(blocks):
         assert block == slice(b * size, min((b + 1) * size, targets.size))
         rows = np.arange(targets.size)[block]
-        assert np.array_equal(pattern, run[rows] - run[rows[0]])
-        assert len(weights) == pattern[-1] + 1
-        lost = {j: (h, nearest) for j, h, nearest in underflows}
-        for j, r in zip(rows.tolist(), pattern.tolist()):
+        assert len(weights) == (1 if run[rows[0]] == run[rows[-1]] else rows.size)
+        for j in rows.tolist():
+            w = weights[0] if len(weights) == 1 else weights[j - block.start]
             distances = epochs[targets[j]] - epochs[targets[j] - v:targets[j]]
-            if j not in lost:
-                assert np.array_equal(weights[r], predict(distances, np.zeros(v), bandwidth)[1])
-                continue
-            assert not weights[r].any()
-            with pytest.raises(BandwidthTooSmallError) as exc:
-                predict(distances, np.zeros(v), bandwidth)
-            h, nearest = lost[j]
-            assert str(exc.value) == ("bandwidth too small: every kernel value underflowed "
-                                      f"(h={h!r}, nearest distance {nearest!r} days)")
+            try:
+                want = predict(distances, np.zeros(v), bandwidth)[1]
+            except BandwidthTooSmallError:
+                assert np.isnan(w).all()
+            else:
+                assert np.array_equal(w, want)
     return blocks
 
 
@@ -146,10 +146,37 @@ class TestWeightBlocks:
     def test_single_entry(self):
         np.testing.assert_array_equal(weights_at([1.0], 5.0, 2.0), [1.0])
 
-    def test_underflow_is_reported_not_weighted(self):
-        block, weights, pattern, underflows = one_target_blocks([0.0], 100.0, 0.5)
-        assert block == slice(0, 1) and pattern.tolist() == [0]
-        assert np.array_equal(weights, [[0.0]]) and underflows == [(0, 0.5, 100.0)]
+    def test_underflow_is_a_nan_row(self):
+        block, weights = one_target_blocks([0.0], 100.0, 0.5)
+        assert block == slice(0, 1) and weights.shape == (1, 1) and np.isnan(weights).all()
+        with pytest.raises(BandwidthTooSmallError) as exc:
+            forecast_series(unchecked_station([0.0, 100.0], 0.0), GrnnConfig(1, 0.5))
+        assert str(exc.value) == ("bandwidth too small: every kernel value underflowed (h=0.5, "
+                                  "nearest distance 100.0 days) predicting component X at "
+                                  "MJD 100.0")
+
+    @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
+                                           BandwidthRule.MEAN_SPACING, 2.5])
+    def test_kernel_rows_underflow_is_a_nan_row(self, bandwidth):
+        # the middle row's nearest epoch lies 298 days out
+        distances = np.array([[3.0, 2.0, 1.0], [300.0, 299.0, 298.0], [4.5, 1.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = grnn._kernel_rows(distances, bandwidth)
+        assert np.isnan(weights[1]).all()
+        for r in (0, 2):
+            assert np.array_equal(weights[r], predict(distances[r], np.zeros(3), bandwidth)[1])
+
+    def test_kernel_rows_refuse_a_nan_in_a_row_with_kernels(self, monkeypatch):
+        def gaussian_kernel(a):
+            out = kernel(a)
+            out[0, 1] = np.nan
+            return out
+
+        kernel = grnn.gaussian_kernel
+        monkeypatch.setattr(grnn, "gaussian_kernel", gaussian_kernel)
+        with pytest.raises(AssertionError):
+            grnn._kernel_rows(np.array([[3.0, 2.0, 1.0], [2.0, 1.0, 0.5]]), 2.5)
 
     def test_decay_with_distance(self):
         w = weights_at(np.arange(0.0, 10.0), 10.0, 3.0)
@@ -166,37 +193,47 @@ class TestWeightBlocks:
     @pytest.mark.parametrize("bandwidth", [BandwidthRule.WINDOW_STD,
                                            BandwidthRule.MEAN_SPACING, 2.5])
     @pytest.mark.parametrize("v", [1, 7, 100])
-    def test_one_row_per_run(self, axis, bandwidth, v):
+    def test_one_row_per_run(self, monkeypatch, axis, bandwidth, v):
         # at v=100 the targets span four blocks
-        blocks = assert_blocks_weigh_each_target(_axis(axis, length=640), v, bandwidth)
+        epochs = _axis(axis, length=640)
+        blocks = assert_blocks_weigh_each_target(monkeypatch, epochs, v, bandwidth)
         if axis == "daily":
             # one run crosses every block boundary
-            assert all(len(weights) == 1 for _, weights, _, _ in blocks)
+            assert all(len(weights) == 1 for _, weights in blocks)
         if axis == "runs" and v < 36:
             # windows that miss every moved epoch form runs inside the block
-            ((block, weights, _, _),) = blocks
-            assert 1 < len(weights) < block.stop - block.start
+            ((block, weights),) = blocks
+            runs = int(np.sum(~same_rows(epochs, v)[v:]))
+            assert 1 < runs < len(weights) == block.stop - block.start
 
-    def test_underflow_inside_one_run(self):
+    def test_underflow_inside_one_run(self, monkeypatch):
         # the daily walk is one run, its row carried through every block; at
         # h=0.01 its nearest epoch lies 100 bandwidths out, so every kernel
         # of that row underflows
         epochs = _axis("daily", length=640)
-        blocks = assert_blocks_weigh_each_target(epochs, 100, 0.01)
+        blocks = assert_blocks_weigh_each_target(monkeypatch, epochs, 100, 0.01)
         assert len(blocks) > 1
-        for block, weights, pattern, underflows in blocks:
-            assert [j for j, _, _ in underflows] == list(range(block.start, block.stop))
-            assert weights.shape == (1, 100) and not weights.any()
-            assert {(h, nearest) for _, h, nearest in underflows} == {(0.01, 1.0)}
-        assert sum(len(underflows) for *_, underflows in blocks) == epochs.size - 100
+        for _, weights in blocks:
+            assert weights.shape == (1, 100) and np.isnan(weights).all()
+        with pytest.raises(BandwidthTooSmallError) as exc:
+            forecast_series(station_of(epochs, 0.0), GrnnConfig(100, 0.01))
+        assert str(exc.value) == ("bandwidth too small: every kernel value underflowed (h=0.01, "
+                                  "nearest distance 1.0 days) predicting component X at "
+                                  "MJD 55100.0")
 
-    def test_underflow_between_runs(self):
+    def test_underflow_between_runs(self, monkeypatch):
         # at h=0.2 only the targets right after the 7- and 20-day gaps
-        # underflow; the runs around them keep their rows, theirs are zero
-        blocks = assert_blocks_weigh_each_target(_axis("two-gap"), 2, 0.2)
-        ((_, weights, _, underflows),) = blocks
-        assert [j for j, _, _ in underflows] == [58, 101]
-        assert len(weights) == 7 and np.sum(~weights.any(axis=1)) == 2
+        # underflow; the runs around them keep their rows, theirs are NaN
+        epochs = _axis("two-gap")
+        blocks = assert_blocks_weigh_each_target(monkeypatch, epochs, 2, 0.2)
+        ((_, weights),) = blocks
+        assert np.sum(~same_rows(epochs, 2)[2:]) == 7
+        assert np.flatnonzero(np.isnan(weights).all(axis=1)).tolist() == [58, 101]
+        with pytest.raises(BandwidthTooSmallError) as exc:
+            forecast_series(station_of(epochs, 0.0), GrnnConfig(2, 0.2))
+        assert str(exc.value) == ("bandwidth too small: every kernel value underflowed (h=0.2, "
+                                  "nearest distance 8.0 days) predicting component X at "
+                                  "MJD 55067.0")
 
 
 class TestRowBandwidths:
@@ -595,11 +632,19 @@ class TestAdaptiveForecastSeries:
         assert np.array_equal(walks.threshold_met, met)
 
     def test_an_x_underflow_at_a_later_target_is_named(self):
+        # X's earlier targets close at size 7; at size 9 Y's target 21 and
+        # X's target 43 underflow, and the message is X's, from target 43's
+        # own row. In blocks of 16 window elements each pair at size 9 has a
+        # block of its own
         epochs, values, v0, bandwidth, threshold_m, cap, _ = _y_underflow_before_an_x_underflow()
-        with pytest.raises(BandwidthTooSmallError) as exc:
-            adaptive_forecast_series(station_of(epochs, values), GrnnConfig(v0, bandwidth),
-                                     threshold_m, cap)
-        assert str(exc.value).endswith(f"component X at MJD {float(epochs[43])!r}")
+        for block in (_BLOCK_ELEMENTS, 16):
+            with mock.patch.object(grnn, "_BLOCK_ELEMENTS", block), \
+                    pytest.raises(BandwidthTooSmallError) as exc:
+                adaptive_forecast_series(station_of(epochs, values), GrnnConfig(v0, bandwidth),
+                                         threshold_m, cap)
+            assert str(exc.value) == (
+                "bandwidth too small: every kernel value underflowed (h=7.75, nearest distance "
+                f"300.0 days) predicting component X at MJD {float(epochs[43])!r}")
 
     @staticmethod
     def check_against_loop(epochs, training_size, bandwidth, cap, layout):
