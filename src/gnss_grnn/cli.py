@@ -272,19 +272,22 @@ def _predict_rows(station, config, mode, threshold_m, max_training_size):
         finite_forecasts(station, walks.start, errors, "absolute error of the kernel")
     epochs = station.epochs_mjd[walks.start:].tolist()
     for c, component in enumerate(Component):
+        name = component.value
         columns = zip(epochs, predicted[c].tolist(), observed[c].tolist(), errors[c].tolist())
+        if adaptive:
+            sizes, met = walks.training_size_used[c].tolist(), walks.threshold_met[c].tolist()
         for i, (epoch, yhat, y, error) in enumerate(columns):
             row = {
                 "station": station.station_id,
                 "epoch_mjd": epoch,
-                "component": component.value,
+                "component": name,
                 "predicted_m": yhat,
                 "observed_m": y,
                 "abs_error_m": error,
             }
             if adaptive:
-                row["training_size_used"] = int(walks.training_size_used[c, i])
-                row["threshold_met"] = bool(walks.threshold_met[c, i])
+                row["training_size_used"] = sizes[i]
+                row["threshold_met"] = met[i]
             yield row
 
 

@@ -17,8 +17,9 @@ exact rational arithmetic checks.
 
 The backtest refits at every origin, but a window's second differences
 are those of the whole series, so they are formed once per station, for
-X, Y and Z together; each origin then costs two stacked matmuls over the
-three components, one for the curvature sums and one for the slopes.
+X, Y and Z together, as are the window views every origin reads. Each
+origin then costs two stacked matmuls over the three components, one for
+the curvature sums and one for the slopes, into buffers made once.
 
 This is the two-term variant only, not the full multi-line decomposition
 with exponential-smoothing recombination found elsewhere in the
@@ -32,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .grnn import Mode, StationForecast, finite_forecasts
+from .grnn import Mode, StationForecast, _windows, finite_forecasts
 from .series import StationSeries
 
 
@@ -74,13 +75,16 @@ def theta_backtest(
     forecast leans on pre-gap values. With ``fit=GLOBAL`` the slope from
     each component's first window is reused at every origin.
 
-    The components' second differences ``d2`` are formed once. Per origin
-    ``i`` (windows ``y = values[:, i:i + p]``) the loop runs two stacked
-    ``(1, L) @ (L, 1)`` matmuls, a row per component: the curvature sums
+    The components' second differences ``d2`` are formed once, and so are
+    sliding-window views of ``d2`` (length ``p - 2``) and of the values
+    (length ``p``), which origin ``i`` indexes for its windows
+    ``y = values[:, i:i + p]``. The loop runs two stacked ``(1, L) @ (L, 1)``
+    matmuls, a row per component: the curvature sums
     ``d2[:, i:i + p - 2] @ lags`` and the slope numerators
-    ``(y - np.add.reduce(y, axis=-1) / p) @ tc``. Each row runs the 1-d
-    dot, and that mean is ``y.mean()``'s (a pairwise sum, then a true
-    divide), so every forecast has the bits of its component walked alone.
+    ``(y - np.add.reduce(y, axis=-1) / p) @ tc``, through buffers allocated
+    once per walk. Each row runs the 1-d dot, and that mean is
+    ``y.mean()``'s (a pairwise sum, then a true divide), so every
+    forecast has the bits of its component walked alone.
     The forecasts are assembled elementwise after the loop in the
     per-origin order ``y1 + (k - 1)(y2 - y1) + (slope / tc.tc) * curvature``.
     Gives a :class:`StationForecast` that starts at ``p``, its ``(3, n - p)``
@@ -102,15 +106,23 @@ def theta_backtest(
     # second differences y[j+2] - 2 y[j+1] + y[j]; window i uses d2[:, i:i + p - 2]
     d2 = values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]
     rolling = fit is ThetaFit.ROLLING
+    # origin i's (component, 1, L) operands: d2[:, None, i:i + p - 2] and
+    # values[:, None, i:i + p], the same strides as those slices
+    d2_windows = _windows(d2, p - 2)[:, :m, None, :].transpose(1, 0, 2, 3)
+    y_windows = _windows(values, p)[:, :m, None, :].transpose(1, 0, 2, 3)
     # one (component, 1, 1) matmul result per origin; GLOBAL keeps the
     # first window's slope numerators alone, which broadcast
     slopes = np.empty((m if rolling else 1, len(values), 1, 1))
     curvature = np.empty((m, len(values), 1, 1))
+    mean, deviations = np.empty((len(values), 1, 1)), np.empty((len(values), 1, p))
     for i in range(m):
-        np.matmul(d2[:, None, i:i + p - 2], lags, out=curvature[i])
+        np.matmul(d2_windows[i], lags, out=curvature[i])
         if rolling or i == 0:
-            y = values[:, None, i:i + p]
-            np.matmul(y - np.add.reduce(y, axis=-1, keepdims=True) / p, tcol, out=slopes[i])
+            y = y_windows[i]
+            np.add.reduce(y, axis=-1, keepdims=True, out=mean)
+            np.divide(mean, p, out=mean)
+            np.subtract(y, mean, out=deviations)
+            np.matmul(deviations, tcol, out=slopes[i])
     predicted = (values[:, :m] + (k - 1) * (values[:, 1:m + 1] - values[:, :m])
                  + slopes[..., 0, 0].T / tctc * curvature[..., 0, 0].T)
     predicted = finite_forecasts(station, p, predicted, "Theta")

@@ -10,7 +10,9 @@ estimate, a model holding the slope and its window, and the forecast at
 any ordinal position ``3 <= k <= p + 1``; ``theta_walk`` refits them at
 every origin the way the backtest did before its loop was fused.
 ``component_theta_walk`` is that fused loop for one component, the way
-the backtest ran before it walked X, Y and Z together.
+the backtest ran before it walked X, Y and Z together, and
+``station_theta_walk`` is the walk over all three, the way it ran before
+it read window views built once per walk.
 
 The walks must reproduce these bit for bit; the mpmath and ``Fraction``
 oracles in ``oracles.py`` check the arithmetic itself. Slow and simple
@@ -217,3 +219,30 @@ def component_theta_walk(series, window, fit=ThetaFit.ROLLING) -> np.ndarray:
             slopes[i] = tc @ (y - np.add.reduce(y) / p)
     return (values[:m] + (k - 1) * (values[1:m + 1] - values[:m])
             + slopes / (tc @ tc) * curvature)
+
+
+def station_theta_walk(station, window, fit=ThetaFit.ROLLING) -> np.ndarray:
+    """``theta_backtest``'s ``(3, m)`` forecasts: per origin, two stacked
+    matmuls over fresh slices of the components' second differences and
+    values, a row per component."""
+    values = station.values_m
+    p, n = window, station.count
+    k, m = p + 1, n - p
+    t = np.arange(1.0, p + 1.0)
+    tc = t - t.mean()
+    tctc = tc @ tc
+    lags, tcol = (k - np.arange(2.0, p))[:, None], tc[:, None]
+    # second differences y[j+2] - 2 y[j+1] + y[j]; window i uses d2[:, i:i + p - 2]
+    d2 = values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]
+    rolling = fit is ThetaFit.ROLLING
+    # one (component, 1, 1) matmul result per origin; GLOBAL keeps the
+    # first window's slope numerators alone, which broadcast
+    slopes = np.empty((m if rolling else 1, len(values), 1, 1))
+    curvature = np.empty((m, len(values), 1, 1))
+    for i in range(m):
+        np.matmul(d2[:, None, i:i + p - 2], lags, out=curvature[i])
+        if rolling or i == 0:
+            y = values[:, None, i:i + p]
+            np.matmul(y - np.add.reduce(y, axis=-1, keepdims=True) / p, tcol, out=slopes[i])
+    return (values[:, :m] + (k - 1) * (values[:, 1:m + 1] - values[:, :m])
+            + slopes[..., 0, 0].T / tctc * curvature[..., 0, 0].T)

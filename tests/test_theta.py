@@ -25,6 +25,7 @@ from scalar_reference import (
     component_theta_walk,
     estimate_theta,
     fit_theta_model,
+    station_theta_walk,
     theta_forecast,
     theta_walk,
 )
@@ -314,4 +315,51 @@ class TestStationWalkMatchesComponentLoops:
     @pytest.mark.parametrize("station", [_GAPPED, _CENTERED, _SPREAD],
                              ids=["gapped", "centered", "six-orders-apart"])
     def test_gapped_and_spread_stations(self, station, p, fit):
+        self.assert_matches(station, p, fit)
+
+
+class TestViewWalkMatchesStationLoop:
+    """Reading window views built once per walk into buffers it owns, the
+    walk keeps the bits of the stacked loop that sliced every origin,
+    compared as int64 views."""
+
+    @staticmethod
+    def assert_matches(station, p, fit):
+        assert same_bits(walks(station, p, fit), station_theta_walk(station, p, fit))
+
+    @pytest.mark.parametrize("fit", list(ThetaFit))
+    @pytest.mark.parametrize("p", [3, 4, 7, 100, 300])
+    @pytest.mark.parametrize("kind", list(SyntheticKind))
+    def test_every_kind_and_window(self, kind, p, fit):
+        for seed in range(3):
+            station = generate_synthetic(kind, 700, seed, SyntheticParams(noise_std_m=0.002))
+            self.assert_matches(station, p, fit)
+
+    @pytest.mark.parametrize("fit", list(ThetaFit))
+    @pytest.mark.parametrize("p", [3, 4, 7, 100, 300])
+    @pytest.mark.parametrize("station", [_GAPPED, _CENTERED, _SPREAD],
+                             ids=["gapped", "centered", "six-orders-apart"])
+    def test_gapped_and_spread_stations(self, station, p, fit):
+        self.assert_matches(station, p, fit)
+
+    @given(
+        p=st.integers(min_value=3, max_value=64),
+        extra=st.integers(min_value=1, max_value=80),
+        fit=st.sampled_from(list(ThetaFit)),
+        offset=st.floats(min_value=3.8e6, max_value=4.2e6),
+        sign=st.sampled_from([1.0, -1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(p=3, extra=1, fit=ThetaFit.ROLLING, offset=4e6, sign=1.0, seed=0)
+    @example(p=3, extra=1, fit=ThetaFit.GLOBAL, offset=4e6, sign=-1.0, seed=1)
+    @example(p=3, extra=80, fit=ThetaFit.ROLLING, offset=4e6, sign=1.0, seed=2)
+    @example(p=3, extra=80, fit=ThetaFit.GLOBAL, offset=4e6, sign=1.0, seed=3)
+    @example(p=64, extra=1, fit=ThetaFit.ROLLING, offset=4e6, sign=-1.0, seed=4)
+    @example(p=64, extra=1, fit=ThetaFit.GLOBAL, offset=4e6, sign=1.0, seed=5)
+    @settings(max_examples=200, deadline=None)
+    def test_drawn(self, p, extra, fit, offset, sign, seed):
+        """Down to one origin (``n = p + 1``) and ``d2`` windows of length
+        one (``p = 3``)."""
+        rng = np.random.default_rng(seed)
+        station = station_of(*(sign * offset + rng.normal(scale=0.001, size=(3, p + extra))))
         self.assert_matches(station, p, fit)
