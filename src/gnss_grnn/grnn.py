@@ -389,16 +389,18 @@ def forecast_series(
                 continue
             steps = targets.tolist()
             step_rows = itertools.repeat(weights[0]) if len(weights) == 1 else weights
-            for c, values in enumerate(buffer):
+            # row j of these windows is target v + j's, read as the walk writes
+            for c, (values, windows) in enumerate(zip(buffer, _windows(buffer, v))):
                 if settled[c]:
                     continue
-                run = runs[c]
+                run, last = runs[c], values[steps[0] - 1]
                 # one row of _convex_combinations: same operations, no temporaries
-                for row, k in zip(step_rows, steps):
-                    base = values[k - v]
-                    np.subtract(values[k - v:k], base, out=deviations)
+                for row, k, window in zip(step_rows, steps, windows[block.start:]):
+                    base = window[0]
+                    np.subtract(window, base, deviations)
                     y = values[k] = base + row.dot(deviations)
-                    run = run + 1 if y == values[k - 1] else 1
+                    run = run + 1 if y == last else 1
+                    last = y
                     if run >= v and y != 0.0:
                         # every later window is v copies of y: each deviation is
                         # +0.0, so each forecast is y + 0.0, which is y exactly;

@@ -17,9 +17,10 @@ exact rational arithmetic checks.
 
 The backtest refits at every origin, but a window's second differences
 are those of the whole series, so they are formed once per station, for
-X, Y and Z together, as are the window views every origin reads. Each
-origin then costs two stacked matmuls over the three components, one for
-the curvature sums and one for the slopes, into buffers made once.
+X, Y and Z together, as are the window views every origin reads. Two
+passes over the origins follow, into buffers made once: a stacked matmul
+per origin for the three curvature sums, then a fit per origin for the
+slopes, whose mean divides by a divisor made once per walk.
 
 This is the two-term variant only, not the full multi-line decomposition
 with exponential-smoothing recombination found elsewhere in the
@@ -77,15 +78,16 @@ def theta_backtest(
 
     The components' second differences ``d2`` are formed once, and so are
     sliding-window views of ``d2`` (length ``p - 2``) and of the values
-    (length ``p``), which origin ``i`` indexes for its windows
-    ``y = values[:, i:i + p]``. The loop runs two stacked ``(1, L) @ (L, 1)``
-    matmuls, a row per component: the curvature sums
-    ``d2[:, i:i + p - 2] @ lags`` and the slope numerators
-    ``(y - np.add.reduce(y, axis=-1) / p) @ tc``, through buffers allocated
-    once per walk. Each row runs the 1-d dot, and that mean is
-    ``y.mean()``'s (a pairwise sum, then a true divide), so every
+    (length ``p``), whose row ``i`` is origin ``i``'s. A first pass runs a
+    stacked ``(1, L) @ (L, 1)`` matmul per origin, a row per component, for
+    the curvature sums ``d2[:, i:i + p - 2] @ lags``; a second, for every
+    origin (the first alone under ``GLOBAL``), the slope numerators
+    ``(y - np.add.reduce(y, axis=-1) / p) @ tc`` of ``y = values[:, i:i + p]``,
+    with ``p`` a float64 0-d array made once (the same IEEE division), into
+    buffers allocated once per walk. Each row runs the 1-d dot, and that
+    mean is ``y.mean()``'s (a pairwise sum, then a true divide), so every
     forecast has the bits of its component walked alone.
-    The forecasts are assembled elementwise after the loop in the
+    The forecasts are assembled elementwise after the passes in the
     per-origin order ``y1 + (k - 1)(y2 - y1) + (slope / tc.tc) * curvature``.
     Gives a :class:`StationForecast` that starts at ``p``, its ``(3, n - p)``
     forecasts keyed by ``Mode.TEACHER_FORCED``, as every origin fits
@@ -115,14 +117,17 @@ def theta_backtest(
     slopes = np.empty((m if rolling else 1, len(values), 1, 1))
     curvature = np.empty((m, len(values), 1, 1))
     mean, deviations = np.empty((len(values), 1, 1)), np.empty((len(values), 1, p))
-    for i in range(m):
-        np.matmul(d2_windows[i], lags, out=curvature[i])
-        if rolling or i == 0:
-            y = y_windows[i]
-            np.add.reduce(y, axis=-1, keepdims=True, out=mean)
-            np.divide(mean, p, out=mean)
-            np.subtract(y, mean, out=deviations)
-            np.matmul(deviations, tcol, out=slopes[i])
+    # dividing by a float64 0-d array is the division by the int p, converted once
+    count = np.array(float(p))
+    # operands positional: out=, axis= and keepdims= cost a parse per call
+    for d, c in zip(d2_windows, curvature):
+        np.matmul(d, lags, c)
+    # GLOBAL's single row of slopes ends this pass after the first origin
+    for y, s in zip(y_windows, slopes):
+        np.add.reduce(y, -1, None, mean, True)
+        np.divide(mean, count, mean)
+        np.subtract(y, mean, deviations)
+        np.matmul(deviations, tcol, s)
     predicted = (values[:, :m] + (k - 1) * (values[:, 1:m + 1] - values[:, :m])
                  + slopes[..., 0, 0].T / tctc * curvature[..., 0, 0].T)
     predicted = finite_forecasts(station, p, predicted, "Theta")

@@ -363,3 +363,23 @@ class TestViewWalkMatchesStationLoop:
         rng = np.random.default_rng(seed)
         station = station_of(*(sign * offset + rng.normal(scale=0.001, size=(3, p + extra))))
         self.assert_matches(station, p, fit)
+
+
+class TestWindowMeanOrder:
+    """The window mean sums each window forward, as ``y.mean()`` does. On
+    coordinate-scale inputs the theta term sits far below one ulp of the
+    forecast, so no order shows there. Here the amplitude dwarfs the offset,
+    and summing each window reversed changes forecasts' bits."""
+
+    @pytest.mark.parametrize("fit", list(ThetaFit))
+    @pytest.mark.parametrize("p, offset, scale, seed", [
+        (9, 0.0, 1e3, 0), (9, 1.0, 1e2, 1), (9, 100.0, 1e3, 1),
+        (100, 0.0, 1e3, 0), (100, 1.0, 1e2, 0), (100, 100.0, 1e3, 1),
+    ])
+    def test_bit_identical(self, p, offset, scale, seed, fit):
+        values = offset + scale * np.random.default_rng(seed).standard_normal((3, p + 20))
+        first = values[:, :p]
+        # the first windows' sums depend on the order, so GLOBAL's slopes can too
+        assert not same_bits(np.add.reduce(first, axis=-1), np.add.reduce(first[:, ::-1], axis=-1))
+        station = station_of(*values)
+        assert same_bits(walks(station, p, fit), station_theta_walk(station, p, fit))
