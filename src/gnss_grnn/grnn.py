@@ -8,9 +8,20 @@ bandwidth. Two window-update modes exist:
 * recursive - each prediction is appended to the window and feeds the
   following predictions, so errors compound along the walk. Each
   prediction is a convex combination of its window, so the walk settles
-  on a constant, typically after some 1-3 ``v`` steps; from there on the
-  walk writes that value out instead of stepping, with the same bits;
+  on a constant, typically after some 1-3 ``v`` steps (see below);
 * teacher-forced - observed values replace predictions at every step.
+
+A recursive component settles at the first step whose forecast ``y``
+equals its window's first value, is not 0.0, and leaves every deviation
+from that value zero. That window was ``v`` copies of ``y``, and so is
+every later one, so each later forecast is ``y + 0.0``, which is ``y`` bit
+for bit: the walk writes ``y`` to the rest of the component's row and
+stops stepping it. 0.0 is left out because ``-0.0 + 0.0`` is ``+0.0``; a
+window of infinities has NaN deviations and never settles. The rule
+reads the window the step has just weighed, so it fires one step after
+the forecast that closes the constant window (at the first step when the
+seed window is constant), and never when that forecast is the walk's
+last. Either way the bits are the stepping walk's.
 
 The rolling-window semantics deserve one note: the window always holds
 the ``v`` most recent values, and in recursive mode predictions stand in
@@ -70,10 +81,10 @@ _BLOCK_ELEMENTS = 2**14
 class Mode(str, Enum):
     """Window-update policy during a forecast walk.
 
-    RECURSIVE feeds each forecast back into the window. The walk becomes a
-    constant after roughly 1-3 ``v`` steps, so recursive-mode criteria over
-    a long walk mostly score a flat line. TEACHER_FORCED forecasts every
-    target from observed values.
+    RECURSIVE feeds each forecast back into the window. The walk settles
+    on a constant after roughly 1-3 ``v`` steps (the rule is in the module
+    docstring), so recursive-mode criteria over a long walk mostly score a
+    flat line. TEACHER_FORCED forecasts every target from observed values.
     """
 
     RECURSIVE = "recursive"
@@ -340,13 +351,10 @@ def forecast_series(
     order, of :func:`_convex_combinations` for one row, without its
     temporaries.
 
-    A recursive walk becomes a constant after roughly 1-3 ``v`` steps.
-    Once a component's window holds ``v`` equal nonzero values ``c``,
-    every later forecast is ``c + 0.0``, which is ``c``: the
-    component stops stepping there and its remaining forecasts are ``c``,
-    with unchanged bits. Recursive-mode criteria over a long walk
-    therefore mostly score a flat line. The weights still come for every
-    target, so an underflow after that point is still reported.
+    A recursive component stops stepping once it settles, by the rule in
+    the module docstring, and its remaining forecasts are the settled
+    value. The weights still come for every target, so an underflow after
+    that point is still reported.
 
     Every forecast matches the stepping walk in
     ``tests/scalar_reference.py`` bit for bit, and an underflow is
@@ -369,10 +377,7 @@ def forecast_series(
     # recursive mode they become training data for the following steps
     buffers = {mode: observed.copy() for mode in modes}
     deviations = np.empty(v, dtype=np.float64)
-    # per component, the length of the run of equal values that ends the
-    # recursive buffer so far (the seed window's to begin with), and whether
-    # the rest of the walk is already written
-    runs = [int(np.append(row[v - 1::-1] != row[v - 1], True).argmax()) for row in observed]
+    # per component, whether the rest of the recursive walk is already written
     settled = [False] * len(observed)
     for block, weights in _weight_blocks(epochs, np.arange(v, n), v, config.bandwidth):
         lost = np.isnan(weights[:, 0])
@@ -393,23 +398,16 @@ def forecast_series(
             for c, (values, windows) in enumerate(zip(buffer, _windows(buffer, v))):
                 if settled[c]:
                     continue
-                run, last = runs[c], values[steps[0] - 1]
                 # one row of _convex_combinations: same operations, no temporaries
                 for row, k, window in zip(step_rows, steps, windows[block.start:]):
                     base = window[0]
                     np.subtract(window, base, deviations)
                     y = values[k] = base + row.dot(deviations)
-                    run = run + 1 if y == last else 1
-                    last = y
-                    if run >= v and y != 0.0:
-                        # every later window is v copies of y: each deviation is
-                        # +0.0, so each forecast is y + 0.0, which is y exactly;
-                        # not so for -0.0 (-0.0 + 0.0 is +0.0); an infinite y
-                        # is refused below all the same
+                    if y == base and y != 0.0 and not deviations.any():
+                        # settled (module docstring): every later forecast is y
                         values[k + 1:] = y
                         settled[c] = True
                         break
-                runs[c] = run
     return StationForecast(v, {mode: finite_forecasts(station, v, buffer[:, v:], "kernel")
                                for mode, buffer in buffers.items()})
 

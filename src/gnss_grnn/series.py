@@ -14,11 +14,12 @@ and safe to share across workers.
 
 A station file is read in one bulk :func:`np.loadtxt` pass when its
 header is line 1 and every later line is a row of four finite numbers.
-A comment or blank line, a quote, a field loadtxt cannot convert, a
-wrong column count, a non-finite value or an epoch that is not a
-positive MJD sends the file to a line-by-line loop, which reads it or
-raises the :class:`ParseError` of the line at fault. Both paths accept
-the same text and give the same bits.
+A comment or blank line, a quote, a line over the :mod:`csv` field
+limit, a field loadtxt cannot convert, a wrong column count, a
+non-finite value or an epoch that is not a positive MJD sends the file
+to a line-by-line loop, which reads it or raises the :class:`ParseError`
+of the line at fault. Both paths accept the same text and give the same
+bits.
 
 Every file the package writes is one string handed to :func:`write_text`
 (end of this module); :func:`csv_text` beside it holds the one CSV dialect.
@@ -260,10 +261,12 @@ def _read_bulk(lines: list[str], name: str) -> np.ndarray | None:
     loadtxt skips empty lines, which would shift the line numbers, and
     by default ends a line at its first ``#``; both are ruled out here.
     It converts fields with the routine ``float()`` is built on and
-    refuses ``1_0`` and non-ASCII digits, which the loop reads.
+    refuses ``1_0`` and non-ASCII digits, which the loop reads. It has no
+    field limit, so a line longer than :mod:`csv`'s goes to the loop too.
     """
     header = lines[0].strip() if len(lines) > 1 else ""
-    if not header or header[0] == "#" or '"' in header or "" in lines:
+    if (not header or header[0] == "#" or '"' in header or "" in lines
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
     year_based = _header_is_year_based(header.split(","), name, 1)
     try:
@@ -294,7 +297,10 @@ def _read_lines(lines: list[str], name: str) -> tuple[np.ndarray, list[int]]:
         text = line.strip()
         if not text or text[0] == "#":
             continue
-        fields = next(csv.reader((text,))) if '"' in text else text.split(",")
+        try:
+            fields = next(csv.reader((text,)))
+        except csv.Error as exc:
+            raise ParseError(str(exc), source=name, line=lineno) from None
         if year_based is None:
             year_based = _header_is_year_based(fields, name, lineno)
             continue
@@ -303,14 +309,9 @@ def _read_lines(lines: list[str], name: str) -> tuple[np.ndarray, list[int]]:
                 f"expected 4 columns, found {len(fields)}", source=name, line=lineno
             )
         try:
-            epoch, x, y, z = map(float, fields)
-        except ValueError:
-            # float() skips surrounding whitespace except "\x1f", which
-            # str.strip() removes; retry stripped for the value or the message
-            try:
-                epoch, x, y, z = [float(f.strip()) for f in fields]
-            except ValueError as exc:
-                raise ParseError(str(exc), source=name, line=lineno) from None
+            epoch, x, y, z = [float(f.strip()) for f in fields]
+        except ValueError as exc:
+            raise ParseError(str(exc), source=name, line=lineno) from None
         if not (isfinite(epoch) and isfinite(x) and isfinite(y) and isfinite(z)):
             raise ParseError("non-finite value", source=name, line=lineno)
         if year_based:
@@ -337,20 +338,18 @@ def parse_series(
     The CSV schema is ``epoch_mjd,x_m,y_m,z_m`` (or ``epoch_year,...``,
     detected by the header's first column name). The source must be
     UTF-8. Blank lines and lines starting with ``#`` are skipped, and
-    whitespace around a line or a field is ignored. A line that contains
-    a double quote is read by the :mod:`csv` module (Excel dialect); any
-    other line is split on commas, which reads it identically. Rows are
-    sorted by epoch; exact duplicate epochs are rejected rather
-    than averaged, since silently merging rows would corrupt any
-    backtest run on the result.
+    whitespace around a line or a field is ignored. Each line is read by
+    the :mod:`csv` module (Excel dialect). Rows are sorted by epoch; exact
+    duplicate epochs are rejected rather than averaged, since silently
+    merging rows would corrupt any backtest run on the result.
 
     A file whose header is line 1 and every later line a row is read in
     one bulk :func:`np.loadtxt` pass. A file that pass refuses (a comment
-    or blank line, a quote, a field it cannot convert, a wrong column
-    count, a non-finite value or an epoch that is not a positive MJD)
-    is read again line by line, which either reads it or raises the
-    error below with its line. Both paths accept the same text and give
-    the same bits.
+    or blank line, a quote, a line over the :mod:`csv` field limit, a
+    field it cannot convert, a wrong column count, a non-finite value or
+    an epoch that is not a positive MJD) is read again line by line,
+    which either reads it or raises the error below with its line. Both
+    paths accept the same text and give the same bits.
 
     Raises:
         ParseError: input that is not UTF-8, a malformed header or row,

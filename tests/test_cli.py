@@ -113,6 +113,16 @@ class TestInspect:
         err = capsys.readouterr().err
         assert err.startswith("gnss-grnn: data error: latin.csv: line 2: not UTF-8 text")
 
+    def test_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("epoch_mjd,x_m,y_m,z_m\n55000,1,2,3\n55001,1,2,3\n"
+                        f'55002,"1{"0" * 200_000}",2,3\n')
+        assert run_cli("inspect", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("gnss-grnn: data error: big.csv: line 4: field larger than "
+                                f"field limit ({csv.field_size_limit()})\n")
+
 
 class TestPredict:
     @pytest.mark.parametrize("mode", ["recursive", "teacher-forced"])

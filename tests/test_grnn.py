@@ -1217,11 +1217,13 @@ class TestFixedPoint:
         return station_of(epochs, values)
 
     @pytest.mark.parametrize("axis", ["daily", "gap-after-settling"])
-    @pytest.mark.parametrize("seed_heads", [(40, 81, 82), (0, 40, 81)],
+    @pytest.mark.parametrize("seed_heads", [(40, 80, 81), (0, 40, 80)],
                              ids=["mid-block-and-boundary", "constant-seed"])
     def test_settles_with_the_stepping_walks_bits(self, axis, seed_heads):
+        # the walk finds a settled component one step after the forecast that
+        # closes its constant window, at step head (step 0 for a constant seed)
         rows = _BLOCK_ELEMENTS // self.V
-        assert rows == 81  # head 81 settles on a block's last row, 82 on the next one's first
+        assert rows == 81  # head 80 is found on a block's last row, 81 on the next one's first
         epochs = 55000.0 + np.arange(600.0)
         if axis == "gap-after-settling":
             # a 5-day hole in the third block: new weights, the same constant
@@ -1229,6 +1231,15 @@ class TestFixedPoint:
         station = self.station(epochs, seed_heads)
         cfg = GrnnConfig(training_size=self.V, bandwidth=1.0)
         assert settling_steps(station, cfg) == [max(h - 1, 0) for h in seed_heads]
+        assert assert_station_walks_step(station, cfg)
+
+    def test_constant_window_closed_by_the_last_target(self):
+        # X's last forecast closes its constant window, so no later step finds
+        # it settled and every target is stepped; Y and Z settle before
+        epochs = 55000.0 + np.arange(self.V + 40.0)
+        station = self.station(epochs, (40, 20, 0))
+        cfg = GrnnConfig(training_size=self.V, bandwidth=1.0)
+        assert settling_steps(station, cfg) == [epochs.size - self.V - 1, 19, 0]
         assert assert_station_walks_step(station, cfg)
 
     def test_underflow_after_settling(self):

@@ -143,7 +143,10 @@ def reference_parse(source_text, name="<stream>"):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        fields = next(csv.reader(io.StringIO(text)))
+        try:
+            fields = next(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:
+            raise ParseError(str(exc), source=name, line=lineno) from None
         fields = [f.strip() for f in fields]
         if header is None:
             header = tuple(f.lower() for f in fields)
@@ -297,6 +300,12 @@ _PARSE_CASES.update({
     "duplicate_epoch_in_clean_file": _clean_file(2, 0, "55002"),
     "duplicate_epoch_after_blank_line": _clean_file(2, 0, "55002", extra_line=""),
     "header_then_blank_lines": "epoch_mjd,x_m,y_m,z_m\n\n\n",
+    # fields the csv module refuses, quoted or not: loadtxt has no such limit
+    "field_over_csv_limit_quoted": _clean_file(2, 1, '"1.' + "0" * 200_000 + '"'),
+    "field_over_csv_limit": _clean_file(2, 1, "1." + "0" * 200_000),
+    # a line over the limit whose fields are within it: both paths read it
+    "line_over_csv_limit": _clean_file(2, 1, "1." + "0" * 70_000).replace(
+        ",2.5,", ",2." + "0" * 70_000 + ","),
 })
 
 #: Fields the mutation strategy writes into a clean file: ones ``float()``
@@ -379,8 +388,9 @@ class TestParseMatchesReference:
               if parse_outcome(reference_parse, text)[0] == "ok"}
         assert {"clean_mjd", "clean_year", "field_underscore", "field_arabic_indic_digit",
                 "field_unit_separator_first", "field_unit_separator_last", "field_quoted",
-                "blank_line", "whitespace_only_line"} <= ok
+                "blank_line", "whitespace_only_line", "line_over_csv_limit"} <= ok
         assert not {"field_nul", "field_mid_line_hash", "field_trailing_hash",
+                    "field_over_csv_limit_quoted", "field_over_csv_limit",
                     "trailing_comma", "field_nan", "field_1e999", "year_before_mjd_zero",
                     "duplicate_epoch_in_clean_file", "duplicate_epoch_after_blank_line",
                     "header_then_blank_lines"} & ok
@@ -403,6 +413,15 @@ class TestParseMatchesReference:
                 parse(text)
             assert exc.value.line == 4
             assert str(exc.value) == "<stream>: line 4: epoch must map to a finite MJD"
+
+    def test_a_field_over_the_csv_limit_is_refused_by_line(self):
+        limit = csv.field_size_limit()
+        for case in ("field_over_csv_limit_quoted", "field_over_csv_limit"):
+            with pytest.raises(ParseError) as exc:
+                parse_series(io.StringIO(_PARSE_CASES[case]))
+            assert exc.value.line == 4
+            assert str(exc.value) == (
+                f"<stream>: line 4: field larger than field limit ({limit})")
 
 
 class TestBulkPass:
